@@ -19,14 +19,21 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
-from .mechanisms import ArgmaxRule, Mechanism, _run_levels, myerson_level_payment
+from .mechanisms import (
+    ArgmaxRule,
+    Mechanism,
+    SecondPriceReserveRule,
+    _run_levels,
+    myerson_level_payment,
+    run_lblev,
+    run_referral_auction,
+)
 from .network import (
     DiffusionNetwork,
     Outcome,
     ReportProfile,
     build_referral_tree,
     subtree_values,
-    truthful_profile,
     unsold_outcome,
 )
 
@@ -341,10 +348,6 @@ class MaxVivaAuction(Mechanism):
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return run_maxviva(net, reports, self._first_level_dists(net, reports))
 
-    def run_on_values(self, net: DiffusionNetwork,
-                      values: Mapping[int, float]) -> Outcome:
-        return self.run(net, truthful_profile(net, values))
-
 
 @dataclass(frozen=True)
 class InterimEstimate:
@@ -465,14 +468,9 @@ class SecondPriceTA(Mechanism):
         sale = best >= self.reserve
         return np.where(sale, np.maximum(second, self.reserve), 0.0)
 
-    def run_on_values(self, net: DiffusionNetwork,
-                      values: Mapping[int, float]) -> Outcome:
-        from .mechanisms import SecondPriceReserveRule, run_referral_auction
-        outcome, _ = run_referral_auction(
-            net, truthful_profile(net, values), SecondPriceReserveRule(self.reserve))
+    def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
+        outcome, _ = run_referral_auction(net, reports, SecondPriceReserveRule(self.reserve))
         return outcome
-
-    run = run_on_values
 
 
 class PowerTA(Mechanism):
@@ -493,14 +491,9 @@ class PowerTA(Mechanism):
         sold = matrix.max(axis=1) > 0
         return np.where(sold, pay, 0.0)
 
-    def run_on_values(self, net: DiffusionNetwork,
-                      values: Mapping[int, float]) -> Outcome:
-        from .mechanisms import run_lblev
-        tree = build_referral_tree(net, truthful_profile(net, values))
-        outcome, _ = run_lblev(tree, values, self.exponents)
+    def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
+        outcome, _ = run_lblev(build_referral_tree(net, reports), reports, self.exponents)
         return outcome
-
-    run = run_on_values
 
 
 class MaxVivaTA(Mechanism):
@@ -534,11 +527,8 @@ class MaxVivaTA(Mechanism):
             revenue[mask] = np.maximum(reserve, match)
         return revenue
 
-    def run_on_values(self, net: DiffusionNetwork,
-                      values: Mapping[int, float]) -> Outcome:
-        return run_maxviva(net, truthful_profile(net, values), self.dists)
-
-    run = run_on_values
+    def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
+        return run_maxviva(net, reports, self.dists)
 
 
 def write_revenue_csv(rows: Sequence[Mapping], fh) -> None:

@@ -12,12 +12,14 @@ prices by the Myerson threshold of that rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from .network import (
     EQ_TOL,
     DiffusionNetwork,
+    InstanceError,
     Outcome,
     ReferralTree,
     ReportProfile,
@@ -40,8 +42,8 @@ def unit_exponents(nodes) -> dict[int, float]:
 
 def _exponent(exponents: Mapping[int, float], node: int) -> float:
     t = exponents.get(node, 1.0)
-    if t <= 0:
-        raise ValueError(f"exponent t[{node}]={t} must be positive")
+    if not 0 < t < math.inf:
+        raise InstanceError(f"exponent t[{node}]={t} must be positive and finite")
     return t
 
 
@@ -141,7 +143,7 @@ def run_lblev(tree: ReferralTree, reports: ValuesLike,
     game and pays the runner-up's ``rho`` raised to the exponent ratio
     ``t_runnerup / t_winner``, on top of the running offset.  Ties break
     toward the smaller node id.  Exponents default to 1 when omitted;
-    non-positive exponents are rejected.
+    non-positive or non-finite exponents are rejected.
     """
     values = _value_getter(reports)
     agents = tree.agents()
@@ -388,7 +390,9 @@ class LblevAuction(Mechanism):
     def __init__(self, exponents: Optional[Mapping[int, float]] = None):
         self.exponents = dict(exponents) if exponents else {}
         self.name = "lblev" if exponents else "idm"
-        self._tree_cache: dict[int, ReferralTree] = {}
+        # One (net, tree) slot.  The strong reference keeps ``net`` alive,
+        # so an identity match cannot be a new network at a recycled id.
+        self._cached: Optional[tuple[DiffusionNetwork, ReferralTree]] = None
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         tree = build_referral_tree(net, reports)
@@ -403,10 +407,12 @@ class LblevAuction(Mechanism):
 
     def run_on_values(self, net: DiffusionNetwork,
                       values: Mapping[int, float]) -> Outcome:
-        tree = self._tree_cache.get(id(net))
-        if tree is None:
+        cached = self._cached
+        if cached is not None and cached[0] is net:
+            tree = cached[1]
+        else:
             tree = build_referral_tree(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
-            self._tree_cache[id(net)] = tree
+            self._cached = (net, tree)
         outcome, _ = run_lblev(tree, values, self.exponents)
         return outcome
 

@@ -11,6 +11,7 @@ file I/O.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
@@ -37,8 +38,9 @@ class Report:
     timestamp: int
 
     def __post_init__(self) -> None:
-        if self.value < 0:
-            raise InstanceError(f"negative reported valuation {self.value}")
+        if not 0 <= self.value < math.inf:
+            raise InstanceError(f"reported valuation {self.value} is not a finite "
+                                "non-negative number")
         if self.timestamp < 0:
             raise InstanceError(f"negative timestamp {self.timestamp}")
 
@@ -176,27 +178,33 @@ def truthful_profile(net: DiffusionNetwork, values: Mapping[int, float],
     return ReportProfile(reports)
 
 
-def filter_subnetwork(net: DiffusionNetwork, reports: ValuesLike) -> frozenset[int]:
-    """Agents reachable from the seller along reported forwarding edges.
+def _live_walk(net: DiffusionNetwork, reports: ReportProfile) -> dict[int, frozenset[int]]:
+    """Breadth-first walk from the seller along live edges.
 
-    The seller always forwards to all its out-neighbors; an agent's edge
-    to ``j`` is live only if ``j`` is both in its reported neighbor set
-    and a true out-neighbor.
+    Maps every reached agent to its live out-neighbors.  The seller
+    always forwards to all its out-neighbors; an agent's edge to ``j`` is
+    live only if ``j`` is both in its reported neighbor set and a true
+    out-neighbor.  Each reached agent is expanded once, so the walk costs
+    O(n + E).
     """
-    if not isinstance(reports, ReportProfile):
-        raise TypeError("filter_subnetwork needs a full ReportProfile")
-    reached: set[int] = set()
-    queue = deque(sorted(net.neighbors(net.seller)))
+    live_of: dict[int, frozenset[int]] = {}
+    queue = deque(net.neighbors(net.seller))
     while queue:
         node = queue.popleft()
-        if node in reached:
+        if node in live_of:
             continue
-        reached.add(node)
         live = reports.neighbors(node) & net.neighbors(node)
-        for nxt in sorted(live):
-            if nxt not in reached:
-                queue.append(nxt)
-    return frozenset(reached)
+        live_of[node] = live
+        queue.extend(live)
+    return live_of
+
+
+def filter_subnetwork(net: DiffusionNetwork, reports: ValuesLike) -> frozenset[int]:
+    """Agents reachable from the seller along reported forwarding edges
+    (see :func:`_live_walk` for which edges are live)."""
+    if not isinstance(reports, ReportProfile):
+        raise TypeError("filter_subnetwork needs a full ReportProfile")
+    return frozenset(_live_walk(net, reports))
 
 
 @dataclass(frozen=True)
@@ -253,20 +261,22 @@ def build_referral_tree(net: DiffusionNetwork, reports: ReportProfile) -> Referr
     excluded.  Timestamps that would make the parent map cyclic (an
     agent "invited" only by its own descendants) are rejected: such
     stamps cannot arise from a real arrival process.
+
+    One walk over the live edges keeps, for every target, the best
+    ``(timestamp, id)`` inviter key seen so far, so the build costs
+    O(n + E) plus one sort of the reached ids.
     """
-    reached = filter_subnetwork(net, reports)
-    first_level = sorted(net.neighbors(net.seller))
-    parent: dict[int, int] = {i: net.seller for i in first_level}
-    for node in sorted(reached):
-        if node in parent:
-            continue
-        inviters = [
-            k for k in reached
-            if node in (reports.neighbors(k) & net.neighbors(k))
-        ]
-        if not inviters:
-            raise InstanceError(f"reachable node {node} has no reachable inviter")
-        parent[node] = min(inviters, key=lambda k: (reports.timestamp(k), k))
+    live_of = _live_walk(net, reports)
+    best: dict[int, tuple[int, int]] = {}
+    for k, live in live_of.items():
+        key = (reports.timestamp(k), k)
+        for j in live:
+            if j not in best or key < best[j]:
+                best[j] = key
+    parent: dict[int, int] = {i: net.seller for i in sorted(net.neighbors(net.seller))}
+    for node in sorted(live_of):
+        if node not in parent:
+            parent[node] = best[node][1]
 
     children: dict[int, list[int]] = {}
     for node, par in parent.items():
@@ -290,15 +300,6 @@ def build_referral_tree(net: DiffusionNetwork, reports: ReportProfile) -> Referr
         children={k: tuple(v) for k, v in children.items()},
         level=level,
     )
-
-
-def induced_subtree(net: DiffusionNetwork, reports: ReportProfile) -> ReferralTree:
-    """Subtree of a tree-shaped network induced by the reported forwards.
-
-    On a tree every reachable agent has a unique inviter, so this equals
-    :func:`build_referral_tree` regardless of timestamps.
-    """
-    return build_referral_tree(net, reports)
 
 
 def subtree_values(tree: ReferralTree, reports: ValuesLike) -> dict[int, float]:
@@ -392,6 +393,9 @@ def instance_from_dict(raw: Mapping) -> Instance:
         exps = raw.get("exponents")
         if exps is not None:
             exps = {int(k): float(v) for k, v in exps.items()}
+            for node, t in exps.items():
+                if not 0 < t < math.inf:
+                    raise InstanceError(f"exponent t[{node}]={t} must be positive and finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
     return Instance(net=net, reports=profile, exponents=exps)

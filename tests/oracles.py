@@ -125,6 +125,40 @@ def threshold_by_scan(rule_winner, winner: int, rhos: dict[int, float],
     return hi
 
 
+def naive_referral_parents(out_edges, forwards, stamps, seller: int = 0) -> dict[int, int]:
+    """Parent map of the first-invite-first-served referral tree by the
+    quadratic rule: for each reached node, scan every reached node for
+    live edges into it and keep the smallest ``(timestamp, id)`` inviter.
+
+    ``out_edges`` and ``forwards`` map a node to its true and reported
+    out-neighbors; an edge is live when it is in both.  The seller's
+    out-neighbors are its children.  Raises ``ValueError`` when the
+    parent map has a cycle.
+    """
+    def live(k):
+        return set(forwards.get(k, ())) & set(out_edges.get(k, ()))
+
+    reached, stack = set(), list(out_edges.get(seller, ()))
+    while stack:
+        node = stack.pop()
+        if node not in reached:
+            reached.add(node)
+            stack.extend(live(node))
+    parent = {i: seller for i in out_edges.get(seller, ())}
+    for node in sorted(reached):
+        if node not in parent:
+            inviters = [k for k in reached if node in live(k)]
+            parent[node] = min(inviters, key=lambda k: (stamps[k], k))
+    for node in parent:
+        seen, cur = set(), node
+        while cur != seller:
+            if cur in seen:
+                raise ValueError(f"cyclic parent map through {cur}")
+            seen.add(cur)
+            cur = parent[cur]
+    return parent
+
+
 def random_tree_children(rng: np.random.Generator, n: int) -> dict[int, list[int]]:
     """Uniform random recursive tree: node k attaches below an earlier node."""
     children: dict[int, list[int]] = {}

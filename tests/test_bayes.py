@@ -11,6 +11,7 @@ from diffusion_auctions import (
     MaxVivaTA,
     PowerTA,
     ReferralAuction,
+    SecondPriceReserveRule,
     SecondPriceTA,
     build_referral_tree,
     check_mhr,
@@ -25,7 +26,9 @@ from diffusion_auctions import (
     paired_revenue_gap,
     parse_distribution,
     revenue_identity_sides,
+    run_lblev,
     run_maxviva,
+    run_referral_auction,
     subtree_values,
     truncated_normal,
     truthful_profile,
@@ -34,6 +37,7 @@ from diffusion_auctions import (
 )
 from diffusion_auctions import fixtures
 from diffusion_auctions.bayes import ValuationDistribution, _invert_virtual_many
+from diffusion_auctions.verify import make_grid, verify_mechanism
 
 UNIT = uniform_distribution(0.0, 1.0)
 EXP1 = exponential_distribution(1.0)
@@ -360,6 +364,50 @@ class TestRevenueComparisons:
             out = run_maxviva(inst.net,
                               truthful_profile(inst.net, dict(zip(ids, row))), dists)
             assert out.seller_revenue == pytest.approx(expect, abs=1e-7)
+
+
+class TestTransformedAuctionRun:
+    """The transformed auctions run on a full report profile, so the
+    verifier can drive them like any other mechanism."""
+
+    EXPS = {1: 2.0, 2: 1.0, 3: 0.5, 4: 1.5, 5: 0.8}
+
+    def cases(self, dists):
+        # each mechanism with its former truthful-forwarding body
+        sp, pw, mv = SecondPriceTA(0.25), PowerTA(self.EXPS), MaxVivaTA(dists)
+        return [
+            (sp, lambda net, v: run_referral_auction(
+                net, truthful_profile(net, v), SecondPriceReserveRule(0.25))[0]),
+            (pw, lambda net, v: run_lblev(
+                build_referral_tree(net, truthful_profile(net, v)), v, self.EXPS)[0]),
+            (mv, lambda net, v: run_maxviva(net, truthful_profile(net, v), dists)),
+        ]
+
+    def test_run_on_truthful_profile_matches_run_on_values(self):
+        rng = np.random.default_rng(16)
+        dists = {i: UNIT for i in range(1, 6)}
+        star = fixtures.depth1_instance((0.5, 0.5, 0.5)).net
+        deep = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+        for mech, former in self.cases(dists):
+            for net in (star, deep):
+                ids = sorted(net.agents)
+                matrix = rng.uniform(size=(20, len(ids)))
+                batch = mech.revenue_batch(ids, matrix)
+                for row, expect in zip(matrix, batch):
+                    values = dict(zip(ids, row.tolist()))
+                    out = mech.run(net, truthful_profile(net, values))
+                    assert out == former(net, values) == mech.run_on_values(net, values)
+                    if net is star:
+                        assert out.seller_revenue == pytest.approx(expect, abs=1e-9)
+
+    def test_verify_mechanism_runs_on_each(self):
+        inst = fixtures.depth1_instance((0.5, 0.3, 0.8))
+        grid = make_grid(inst.reports, size=16, seed=1)
+        # an unbounded MHR prior keeps every grid point inside the support
+        for mech, _ in self.cases({i: EXP1 for i in inst.net.agents}):
+            reports = verify_mechanism(mech, inst.net, inst.reports, grid)
+            assert len(reports) == 5
+            assert all(rep.passed for rep in reports), mech.name
 
 
 class TestRevenueIdentity:

@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from diffusion_auctions import fixtures, load_instance, save_instance
+from diffusion_auctions.network import instance_to_dict
 from diffusion_auctions.cli import main
 from diffusion_auctions.rc_example import fig_rc_instance
 
@@ -100,6 +102,28 @@ class TestRun:
                                "--mechanism", "lblev", "--exponents", str(table))
         assert code == 0
         assert json.loads(out)["seller_revenue"] == 9.0  # unit table = baseline
+
+
+    @pytest.mark.parametrize("field", ["valuation", "exponent"])
+    def test_non_finite_instance_exit_2(self, tmp_path, capsys, field):
+        raw = instance_to_dict(fixtures.fig_lblev_instance())
+        if field == "valuation":
+            raw["agents"][0]["valuation"] = math.nan
+        else:
+            raw["exponents"]["3"] = math.inf
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run", "--instance", str(path),
+                                 "--mechanism", "lblev")
+        assert code == 2
+        assert out == "" and "error" in err
+
+    def test_non_finite_exponent_table_exit_2(self, tmp_path, fig_path, capsys):
+        table = tmp_path / "exps.json"
+        table.write_text(json.dumps({"1": math.nan}))
+        code, _, err = run_cli(capsys, "run", "--instance", fig_path,
+                               "--mechanism", "lblev", "--exponents", str(table))
+        assert code == 2 and "error" in err
 
 
 class TestVerify:

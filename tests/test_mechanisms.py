@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from diffusion_auctions import (
     ArgmaxRule,
+    InstanceError,
     LblevAuction,
     NonMonotoneRuleError,
     PowerRule,
@@ -22,7 +23,7 @@ from diffusion_auctions import (
     transformed_auction_revenue,
     truthful_profile,
 )
-from diffusion_auctions import fixtures
+from diffusion_auctions import fixtures, mechanisms
 from diffusion_auctions.mechanisms import ArgminRule
 
 from oracles import (
@@ -113,6 +114,12 @@ class TestLblevEdgeCases:
         with pytest.raises(ValueError):
             run_lblev(tree, inst.reports, {1: 0.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_exponent(self, fig, bad):
+        inst, tree = fig
+        with pytest.raises(InstanceError):
+            run_lblev(tree, inst.reports, {1: bad})
+
     def test_parent_keeps_item_when_price_exceeds_children(self):
         # parent value above offset+z at its own level
         net = network_from_edges([(0, 1), (0, 2), (1, 3)])
@@ -131,6 +138,34 @@ class TestLblevEdgeCases:
         out, _ = run_lblev(tree, profile, {})
         assert out.winner == 3
         assert out.payments[3] == pytest.approx(10.0)
+
+
+class TestTreeReuse:
+    def test_reused_mechanism_matches_fresh_one_on_fresh_networks(self):
+        # each draw frees the previous network, so its id() can come back
+        rng = np.random.default_rng(2000)
+        exps = {i: 0.5 + 0.25 * i for i in range(1, 7)}
+        reused = LblevAuction(exps)
+        wrong = 0
+        for _ in range(2000):
+            inst = random_tree_instance(6, rng)
+            values = inst.reports.values()
+            got = reused.run_on_values(inst.net, values)
+            expect = LblevAuction(exps).run_on_values(inst.net, values)
+            wrong += (got.winner, got.seller_revenue) != (expect.winner, expect.seller_revenue)
+        assert wrong == 0
+
+    def test_repeated_values_on_one_network_build_once(self, monkeypatch):
+        builds = []
+        real = mechanisms.build_referral_tree
+        monkeypatch.setattr(mechanisms, "build_referral_tree",
+                            lambda net, reports: builds.append(net) or real(net, reports))
+        inst = fixtures.fig_lblev_instance()
+        mech = LblevAuction(inst.exponents)
+        for scale in (1.0, 0.5, 2.0):
+            values = {i: scale * v for i, v in inst.reports.values().items()}
+            mech.run_on_values(inst.net, values)
+        assert builds == [inst.net]
 
 
 class TestIdmTree:

@@ -1,3 +1,7 @@
+import json
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +21,15 @@ from diffusion_auctions import (
     truthful_profile,
 )
 from diffusion_auctions import fixtures
-from diffusion_auctions.network import Instance, Outcome, bfs_timestamps
+from diffusion_auctions.network import (
+    Instance,
+    Outcome,
+    bfs_timestamps,
+    instance_from_dict,
+    instance_to_dict,
+)
 
-from oracles import random_tree_children
+from oracles import naive_referral_parents, random_dag_edges, random_tree_children
 
 
 def fan_net():
@@ -102,6 +112,76 @@ class TestReferralTree:
             build_referral_tree(net, profile)
 
 
+def random_referral_case(rng: np.random.Generator, n: int):
+    """Random multi-inviter digraph over agents 1..n: a connected DAG plus
+    a few arbitrary extra edges (which can close cycles), random stamps
+    with ties, and a random forwarded subset for every agent."""
+    edges = random_dag_edges(rng, n)
+    for _ in range(int(rng.integers(0, 5))):
+        src, dst = (int(x) for x in rng.integers(1, n + 1, size=2))
+        edges.append((src, dst))
+    net = network_from_edges(edges, agents=range(1, n + 1))
+    stamps = {i: int(rng.integers(0, n)) for i in net.agents}
+    forwards = {i: frozenset(j for j in sorted(net.neighbors(i)) if rng.random() < 0.8)
+                for i in net.agents}
+    profile = ReportProfile({i: Report(1.0, forwards[i], stamps[i]) for i in net.agents})
+    return net, forwards, stamps, profile
+
+
+def children_and_levels(parent: dict[int, int], root: int = 0):
+    children: dict[int, tuple[int, ...]] = {}
+    for node in sorted(parent):
+        children[parent[node]] = children.get(parent[node], ()) + (node,)
+    level = {}
+    for node in parent:
+        depth, cur = 0, node
+        while cur != root:
+            depth, cur = depth + 1, parent[cur]
+        level[node] = depth
+    return children, level
+
+
+class TestReferralTreeAgainstOracle:
+    def test_matches_quadratic_rule_on_random_digraphs(self):
+        rng = np.random.default_rng(17)
+        built = cyclic = 0
+        for _ in range(300):
+            net, forwards, stamps, profile = random_referral_case(rng, int(rng.integers(2, 13)))
+            try:
+                expect = naive_referral_parents(net.out_edges, forwards, stamps)
+            except ValueError:
+                cyclic += 1
+                with pytest.raises(InstanceError):
+                    build_referral_tree(net, profile)
+                continue
+            built += 1
+            tree = build_referral_tree(net, profile)
+            children, level = children_and_levels(expect)
+            assert tree.parent == expect
+            assert dict(tree.children) == children
+            assert tree.level == level
+        # both branches are exercised, and re-routing is common
+        assert built >= 250 and cyclic >= 10
+
+    def test_large_multi_inviter_network_builds_fast(self):
+        rng = np.random.default_rng(4000)
+        n = 4000
+        edges = []
+        for k in range(1, n + 1):
+            first = 0 if k == 1 else int(rng.integers(0, k))
+            edges.append((first, k))
+            extra = np.nonzero(rng.random(k) < 2.0 / k)[0].tolist()
+            edges.extend((j, k) for j in extra if j != first)
+        net = network_from_edges(edges, agents=range(1, n + 1))
+        stamps = dict(zip(range(1, n + 1), rng.permutation(n).tolist()))
+        profile = truthful_profile(net, {i: 1.0 for i in net.agents}, stamps)
+        start = time.perf_counter()
+        tree = build_referral_tree(net, profile)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0
+        assert len(tree.parent) == n
+
+
 class TestSubtreeMax:
     def test_worked_example_values(self):
         inst = fixtures.fig_lblev_instance()
@@ -164,3 +244,31 @@ class TestInstanceIO:
     def test_negative_valuation_rejected(self):
         with pytest.raises(InstanceError):
             Report(value=-1.0, neighbors=frozenset(), timestamp=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_valuation_rejected(self, value):
+        with pytest.raises(InstanceError):
+            Report(value=value, neighbors=frozenset(), timestamp=0)
+
+    def test_nan_valuation_cannot_hand_out_the_item(self):
+        # without the check agent 1 wins for free on these values
+        net = network_from_edges([(0, 1), (0, 2), (1, 3)])
+        with pytest.raises(InstanceError):
+            truthful_profile(net, {1: 1.0, 2: math.nan, 3: 10.0})
+
+    @pytest.mark.parametrize("field, bad", [("valuation", math.nan),
+                                            ("valuation", math.inf),
+                                            ("exponent", math.nan),
+                                            ("exponent", math.inf)])
+    def test_non_finite_instance_file_rejected(self, tmp_path, field, bad):
+        raw = instance_to_dict(fixtures.fig_lblev_instance())
+        if field == "valuation":
+            raw["agents"][1]["valuation"] = bad
+        else:
+            raw["exponents"]["2"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))   # json writes NaN / Infinity literals
+        with pytest.raises(InstanceError):
+            load_instance(path)
+        with pytest.raises(InstanceError):
+            instance_from_dict(raw)
