@@ -20,7 +20,6 @@ from .network import (
     network_from_edges,
     random_tree_instance,
     save_instance,
-    subtree_max,
     subtree_values,
     truthful_profile,
 )

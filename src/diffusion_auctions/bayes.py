@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import integrate
@@ -30,6 +30,7 @@ from .mechanisms import (
 )
 from .network import (
     DiffusionNetwork,
+    InstanceError,
     Outcome,
     ReportProfile,
     build_referral_tree,
@@ -166,14 +167,15 @@ def virtual_valuation(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
 
 
 def _virtual_floor(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
-    """Virtual valuation with zero-density points sent to -inf (the limit
-    at the lower edge of e.g. max-transformed supports).  Internal: the
-    public op treats those points as errors."""
+    """Virtual valuation extended to zero-density points: -inf below the
+    support (the limit at the lower edge of e.g. max-transformed
+    supports) and ``x`` at or above a bounded support's upper end, where
+    ``1 - F = 0``.  Internal: the public op treats those points as errors."""
     x = np.asarray(x, dtype=float)
     f = np.asarray(dist.pdf(x), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(f > 0, x - (1.0 - np.asarray(dist.cdf(x))) / np.where(f > 0, f, 1.0),
-                     -np.inf)
+                     np.where(x >= dist.upper, x, -np.inf))
     return float(w) if np.ndim(w) == 0 else w
 
 
@@ -206,7 +208,19 @@ def check_mhr(dist: ValuationDistribution, grid_size: int = 256) -> bool:
 def invert_virtual(dist: ValuationDistribution, target: float,
                    tol: float = 1e-10) -> float:
     """Smallest x with w(x) >= target, by bisection.  Requires a
-    hazard-monotone (hence virtual-monotone) distribution."""
+    hazard-monotone (hence virtual-monotone) distribution.  Targets above
+    the virtual range of a bounded support are rejected."""
+    x = _invert_virtual(dist, target, tol)
+    if x > dist.upper:
+        raise ValueError(f"target {target} above the virtual range of {dist.name}")
+    return x
+
+
+def _invert_virtual(dist: ValuationDistribution, target: float,
+                    tol: float = 1e-10) -> float:
+    """:func:`invert_virtual` on :func:`_virtual_floor`, which is ``x``
+    above a bounded support: a target above ``w(upper)`` is reached at
+    ``x = target``."""
     if not dist.mhr:
         raise ValueError(f"{dist.name} is not declared hazard-monotone")
     if _virtual_floor(dist, 0.0) >= target:
@@ -214,7 +228,7 @@ def invert_virtual(dist: ValuationDistribution, target: float,
     if math.isfinite(dist.upper):
         hi = dist.upper
         if _virtual_floor(dist, hi) < target:
-            raise ValueError(f"target {target} above the virtual range of {dist.name}")
+            return target
     else:
         hi = 1.0
         while _virtual_floor(dist, hi) < target:
@@ -233,7 +247,7 @@ def invert_virtual(dist: ValuationDistribution, target: float,
 
 def _invert_virtual_many(dist: ValuationDistribution, targets: np.ndarray,
                          tol: float = 1e-10) -> np.ndarray:
-    """Vectorized bisection of :func:`invert_virtual`."""
+    """Vectorized bisection of :func:`_invert_virtual`."""
     targets = np.asarray(targets, dtype=float)
     if targets.size == 0:
         return targets.copy()
@@ -257,7 +271,8 @@ def _invert_virtual_many(dist: ValuationDistribution, targets: np.ndarray,
         if np.all(hi - lo <= tol):
             break
     done = np.asarray(_virtual_floor(dist, np.zeros_like(targets))) >= targets
-    return np.where(done, 0.0, hi)
+    beyond = targets > _virtual_floor(dist, hi0) if math.isfinite(dist.upper) else False
+    return np.where(done, 0.0, np.where(beyond, targets, hi))
 
 
 def maxviva_level(entries: Mapping[int, tuple[float, ValuationDistribution]]
@@ -281,8 +296,8 @@ def maxviva_level(entries: Mapping[int, tuple[float, ValuationDistribution]]
     winner = min(eligible, key=lambda i: (-w[i], i))
     _, dist_w = entries[winner]
     rival = max((w[i] for i in w if i != winner), default=-math.inf)
-    reserve = invert_virtual(dist_w, 0.0)
-    match = invert_virtual(dist_w, rival) if math.isfinite(rival) else 0.0
+    reserve = _invert_virtual(dist_w, 0.0)
+    match = _invert_virtual(dist_w, rival) if math.isfinite(rival) else 0.0
     return winner, max(reserve, match)
 
 
@@ -373,27 +388,57 @@ def _rival_matrix(ids: Sequence[int], dists: Mapping[int, ValuationDistribution]
     return np.column_stack(cols)
 
 
+def _scalar_outcomes(mech, net: DiffusionNetwork, ids: Sequence[int],
+                     matrix: np.ndarray) -> Iterator[Outcome]:
+    """Fallback for mechanisms without a batch method: one
+    ``run_on_values`` call per row of ``matrix`` (columns follow ``ids``)."""
+    values: dict[int, float] = {}
+    for row in matrix:
+        values.update(zip(ids, row))
+        yield mech.run_on_values(net, values)
+
+
+def _revenues(mech, net: DiffusionNetwork, ids: Sequence[int],
+              matrix: np.ndarray) -> np.ndarray:
+    """Seller revenue of every row of ``matrix``, through the mechanism's
+    ``revenue_batch``, else its ``outcome_batch``, else the scalar loop."""
+    batch = getattr(mech, "revenue_batch", None)
+    if batch is not None:
+        return np.asarray(batch(ids, matrix), dtype=float)
+    batch = getattr(mech, "outcome_batch", None)
+    if batch is not None:
+        return batch(net, ids, matrix)[2]
+    return np.fromiter((out.seller_revenue for out in _scalar_outcomes(mech, net, ids, matrix)),
+                       dtype=float, count=len(matrix))
+
+
 def estimate_interim(mech: Mechanism, net: DiffusionNetwork,
                      dists: Mapping[int, ValuationDistribution], agent: int,
                      value: float, samples: int, seed: int) -> InterimEstimate:
     """Sample mean of the agent's allocation and payment with its own
-    valuation pinned, everyone forwarding truthfully."""
+    valuation pinned, everyone forwarding truthfully.  Mechanisms exposing
+    ``outcome_batch`` price all samples in one call."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not 0 <= value < math.inf:
+        raise InstanceError(f"pinned valuation {value} is not a finite non-negative number")
     ids = sorted(net.agents)
     if agent not in net.agents:
         raise ValueError(f"agent {agent} not in the network")
     matrix = _rival_matrix(ids, dists, samples, seed)
-    alloc = np.empty(samples)
-    pay = np.empty(samples)
-    values = dict(zip(ids, matrix[0]))
-    for t in range(samples):
-        for j, i in enumerate(ids):
-            values[i] = matrix[t, j]
-        values[agent] = value
-        out = mech.run_on_values(net, values)
-        alloc[t] = out.allocation.get(agent, 0.0)
-        pay[t] = out.payments.get(agent, 0.0)
+    col = ids.index(agent)
+    matrix[:, col] = value
+    batch = getattr(mech, "outcome_batch", None)
+    if batch is not None:
+        winner, payments, _ = batch(net, ids, matrix)
+        alloc = (winner == agent).astype(float)
+        pay = payments[:, col]
+    else:
+        alloc = np.empty(samples)
+        pay = np.empty(samples)
+        for t, out in enumerate(_scalar_outcomes(mech, net, ids, matrix)):
+            alloc[t] = out.allocation.get(agent, 0.0)
+            pay[t] = out.payments.get(agent, 0.0)
     a_se = float(alloc.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     p_se = float(pay.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return InterimEstimate(agent=agent, value=value,
@@ -406,22 +451,12 @@ def expected_revenue(mech: Mechanism, net: DiffusionNetwork,
                      dists: Mapping[int, ValuationDistribution],
                      trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the seller revenue under
-    truthful reports.  Mechanisms exposing ``revenue_batch`` are run
-    vectorized on the same draw matrix the scalar path would use."""
+    truthful reports.  Batch methods run on the same draw matrix the
+    scalar path would use."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ids = sorted(net.agents)
-    matrix = _rival_matrix(ids, dists, trials, seed)
-    batch = getattr(mech, "revenue_batch", None)
-    if batch is not None:
-        revenue = np.asarray(batch(ids, matrix), dtype=float)
-    else:
-        revenue = np.empty(trials)
-        values = dict(zip(ids, matrix[0]))
-        for t in range(trials):
-            for j, i in enumerate(ids):
-                values[i] = matrix[t, j]
-            revenue[t] = mech.run_on_values(net, values).seller_revenue
+    revenue = _revenues(mech, net, ids, _rival_matrix(ids, dists, trials, seed))
     se = float(revenue.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(revenue.mean()), se
 
@@ -433,20 +468,7 @@ def paired_revenue_gap(mech_a: Mechanism, mech_b: Mechanism,
     """Mean and standard error of revenue(a) - revenue(b) on common draws."""
     ids = sorted(net.agents)
     matrix = _rival_matrix(ids, dists, trials, seed)
-
-    def revenues(mech):
-        batch = getattr(mech, "revenue_batch", None)
-        if batch is not None:
-            return np.asarray(batch(ids, matrix), dtype=float)
-        out = np.empty(trials)
-        values = dict(zip(ids, matrix[0]))
-        for t in range(trials):
-            for j, i in enumerate(ids):
-                values[i] = matrix[t, j]
-            out[t] = mech.run_on_values(net, values).seller_revenue
-        return out
-
-    diff = revenues(mech_a) - revenues(mech_b)
+    diff = _revenues(mech_a, net, ids, matrix) - _revenues(mech_b, net, ids, matrix)
     se = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(diff.mean()), se
 
@@ -518,7 +540,7 @@ class MaxVivaTA(Mechanism):
             mask = sale & (win == j)
             if not mask.any():
                 continue
-            reserve = invert_virtual(self.dists[i], 0.0)
+            reserve = _invert_virtual(self.dists[i], 0.0)
             targets = rival[mask]
             finite = np.isfinite(targets)
             match = np.zeros(targets.shape)

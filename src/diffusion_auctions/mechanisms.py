@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .network import (
     EQ_TOL,
     DiffusionNetwork,
@@ -145,6 +147,9 @@ def run_lblev(tree: ReferralTree, reports: ValuesLike,
     toward the smaller node id.  Exponents default to 1 when omitted;
     non-positive or non-finite exponents are rejected.
     """
+    if not isinstance(reports, ReportProfile) and not all(
+            0 <= v < math.inf for v in reports.values()):
+        raise InstanceError("valuations must be finite non-negative numbers")
     values = _value_getter(reports)
     agents = tree.agents()
     texp = {i: _exponent(exponents, i) for i in agents}
@@ -167,6 +172,103 @@ def run_idm_tree(tree: ReferralTree, reports: ValuesLike) -> Outcome:
     """Information-diffusion mechanism on a tree: the unit-exponent case."""
     outcome, _ = run_lblev(tree, reports, {})
     return outcome
+
+
+class LevelKernel:
+    """:func:`run_lblev` compiled for many valuation draws on one tree.
+
+    The tree is flattened once into columns (its agents in id order):
+    the internal nodes in post-order with their child columns, sorted by
+    id, and the exponent vector, validated here.  :meth:`outcomes` then
+    prices a whole ``values[S, n]`` matrix with one numpy step per tree
+    node instead of one Python descent per row.  Each row carries its
+    own current parent and offset; the comparisons, ties and tolerances
+    are those of :func:`_run_levels`, only ``**`` may round differently
+    from libm in the last ulp.
+    """
+
+    def __init__(self, tree: ReferralTree, exponents: Mapping[int, float]):
+        self.tree = tree
+        self.agents = sorted(tree.agents())
+        col = {a: k for k, a in enumerate(self.agents)}
+        self.texp = np.array([_exponent(exponents, a) for a in self.agents])
+
+        def kids(node: int) -> np.ndarray:
+            return np.array(sorted(col[c] for c in tree.child_tuple(node)), dtype=np.intp)
+
+        # (node column, child columns), children before parents
+        self.post = [(col[a], kids(a)) for a in tree.post_order() if tree.child_tuple(a)]
+        self.first = kids(tree.root)
+        # Descent order, parents before children; None is the root.  The
+        # third entry lists (position in kids, column) of internal children.
+        internal = {node for node, _ in self.post}
+        self.levels = []
+        for node, kid_cols in [(None, self.first)] + self.post[::-1]:
+            if kid_cols.size:
+                inner = [(k, c) for k, c in enumerate(kid_cols.tolist()) if c in internal]
+                self.levels.append((node, kid_cols, inner))
+
+    def outcomes(self, ids: Sequence[int], matrix: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Price every row of ``matrix``, whose columns follow ``ids``.
+
+        Returns (winner id, -1 when unsold [S]; net payments [S, len(ids)],
+        zero for agents outside the tree; seller revenue [S]).
+        """
+        where = {a: j for j, a in enumerate(ids)}
+        try:
+            cols = [where[a] for a in self.agents]
+        except KeyError as exc:
+            raise InstanceError(f"no value column for agent {exc}") from exc
+        values = matrix[:, cols]
+        rows_total, n = values.shape
+
+        submax = values.copy()
+        for node, kids in self.post:
+            np.maximum(submax[:, node], submax[:, kids].max(axis=1), out=submax[:, node])
+
+        gross = np.zeros((rows_total, n))    # each path node's payment to its parent
+        offset = np.zeros(rows_total)
+        winner = np.full(rows_total, -1)
+        pending = {None: np.flatnonzero(values.any(axis=1))}   # all-zero rows: unsold
+        for node, kids, inner in self.levels:
+            rows = pending.pop(node, None)
+            if rows is None or not rows.size:
+                continue
+            at = np.arange(rows.size)
+            off = offset[rows]
+            rho = submax[np.ix_(rows, kids)] - off[:, None]
+            alive = rho >= -EQ_TOL
+            rho = np.maximum(rho, 0.0)
+            # argmax takes the first maximum: the smallest id among ties
+            score = np.where(alive, rho ** self.texp[kids], -np.inf)
+            best = score.argmax(axis=1)
+            sold = alive[at, best]
+            score[at, best] = -np.inf
+            runner = score.argmax(axis=1)
+            ratio = self.texp[kids[runner]] / self.texp[kids[best]]
+            z = np.where(np.isfinite(score[at, runner]), rho[at, runner] ** ratio, 0.0)
+            price = off + z
+            if node is not None:
+                # the parent keeps the item rather than sell at offset + z
+                sold &= ~(values[rows, node] >= price - EQ_TOL)
+            moved, pick, price = rows[sold], best[sold], price[sold]
+            won = kids[pick]
+            gross[moved, won] = price
+            offset[moved] = price
+            winner[moved] = won
+            for k, child in inner:
+                pending[child] = moved[pick == k]
+
+        payments = gross.copy()
+        for node, kids in self.post:
+            # off-path children carry 0, so the sum is the path child's payment
+            payments[:, node] -= gross[:, kids].sum(axis=1)
+        full = np.zeros(matrix.shape)
+        full[:, cols] = payments
+        # column -1 (unsold) picks the appended -1
+        ids_or_unsold = np.array(self.agents + [-1])
+        return ids_or_unsold[winner], full, gross[:, self.first].sum(axis=1)
 
 
 class LevelRule:
@@ -393,6 +495,7 @@ class LblevAuction(Mechanism):
         # One (net, tree) slot.  The strong reference keeps ``net`` alive,
         # so an identity match cannot be a new network at a recycled id.
         self._cached: Optional[tuple[DiffusionNetwork, ReferralTree]] = None
+        self._kernel: Optional[LevelKernel] = None
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         tree = build_referral_tree(net, reports)
@@ -405,16 +508,33 @@ class LblevAuction(Mechanism):
         outcome, traces = run_lblev(tree, reports, self.exponents)
         return _complete(outcome, net.agents), traces
 
-    def run_on_values(self, net: DiffusionNetwork,
-                      values: Mapping[int, float]) -> Outcome:
+    def _tree(self, net: DiffusionNetwork) -> ReferralTree:
+        """The truthful-forwarding referral tree of ``net``, built once
+        while ``net`` is the last network seen."""
         cached = self._cached
         if cached is not None and cached[0] is net:
-            tree = cached[1]
-        else:
-            tree = build_referral_tree(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
-            self._cached = (net, tree)
-        outcome, _ = run_lblev(tree, values, self.exponents)
+            return cached[1]
+        tree = build_referral_tree(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
+        self._cached = (net, tree)
+        return tree
+
+    def run_on_values(self, net: DiffusionNetwork,
+                      values: Mapping[int, float]) -> Outcome:
+        outcome, _ = run_lblev(self._tree(net), values, self.exponents)
         return outcome
+
+    def outcome_batch(self, net: DiffusionNetwork, ids: Sequence[int],
+                      matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`run_on_values` for every row of ``matrix`` (columns
+        follow ``ids``) at once; see :meth:`LevelKernel.outcomes`."""
+        matrix = np.asarray(matrix, dtype=float)
+        if not np.all(np.isfinite(matrix) & (matrix >= 0)):
+            raise InstanceError("valuations must be finite non-negative numbers")
+        tree = self._tree(net)
+        kernel = self._kernel
+        if kernel is None or kernel.tree is not tree:
+            kernel = self._kernel = LevelKernel(tree, self.exponents)
+        return kernel.outcomes(ids, matrix)
 
 
 class ReferralAuction(Mechanism):

@@ -316,14 +316,6 @@ def subtree_values(tree: ReferralTree, reports: ValuesLike) -> dict[int, float]:
     return best
 
 
-def subtree_max(tree: ReferralTree, node: int, reports: ValuesLike) -> float:
-    """Maximum reported valuation over the subtree rooted at ``node``."""
-    if node not in tree.parent and node != tree.root:
-        raise InstanceError(f"node {node} is not in the tree")
-    value = _value_getter(reports)
-    return max(value(i) for i in tree.subtree(node))
-
-
 @dataclass(frozen=True)
 class Outcome:
     """Joint result of a mechanism: allocation probabilities and signed

@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 from diffusion_auctions import (
     ArgmaxRule,
+    InstanceError,
     LblevAuction,
     MaxVivaAuction,
     MaxVivaTA,
@@ -36,7 +37,14 @@ from diffusion_auctions import (
     virtual_valuation,
 )
 from diffusion_auctions import fixtures
-from diffusion_auctions.bayes import ValuationDistribution, _invert_virtual_many
+from diffusion_auctions.bayes import (
+    InterimEstimate,
+    ValuationDistribution,
+    _invert_virtual,
+    _invert_virtual_many,
+    _rival_matrix,
+    _virtual_floor,
+)
 from diffusion_auctions.verify import make_grid, verify_mechanism
 
 UNIT = uniform_distribution(0.0, 1.0)
@@ -121,6 +129,15 @@ class TestInvertVirtual:
     def test_non_mhr_rejected(self):
         with pytest.raises(ValueError):
             invert_virtual(heavy_tailed(), 0.0)
+
+    def test_floor_is_the_value_above_a_bounded_support(self):
+        # 1 - F = 0 there, so w(x) = x; below the support stays -inf
+        assert _virtual_floor(max_of_iid(UNIT, 3), 1.5) == 1.5
+        assert _virtual_floor(uniform_distribution(0.5, 1.0), 0.25) == -math.inf
+        assert _invert_virtual(UNIT, 2.0) == 2.0
+        many = _invert_virtual_many(UNIT, np.array([0.2, 1.5, 2.0]))
+        assert many[0] == pytest.approx(0.6, abs=1e-9)
+        assert many[1:].tolist() == [1.5, 2.0]
 
     def test_vectorized_matches_scalar(self):
         targets = np.array([-1.0, 0.0, 0.1, 0.5, 0.9])
@@ -248,6 +265,49 @@ class TestInterimEstimates:
                                       samples=2000, seed=9) for v in grid]
         allocs = [e.allocation for e in estimates]
         assert allocs == sorted(allocs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_pinned_value_rejected(self, bad):
+        net = network_from_edges([(0, 1), (0, 2), (1, 3)])
+        with pytest.raises(InstanceError):
+            estimate_interim(LblevAuction(), net, {i: UNIT for i in (1, 2, 3)},
+                             agent=1, value=bad, samples=10, seed=0)
+
+    def test_fallback_loop_matches_per_sample_loop(self):
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+        dists = {i: uniform_distribution(0, 100) for i in range(1, 6)}
+        lblev = LblevAuction({1: 1.2, 2: 0.8, 3: 2.0, 4: 1.0, 5: 1.5})
+
+        class ScalarOnly:
+            # no outcome_batch: estimate_interim falls back to run_on_values
+            def run_on_values(self, net, values):
+                return lblev.run_on_values(net, values)
+
+        agent, samples, seed = 3, 500, 9
+        for value in (0.0, 40.0, 110.0):
+            ids = sorted(net.agents)
+            matrix = _rival_matrix(ids, dists, samples, seed)
+            alloc, pay = np.empty(samples), np.empty(samples)
+            values = dict(zip(ids, matrix[0]))
+            for t in range(samples):
+                for j, i in enumerate(ids):
+                    values[i] = matrix[t, j]
+                values[agent] = value
+                out = lblev.run_on_values(net, values)
+                alloc[t] = out.allocation.get(agent, 0.0)
+                pay[t] = out.payments.get(agent, 0.0)
+            expect = InterimEstimate(
+                agent=agent, value=value,
+                allocation=float(alloc.mean()),
+                allocation_se=float(alloc.std(ddof=1) / math.sqrt(samples)),
+                payment=float(pay.mean()),
+                payment_se=float(pay.std(ddof=1) / math.sqrt(samples)),
+                samples=samples)
+            scalar = estimate_interim(ScalarOnly(), net, dists, agent, value, samples, seed)
+            assert scalar == expect
+            batch = estimate_interim(lblev, net, dists, agent, value, samples, seed)
+            assert batch.allocation == expect.allocation
+            assert batch.payment == pytest.approx(expect.payment, abs=1e-12)
 
 
 class TestExpectedRevenue:
@@ -408,6 +468,14 @@ class TestTransformedAuctionRun:
             reports = verify_mechanism(mech, inst.net, inst.reports, grid)
             assert len(reports) == 5
             assert all(rep.passed for rep in reports), mech.name
+
+    def test_maxviva_ta_passes_above_a_bounded_support(self):
+        # grid points above U[0,1]'s support used to get virtual value -inf
+        inst = fixtures.depth1_instance((0.5, 0.3, 0.8))
+        mech = MaxVivaTA({i: UNIT for i in inst.net.agents})
+        reports = verify_mechanism(mech, inst.net, inst.reports,
+                                   make_grid(inst.reports, size=16, seed=1))
+        assert [rep.passed for rep in reports] == [True] * 5, reports
 
 
 class TestRevenueIdentity:

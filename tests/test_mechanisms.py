@@ -120,6 +120,13 @@ class TestLblevEdgeCases:
         with pytest.raises(InstanceError):
             run_lblev(tree, inst.reports, {1: bad})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+    def test_bare_value_map_rejects_non_finite_or_negative(self, bad):
+        # a NaN rival used to hand agent 1 the item for free
+        net = network_from_edges([(0, 1), (0, 2), (1, 3)])
+        with pytest.raises(InstanceError):
+            LblevAuction().run_on_values(net, {1: 1.0, 2: bad, 3: 10.0})
+
     def test_parent_keeps_item_when_price_exceeds_children(self):
         # parent value above offset+z at its own level
         net = network_from_edges([(0, 1), (0, 2), (1, 3)])
@@ -166,6 +173,94 @@ class TestTreeReuse:
             values = {i: scale * v for i, v in inst.reports.values().items()}
             mech.run_on_values(inst.net, values)
         assert builds == [inst.net]
+
+
+C10_EDGES = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
+C10_EXPONENTS = {1: 1.2, 2: 0.8, 3: 2.0, 4: 1.0, 5: 1.5}
+
+
+def assert_batch_matches_scalar_and_oracle(mech, net, matrix):
+    """Every row of ``matrix`` through ``outcome_batch``, ``run_lblev`` and
+    the naive oracle: identical winners, payments and revenue within 1e-12."""
+    ids = sorted(net.agents)
+    winner, payments, revenue = mech.outcome_batch(net, ids, matrix)
+    assert winner.shape == revenue.shape == (len(matrix),)
+    assert payments.shape == matrix.shape
+    tree = build_referral_tree(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
+    children = {k: list(v) for k, v in tree.children.items()}
+    in_tree = sorted(tree.agents())
+    for s, row in enumerate(matrix):
+        values = dict(zip(ids, row.tolist()))
+        out, _ = run_lblev(tree, values, mech.exponents)
+        w, pays = naive_level_auction(children, {i: values[i] for i in in_tree},
+                                      mech.exponents, root=net.seller)
+        oracle_pay, oracle_rev = naive_net_payments(w, pays, in_tree)
+        expect = -1 if out.winner is None else out.winner
+        assert winner[s] == expect == (-1 if w is None else w), (s, values)
+        for j, i in enumerate(ids):
+            assert abs(payments[s, j] - out.payments.get(i, 0.0)) <= 1e-12, (s, i)
+            assert abs(payments[s, j] - oracle_pay.get(i, 0.0)) <= 1e-12, (s, i)
+        assert abs(revenue[s] - out.seller_revenue) <= 1e-12
+        assert abs(revenue[s] - oracle_rev) <= 1e-12
+
+
+class TestLevelKernel:
+    def test_c10_tree_on_its_grid(self):
+        net = network_from_edges(C10_EDGES)
+        rng = np.random.default_rng(1010)
+        base = rng.uniform(0.0, 100.0, size=(200, 5))
+        blocks = []
+        for v in np.linspace(0.0, 120.0, 16):
+            block = base.copy()
+            block[:, 2] = v     # agent 3 pinned, as in estimate_interim
+            blocks.append(block)
+        assert_batch_matches_scalar_and_oracle(LblevAuction(C10_EXPONENTS), net,
+                                               np.vstack(blocks))
+
+    def test_random_trees_with_zeros_ties_and_empty_rows(self):
+        rng = np.random.default_rng(404)
+        for k in range(200):
+            n = int(rng.integers(3, 31))
+            inst = random_tree_instance(n, rng)
+            # every other tree draws from three exponents, so tied values
+            # also tie in rho**t and the id tie-break decides
+            if k % 2:
+                exps = {i: float(rng.choice([0.5, 1.0, 2.0])) for i in inst.net.agents}
+            else:
+                exps = {i: float(rng.uniform(0.5, 3.0)) for i in inst.net.agents}
+            matrix = rng.uniform(0.0, 100.0, size=(12, n))
+            matrix[rng.random(matrix.shape) < 0.1] = 0.0
+            matrix[0] = 0.0                                  # all-zero row
+            matrix[1] = 50.0                                 # every value tied
+            matrix[2] = rng.integers(0, 3, size=n) * 25.0    # ties and zeros
+            assert_batch_matches_scalar_and_oracle(LblevAuction(exps), inst.net, matrix)
+
+    def test_one_agent_tree_and_worked_example(self):
+        one = network_from_edges([(0, 1)])
+        assert_batch_matches_scalar_and_oracle(LblevAuction({1: 2.0}), one,
+                                               np.array([[0.0], [3.5], [100.0]]))
+        inst = fixtures.fig_lblev_instance()
+        ids = sorted(inst.net.agents)
+        row = np.array([[inst.reports.value(i) for i in ids]])
+        mech = LblevAuction(inst.exponents)
+        assert_batch_matches_scalar_and_oracle(mech, inst.net, row)
+        winner, _, revenue = mech.outcome_batch(inst.net, ids, row)
+        assert (winner[0], revenue[0]) == (8, 729.0)
+
+    def test_agents_outside_the_tree_pay_nothing(self):
+        net = network_from_edges([(0, 1), (0, 2), (1, 3)], agents=range(1, 5))
+        matrix = np.array([[1.0, 2.0, 3.0, 99.0], [0.0, 0.0, 0.0, 5.0]])
+        assert_batch_matches_scalar_and_oracle(LblevAuction(), net, matrix)
+        winner, payments, _ = LblevAuction().outcome_batch(net, [1, 2, 3, 4], matrix)
+        assert winner.tolist() == [3, -1]
+        assert payments[:, 3].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+    def test_rejects_non_finite_or_negative_matrix(self, bad):
+        net = network_from_edges([(0, 1), (0, 2), (1, 3)])
+        matrix = np.array([[1.0, 2.0, 10.0], [1.0, bad, 10.0]])
+        with pytest.raises(InstanceError):
+            LblevAuction().outcome_batch(net, [1, 2, 3], matrix)
 
 
 class TestIdmTree:

@@ -17,7 +17,7 @@ from diffusion_auctions import (
     network_from_edges,
     random_tree_instance,
     save_instance,
-    subtree_max,
+    subtree_values,
     truthful_profile,
 )
 from diffusion_auctions import fixtures
@@ -186,17 +186,17 @@ class TestSubtreeMax:
     def test_worked_example_values(self):
         inst = fixtures.fig_lblev_instance()
         tree = build_referral_tree(inst.net, inst.reports)
-        assert subtree_max(tree, 1, inst.reports) == 750.0
-        assert subtree_max(tree, 5, inst.reports) == 750.0
-        assert subtree_max(tree, 8, inst.reports) == 750.0  # leaf = own report
-        assert subtree_max(tree, 3, inst.reports) == 9.0
+        assert subtree_values(tree, inst.reports)[1] == 750.0
+        assert subtree_values(tree, inst.reports)[5] == 750.0
+        assert subtree_values(tree, inst.reports)[8] == 750.0  # leaf = own report
+        assert subtree_values(tree, inst.reports)[3] == 9.0
 
     def test_at_least_own_value(self):
         rng = np.random.default_rng(11)
         inst = random_tree_instance(9, rng)
         tree = build_referral_tree(inst.net, inst.reports)
         for agent in tree.agents():
-            assert subtree_max(tree, agent, inst.reports) >= inst.reports.value(agent)
+            assert subtree_values(tree, inst.reports)[agent] >= inst.reports.value(agent)
 
 
 class TestOutcomeValidation:
