@@ -33,6 +33,8 @@ from .mechanisms import (
     PowerRule,
     ReferralAuction,
     SecondPriceReserveRule,
+    exponent_table,
+    lblev_seller_revenues,
     myerson_level_payment,
     rc_example_mechanism,
     run_idm_tree,

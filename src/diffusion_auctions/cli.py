@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -160,6 +161,8 @@ def _parse_lambdas(spec: str) -> tuple[float, ...]:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise InstanceError(f"bad --lambdas {spec!r}; expected lo:hi:step") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise InstanceError(f"bad --lambdas {spec!r}; lo, hi and step must be finite")
     if step <= 0:
         raise InstanceError("lambda step must be positive")
     count = int(round((hi - lo) / step)) + 1
@@ -172,6 +175,9 @@ def _cmd_experiment(args) -> int:
         outer=args.trials_outer, inner=args.trials_inner, seed=args.seed,
         jobs=args.jobs)
     rows = sweep_lambda(config)
+    # the draw counts per lambda, which the CSV columns leave out
+    _log(json.dumps({"sweep_draws": [
+        {"lambda": row.lam, "used": row.used, "excluded": row.excluded} for row in rows]}))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(rows, config, fh)

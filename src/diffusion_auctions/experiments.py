@@ -22,8 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .mechanisms import run_lblev
-from .network import SELLER, ReferralTree
+from .mechanisms import exponent_table, lblev_seller_revenues
+from .network import SELLER, InstanceError, ReferralTree
 
 logger = logging.getLogger(__name__)
 
@@ -42,13 +42,15 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n < 3:
-            raise ValueError("need n >= 3 for the three valuation classes")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if any(l < 0 or l > 1 for l in self.lambdas):
-            raise ValueError("lambda values must lie in [0, 1]")
+            raise InstanceError("need n >= 3 for the three valuation classes")
+        if not 0 < self.sigma < math.inf:
+            raise InstanceError("sigma must be positive and finite")
+        if not self.lambdas:
+            raise InstanceError("need at least one lambda")
+        if not all(0 <= l <= 1 for l in self.lambdas):
+            raise InstanceError("lambda values must lie in [0, 1]")
         if self.outer < 1 or self.inner < 1:
-            raise ValueError("trial counts must be >= 1")
+            raise InstanceError("trial counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -202,18 +204,20 @@ def _sweep_outer(config: ExperimentConfig, outer: int
         schedules = {lam: unit for lam in config.lambdas}
     else:
         schedules = {lam: exponent_schedule(base, means, lam) for lam in config.lambdas}
+    # the baseline's unit exponents first, then one schedule per lambda,
+    # each checked once here rather than on every inner draw
+    maps = [{}] + [schedules[lam] for lam in config.lambdas]
+    tables = [exponent_table(m, range(1, base.n + 1)) for m in maps]
     pcts: dict[float, list[float]] = {lam: [] for lam in config.lambdas}
     excluded: dict[float, int] = {lam: 0 for lam in config.lambdas}
     for inner in range(config.inner):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, outer, inner]))
         tree = activate_edges(base, rng)
         values = draw_valuations(means, config.sigma, rng)
-        baseline, _ = run_lblev(tree, values, {})
-        r0 = baseline.seller_revenue
-        for lam in config.lambdas:
-            scheduled, _ = run_lblev(tree, values, schedules[lam])
+        r0, *revenues = lblev_seller_revenues(tree, values, tables)
+        for lam, r in zip(config.lambdas, revenues):
             if r0 > 0:
-                pcts[lam].append(100.0 * (scheduled.seller_revenue - r0) / r0)
+                pcts[lam].append(100.0 * (r - r0) / r0)
             else:
                 excluded[lam] += 1
     return pcts, excluded

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,6 +48,12 @@ def _exponent(exponents: Mapping[int, float], node: int) -> float:
     if not 0 < t < math.inf:
         raise InstanceError(f"exponent t[{node}]={t} must be positive and finite")
     return t
+
+
+def exponent_table(exponents: Mapping[int, float], nodes: Iterable[int]) -> dict[int, float]:
+    """Every node's exponent, 1 when omitted; non-positive or non-finite
+    exponents raise :class:`InstanceError`."""
+    return {i: _exponent(exponents, i) for i in nodes}
 
 
 @dataclass(frozen=True)
@@ -137,6 +144,27 @@ def _settle(tree: ReferralTree, winner: Optional[int],
     return Outcome(allocation, payments, revenue, winner)
 
 
+def _check_values(reports: ValuesLike) -> None:
+    """A bare value map must hold finite non-negative numbers (``Report``
+    already checks the values of a profile)."""
+    if not isinstance(reports, ReportProfile) and not all(
+            0 <= v < math.inf for v in reports.values()):
+        raise InstanceError("valuations must be finite non-negative numbers")
+
+
+def _rank_level(texp: Mapping[int, float],
+                survivors: list[tuple[int, float]]) -> tuple[int, float]:
+    """The exponential level rule on two or more (node, rho) survivors.
+
+    The largest ``rho**t`` wins, ties to the smaller id; its effective
+    payment is the runner-up's ``rho`` raised to ``t_runner / t_winner``.
+    """
+    ranked = sorted(survivors, key=lambda nr: (-(nr[1] ** texp[nr[0]]), nr[0]))
+    i_star = ranked[0][0]
+    runner, rho_runner = ranked[1]
+    return i_star, rho_runner ** (texp[runner] / texp[i_star])
+
+
 def run_lblev(tree: ReferralTree, reports: ValuesLike,
               exponents: Mapping[int, float]) -> tuple[Outcome, list[LevelTrace]]:
     """Level-by-level exponential-valuation auction on a referral tree.
@@ -147,25 +175,42 @@ def run_lblev(tree: ReferralTree, reports: ValuesLike,
     toward the smaller node id.  Exponents default to 1 when omitted;
     non-positive or non-finite exponents are rejected.
     """
-    if not isinstance(reports, ReportProfile) and not all(
-            0 <= v < math.inf for v in reports.values()):
-        raise InstanceError("valuations must be finite non-negative numbers")
+    _check_values(reports)
     values = _value_getter(reports)
     agents = tree.agents()
-    texp = {i: _exponent(exponents, i) for i in agents}
+    texp = exponent_table(exponents, agents)
     if not agents or all(values(i) == 0.0 for i in agents):
         return unsold_outcome(agents), []
     submax = subtree_values(tree, reports)
-
-    def select(survivors: list[tuple[int, float]]) -> tuple[int, float]:
-        ranked = sorted(survivors, key=lambda nr: (-(nr[1] ** texp[nr[0]]), nr[0]))
-        i_star = ranked[0][0]
-        runner, rho_runner = ranked[1]
-        z = rho_runner ** (texp[runner] / texp[i_star])
-        return i_star, z
-
-    winner, pay, traces = _run_levels(tree, values, submax, select)
+    winner, pay, traces = _run_levels(tree, values, submax, partial(_rank_level, texp))
     return _settle(tree, winner, pay), traces
+
+
+def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
+                          exponent_tables: Sequence[Mapping[int, float]]) -> list[float]:
+    """``run_lblev(tree, values, m)[0].seller_revenue`` for many exponent maps.
+
+    ``exponent_tables`` holds :func:`exponent_table` results, which
+    checked each map once; every first-level node needs an entry.  The
+    seller's revenue is the first-level winner's gross payment, and the
+    root level has offset 0 and no keep test, so the descent below the
+    first level never changes it.  The values are checked and the
+    first-level survivors found once; each table then costs one
+    :func:`_rank_level` step with :func:`run_lblev`'s float operations,
+    so the revenues are identical.
+    """
+    _check_values(values)
+    agents = tree.agents()
+    if not agents or all(values[i] == 0.0 for i in agents):
+        return [0.0] * len(exponent_tables)
+    submax = subtree_values(tree, values)
+    # The values are non-negative, so every first-level subtree survives
+    # the root level with rho = max(submax - 0.0, 0.0) = submax, bit for bit.
+    survivors = [(child, submax[child]) for child in tree.child_tuple(tree.root)]
+    if len(survivors) < 2:
+        return [0.0] * len(exponent_tables)   # a lone survivor pays the offset, 0
+    # 0.0 + z is the root level's offset + z; it also turns a z of -0.0 into 0.0
+    return [0.0 + _rank_level(texp, survivors)[1] for texp in exponent_tables]
 
 
 def run_idm_tree(tree: ReferralTree, reports: ValuesLike) -> Outcome:

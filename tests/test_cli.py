@@ -203,3 +203,34 @@ class TestExperiment:
                              "--lambdas", "zero-to-one", "--trials-outer", "1",
                              "--trials-inner", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ("--n", "2"), ("--sigma", "-1"), ("--sigma", "0"), ("--sigma", "nan"),
+        ("--sigma", "inf"), ("--lambdas", "0:2:0.5"), ("--lambdas", "0:nan:0.5"),
+        ("--lambdas", "0:1:nan"), ("--lambdas", "0:inf:0.5"), ("--lambdas", "nan:1:0.5"),
+        ("--lambdas", "1:0:0.5"), ("--trials-outer", "0"),
+    ], ids=" ".join)
+    def test_malformed_input_exit_2(self, tmp_path, capsys, args):
+        out_path = tmp_path / "sweep.csv"
+        defaults = {"--n": "6", "--sigma": "5", "--lambdas": "0:1:0.5",
+                    "--trials-outer": "1", "--trials-inner": "1"}
+        defaults[args[0]] = args[1]
+        argv = [x for kv in defaults.items() for x in kv]
+        code, out, err = run_cli(capsys, "experiment", *argv, "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == "" and not out_path.exists()
+
+    def test_draw_counts_on_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "--n", "6", "--sigma", "5",
+                                 "--lambdas", "0:1:0.5", "--trials-outer", "3",
+                                 "--trials-inner", "4", "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "lambda,n,sigma,outer,inner,mean_pct,stderr,seed"
+        [line] = [l for l in err.splitlines() if l.startswith("{")]
+        draws = json.loads(line)["sweep_draws"]
+        assert [d["lambda"] for d in draws] == [0.0, 0.5, 1.0]
+        for d in draws:
+            assert d["used"] + d["excluded"] == 3 * 4
+        # every lambda sees the same paired draws
+        assert len({(d["used"], d["excluded"]) for d in draws}) == 1

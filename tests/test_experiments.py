@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,14 @@ from diffusion_auctions import (
     ExperimentConfig,
     LblevAuction,
     activate_edges,
+    build_referral_tree,
     check_ir,
     exponent_schedule,
+    exponent_table,
+    fixtures,
     generate_base_tree,
     grid_search_lambda_star,
+    lblev_seller_revenues,
     network_from_edges,
     run_lblev,
     sample_valuations,
@@ -26,7 +31,7 @@ from diffusion_auctions.experiments import (
     outer_sample,
     write_sweep_csv,
 )
-from diffusion_auctions.network import SELLER
+from diffusion_auctions.network import SELLER, InstanceError
 
 
 def small_config(**overrides):
@@ -34,6 +39,25 @@ def small_config(**overrides):
                 outer=6, inner=6, seed=11)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+LAMBDAS_21 = tuple(round(0.05 * k, 10) for k in range(21))
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("overrides", [
+        dict(n=2), dict(sigma=0.0), dict(sigma=-1.0), dict(sigma=math.nan),
+        dict(sigma=math.inf), dict(lambdas=()), dict(lambdas=(0.0, 2.0)),
+        dict(lambdas=(-0.5,)), dict(lambdas=(0.0, math.nan)), dict(lambdas=(math.inf,)),
+        dict(outer=0), dict(inner=0),
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_malformed_config_rejected(self, overrides):
+        with pytest.raises(InstanceError):
+            small_config(**overrides)
+
+    def test_rejection_is_still_a_value_error(self):
+        with pytest.raises(ValueError):
+            small_config(sigma=math.nan)
 
 
 class TestBaseTreeGeneration:
@@ -203,6 +227,105 @@ class TestSweep:
         row = rows[1]
         assert row.used == len(pcts)
         assert row.mean_pct == pytest.approx(float(np.mean(pcts)), abs=1e-12)
+
+
+class TestSellerRevenues:
+    """``lblev_seller_revenues`` against one ``run_lblev`` per exponent map."""
+
+    def sweep_maps(self, config, outer):
+        base, means = outer_sample(config, outer)
+        if len(base.first_level()) < 2:
+            return [{}] * (len(config.lambdas) + 1)
+        return [{}] + [exponent_schedule(base, means, lam) for lam in config.lambdas]
+
+    def assert_matches_run_lblev(self, config, seen):
+        for outer in range(config.outer):
+            maps = self.sweep_maps(config, outer)
+            tables = [exponent_table(m, range(1, config.n + 1)) for m in maps]
+            for inner in range(config.inner):
+                tree, values = inner_sample(config, outer, inner)
+                fast = lblev_seller_revenues(tree, values, tables)
+                slow = [run_lblev(tree, values, m)[0].seller_revenue for m in maps]
+                assert fast == slow, (config, outer, inner)
+                assert all(type(r) is float for r in fast)
+                first = [max(values[j] for j in tree.subtree(c))
+                         for c in tree.child_tuple(SELLER)]
+                seen["draws"] += 1
+                seen["all_zero"] += bool(tree.agents()) and not any(
+                    values[a] for a in tree.agents())
+                seen["one_first_level"] += len(first) == 1
+                seen["tie"] += len(first) > len(set(first))
+                seen["sold"] += slow[0] > 0
+
+    def test_equals_run_lblev_on_every_draw_and_map(self):
+        seen = dict(draws=0, all_zero=0, one_first_level=0, tie=0, sold=0)
+        # seeds of the benchmark's lambda-sweep input pool (its default seed 42)
+        pool = np.random.default_rng(42).integers(0, 2**31, size=200)
+        for seed in pool[:40]:
+            self.assert_matches_run_lblev(ExperimentConfig(
+                n=10, sigma=5.0, lambdas=LAMBDAS_21, outer=1, inner=10,
+                seed=int(seed)), seen)
+        for n in (3, 4, 7, 12, 25):
+            for sigma in (1e-300, 1e-6, 5.0, 60.0, 200.0, 1e6):
+                self.assert_matches_run_lblev(ExperimentConfig(
+                    n=n, sigma=sigma, lambdas=LAMBDAS_21, outer=3, inner=6,
+                    seed=n), seen)
+        # the configurations reach every edge case of the first level
+        assert seen["draws"] == 40 * 10 + 5 * 6 * 3 * 6
+        # (measured: 7 all-zero, 447 with one first-level subtree, 19 tied
+        # first-level maxima and 402 sold draws of 940)
+        assert seen["all_zero"] >= 5
+        assert seen["one_first_level"] >= 100
+        assert seen["tie"] >= 10
+        assert seen["sold"] >= 300
+
+    def test_worked_example(self):
+        inst = fixtures.fig_lblev_instance()
+        tree = build_referral_tree(inst.net, inst.reports)
+        values = inst.reports.values()
+        maps = [{}, inst.exponents, {a: 2.0 for a in tree.agents()}]
+        tables = [exponent_table(m, tree.agents()) for m in maps]
+        assert lblev_seller_revenues(tree, values, tables) == \
+            [run_lblev(tree, values, m)[0].seller_revenue for m in maps]
+        assert lblev_seller_revenues(tree, values, tables)[:2] == [9.0, 729.0]
+
+    def test_empty_tree_and_no_maps(self):
+        empty = activate_edges(BaseTree(n=1, parent={}, children={}),
+                               np.random.default_rng(0))
+        assert lblev_seller_revenues(empty, {1: 5.0}, [{}, {}]) == [0.0, 0.0]
+        inst = fixtures.fig_lblev_instance()
+        tree = build_referral_tree(inst.net, inst.reports)
+        assert lblev_seller_revenues(tree, inst.reports.values(), []) == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+    def test_rejects_the_values_run_lblev_rejects(self, bad):
+        inst = fixtures.fig_lblev_instance()
+        tree = build_referral_tree(inst.net, inst.reports)
+        values = inst.reports.values()
+        values[max(values)] = bad
+        with pytest.raises(InstanceError):
+            run_lblev(tree, values, {})
+        with pytest.raises(InstanceError):
+            lblev_seller_revenues(tree, values, [exponent_table({}, values)])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_exponent_table_rejects_what_run_lblev_rejects(self, bad):
+        inst = fixtures.fig_lblev_instance()
+        tree = build_referral_tree(inst.net, inst.reports)
+        with pytest.raises(InstanceError):
+            run_lblev(tree, inst.reports, {1: bad})
+        with pytest.raises(InstanceError):
+            exponent_table({1: bad}, tree.agents())
+
+
+class TestSweepDigest:
+    def test_c09_rows_are_byte_identical(self):
+        # sha256 of repr(rows) for the criterion-9 configuration, recorded
+        # when every lambda was priced by its own run_lblev descent
+        config = ExperimentConfig(n=10, sigma=5.0, lambdas=LAMBDAS_21,
+                                  outer=50, inner=50, seed=42)
+        digest = hashlib.sha256(repr(sweep_lambda(config)).encode()).hexdigest()
+        assert digest == "f0ea74dd48108af2b61516218a49c2e009bf92a4e756b3563e4a91dbc5635c7b"
 
 
 class TestGridSearch:
