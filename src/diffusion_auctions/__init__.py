@@ -72,13 +72,6 @@ from .verify import (
     DeviationGrid,
     VerificationReport,
     Witness,
-    check_allocation_monotonicity,
-    check_ddsic_deviations,
-    check_diffusion_constraint,
-    check_ic_deviations,
-    check_ir,
-    check_neighbor_misreport,
-    check_payment_identity,
     check_ta_equivalence,
     make_grid,
     replay_witness,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -23,8 +24,10 @@ from .mechanisms import (
     ArgmaxRule,
     Mechanism,
     SecondPriceReserveRule,
+    _complete,
+    _myerson_level,
     _run_levels,
-    myerson_level_payment,
+    _settle,
     run_lblev,
     run_referral_auction,
 )
@@ -320,31 +323,14 @@ def run_maxviva(net: DiffusionNetwork, reports: ReportProfile,
     except KeyError as exc:
         raise ValueError(f"missing first-level distribution for node {exc}") from exc
     winner1, price1 = maxviva_level(entries)
-    allocation = {i: 0.0 for i in net.agents}
-    payments = {i: 0.0 for i in net.agents}
     if winner1 is None:
-        return Outcome(allocation, payments, 0.0, None)
-
-    rule = ArgmaxRule()
-
-    def select(survivors):
-        level_values = dict(survivors)
-        i_star = rule.winner(level_values)
-        z = myerson_level_payment(rule, i_star, level_values)
-        return i_star, z
-
+        return unsold_outcome(net.agents)
     # Levels below the first are revenue-neutral; descend with the plain
     # highest-value rule starting from the decided winner and price.
-    pay = {winner1: price1}
-    winner, pay_rest, _ = _run_levels(tree, reports.value, submax, select,
+    winner, pay_rest, _ = _run_levels(tree, reports.value, submax,
+                                      partial(_myerson_level, ArgmaxRule()),
                                       start_parent=winner1, start_offset=price1)
-    pay.update(pay_rest)
-    path = list(pay)
-    allocation[winner] = 1.0
-    for idx, node in enumerate(path):
-        received = pay[path[idx + 1]] if idx + 1 < len(path) else 0.0
-        payments[node] = pay[node] - received
-    return Outcome(allocation, payments, price1, winner)
+    return _complete(_settle(tree, winner, {winner1: price1, **pay_rest}), net.agents)
 
 
 class MaxVivaAuction(Mechanism):

@@ -32,6 +32,7 @@ from .mutants import DESIGNATED, make_mutant
 from .network import (
     Instance,
     InstanceError,
+    exponents_from_dict,
     load_instance,
     random_tree_instance,
     save_instance,
@@ -76,8 +77,7 @@ def _make_mechanism(name: str, exponents, rule_name: Optional[str]) -> Mechanism
 def _load_exponents(args, inst: Instance) -> Optional[dict[int, float]]:
     if args.exponents:
         with open(args.exponents, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
-        return {int(k): float(v) for k, v in table.items()}
+            return exponents_from_dict(json.load(fh))
     return dict(inst.exponents) if inst.exponents else None
 
 
@@ -136,6 +136,9 @@ def _verify_instances(args):
 
 
 def _cmd_verify(args) -> int:
+    for flag, count in (("--trials", args.trials), ("--grid", args.grid)):
+        if count < 1:
+            raise InstanceError(f"{flag} must be >= 1, got {count}")
     failures = 0
     total = 0
     for label, inst, exponents in _verify_instances(args):

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .mechanisms import exponent_table, lblev_seller_revenues
-from .network import SELLER, InstanceError, ReferralTree
+from .network import SELLER, InstanceError, ReferralTree, subtree_values
 
 logger = logging.getLogger(__name__)
 
@@ -53,20 +53,10 @@ class ExperimentConfig:
             raise InstanceError("trial counts must be >= 1")
 
 
-@dataclass(frozen=True)
-class BaseTree:
-    """Stage-one tree over agents 1..n rooted at the seller."""
+def generate_base_tree(n: int, rng: np.random.Generator) -> ReferralTree:
+    """Stage-one tree over agents 1..n rooted at the seller.
 
-    n: int
-    parent: Mapping[int, int]
-    children: Mapping[int, tuple[int, ...]]
-
-    def first_level(self) -> tuple[int, ...]:
-        return self.children.get(SELLER, ())
-
-
-def generate_base_tree(n: int, rng: np.random.Generator) -> BaseTree:
-    """Level-order construction: each parent draws a children-set size
+    Level-order construction: each parent draws a children-set size
     uniformly in [1, floor(n/3)] from the remaining agents; the last
     parent absorbs any shortfall."""
     if n < 1:
@@ -76,6 +66,7 @@ def generate_base_tree(n: int, rng: np.random.Generator) -> BaseTree:
     queue = [SELLER]
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {}
+    level: dict[int, int] = {}
     head = 0
     while pool:
         node = queue[head]
@@ -86,12 +77,13 @@ def generate_base_tree(n: int, rng: np.random.Generator) -> BaseTree:
         children[node] = kids
         for k in kids:
             parent[k] = node
+            level[k] = level.get(node, 0) + 1
             queue.append(k)
-    return BaseTree(n=n, parent=parent,
-                    children={k: tuple(v) for k, v in children.items()})
+    return ReferralTree(root=SELLER, parent=parent,
+                        children={k: tuple(v) for k, v in children.items()}, level=level)
 
 
-def activate_edges(base: BaseTree, rng: np.random.Generator) -> ReferralTree:
+def activate_edges(base: ReferralTree, rng: np.random.Generator) -> ReferralTree:
     """Keep each child edge independently with its node's Beta(5,1) draw
     (inverse-cdf form u**(1/5)); return the seller-reachable subtree."""
     parent: dict[int, int] = {}
@@ -133,32 +125,17 @@ def sample_valuations(n: int, sigma: float, rng: np.random.Generator) -> dict[in
     return draw_valuations(assign_class_means(n, rng), sigma, rng)
 
 
-def _base_subtree_best(base: BaseTree, means: Mapping[int, float]) -> dict[int, float]:
-    best: dict[int, float] = {}
-
-    def walk(node: int) -> float:
-        m = means[node]
-        for child in base.children.get(node, ()):
-            m = max(m, walk(child))
-        best[node] = m
-        return m
-
-    for top in base.first_level():
-        walk(top)
-    return best
-
-
-def exponent_schedule(base: BaseTree, means: Mapping[int, float],
+def exponent_schedule(base: ReferralTree, means: Mapping[int, float],
                       lam: float) -> dict[int, float]:
     """Exponents fixed from the prior alone: the expected first-level
     runner-up node gets (1-lambda) + lambda * log(win)/log(runner-up),
     everyone else gets one."""
-    exponents = {i: 1.0 for i in range(1, base.n + 1)}
-    first = base.first_level()
+    exponents = {i: 1.0 for i in sorted(base.agents())}
+    first = base.child_tuple(SELLER)
     if len(first) < 2:
         logger.warning("fewer than two first-level subtrees; schedule is all ones")
         return exponents
-    best = _base_subtree_best(base, means)
+    best = subtree_values(base, means)
     ranked = sorted(first, key=lambda i: (-best[i], i))
     w_win = best[ranked[0]]
     w_run = best[ranked[1]]
@@ -177,7 +154,7 @@ class SweepRow:
     excluded: int
 
 
-def outer_sample(config: ExperimentConfig, outer: int) -> tuple[BaseTree, dict[int, float]]:
+def outer_sample(config: ExperimentConfig, outer: int) -> tuple[ReferralTree, dict[int, float]]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, outer]))
     base = generate_base_tree(config.n, rng)
     means = assign_class_means(config.n, rng)
@@ -189,31 +166,35 @@ def inner_sample(config: ExperimentConfig, outer: int,
     """One stage-two draw: activated tree plus valuations.  Independent of
     lambda, so every lambda sees identical draws."""
     base, means = outer_sample(config, outer)
+    return _inner_draw(config, base, means, outer, inner)
+
+
+def _inner_draw(config: ExperimentConfig, base: ReferralTree, means: Mapping[int, float],
+                outer: int, inner: int) -> tuple[ReferralTree, dict[int, float]]:
+    """The activated tree and valuations of draw (outer, inner) on a given
+    stage-one tree and class means."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, outer, inner]))
-    tree = activate_edges(base, rng)
-    values = draw_valuations(means, config.sigma, rng)
-    return tree, values
+    return activate_edges(base, rng), draw_valuations(means, config.sigma, rng)
 
 
 def _sweep_outer(config: ExperimentConfig, outer: int
                  ) -> tuple[dict[float, list[float]], dict[float, int]]:
     base, means = outer_sample(config, outer)
-    if len(base.first_level()) < 2:
+    agents = range(1, config.n + 1)
+    if len(base.child_tuple(SELLER)) < 2:
         # degenerate prior: the schedule is unit for every lambda
-        unit = {i: 1.0 for i in range(1, base.n + 1)}
+        unit = {i: 1.0 for i in agents}
         schedules = {lam: unit for lam in config.lambdas}
     else:
         schedules = {lam: exponent_schedule(base, means, lam) for lam in config.lambdas}
     # the baseline's unit exponents first, then one schedule per lambda,
     # each checked once here rather than on every inner draw
     maps = [{}] + [schedules[lam] for lam in config.lambdas]
-    tables = [exponent_table(m, range(1, base.n + 1)) for m in maps]
+    tables = [exponent_table(m, agents) for m in maps]
     pcts: dict[float, list[float]] = {lam: [] for lam in config.lambdas}
     excluded: dict[float, int] = {lam: 0 for lam in config.lambdas}
     for inner in range(config.inner):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, outer, inner]))
-        tree = activate_edges(base, rng)
-        values = draw_valuations(means, config.sigma, rng)
+        tree, values = _inner_draw(config, base, means, outer, inner)
         r0, *revenues = lblev_seller_revenues(tree, values, tables)
         for lam, r in zip(config.lambdas, revenues):
             if r0 > 0:

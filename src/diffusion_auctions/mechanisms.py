@@ -144,6 +144,16 @@ def _settle(tree: ReferralTree, winner: Optional[int],
     return Outcome(allocation, payments, revenue, winner)
 
 
+def _complete(outcome: Outcome, agents) -> Outcome:
+    """``outcome`` with zero allocation and payment for the rest of ``agents``,
+    e.g. those cut off by the reported forwards."""
+    allocation = {i: 0.0 for i in agents}
+    payments = {i: 0.0 for i in agents}
+    allocation.update(outcome.allocation)
+    payments.update(outcome.payments)
+    return Outcome(allocation, payments, outcome.seller_revenue, outcome.winner)
+
+
 def _check_values(reports: ValuesLike) -> None:
     """A bare value map must hold finite non-negative numbers (``Report``
     already checks the values of a profile)."""
@@ -378,14 +388,13 @@ class ArgminRule(LevelRule):
 
 
 def myerson_level_payment(rule: LevelRule, winner: int,
-                          rhos: Mapping[int, float],
-                          iterations: int = 64) -> float:
+                          rhos: Mapping[int, float]) -> float:
     """Threshold payment: the smallest value at which ``winner`` still wins.
 
-    Computed by bisection over the winner's coordinate with everything
-    else fixed.  Equals ``rho_w - integral of the win indicator`` for a
-    deterministic monotone rule.  Probes that detect a non-monotone rule
-    raise :class:`NonMonotoneRuleError`.
+    Computed by 64 bisection steps over the winner's coordinate with
+    everything else fixed.  Equals ``rho_w - integral of the win
+    indicator`` for a deterministic monotone rule.  Probes that detect a
+    non-monotone rule raise :class:`NonMonotoneRuleError`.
     """
     rhos = dict(rhos)
     if any(v < 0 for v in rhos.values()):
@@ -405,7 +414,7 @@ def myerson_level_payment(rule: LevelRule, winner: int,
     if wins(0.0):
         return 0.0
     lo, hi = 0.0, rho_w
-    for _ in range(iterations):
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
         if wins(mid):
             hi = mid
@@ -416,6 +425,18 @@ def myerson_level_payment(rule: LevelRule, winner: int,
         if y < lo and wins(y):
             raise NonMonotoneRuleError(f"{rule.name}: wins below its own threshold at {y}")
     return hi
+
+
+def _myerson_level(rule: LevelRule, survivors: list[tuple[int, float]]
+                   ) -> Optional[tuple[int, float]]:
+    """A pluggable level rule on two or more (node, rho) survivors: the
+    rule's winner and its :func:`myerson_level_payment`, or ``None`` when
+    the rule declines the level."""
+    level_values = dict(survivors)
+    i_star = rule.winner(level_values)
+    if i_star is None:
+        return None
+    return i_star, myerson_level_payment(rule, i_star, level_values)
 
 
 def run_referral_auction(net: DiffusionNetwork, reports: ReportProfile,
@@ -429,29 +450,12 @@ def run_referral_auction(net: DiffusionNetwork, reports: ReportProfile,
     """
     tree = build_referral_tree(net, reports)
     agents = tree.agents()
-    values = reports.value
-    if not agents or all(values(i) == 0.0 for i in agents):
-        outcome = unsold_outcome(net.agents)
-        return outcome, []
+    if not agents or all(reports.value(i) == 0.0 for i in agents):
+        return unsold_outcome(net.agents), []
     submax = subtree_values(tree, reports)
-
-    def select(survivors: list[tuple[int, float]]) -> Optional[tuple[int, float]]:
-        level_values = dict(survivors)
-        i_star = rule.winner(level_values)
-        if i_star is None:
-            return None
-        z = myerson_level_payment(rule, i_star, level_values)
-        return i_star, z
-
-    winner, pay, traces = _run_levels(tree, values, submax, select)
-    outcome = _settle(tree, winner, pay)
-    # Extend to agents cut off by the reported forwards.
-    allocation = {i: 0.0 for i in net.agents}
-    payments = {i: 0.0 for i in net.agents}
-    allocation.update(outcome.allocation)
-    payments.update(outcome.payments)
-    full = Outcome(allocation, payments, outcome.seller_revenue, outcome.winner)
-    return full, traces
+    winner, pay, traces = _run_levels(tree, reports.value, submax,
+                                      partial(_myerson_level, rule))
+    return _complete(_settle(tree, winner, pay), net.agents), traces
 
 
 def transformed_auction_revenue(net: DiffusionNetwork, reports: ReportProfile,
@@ -521,14 +525,6 @@ class Mechanism:
         return self.run(net, truthful_profile(net, values))
 
 
-def _complete(outcome: Outcome, agents) -> Outcome:
-    allocation = {i: 0.0 for i in agents}
-    payments = {i: 0.0 for i in agents}
-    allocation.update(outcome.allocation)
-    payments.update(outcome.payments)
-    return Outcome(allocation, payments, outcome.seller_revenue, outcome.winner)
-
-
 class LblevAuction(Mechanism):
     """Wrapper running the exponential-valuation auction on the reported
     subtree of a tree network.  ``exponents=None`` gives unit exponents,
@@ -543,9 +539,7 @@ class LblevAuction(Mechanism):
         self._kernel: Optional[LevelKernel] = None
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        tree = build_referral_tree(net, reports)
-        outcome, _ = run_lblev(tree, reports, self.exponents)
-        return _complete(outcome, net.agents)
+        return self.run_with_traces(net, reports)[0]
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:

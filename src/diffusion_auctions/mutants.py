@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import fixtures
-from .mechanisms import Mechanism, _complete, run_lblev
+from .mechanisms import Mechanism, _complete, _settle, run_lblev
 from .network import (
     DiffusionNetwork,
     Outcome,
@@ -37,10 +37,7 @@ class AwardLowestMechanism(Mechanism):
         if not positive:
             return unsold_outcome(net.agents)
         winner = min(positive, key=lambda i: (reports.value(i), i))
-        allocation = {i: 0.0 for i in net.agents}
-        payments = {i: 0.0 for i in net.agents}
-        allocation[winner] = 1.0
-        return Outcome(allocation, payments, 0.0, winner)
+        return _complete(Outcome({winner: 1.0}, {}, 0.0, winner), net.agents)
 
 
 class FlatFeeMechanism(Mechanism):
@@ -75,16 +72,12 @@ class GreedyNoCommissionMechanism(Mechanism):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         reached = sorted(filter_subnetwork(net, reports))
-        allocation = {i: 0.0 for i in net.agents}
-        payments = {i: 0.0 for i in net.agents}
         if not reached or all(reports.value(i) == 0 for i in reached):
-            return Outcome(allocation, payments, 0.0, None)
+            return unsold_outcome(net.agents)
         ranked = sorted(reached, key=lambda i: (-reports.value(i), i))
         winner = ranked[0]
         price = reports.value(ranked[1]) if len(ranked) > 1 else 0.0
-        allocation[winner] = 1.0
-        payments[winner] = price
-        return Outcome(allocation, payments, price, winner)
+        return _complete(Outcome({winner: 1.0}, {winner: price}, price, winner), net.agents)
 
 
 class NoOffsetLevelMechanism(Mechanism):
@@ -98,10 +91,8 @@ class NoOffsetLevelMechanism(Mechanism):
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         tree = build_referral_tree(net, reports)
         agents = tree.agents()
-        allocation = {i: 0.0 for i in net.agents}
-        payments = {i: 0.0 for i in net.agents}
         if not agents or all(reports.value(i) == 0 for i in agents):
-            return Outcome(allocation, payments, 0.0, None)
+            return unsold_outcome(net.agents)
         submax = subtree_values(tree, reports)
         node = tree.root
         pay: dict[int, float] = {}
@@ -116,15 +107,7 @@ class NoOffsetLevelMechanism(Mechanism):
             pay[best] = submax[ranked[1]] if len(ranked) > 1 else 0.0
             node = best
         winner = node if node != tree.root else None
-        if winner is None:
-            return Outcome(allocation, payments, 0.0, None)
-        allocation[winner] = 1.0
-        path = list(pay)
-        revenue = pay[path[0]] if path else 0.0
-        for idx, member in enumerate(path):
-            received = pay[path[idx + 1]] if idx + 1 < len(path) else 0.0
-            payments[member] = pay[member] - received
-        return Outcome(allocation, payments, revenue, winner)
+        return _complete(_settle(tree, winner, pay), net.agents)
 
 
 class LoserFeeMechanism(Mechanism):

@@ -216,9 +216,6 @@ class ReferralTree:
     children: Mapping[int, tuple[int, ...]]
     level: Mapping[int, int]
 
-    def nodes(self) -> list[int]:
-        return sorted(self.parent.keys())
-
     def agents(self) -> frozenset[int]:
         cached = getattr(self, "_agents", None)
         if cached is None:
@@ -368,10 +365,26 @@ def load_instance(path) -> Instance:
     return instance_from_dict(raw)
 
 
+def exponents_from_dict(raw) -> dict[int, float]:
+    """A JSON ``{node id: exponent}`` table, each exponent positive and finite."""
+    try:
+        table = {int(k): float(v) for k, v in raw.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InstanceError(f"malformed exponent table: {exc}") from exc
+    for node, t in table.items():
+        if not 0 < t < math.inf:
+            raise InstanceError(f"exponent t[{node}]={t} must be positive and finite")
+    return table
+
+
 def instance_from_dict(raw: Mapping) -> Instance:
     try:
         seller = int(raw.get("seller", SELLER))
-        agents = frozenset(int(a["id"]) for a in raw["agents"])
+        ids = [int(a["id"]) for a in raw["agents"]]
+        agents = frozenset(ids)
+        if len(agents) != len(ids):
+            raise InstanceError(
+                f"duplicate agent ids {sorted(i for i in agents if ids.count(i) > 1)}")
         edges = [(int(e[0]), int(e[1])) for e in raw["edges"]]
         net = network_from_edges(edges, agents=agents, seller=seller)
         reports = {}
@@ -382,15 +395,11 @@ def instance_from_dict(raw: Mapping) -> Instance:
                 timestamp=int(a.get("timestamp", 0)),
             )
         profile = ReportProfile(reports)
-        exps = raw.get("exponents")
-        if exps is not None:
-            exps = {int(k): float(v) for k, v in exps.items()}
-            for node, t in exps.items():
-                if not 0 < t < math.inf:
-                    raise InstanceError(f"exponent t[{node}]={t} must be positive and finite")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
-    return Instance(net=net, reports=profile, exponents=exps)
+    exps = raw.get("exponents")
+    return Instance(net=net, reports=profile,
+                    exponents=None if exps is None else exponents_from_dict(exps))
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -419,9 +428,8 @@ def save_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
-def random_tree_instance(n: int, rng: np.random.Generator,
-                         value_high: float = 100.0) -> Instance:
-    """Random rooted tree over ``n`` agents with uniform valuations.
+def random_tree_instance(n: int, rng: np.random.Generator) -> Instance:
+    """Random rooted tree over ``n`` agents with valuations uniform on [0, 100).
 
     Node ``k``'s parent is drawn uniformly among the seller and the
     earlier agents, so depth and degree stay moderate.
@@ -433,5 +441,5 @@ def random_tree_instance(n: int, rng: np.random.Generator,
         parent = SELLER if k == 1 else int(rng.integers(0, k))
         edges.append((parent, k))
     net = network_from_edges(edges, agents=range(1, n + 1))
-    values = {i: float(rng.uniform(0.0, value_high)) for i in range(1, n + 1)}
+    values = {i: float(rng.uniform(0.0, 100.0)) for i in range(1, n + 1)}
     return Instance(net=net, reports=truthful_profile(net, values))

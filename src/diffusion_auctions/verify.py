@@ -41,6 +41,21 @@ CORE_CONDITIONS = ("monotonicity", "payment-identity", "diffusion-constraint",
                    "ddsic", "ir")
 ALL_CONDITIONS = CORE_CONDITIONS + ("ic", "misreport")
 
+#: Agents with more forwarding neighbors than this get a seeded sample
+#: of ``SUBSET_SAMPLES`` forwarded subsets (always keeping the empty and
+#: full sets) instead of the full powerset; 2**13 subsets leave the
+#: sampler room to find 256 distinct ones.
+SUBSET_CAP = 12
+SUBSET_SAMPLES = 256
+#: Slack of the inequality checks, scaled by the largest value (at least
+#: 1) everywhere but monotonicity, which compares allocations.
+INEQ_TOL = 1e-6
+#: Slack of the payment identity: ``INTEGRAL_ATOL + INTEGRAL_RTOL * scale``.
+INTEGRAL_RTOL = 1e-4
+INTEGRAL_ATOL = 1e-9
+#: Mechanism evaluations one curve table may spend before it gives up.
+CURVE_BUDGET = 20000
+
 
 class VerificationError(RuntimeError):
     """The check machinery itself could not complete (not a failed check)."""
@@ -48,14 +63,9 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class DeviationGrid:
-    """Discretization of the deviation space plus check tolerances."""
+    """Own-value grid of the deviation space plus the subset-sampling seed."""
 
     points: tuple[float, ...]
-    subset_cap: int = 12
-    subset_samples: int = 256
-    ineq_tol: float = 1e-6
-    integral_rtol: float = 1e-4
-    integral_atol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -65,15 +75,13 @@ class DeviationGrid:
             raise ValueError("grid must be sorted ascending")
 
 
-def make_grid(reports: ReportProfile, size: int = 64, *,
-              vmax: Optional[float] = None, seed: int = 0,
-              **tolerances) -> DeviationGrid:
-    """Uniform grid of ``size`` points on [0, 2*vmax]."""
-    if vmax is None:
-        vmax = max((reports.value(i) for i in reports.agents()), default=1.0)
+def make_grid(reports: ReportProfile, size: int = 64, *, seed: int = 0) -> DeviationGrid:
+    """Uniform grid of ``size`` points on [0, 2*vmax], ``vmax`` the
+    largest reported value."""
+    vmax = max((reports.value(i) for i in reports.agents()), default=1.0)
     vmax = max(vmax, 1e-9)
     pts = tuple(np.linspace(0.0, 2.0 * vmax, size))
-    return DeviationGrid(points=pts, seed=seed, **tolerances)
+    return DeviationGrid(points=pts, seed=seed)
 
 
 @dataclass
@@ -117,14 +125,13 @@ class _CurveTable:
     by recursive bisection so step integrals are exact to ``xtol``."""
 
     def __init__(self, mech: Mechanism, net: DiffusionNetwork,
-                 base_profile: ReportProfile, agent: int, xtol: float,
-                 budget: int = 20000):
+                 base_profile: ReportProfile, agent: int, xtol: float):
         self._mech = mech
         self._net = net
         self._profile = base_profile
         self._agent = agent
         self._xtol = xtol
-        self._budget = budget
+        self._budget = CURVE_BUDGET
         self._data: dict[float, tuple[float, float]] = {}
         self._xs: list[float] = []
         self._prefix_cache: Optional[list[float]] = None
@@ -211,11 +218,9 @@ class _Context:
         # jump brackets this tight keep step-integral error far below the
         # 1e-9 tolerances the worked-example checks are held to
         self.xtol = 1e-12 * self.vmax
+        self.tol = INEQ_TOL * self.vmax
         self._tables: dict[tuple[int, tuple[int, ...]], _CurveTable] = {}
         self._subset_cache: dict[int, tuple[list[frozenset[int]], bool]] = {}
-
-    def ineq_tol(self) -> float:
-        return self.grid.ineq_tol * self.vmax
 
     def agents(self) -> list[int]:
         return sorted(self.net.agents)
@@ -227,7 +232,7 @@ class _Context:
             return hit
         full = self.reports.neighbors(agent)
         members = sorted(full)
-        if len(members) <= self.grid.subset_cap:
+        if len(members) <= SUBSET_CAP:
             subsets = [frozenset(c)
                        for r in range(len(members) + 1)
                        for c in itertools.combinations(members, r)]
@@ -236,7 +241,7 @@ class _Context:
             rng = np.random.default_rng(
                 np.random.SeedSequence([self.grid.seed, agent]))
             chosen = {frozenset(), frozenset(members)}
-            while len(chosen) < self.grid.subset_samples:
+            while len(chosen) < SUBSET_SAMPLES:
                 mask = rng.integers(0, 2, size=len(members)).astype(bool)
                 chosen.add(frozenset(m for m, keep in zip(members, mask) if keep))
             subsets = sorted(chosen, key=lambda s: (len(s), sorted(s)))
@@ -263,13 +268,33 @@ def _report(condition: str, witness: Optional[Witness],
                               witness=witness, details=details or {})
 
 
+def _common_points(t_sub: _CurveTable, t_full: _CurveTable) -> list[float]:
+    """Sorted union of two tables' points, evaluated on both."""
+    union = sorted(set(t_sub.xs()) | set(t_full.xs()))
+    t_sub.ensure(union)
+    t_full.ensure(union)
+    return union
+
+
+def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
+                     tol: float) -> Optional[tuple[float, float, float]]:
+    """The first own value ``x`` at which forwarding only the subset beats
+    full forwarding by more than ``tol``, as (x, u_full, u_sub); None
+    when full forwarding weakly dominates at every common point."""
+    for x in _common_points(t_sub, t_full):
+        u_full = x * t_full.g_at(x) - t_full.p_at(x)
+        u_sub = x * t_sub.g_at(x) - t_sub.p_at(x)
+        if u_sub > u_full + tol:
+            return x, u_full, u_sub
+    return None
+
+
 def _monotonicity_impl(ctx: _Context) -> VerificationReport:
-    tol = ctx.grid.ineq_tol
     for agent in ctx.agents():
         for subset in ctx.subsets(agent)[0]:
             table = ctx.table(agent, subset)
             xs, g, _ = table.arrays()
-            drop = np.nonzero(g[1:] < g[:-1] - tol)[0]
+            drop = np.nonzero(g[1:] < g[:-1] - INEQ_TOL)[0]
             if drop.size:
                 k = int(drop[0])
                 return _report("monotonicity", Witness(
@@ -281,8 +306,6 @@ def _monotonicity_impl(ctx: _Context) -> VerificationReport:
 
 
 def _identity_impl(ctx: _Context) -> VerificationReport:
-    rtol = ctx.grid.integral_rtol
-    atol = ctx.grid.integral_atol
     for agent in ctx.agents():
         for subset in ctx.subsets(agent)[0]:
             table = ctx.table(agent, subset)
@@ -291,7 +314,7 @@ def _identity_impl(ctx: _Context) -> VerificationReport:
                 expected = payment_at_zero + x * table.g_at(x) - table.integral_to(x)
                 actual = table.p_at(x)
                 scale = max(1.0, abs(expected), abs(actual))
-                if abs(actual - expected) > atol + rtol * scale:
+                if abs(actual - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale:
                     return _report("payment-identity", Witness(
                         agent=agent, subset=tuple(sorted(subset)), value=x,
                         lhs=actual, rhs=expected,
@@ -300,8 +323,10 @@ def _identity_impl(ctx: _Context) -> VerificationReport:
     return _report("payment-identity", None)
 
 
-def _diffusion_impl(ctx: _Context, record_curves: bool = False) -> VerificationReport:
-    tol = ctx.ineq_tol()
+def _diffusion_impl(ctx: _Context) -> VerificationReport:
+    """Details map each (agent, forwarded subset) to its ``lhs``, the
+    largest and final ``rhs``, and ``rhs_by_value`` at the grid points."""
+    grid_points = set(ctx.grid.points)
     details: dict = {}
     witness = None
     for agent in ctx.agents():
@@ -311,32 +336,28 @@ def _diffusion_impl(ctx: _Context, record_curves: bool = False) -> VerificationR
             if subset == full:
                 continue
             t_sub = ctx.table(agent, subset)
-            union = sorted(set(t_sub.xs()) | set(t_full.xs()))
-            t_sub.ensure(union)
-            t_full.ensure(union)
+            union = _common_points(t_sub, t_full)
             lhs = t_sub.p_at(0.0) - t_full.p_at(0.0)
             rhs_max = -np.inf
             curve = {}
             for v in union:
                 rhs = t_sub.integral_to(v) - t_full.integral_to(v)
                 rhs_max = max(rhs_max, rhs)
-                if record_curves and v in ctx.grid.points:
+                if v in grid_points:
                     curve[v] = rhs
-                if rhs > lhs + tol and witness is None:
+                if rhs > lhs + ctx.tol and witness is None:
                     witness = Witness(
                         agent=agent, subset=tuple(sorted(subset)), value=v,
                         lhs=lhs, rhs=rhs,
                         note="withholding is funded beyond the allocation gap")
-            entry = {"lhs": lhs, "rhs_max": float(rhs_max),
-                     "rhs_final": t_sub.integral_to(union[-1]) - t_full.integral_to(union[-1])}
-            if record_curves:
-                entry["rhs_by_value"] = curve
-            details[(agent, tuple(sorted(subset)))] = entry
+            details[(agent, tuple(sorted(subset)))] = {
+                "lhs": lhs, "rhs_max": float(rhs_max),
+                "rhs_final": t_sub.integral_to(union[-1]) - t_full.integral_to(union[-1]),
+                "rhs_by_value": curve}
     return _report("diffusion-constraint", witness, details)
 
 
 def _ddsic_impl(ctx: _Context) -> VerificationReport:
-    tol = ctx.ineq_tol()
     sampled_agents = []
     for agent in ctx.agents():
         subsets, sampled = ctx.subsets(agent)
@@ -353,7 +374,7 @@ def _ddsic_impl(ctx: _Context) -> VerificationReport:
             truthful = xs * g - p
             gaps = utilities.max(axis=1) - truthful
             k = int(np.argmax(gaps))
-            if gaps[k] > tol:
+            if gaps[k] > ctx.tol:
                 y = int(np.argmax(utilities[k]))
                 return _report("ddsic", Witness(
                     agent=agent, subset=tuple(sorted(subset)), value=float(xs[y]),
@@ -363,32 +384,24 @@ def _ddsic_impl(ctx: _Context) -> VerificationReport:
             if subset == full:
                 continue
             # Point 2: at every true value, full forwarding beats this subset.
-            union = sorted(set(table.xs()) | set(t_full.xs()))
-            table.ensure(union)
-            t_full.ensure(union)
-            for x in union:
-                u_full = x * t_full.g_at(x) - t_full.p_at(x)
-                u_sub = x * table.g_at(x) - table.p_at(x)
-                if u_sub > u_full + tol:
-                    return _report("ddsic", Witness(
-                        agent=agent, subset=tuple(sorted(subset)), value=x,
-                        lhs=u_full, rhs=u_sub,
-                        note="withholding neighbors beats full forwarding",
-                        data={"true_value": x, "point": 2}))
+            gain = _forwarding_gain(table, t_full, ctx.tol)
+            if gain is not None:
+                x, u_full, u_sub = gain
+                return _report("ddsic", Witness(
+                    agent=agent, subset=tuple(sorted(subset)), value=x,
+                    lhs=u_full, rhs=u_sub,
+                    note="withholding neighbors beats full forwarding",
+                    data={"true_value": x, "point": 2}))
     details = {"sampled_agents": sampled_agents} if sampled_agents else {}
     return _report("ddsic", None, details)
 
 
 def _ic_impl(ctx: _Context) -> VerificationReport:
     """Joint value/forwarding deviations against the truthful full report."""
-    tol = ctx.ineq_tol()
     for agent in ctx.agents():
         subsets, _ = ctx.subsets(agent)
         full = ctx.reports.neighbors(agent)
-        t_full = ctx.table(agent, full)
-        xs_true = np.asarray(t_full.xs())
-        g_full = np.asarray([t_full.g_at(x) for x in xs_true])
-        p_full = np.asarray([t_full.p_at(x) for x in xs_true])
+        xs_true, g_full, p_full = ctx.table(agent, full).arrays()
         truthful = xs_true * g_full - p_full
         for subset in subsets:
             table = ctx.table(agent, subset)
@@ -396,7 +409,7 @@ def _ic_impl(ctx: _Context) -> VerificationReport:
             utilities = xs_true[:, None] * g[None, :] - p[None, :]
             gaps = utilities.max(axis=1) - truthful
             k = int(np.argmax(gaps))
-            if gaps[k] > tol:
+            if gaps[k] > ctx.tol:
                 y = int(np.argmax(utilities[k]))
                 return _report("ic", Witness(
                     agent=agent, subset=tuple(sorted(subset)), value=float(ys[y]),
@@ -407,13 +420,12 @@ def _ic_impl(ctx: _Context) -> VerificationReport:
 
 
 def _ir_impl(ctx: _Context) -> VerificationReport:
-    tol = ctx.ineq_tol()
     details = {}
     for agent in ctx.agents():
         g, p = ctx.mech.evaluate(ctx.net, ctx.reports, agent)
         utility = ctx.reports.value(agent) * g - p
         details[agent] = utility
-        if utility < -tol:
+        if utility < -ctx.tol:
             return _report("ir", Witness(
                 agent=agent, subset=None, value=ctx.reports.value(agent),
                 lhs=utility, rhs=0.0,
@@ -425,7 +437,6 @@ def _ir_impl(ctx: _Context) -> VerificationReport:
 def _misreport_impl(ctx: _Context) -> VerificationReport:
     """Strict neighbor under-reports; on general networks these re-route
     the referral tree."""
-    tol = ctx.ineq_tol()
     for agent in ctx.agents():
         full = ctx.reports.neighbors(agent)
         if not full:
@@ -434,19 +445,14 @@ def _misreport_impl(ctx: _Context) -> VerificationReport:
         for subset in ctx.subsets(agent)[0]:
             if subset == full:
                 continue
-            table = ctx.table(agent, subset)
-            union = sorted(set(table.xs()) | set(t_full.xs()))
-            table.ensure(union)
-            t_full.ensure(union)
-            for x in union:
-                u_full = x * t_full.g_at(x) - t_full.p_at(x)
-                u_sub = x * table.g_at(x) - table.p_at(x)
-                if u_sub > u_full + tol:
-                    return _report("misreport", Witness(
-                        agent=agent, subset=tuple(sorted(subset)), value=x,
-                        lhs=u_full, rhs=u_sub,
-                        note="strict neighbor under-report raises utility",
-                        data={"true_value": x}))
+            gain = _forwarding_gain(ctx.table(agent, subset), t_full, ctx.tol)
+            if gain is not None:
+                x, u_full, u_sub = gain
+                return _report("misreport", Witness(
+                    agent=agent, subset=tuple(sorted(subset)), value=x,
+                    lhs=u_full, rhs=u_sub,
+                    note="strict neighbor under-report raises utility",
+                    data={"true_value": x}))
     return _report("misreport", None)
 
 
@@ -464,46 +470,12 @@ _IMPLS = {
 def verify_mechanism(mech: Mechanism, net: DiffusionNetwork,
                      reports: ReportProfile, grid: Optional[DeviationGrid] = None,
                      conditions: Sequence[str] = CORE_CONDITIONS) -> list[VerificationReport]:
-    """Run the requested checks with a shared evaluation cache."""
+    """The one entry point of the grid checks: one report per condition,
+    in order, with curve tables shared across the conditions.  ``grid``
+    defaults to :func:`make_grid` of ``reports``."""
     grid = grid or make_grid(reports)
     ctx = _Context(mech, net, reports, grid)
     return [_IMPLS[c](ctx) for c in conditions]
-
-
-def check_allocation_monotonicity(mech, net, reports, grid=None) -> VerificationReport:
-    grid = grid or make_grid(reports)
-    return _monotonicity_impl(_Context(mech, net, reports, grid))
-
-
-def check_payment_identity(mech, net, reports, grid=None) -> VerificationReport:
-    grid = grid or make_grid(reports)
-    return _identity_impl(_Context(mech, net, reports, grid))
-
-
-def check_diffusion_constraint(mech, net, reports, grid=None,
-                               record_curves: bool = False) -> VerificationReport:
-    grid = grid or make_grid(reports)
-    return _diffusion_impl(_Context(mech, net, reports, grid), record_curves)
-
-
-def check_ddsic_deviations(mech, net, reports, grid=None) -> VerificationReport:
-    grid = grid or make_grid(reports)
-    return _ddsic_impl(_Context(mech, net, reports, grid))
-
-
-def check_ic_deviations(mech, net, reports, grid=None) -> VerificationReport:
-    grid = grid or make_grid(reports)
-    return _ic_impl(_Context(mech, net, reports, grid))
-
-
-def check_ir(mech, net, reports, grid=None) -> VerificationReport:
-    grid = grid or make_grid(reports)
-    return _ir_impl(_Context(mech, net, reports, grid))
-
-
-def check_neighbor_misreport(mech, net, reports, grid=None) -> VerificationReport:
-    grid = grid or make_grid(reports)
-    return _misreport_impl(_Context(mech, net, reports, grid))
 
 
 def check_ta_equivalence(net: DiffusionNetwork, reports: ReportProfile,
@@ -557,8 +529,7 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
         g_d, p_d = point(w.agent, w.subset, w.value)
         return x * g_d - p_d > x * g_t - p_t
     if cond in ("payment-identity", "diffusion-constraint"):
-        grid = make_grid(reports)
-        ctx = _Context(mech, net, reports, grid)
+        ctx = _Context(mech, net, reports, make_grid(reports))
         table = ctx.table(w.agent, frozenset(w.subset))
         table.ensure([w.value])
         table.refine_jumps()
@@ -566,19 +537,16 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
             expected = (table.p_at(0.0) + w.value * table.g_at(w.value)
                         - table.integral_to(w.value))
             scale = max(1.0, abs(expected))
-            tol = grid.integral_atol + grid.integral_rtol * scale
+            tol = INTEGRAL_ATOL + INTEGRAL_RTOL * scale
             return abs(table.p_at(w.value) - expected) > tol
         t_full = ctx.table(w.agent, reports.neighbors(w.agent))
-        union = sorted(set(table.xs()) | set(t_full.xs()) | {w.value})
-        table.ensure(union)
-        t_full.ensure(union)
+        _common_points(table, t_full)   # the table already holds w.value
         lhs = table.p_at(0.0) - t_full.p_at(0.0)
         rhs = table.integral_to(w.value) - t_full.integral_to(w.value)
         return rhs > lhs
     return False
 
 
-def random_exponents(agents: Iterable[int], rng: np.random.Generator,
-                     low: float = 0.5, high: float = 3.0) -> dict[int, float]:
-    """Per-agent exponent draws, independent of any report."""
-    return {i: float(rng.uniform(low, high)) for i in agents}
+def random_exponents(agents: Iterable[int], rng: np.random.Generator) -> dict[int, float]:
+    """Per-agent exponent draws, uniform on [0.5, 3), independent of any report."""
+    return {i: float(rng.uniform(0.5, 3.0)) for i in agents}

@@ -22,6 +22,7 @@ every witness is confirmed by direct execution of
 the same 8 instances.
 """
 
+import hashlib
 import math
 import time
 
@@ -37,7 +38,6 @@ from diffusion_auctions import (
     PowerTA,
     SecondPriceTA,
     build_referral_tree,
-    check_diffusion_constraint,
     check_mhr,
     check_ta_equivalence,
     estimate_interim,
@@ -61,7 +61,7 @@ from diffusion_auctions import fixtures
 from diffusion_auctions.experiments import ExperimentConfig
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
-from diffusion_auctions.verify import make_grid, random_exponents
+from diffusion_auctions.verify import INEQ_TOL, make_grid, random_exponents
 
 from oracles import (
     naive_forwarding_utility,
@@ -124,8 +124,8 @@ def test_c02_rc_fixture():
 
     inst = fig_rc_instance()
     grid = make_grid(inst.reports, size=64)
-    rep = check_diffusion_constraint(RcExampleAuction(), inst.net, inst.reports,
-                                     grid, record_curves=True)
+    [rep] = verify_mechanism(RcExampleAuction(), inst.net, inst.reports, grid,
+                             ("diffusion-constraint",))
     detail = rep.details[(1, ())]
     lhs_ok = abs(detail["lhs"] - 5.0 / 3.0) <= 1e-9
     curve = detail["rhs_by_value"]
@@ -175,9 +175,25 @@ def c03_instances(instances: int = 200):
         yield k, inst, draws, make_grid(inst.reports, size=64, seed=k)
 
 
-def five_checks(mech, inst, grid):
-    return {r.condition: r
-            for r in verify_mechanism(mech, inst.net, inst.reports, grid, FIVE_CHECKS)}
+def five_checks(mech, inst, grid, digest=None):
+    """The five checks by condition; ``digest``, a hashlib object, is fed
+    every report's ``to_dict()`` and details, minus the diffusion curves
+    (``rhs_by_value``)."""
+    reports = verify_mechanism(mech, inst.net, inst.reports, grid, FIVE_CHECKS)
+    if digest is not None:
+        for r in reports:
+            details = r.details
+            if r.condition == "diffusion-constraint":
+                details = {key: {f: x for f, x in entry.items() if f != "rhs_by_value"}
+                           for key, entry in details.items()}
+            digest.update(repr((r.to_dict(), details)).encode())
+    return {r.condition: r for r in reports}
+
+
+# sha256 over every c03 report (see five_checks), recorded at commit
+# d6957ed: a verifier change that keeps its outputs must reproduce them
+C03_SHARED_DIGEST = "8f4169fc7a3304094780d42c30f4a1c27f0fed36a973f090809887cf228e8183"
+C03_PER_AGENT_DIGEST = "93048c8b1d064345a52f3fc627f61b278e7bdd2ae92ab76f53f52e5602c41cde"
 
 
 def test_c03_characterization_suite():
@@ -188,9 +204,10 @@ def test_c03_characterization_suite():
     sound_ok = True
     differs_from_idm = 0
     idm = LblevAuction(None)
+    digest = hashlib.sha256()
     for k, inst, draws, grid in c03_instances(instances):
         mech = LblevAuction(sibling_shared_exponents(tree_children(inst.net), draws))
-        reports = five_checks(mech, inst, grid)
+        reports = five_checks(mech, inst, grid, digest)
         for cond in FIVE_CHECKS:
             fail_counts[cond] += not reports[cond].passed
         structural = all(reports[c].passed for c in
@@ -214,6 +231,7 @@ def test_c03_characterization_suite():
     assert equivalence_ok, "direct-vs-structural check equivalence broke"
     assert sound_ok, "monotonicity/payment-identity/ir failed unexpectedly"
     assert mutants_ok, "a designated mutant slipped past its check"
+    assert digest.hexdigest() == C03_SHARED_DIGEST, digest.hexdigest()
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
     # the exponents must keep the certified auction away from plain IDM
     assert differs_from_idm > instances // 2, (
@@ -248,8 +266,9 @@ def test_c03_per_agent_exponent_withholding():
     fail_counts = {c: 0 for c in FIVE_CHECKS}
     equivalence_ok = True
     flagged, oracle_flagged, unconfirmed = set(), set(), set()
+    digest = hashlib.sha256()
     for k, inst, draws, grid in c03_instances(instances):
-        reports = five_checks(LblevAuction(draws), inst, grid)
+        reports = five_checks(LblevAuction(draws), inst, grid, digest)
         for cond in FIVE_CHECKS:
             fail_counts[cond] += not reports[cond].passed
         structural = all(reports[c].passed for c in
@@ -258,7 +277,7 @@ def test_c03_per_agent_exponent_withholding():
 
         children = tree_children(inst.net)
         values = inst.reports.values()
-        tol = grid.ineq_tol * max(max(values.values()), 1.0)
+        tol = INEQ_TOL * max(max(values.values()), 1.0)
         if not reports["ddsic"].passed:
             flagged.add(k)
             w = reports["ddsic"].witness
@@ -282,6 +301,7 @@ def test_c03_per_agent_exponent_withholding():
     assert equivalence_ok, "direct-vs-structural check equivalence broke"
     assert not unconfirmed, f"oracle did not confirm witnesses {sorted(unconfirmed)}"
     assert oracle_flagged == flagged == WITHHOLDING_INSTANCES
+    assert digest.hexdigest() == C03_PER_AGENT_DIGEST, digest.hexdigest()
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
 
 

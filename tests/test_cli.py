@@ -125,6 +125,28 @@ class TestRun:
                                "--mechanism", "lblev", "--exponents", str(table))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("table", [{"x": 2.0}, [1, 2], {"1": "abc"}],
+                             ids=["bad-id", "list", "bad-exponent"])
+    def test_malformed_exponent_table_exit_2(self, tmp_path, fig_path, capsys, table):
+        path = tmp_path / "exps.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run_cli(capsys, "run", "--instance", fig_path,
+                                 "--mechanism", "lblev", "--exponents", str(path))
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
+    def test_duplicate_agent_id_exit_2(self, tmp_path, capsys):
+        # two reports for agent 1: the second used to replace the first
+        raw = {"agents": [{"id": 1, "valuation": 10.0, "neighbors": []},
+                          {"id": 1, "valuation": 50.0, "neighbors": []}],
+               "edges": [[0, 1]]}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run", "--instance", str(path),
+                                 "--mechanism", "idm")
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+
 
 class TestVerify:
     def test_lblev_random_trials_pass(self, capsys):
@@ -152,6 +174,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--mechanism", "idm",
                                "--instance", str(path), "--grid", "32")
         assert code == 0
+
+    @pytest.mark.parametrize("flag, count", [("--trials", "0"), ("--trials", "-2"),
+                                             ("--grid", "0"), ("--grid", "-3")])
+    def test_empty_run_exit_2(self, capsys, flag, count):
+        code, out, err = run_cli(capsys, "verify", "--mechanism", "idm", flag, count)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--mechanism", "idm",

@@ -9,7 +9,6 @@ from diffusion_auctions import (
     LblevAuction,
     activate_edges,
     build_referral_tree,
-    check_ir,
     exponent_schedule,
     exponent_table,
     fixtures,
@@ -21,9 +20,9 @@ from diffusion_auctions import (
     sample_valuations,
     sweep_lambda,
     truthful_profile,
+    verify_mechanism,
 )
 from diffusion_auctions.experiments import (
-    BaseTree,
     SweepRow,
     assign_class_means,
     draw_valuations,
@@ -31,7 +30,7 @@ from diffusion_auctions.experiments import (
     outer_sample,
     write_sweep_csv,
 )
-from diffusion_auctions.network import SELLER, InstanceError
+from diffusion_auctions.network import SELLER, InstanceError, ReferralTree
 
 
 def small_config(**overrides):
@@ -89,7 +88,8 @@ class TestActivation:
     def test_keep_rate_matches_first_moment(self):
         # one parent, one child, many draws: the keep probability itself
         # is drawn as u**(1/5), whose mean is 5/6
-        base = BaseTree(n=1, parent={1: SELLER}, children={SELLER: (1,)})
+        base = ReferralTree(root=SELLER, parent={1: SELLER}, children={SELLER: (1,)},
+                            level={1: 1})
         rng = np.random.default_rng(123)
         kept = sum(1 in activate_edges(base, rng).agents() for _ in range(100000))
         assert kept / 100000 == pytest.approx(5.0 / 6.0, abs=0.01)
@@ -132,8 +132,9 @@ class TestValuations:
 
 class TestExponentSchedule:
     def tree_with_two_tops(self):
-        return BaseTree(n=4, parent={1: SELLER, 2: SELLER, 3: 1, 4: 2},
-                        children={SELLER: (1, 2), 1: (3,), 2: (4,)})
+        return ReferralTree(root=SELLER, parent={1: SELLER, 2: SELLER, 3: 1, 4: 2},
+                            children={SELLER: (1, 2), 1: (3,), 2: (4,)},
+                            level={1: 1, 2: 1, 3: 2, 4: 2})
 
     def test_lambda_zero_is_unit(self):
         base = self.tree_with_two_tops()
@@ -157,8 +158,8 @@ class TestExponentSchedule:
         assert sched[2] == pytest.approx(1.0420, abs=1e-4)
 
     def test_single_first_level_subtree_warns_unit(self, caplog):
-        base = BaseTree(n=2, parent={1: SELLER, 2: 1},
-                        children={SELLER: (1,), 1: (2,)})
+        base = ReferralTree(root=SELLER, parent={1: SELLER, 2: 1},
+                            children={SELLER: (1,), 1: (2,)}, level={1: 1, 2: 2})
         with caplog.at_level("WARNING"):
             sched = exponent_schedule(base, {1: 70.0, 2: 100.0}, 0.8)
         assert all(t == 1.0 for t in sched.values())
@@ -204,7 +205,8 @@ class TestSweep:
                 net = network_from_edges(edges, agents=tree.agents())
                 profile = truthful_profile(net, {a: values[a] for a in tree.agents()})
                 for lam in config.lambdas:
-                    rep = check_ir(LblevAuction(scheds[lam]), net, profile)
+                    [rep] = verify_mechanism(LblevAuction(scheds[lam]), net, profile,
+                                             None, ("ir",))
                     assert rep.passed
 
     def test_improvement_matches_direct_recomputation(self):
@@ -214,7 +216,7 @@ class TestSweep:
         for outer in range(config.outer):
             base, means = outer_sample(config, outer)
             sched = exponent_schedule(base, means, 0.6) \
-                if len(base.first_level()) >= 2 \
+                if len(base.child_tuple(SELLER)) >= 2 \
                 else {i: 1.0 for i in range(1, config.n + 1)}
             for inner in range(config.inner):
                 tree, values = inner_sample(config, outer, inner)
@@ -234,7 +236,7 @@ class TestSellerRevenues:
 
     def sweep_maps(self, config, outer):
         base, means = outer_sample(config, outer)
-        if len(base.first_level()) < 2:
+        if len(base.child_tuple(SELLER)) < 2:
             return [{}] * (len(config.lambdas) + 1)
         return [{}] + [exponent_schedule(base, means, lam) for lam in config.lambdas]
 
@@ -290,7 +292,7 @@ class TestSellerRevenues:
         assert lblev_seller_revenues(tree, values, tables)[:2] == [9.0, 729.0]
 
     def test_empty_tree_and_no_maps(self):
-        empty = activate_edges(BaseTree(n=1, parent={}, children={}),
+        empty = activate_edges(ReferralTree(root=SELLER, parent={}, children={}, level={}),
                                np.random.default_rng(0))
         assert lblev_seller_revenues(empty, {1: 5.0}, [{}, {}]) == [0.0, 0.0]
         inst = fixtures.fig_lblev_instance()
@@ -353,7 +355,7 @@ class TestGridSearch:
         # subtree's top value, so revenue is increasing in lambda up to it
         rng = np.random.default_rng(6)
         base = generate_base_tree(10, rng)
-        while len(base.first_level()) < 2:
+        while len(base.child_tuple(SELLER)) < 2:
             base = generate_base_tree(10, rng)
         means = assign_class_means(10, rng)
         edges = [(p, c) for c, p in base.parent.items()]
@@ -361,8 +363,8 @@ class TestGridSearch:
         profile = truthful_profile(net, means)
         from diffusion_auctions import build_referral_tree
         tree = build_referral_tree(net, profile)
-        tops = sorted((max(means[j] for j in tree.subtree(i)) for i in base.first_level()),
-                      reverse=True)
+        tops = sorted((max(means[j] for j in tree.subtree(i))
+                       for i in base.child_tuple(SELLER)), reverse=True)
         revenues = []
         for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
             sched = exponent_schedule(base, means, lam)

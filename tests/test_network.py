@@ -229,6 +229,18 @@ class TestInstanceIO:
         with pytest.raises(InstanceError):
             load_instance(path)
 
+    def test_non_object_instance_rejected(self):
+        with pytest.raises(InstanceError):
+            instance_from_dict([1, 2])
+
+    def test_duplicate_agent_id_rejected(self):
+        # two reports for agent 1: the second used to replace the first
+        raw = {"agents": [{"id": 1, "valuation": 10.0, "neighbors": []},
+                          {"id": 1, "valuation": 50.0, "neighbors": []}],
+               "edges": [[0, 1]]}
+        with pytest.raises(InstanceError, match="duplicate agent ids"):
+            instance_from_dict(raw)
+
     def test_timestamps_follow_bfs_layers(self):
         net = fan_net()
         stamps = bfs_timestamps(net)

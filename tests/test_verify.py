@@ -5,13 +5,6 @@ from diffusion_auctions import (
     ArgmaxRule,
     LblevAuction,
     PowerRule,
-    check_allocation_monotonicity,
-    check_ddsic_deviations,
-    check_diffusion_constraint,
-    check_ic_deviations,
-    check_ir,
-    check_neighbor_misreport,
-    check_payment_identity,
     check_ta_equivalence,
     make_grid,
     network_from_edges,
@@ -159,8 +152,8 @@ class TestRcExampleFixture:
     def test_diffusion_constraint_saturation(self):
         inst = fig_rc_instance()
         grid = make_grid(inst.reports, size=64)
-        rep = check_diffusion_constraint(RcExampleAuction(), inst.net,
-                                         inst.reports, grid, record_curves=True)
+        [rep] = verify_mechanism(RcExampleAuction(), inst.net, inst.reports, grid,
+                                 ("diffusion-constraint",))
         assert rep.passed
         detail = rep.details[(1, ())]
         assert detail["lhs"] == pytest.approx(5.0 / 3.0, abs=1e-9)
@@ -230,37 +223,41 @@ class TestEquivalenceOfCharacterizations:
 class TestIndividualChecks:
     def test_monotonicity_catches_decreasing_allocation(self):
         inst = fixtures.depth1_instance((10.0, 7.0))
-        rep = check_allocation_monotonicity(make_mutant("award-lowest"),
-                                            inst.net, inst.reports)
+        [rep] = verify_mechanism(make_mutant("award-lowest"), inst.net, inst.reports,
+                                 None, ("monotonicity",))
         assert not rep.passed
         assert rep.witness.agent in (1, 2)
 
     def test_identity_catches_flat_fee(self):
         inst = fixtures.depth1_instance((10.0, 7.0))
-        rep = check_payment_identity(make_mutant("flat-fee"), inst.net, inst.reports)
+        [rep] = verify_mechanism(make_mutant("flat-fee"), inst.net, inst.reports,
+                                 None, ("payment-identity",))
         assert not rep.passed
 
     def test_diffusion_catches_greedy(self):
         inst = fixtures.chain_instance((5.0, 10.0))
-        rep = check_diffusion_constraint(make_mutant("greedy-no-commission"),
-                                         inst.net, inst.reports)
+        [rep] = verify_mechanism(make_mutant("greedy-no-commission"), inst.net,
+                                 inst.reports, None, ("diffusion-constraint",))
         assert not rep.passed
         assert rep.witness.agent == 1  # the chokepoint forwarder
 
     def test_ddsic_catches_no_offset(self):
         inst = fixtures.offset_trap_instance()
-        rep = check_ddsic_deviations(make_mutant("no-offset"), inst.net, inst.reports)
+        [rep] = verify_mechanism(make_mutant("no-offset"), inst.net, inst.reports,
+                                 None, ("ddsic",))
         assert not rep.passed
 
     def test_ir_catches_loser_fee(self):
         inst = fixtures.depth1_instance((10.0, 7.0))
-        rep = check_ir(make_mutant("loser-fee"), inst.net, inst.reports)
+        [rep] = verify_mechanism(make_mutant("loser-fee"), inst.net, inst.reports,
+                                 None, ("ir",))
         assert not rep.passed
         assert rep.witness.lhs < 0
 
     def test_ir_utilities_on_worked_example(self):
         inst = fixtures.fig_lblev_instance()
-        rep = check_ir(LblevAuction(inst.exponents), inst.net, inst.reports)
+        [rep] = verify_mechanism(LblevAuction(inst.exponents), inst.net, inst.reports,
+                                 None, ("ir",))
         assert rep.passed
         utils = rep.details["utilities"]
         assert utils[1] == pytest.approx(2.449489742783178, abs=1e-6)
@@ -270,7 +267,8 @@ class TestIndividualChecks:
 
     def test_ic_catches_joint_deviation(self):
         inst = fixtures.depth1_instance((10.0, 7.0))
-        rep = check_ic_deviations(make_mutant("flat-fee"), inst.net, inst.reports)
+        [rep] = verify_mechanism(make_mutant("flat-fee"), inst.net, inst.reports,
+                                 None, ("ic",))
         assert not rep.passed
 
 
@@ -284,14 +282,14 @@ class TestNeighborMisreport:
             values = {i: float(rng.uniform(0, 100)) for i in net.agents}
             profile = truthful_profile(net, values)
             mech = __import__("diffusion_auctions").ReferralAuction(ArgmaxRule())
-            rep = check_neighbor_misreport(mech, net, profile,
-                                           make_grid(profile, size=32, seed=k))
+            [rep] = verify_mechanism(mech, net, profile,
+                                     make_grid(profile, size=32, seed=k), ("misreport",))
             assert rep.passed, rep.witness
 
     def test_tree_case_reduces_to_forwarding_check(self):
         inst = fixtures.fig_lblev_instance()
-        rep = check_neighbor_misreport(LblevAuction(inst.exponents),
-                                       inst.net, inst.reports)
+        [rep] = verify_mechanism(LblevAuction(inst.exponents), inst.net, inst.reports,
+                                 None, ("misreport",))
         assert rep.passed
 
     def test_catches_branch_biased_referrals(self):
@@ -322,7 +320,7 @@ class TestNeighborMisreport:
 
         net = network_from_edges([(0, 1), (1, 2)])
         profile = truthful_profile(net, {1: 5.0, 2: 10.0})
-        rep = check_neighbor_misreport(BranchBiasedBonus(), net, profile)
+        [rep] = verify_mechanism(BranchBiasedBonus(), net, profile, None, ("misreport",))
         assert not rep.passed
         assert rep.witness.agent == 1
 
@@ -360,6 +358,6 @@ class TestSubsetSampling:
         values = {i: float(i) for i in net.agents}
         profile = truthful_profile(net, values)
         grid = make_grid(profile, size=16, seed=1)
-        rep = check_ddsic_deviations(LblevAuction(None), net, profile, grid)
+        [rep] = verify_mechanism(LblevAuction(None), net, profile, grid, ("ddsic",))
         assert rep.passed
         assert rep.details.get("sampled_agents") == [1]
