@@ -76,6 +76,7 @@ def _run_levels(
     select: Callable[[list[tuple[int, float]]], Optional[tuple[int, float]]],
     start_parent: Optional[int] = None,
     start_offset: float = 0.0,
+    record: bool = True,
 ) -> tuple[Optional[int], dict[int, float], list[LevelTrace]]:
     """Shared descent loop.
 
@@ -85,8 +86,9 @@ def _run_levels(
     ``start_parent``/``start_offset`` resume the descent below a level
     that was decided by other means.  Returns (winner, {path node:
     payment to its parent}, traces); the start node's own payment is not
-    included.
+    included.  ``record=False`` skips the traces.
     """
+    children = tree.children
     parent = tree.root if start_parent is None else start_parent
     offset = start_offset
     pay: dict[int, float] = {}
@@ -95,7 +97,7 @@ def _run_levels(
 
     while True:
         survivors = []
-        for child in tree.child_tuple(parent):
+        for child in children.get(parent, ()):
             rho = submax[child] - offset
             if rho >= -EQ_TOL:
                 survivors.append((child, max(rho, 0.0)))
@@ -109,22 +111,33 @@ def _run_levels(
         if chosen is None:
             # No child stays in the game: the current tentative winner
             # keeps the item (or the item is unsold at the root).
-            traces.append(LevelTrace(parent, offset, tuple(survivors), None, 0.0, None))
+            if record:
+                traces.append(LevelTrace(parent, offset, tuple(survivors), None, 0.0, None))
             break
         i_star, z = chosen
         if parent != tree.root and values(parent) >= offset + z - EQ_TOL:
             # The parent prefers keeping the item over selling at offset+z.
-            traces.append(LevelTrace(parent, offset, tuple(survivors), None, z, None))
+            if record:
+                traces.append(LevelTrace(parent, offset, tuple(survivors), None, z, None))
             break
         actual = offset + z
         pay[i_star] = actual
-        traces.append(LevelTrace(parent, offset, tuple(survivors), i_star, z, actual))
+        if record:
+            traces.append(LevelTrace(parent, offset, tuple(survivors), i_star, z, actual))
         tentative = i_star
         parent, offset = i_star, actual
-        if not tree.child_tuple(i_star):
+        if not children.get(i_star):
             break   # reached a leaf
 
     return tentative, pay, traces
+
+
+def _net_payments(pay: Mapping[int, float]) -> dict[int, float]:
+    """Each node of the payment chain pays its parent and receives the
+    next node's payment; insertion order follows the descent."""
+    path = list(pay)
+    return {node: pay[node] - (pay[path[idx + 1]] if idx + 1 < len(path) else 0.0)
+            for idx, node in enumerate(path)}
 
 
 def _settle(tree: ReferralTree, winner: Optional[int],
@@ -136,11 +149,8 @@ def _settle(tree: ReferralTree, winner: Optional[int],
     if winner is None:
         return Outcome(allocation, payments, 0.0, None)
     allocation[winner] = 1.0
-    path = list(pay)    # insertion order follows the descent
-    for idx, node in enumerate(path):
-        received = pay[path[idx + 1]] if idx + 1 < len(path) else 0.0
-        payments[node] = pay[node] - received
-    revenue = pay[path[0]] if path else 0.0
+    payments.update(_net_payments(pay))
+    revenue = next(iter(pay.values()), 0.0)
     return Outcome(allocation, payments, revenue, winner)
 
 
@@ -186,14 +196,21 @@ def run_lblev(tree: ReferralTree, reports: ValuesLike,
     non-positive or non-finite exponents are rejected.
     """
     _check_values(reports)
-    values = _value_getter(reports)
-    agents = tree.agents()
-    texp = exponent_table(exponents, agents)
-    if not agents or all(values(i) == 0.0 for i in agents):
-        return unsold_outcome(agents), []
-    submax = subtree_values(tree, reports)
-    winner, pay, traces = _run_levels(tree, values, submax, partial(_rank_level, texp))
+    texp = exponent_table(exponents, tree.agents())
+    winner, pay, traces = _lblev_descent(tree, reports, partial(_rank_level, texp))
     return _settle(tree, winner, pay), traces
+
+
+def _lblev_descent(tree: ReferralTree, reports: ValuesLike,
+                   rank: Callable[[list[tuple[int, float]]], tuple[int, float]],
+                   record: bool = True
+                   ) -> tuple[Optional[int], dict[int, float], list[LevelTrace]]:
+    """:func:`_run_levels` with the ``rank`` level rule on checked values;
+    an empty tree or all-zero values leave the item unsold."""
+    values = _value_getter(reports)
+    if all(values(i) == 0.0 for i in tree.agents()):
+        return None, {}, []
+    return _run_levels(tree, values, subtree_values(tree, reports), rank, record=record)
 
 
 def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
@@ -501,15 +518,71 @@ def rc_example_mechanism(bids: Sequence[float],
     return Outcome(allocation, payments, 0.0, None)
 
 
+class Compiled:
+    """A mechanism fixed to one network and report profile, as
+    :meth:`Mechanism.compile` returns it.  This default prices every own
+    value of :meth:`curve` with one :meth:`Mechanism.evaluate` call."""
+
+    def __init__(self, mech: "Mechanism", net: DiffusionNetwork, reports: ReportProfile):
+        self.mech = mech
+        self.net = net
+        self.reports = reports
+
+    def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
+        """``agent``'s (allocation, payment) at each own value in ``xs``,
+        every other report held fixed."""
+        return [self.mech.evaluate(self.net, self.reports.replace(agent, value=x), agent)
+                for x in xs]
+
+
+class LblevCurves:
+    """:class:`LblevAuction` compiled for one report profile.
+
+    The referral tree and the checked exponent table are built once;
+    :meth:`curve` then runs :func:`run_lblev`'s descent on a value map
+    per own value, with the same float operations, and reads the agent's
+    allocation and net payment without settling the whole outcome.
+    """
+
+    def __init__(self, tree: ReferralTree, exponents: Mapping[int, float],
+                 reports: ReportProfile):
+        self.tree = tree
+        self._rank = partial(_rank_level, exponent_table(exponents, tree.agents()))
+        self._values = {i: reports.value(i) for i in tree.agents()}
+
+    def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
+        """As :meth:`Compiled.curve`; an agent outside the reached tree
+        gets (0, 0).  Each value is checked as :class:`Report` checks it."""
+        out = []
+        for x in xs:
+            x = float(x)
+            if not 0 <= x < math.inf:
+                raise InstanceError(f"reported valuation {x} is not a finite "
+                                    "non-negative number")
+            if agent not in self._values:
+                out.append((0.0, 0.0))
+                continue
+            values = dict(self._values)
+            values[agent] = x
+            winner, pay, _ = _lblev_descent(self.tree, values, self._rank, record=False)
+            out.append((1.0 if winner == agent else 0.0, _net_payments(pay).get(agent, 0.0)))
+        return out
+
+
 class Mechanism:
     """A diffusion auction runnable on a network plus a report profile.
 
     ``evaluate`` exposes one agent's allocation probability and payment,
     which is the only surface the incentive checks need; the default
-    implementation runs the full auction.
+    implementation runs the full auction.  ``compile`` fixes a report
+    profile so that the checks can price one agent's whole own-value
+    axis at once; the default evaluates each point.
     """
 
     name = "mechanism"
+
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> Compiled:
+        return Compiled(self, net, reports)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         raise NotImplementedError
@@ -540,6 +613,9 @@ class LblevAuction(Mechanism):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return self.run_with_traces(net, reports)[0]
+
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> LblevCurves:
+        return LblevCurves(build_referral_tree(net, reports), self.exponents, reports)
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:

@@ -28,13 +28,14 @@ Conditions:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .mechanisms import LevelRule, Mechanism, run_referral_auction, transformed_auction_revenue
+from .mechanisms import (Compiled, LevelRule, Mechanism, run_referral_auction,
+                         transformed_auction_revenue)
 from .network import DiffusionNetwork, ReportProfile
 
 CORE_CONDITIONS = ("monotonicity", "payment-identity", "diffusion-constraint",
@@ -121,53 +122,69 @@ class VerificationReport:
 
 class _CurveTable:
     """Allocation/payment of one agent along its own-value axis, under a
-    fixed forwarded subset.  Lazily evaluated; jump locations are pinned
-    by recursive bisection so step integrals are exact to ``xtol``."""
+    fixed forwarded subset.  The mechanism is compiled once for the
+    subset and each batch of new points is priced by one ``curve`` call;
+    jump locations are pinned by bisection so step integrals are exact
+    to ``xtol``."""
 
-    def __init__(self, mech: Mechanism, net: DiffusionNetwork,
-                 base_profile: ReportProfile, agent: int, xtol: float):
-        self._mech = mech
-        self._net = net
-        self._profile = base_profile
+    def __init__(self, compiled: Compiled, agent: int,
+                 subset: tuple[int, ...], xtol: float):
+        self._compiled = compiled
         self._agent = agent
+        self._subset = subset
         self._xtol = xtol
         self._budget = CURVE_BUDGET
         self._data: dict[float, tuple[float, float]] = {}
         self._xs: list[float] = []
         self._prefix_cache: Optional[list[float]] = None
 
-    def _eval(self, x: float) -> tuple[float, float]:
-        hit = self._data.get(x)
-        if hit is not None:
-            return hit
-        if self._budget <= 0:
-            raise VerificationError("curve evaluation budget exhausted "
-                                    "(allocation appears pathological)")
-        self._budget -= 1
-        prof = self._profile.replace(self._agent, value=x)
-        gp = self._mech.evaluate(self._net, prof, self._agent)
-        self._data[x] = gp
-        insort(self._xs, x)
-        return gp
+    def _price(self, xs: list[float], splits: Optional[list[tuple[float, float]]]) -> None:
+        """Evaluate the new points ``xs`` with one ``curve`` call.
+        ``splits[k]`` is the interval that point ``k`` bisects (None when
+        the points are not midpoints); the error names the first one the
+        budget cannot pay for."""
+        if len(xs) > self._budget:
+            if splits is None:
+                where = f"pricing {len(xs)} points in [{min(xs)!r}, {max(xs)!r}]"
+            else:
+                lo, hi = splits[self._budget]
+                where = f"splitting [{lo!r}, {hi!r}]"
+            raise VerificationError(
+                f"curve evaluation budget of {CURVE_BUDGET} exhausted for agent "
+                f"{self._agent} forwarding to {self._subset} while {where} "
+                "(allocation appears pathological)")
+        self._budget -= len(xs)
+        for x, gp in zip(xs, self._compiled.curve(self._agent, xs)):
+            self._data[x] = gp
+        self._xs = sorted(self._data)
 
     def ensure(self, points: Iterable[float]) -> None:
-        for x in points:
-            self._eval(float(x))
+        new = [x for x in dict.fromkeys(map(float, points)) if x not in self._data]
+        if new:
+            self._price(new, None)
 
     def refine_jumps(self) -> None:
         """Bisect every interval whose endpoint allocations differ until
-        each jump is bracketed within ``xtol``."""
-        stack = list(zip(self._xs[:-1], self._xs[1:]))
-        while stack:
-            a, b = stack.pop()
-            if b - a <= self._xtol:
-                continue
-            if abs(self._data[b][0] - self._data[a][0]) <= 1e-12:
-                continue
-            mid = 0.5 * (a + b)
-            self._eval(mid)
-            stack.append((a, mid))
-            stack.append((mid, b))
+        each jump is bracketed within ``xtol``, one round of midpoints at
+        a time.  Each split depends only on its two endpoints, so the
+        points are those of a depth-first bisection."""
+        pending = list(zip(self._xs[:-1], self._xs[1:]))
+        while pending:
+            splits = [(a, b) for a, b in pending
+                      if b - a > self._xtol
+                      and abs(self._data[b][0] - self._data[a][0]) > 1e-12]
+            mids = [0.5 * (a + b) for a, b in splits]
+            if mids:
+                self._price(mids, splits)
+            pending = [half for (a, b), mid in zip(splits, mids)
+                       for half in ((a, mid), (mid, b))]
+
+    def _eval(self, x: float) -> tuple[float, float]:
+        hit = self._data.get(x)
+        if hit is None:
+            self.ensure([x])
+            hit = self._data[x]
+        return hit
 
     # -- views ---------------------------------------------------------
     def xs(self) -> list[float]:
@@ -253,8 +270,8 @@ class _Context:
         key = (agent, tuple(sorted(subset)))
         table = self._tables.get(key)
         if table is None:
-            profile = self.reports.replace(agent, neighbors=subset)
-            table = _CurveTable(self.mech, self.net, profile, agent, self.xtol)
+            compiled = self.mech.compile(self.net, self.reports.replace(agent, neighbors=subset))
+            table = _CurveTable(compiled, agent, key[1], self.xtol)
             table.ensure(self.grid.points)
             table.ensure([0.0, self.reports.value(agent)])
             table.refine_jumps()
@@ -519,12 +536,13 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
         return reports.value(w.agent) * g - p < 0
     if cond in ("ddsic", "ic", "misreport"):
         x = w.data["true_value"]
-        if cond == "ddsic" and w.data.get("point") == 2:
+        if cond == "misreport" or w.data.get("point") == 2:
+            # forwarding only the subset beats full forwarding at x
             g_full, p_full = point(w.agent, tuple(sorted(reports.neighbors(w.agent))), x)
             g_sub, p_sub = point(w.agent, w.subset, x)
             return x * g_sub - p_sub > x * g_full - p_full
         base_subset = (tuple(sorted(reports.neighbors(w.agent)))
-                       if cond in ("ic",) else w.subset)
+                       if cond == "ic" else w.subset)
         g_t, p_t = point(w.agent, base_subset, x)
         g_d, p_d = point(w.agent, w.subset, w.value)
         return x * g_d - p_d > x * g_t - p_t

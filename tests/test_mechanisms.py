@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,11 @@ from diffusion_auctions import (
     truthful_profile,
 )
 from diffusion_auctions import fixtures, mechanisms
-from diffusion_auctions.mechanisms import ArgminRule
+from diffusion_auctions.mechanisms import ArgminRule, Compiled
+from diffusion_auctions.mutants import DESIGNATED, make_mutant
+from diffusion_auctions.network import Instance
+from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
+from diffusion_auctions.verify import _CurveTable, make_grid
 
 from oracles import (
     naive_level_auction,
@@ -33,6 +38,7 @@ from oracles import (
     random_tree_children,
     threshold_by_scan,
 )
+from test_acceptance import c03_instances, sibling_shared_exponents, tree_children
 
 
 @pytest.fixture
@@ -523,3 +529,99 @@ class TestEquivalences:
                 raised = inst.reports.replace(
                     out.winner, value=inst.reports.value(out.winner) + delta)
                 assert mech.run(inst.net, raised).winner == out.winner
+
+
+def per_point(mech, net, profile, agent, xs):
+    """The agent's curve by one ``evaluate`` call per own value."""
+    return [mech.evaluate(net, profile.replace(agent, value=x), agent) for x in xs]
+
+
+def curve_points(compiled, agent, subset, profile, grid, ties):
+    """The points a verifier table would price, with coarser bisection:
+    the grid, 0, the true value and the midpoints that bracket every
+    allocation jump to 1/1024 of the grid span, plus ``ties``."""
+    table = _CurveTable(compiled, agent, subset, grid.points[-1] / 1024)
+    table.ensure(grid.points)
+    table.ensure([0.0, profile.value(agent)])
+    table.refine_jumps()
+    return table.xs() + list(ties)
+
+
+class TestCompiledCurve:
+    """``compile(net, reports).curve`` against the per-point ``evaluate``
+    path, bit for bit."""
+
+    def test_c03_trees_every_agent_and_subset(self):
+        for k, inst, draws, _ in c03_instances(40):
+            net, reports = inst.net, inst.reports
+            children = tree_children(net)
+            grid = make_grid(reports, size=16, seed=k)
+            zero = truthful_profile(net, {i: 0.0 for i in net.agents})
+            tree = build_referral_tree(net, reports)
+            best = {i: max(reports.value(j) for j in tree.subtree(i)) for i in tree.agents()}
+            for exponents in (draws, sibling_shared_exponents(children, draws)):
+                mech = LblevAuction(exponents)
+                for agent in sorted(net.agents):
+                    parent = next(p for p, kids in children.items() if agent in kids)
+                    # values tied with a sibling's own and subtree-best value
+                    ties = [x for s in children[parent] if s != agent
+                            for x in (reports.value(s), best[s])]
+                    kids = children.get(agent, [])
+                    for r in range(len(kids) + 1):
+                        for subset in itertools.combinations(kids, r):
+                            profile = reports.replace(agent, neighbors=subset)
+                            compiled = mech.compile(net, profile)
+                            xs = curve_points(compiled, agent, subset, profile,
+                                              grid, ties)
+                            assert (compiled.curve(agent, xs)
+                                    == per_point(mech, net, profile, agent, xs)), (k, agent)
+                            # agents below a withheld child are cut off
+                            for cut in set(kids) - set(subset):
+                                for i in tree.subtree(cut):
+                                    probe = [0.0, reports.value(i), grid.points[-1]]
+                                    assert compiled.curve(i, probe) == [(0.0, 0.0)] * 3
+                                    assert per_point(mech, net, profile, i, probe) == [
+                                        (0.0, 0.0)] * 3
+                    probe = [0.0, 1.0, grid.points[7]]
+                    assert (mech.compile(net, zero).curve(agent, probe)
+                            == per_point(mech, net, zero, agent, probe))
+
+    def test_invalid_own_values_raise(self):
+        inst = fixtures.fig_lblev_instance()
+        cut = inst.reports.replace(1, neighbors=frozenset())
+        mutant = make_mutant("flat-fee")
+        for compiled in (LblevAuction(inst.exponents).compile(inst.net, cut),
+                         mutant.compile(inst.net, cut)):
+            for agent in (1, 8):     # inside and outside the reached tree
+                for x in (-1.0, math.nan, math.inf):
+                    with pytest.raises(InstanceError):
+                        compiled.curve(agent, [1.0, x])
+
+    def test_default_compile_is_evaluate(self):
+        cases = [(make_mutant(name), factory()) for name, factory in DESIGNATED.values()]
+        rc = fig_rc_instance()
+        cases += [(RcExampleAuction(), rc),
+                  (RcExampleAuction(), Instance(rc.net, rc.reports.replace(1, neighbors=())))]
+        for mech, inst in cases:
+            compiled = mech.compile(inst.net, inst.reports)
+            assert isinstance(compiled, Compiled)
+            xs = make_grid(inst.reports, size=16).points
+            for agent in sorted(inst.net.agents):
+                assert (compiled.curve(agent, xs)
+                        == per_point(mech, inst.net, inst.reports, agent, xs)), mech.name
+
+    def test_worked_example_matches_naive_oracle(self, fig):
+        inst, tree = fig
+        children = {k: list(v) for k, v in tree.children.items()}
+        compiled = LblevAuction(inst.exponents).compile(inst.net, inst.reports)
+        xs = sorted(set(make_grid(inst.reports, size=32).points)
+                    | set(fixtures.FIG_LBLEV_VALUES.values()))
+        for agent in sorted(inst.net.agents):
+            expected = []
+            for x in xs:
+                values = dict(fixtures.FIG_LBLEV_VALUES)
+                values[agent] = x
+                winner, pays = naive_level_auction(children, values, inst.exponents)
+                payments, _ = naive_net_payments(winner, pays, values)
+                expected.append((1.0 if winner == agent else 0.0, payments[agent]))
+            assert compiled.curve(agent, xs) == expected, agent

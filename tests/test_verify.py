@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,8 @@ from diffusion_auctions import (
 from diffusion_auctions import fixtures
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
-from diffusion_auctions.verify import CORE_CONDITIONS, random_exponents
+from diffusion_auctions.mechanisms import Mechanism
+from diffusion_auctions.verify import CORE_CONDITIONS, VerificationError, random_exponents
 
 from oracles import naive_forwarding_utility, random_dag_edges
 
@@ -323,6 +327,7 @@ class TestNeighborMisreport:
         [rep] = verify_mechanism(BranchBiasedBonus(), net, profile, None, ("misreport",))
         assert not rep.passed
         assert rep.witness.agent == 1
+        assert replay_witness(BranchBiasedBonus(), net, profile, rep)
 
 
 class TestTaEquivalence:
@@ -361,3 +366,30 @@ class TestSubsetSampling:
         [rep] = verify_mechanism(LblevAuction(None), net, profile, grid, ("ddsic",))
         assert rep.passed
         assert rep.details.get("sampled_agents") == [1]
+
+
+class TestCurveBudget:
+    def test_exhaustion_names_agent_subset_and_interval(self):
+        steps = 4096
+
+        class FineStaircase(Mechanism):
+            """Allocation climbs in ``steps`` equal steps over [0, 20]:
+            bracketing every step costs far more than the budget."""
+
+            name = "test:fine-staircase"
+
+            def evaluate(self, net, reports, agent):
+                return min(math.floor(reports.value(agent) * steps / 20.0), steps) / steps, 0.0
+
+        net = network_from_edges([(0, 1), (1, 2)])
+        profile = truthful_profile(net, {1: 10.0, 2: 3.0})
+        with pytest.raises(VerificationError) as err:
+            verify_mechanism(FineStaircase(), net, profile, None, ("monotonicity",))
+        # agent 1's table for the empty forwarded subset comes first
+        found = re.search(r"agent 1 forwarding to \(\) while splitting \[(\S+), (\S+)\]",
+                          str(err.value))
+        assert found, str(err.value)
+        lo, hi = float(found[1]), float(found[2])
+        assert 0.0 <= lo < hi <= 20.0
+        # the bracket straddles a step that is still to be pinned down
+        assert math.floor(lo * steps / 20.0) < math.floor(hi * steps / 20.0)
