@@ -49,8 +49,12 @@ class ExperimentConfig:
             raise InstanceError("need at least one lambda")
         if not all(0 <= l <= 1 for l in self.lambdas):
             raise InstanceError("lambda values must lie in [0, 1]")
+        if len(set(self.lambdas)) != len(self.lambdas):
+            raise InstanceError("lambda values must be distinct")
         if self.outer < 1 or self.inner < 1:
             raise InstanceError("trial counts must be >= 1")
+        if self.seed < 0 or self.jobs < 1:
+            raise InstanceError("need seed >= 0 and jobs >= 1")
 
 
 def generate_base_tree(n: int, rng: np.random.Generator) -> ReferralTree:
@@ -85,18 +89,19 @@ def generate_base_tree(n: int, rng: np.random.Generator) -> ReferralTree:
 
 def activate_edges(base: ReferralTree, rng: np.random.Generator) -> ReferralTree:
     """Keep each child edge independently with its node's Beta(5,1) draw
-    (inverse-cdf form u**(1/5)); return the seller-reachable subtree."""
+    (inverse-cdf form u**(1/5)), a parent's child uniforms in one call;
+    return the seller-reachable subtree."""
     parent: dict[int, int] = {}
     children: dict[int, tuple[int, ...]] = {}
     level: dict[int, int] = {}
     frontier = [(SELLER, 0)]
-    while frontier:
-        node, lvl = frontier.pop(0)
+    for node, lvl in frontier:
         kids = base.children.get(node, ())
         if not kids:
             continue
-        keep_prob = float(rng.uniform()) ** 0.2
-        kept = tuple(k for k in kids if rng.uniform() < keep_prob)
+        keep_prob = rng.random() ** 0.2
+        kept = tuple(k for k, u in zip(kids, rng.random(len(kids)).tolist())
+                     if u < keep_prob)
         if kept:
             children[node] = kept
         for k in kept:
@@ -117,7 +122,12 @@ def assign_class_means(n: int, rng: np.random.Generator) -> dict[int, float]:
 
 def draw_valuations(means: Mapping[int, float], sigma: float,
                     rng: np.random.Generator) -> dict[int, float]:
-    return {i: max(0.0, float(rng.normal(mu, sigma))) for i, mu in sorted(means.items())}
+    """Clamped ``mu + sigma * z`` per agent in id order, as ``rng.normal`` draws."""
+    if sigma < 0:
+        raise ValueError("scale < 0")
+    ids = sorted(means)
+    z = rng.standard_normal(len(ids)).tolist()
+    return {i: max(0.0, means[i] + sigma * zi) for i, zi in zip(ids, z)}
 
 
 def sample_valuations(n: int, sigma: float, rng: np.random.Generator) -> dict[int, float]:
@@ -156,9 +166,7 @@ class SweepRow:
 
 def outer_sample(config: ExperimentConfig, outer: int) -> tuple[ReferralTree, dict[int, float]]:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0, outer]))
-    base = generate_base_tree(config.n, rng)
-    means = assign_class_means(config.n, rng)
-    return base, means
+    return generate_base_tree(config.n, rng), assign_class_means(config.n, rng)
 
 
 def inner_sample(config: ExperimentConfig, outer: int,
@@ -177,30 +185,29 @@ def _inner_draw(config: ExperimentConfig, base: ReferralTree, means: Mapping[int
     return activate_edges(base, rng), draw_valuations(means, config.sigma, rng)
 
 
-def _sweep_outer(config: ExperimentConfig, outer: int
-                 ) -> tuple[dict[float, list[float]], dict[float, int]]:
+def _sweep_outer(config: ExperimentConfig, outer: int) -> tuple[list[list[float]], int]:
+    """Per priced draw, the improvement percentage at every lambda; and the
+    count of draws excluded for zero baseline revenue."""
     base, means = outer_sample(config, outer)
     agents = range(1, config.n + 1)
     if len(base.child_tuple(SELLER)) < 2:
         # degenerate prior: the schedule is unit for every lambda
         unit = {i: 1.0 for i in agents}
-        schedules = {lam: unit for lam in config.lambdas}
+        schedules = [unit] * len(config.lambdas)
     else:
-        schedules = {lam: exponent_schedule(base, means, lam) for lam in config.lambdas}
+        schedules = [exponent_schedule(base, means, lam) for lam in config.lambdas]
     # the baseline's unit exponents first, then one schedule per lambda,
     # each checked once here rather than on every inner draw
-    maps = [{}] + [schedules[lam] for lam in config.lambdas]
-    tables = [exponent_table(m, agents) for m in maps]
-    pcts: dict[float, list[float]] = {lam: [] for lam in config.lambdas}
-    excluded: dict[float, int] = {lam: 0 for lam in config.lambdas}
+    tables = [exponent_table(m, agents) for m in [{}] + schedules]
+    pcts: list[list[float]] = []
+    excluded = 0
     for inner in range(config.inner):
         tree, values = _inner_draw(config, base, means, outer, inner)
         r0, *revenues = lblev_seller_revenues(tree, values, tables)
-        for lam, r in zip(config.lambdas, revenues):
-            if r0 > 0:
-                pcts[lam].append(100.0 * (r - r0) / r0)
-            else:
-                excluded[lam] += 1
+        if r0 > 0:
+            pcts.append([100.0 * (r - r0) / r0 for r in revenues])
+        else:
+            excluded += 1
     return pcts, excluded
 
 
@@ -210,42 +217,33 @@ def sweep_lambda(config: ExperimentConfig) -> list[SweepRow]:
     Every (outer, inner) draw is keyed by derived seeds, so the same
     realized tree and valuations feed both mechanisms and every lambda;
     at lambda zero the schedule is exactly unit and the improvement is
-    exactly zero.  Draws with zero baseline revenue are excluded and
-    counted.
+    exactly zero.  Draws with zero baseline revenue are excluded for
+    every lambda alike and counted.
     """
-    pcts: dict[float, list[float]] = {lam: [] for lam in config.lambdas}
-    excluded: dict[float, int] = {lam: 0 for lam in config.lambdas}
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             results = list(pool.map(_sweep_outer, [config] * config.outer,
                                     range(config.outer)))
     else:
         results = [_sweep_outer(config, outer) for outer in range(config.outer)]
-    for part_pcts, part_excluded in results:
-        for lam in config.lambdas:
-            pcts[lam].extend(part_pcts[lam])
-            excluded[lam] += part_excluded[lam]
-    rows = []
-    for lam in config.lambdas:
-        vals = np.asarray(pcts[lam])
-        if vals.size == 0:
-            rows.append(SweepRow(lam, 0.0, 0.0, 0, excluded[lam]))
-            continue
-        se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-        rows.append(SweepRow(lam, float(vals.mean()), se, int(vals.size), excluded[lam]))
-    return rows
+    pcts = [draw for part, _ in results for draw in part]
+    excluded = sum(part_excluded for _, part_excluded in results)
+    used = len(pcts)
+    if not used:
+        return [SweepRow(lam, 0.0, 0.0, 0, excluded) for lam in config.lambdas]
+    # one C-contiguous row per lambda reduces exactly as its own 1-D array
+    table = np.ascontiguousarray(np.array(pcts).T)
+    mean = table.mean(axis=1)
+    se = table.std(axis=1, ddof=1) / math.sqrt(used) if used > 1 else np.zeros(len(mean))
+    return [SweepRow(lam, float(m), float(s), used, excluded)
+            for lam, m, s in zip(config.lambdas, mean, se)]
 
 
 def grid_search_lambda_star(n: int, sigma: float, config: ExperimentConfig) -> float:
     """Best lambda on the grid by mean improvement; ties keep the smaller
     lambda, so a flat landscape returns the unit-exponent baseline."""
-    cfg = replace(config, n=n, sigma=sigma)
-    rows = sweep_lambda(cfg)
-    best = rows[0]
-    for row in rows[1:]:
-        if row.mean_pct > best.mean_pct:
-            best = row
-    return best.lam
+    rows = sweep_lambda(replace(config, n=n, sigma=sigma))
+    return max(rows, key=lambda row: row.mean_pct).lam
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], config: ExperimentConfig, fh) -> None:

@@ -238,6 +238,8 @@ class TestExperiment:
         ("--sigma", "inf"), ("--lambdas", "0:2:0.5"), ("--lambdas", "0:nan:0.5"),
         ("--lambdas", "0:1:nan"), ("--lambdas", "0:inf:0.5"), ("--lambdas", "nan:1:0.5"),
         ("--lambdas", "1:0:0.5"), ("--trials-outer", "0"),
+        # 31 grid points rounded to 12 places, so lambdas repeat
+        ("--lambdas", "0:3e-12:1e-13"), ("--seed", "-1"), ("--jobs", "0"), ("--jobs", "-4"),
     ], ids=" ".join)
     def test_malformed_input_exit_2(self, tmp_path, capsys, args):
         out_path = tmp_path / "sweep.csv"
@@ -249,6 +251,14 @@ class TestExperiment:
         assert code == 2
         assert err.startswith("error: ")
         assert out == "" and not out_path.exists()
+
+    def test_error_names_the_rejected_input(self, capsys):
+        base = ("experiment", "--n", "6", "--sigma", "5", "--trials-outer", "1",
+                "--trials-inner", "1")
+        _, _, err = run_cli(capsys, *base, "--lambdas", "0:3e-12:1e-13")
+        assert err == "error: lambda values must be distinct\n"
+        _, _, err = run_cli(capsys, *base, "--seed", "-1")
+        assert err == "error: need seed >= 0 and jobs >= 1\n"
 
     def test_draw_counts_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "experiment", "--n", "6", "--sigma", "5",

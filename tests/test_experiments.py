@@ -48,7 +48,8 @@ class TestConfigValidation:
         dict(n=2), dict(sigma=0.0), dict(sigma=-1.0), dict(sigma=math.nan),
         dict(sigma=math.inf), dict(lambdas=()), dict(lambdas=(0.0, 2.0)),
         dict(lambdas=(-0.5,)), dict(lambdas=(0.0, math.nan)), dict(lambdas=(math.inf,)),
-        dict(outer=0), dict(inner=0),
+        dict(outer=0), dict(inner=0), dict(lambdas=(0.5, 0.5)), dict(lambdas=(0.0, 1.0, -0.0)),
+        dict(seed=-1), dict(jobs=0), dict(jobs=-4),
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
     def test_malformed_config_rejected(self, overrides):
         with pytest.raises(InstanceError):
@@ -124,10 +125,67 @@ class TestValuations:
         for i, mu in means.items():
             assert values[i] == pytest.approx(mu, abs=1e-9)
 
+    def test_negative_sigma_rejected_like_rng_normal(self):
+        with pytest.raises(ValueError, match="scale < 0"):
+            draw_valuations({1: 100.0, 2: 70.0}, -1.0, np.random.default_rng(0))
+
     def test_clamped_at_zero(self):
         rng = np.random.default_rng(2)
         values = sample_valuations(9, 500.0, rng)
         assert all(v >= 0.0 for v in values.values())
+
+
+def scalar_activate_edges(base, rng):
+    """``activate_edges`` in its scalar draw form: one ``rng.uniform()``
+    per reached parent and one per child."""
+    parent, children, level = {}, {}, {}
+    frontier = [(SELLER, 0)]
+    while frontier:
+        node, lvl = frontier.pop(0)
+        kids = base.children.get(node, ())
+        if not kids:
+            continue
+        keep_prob = float(rng.uniform()) ** 0.2
+        kept = tuple(k for k in kids if rng.uniform() < keep_prob)
+        if kept:
+            children[node] = kept
+        for k in kept:
+            parent[k] = node
+            level[k] = lvl + 1
+            frontier.append((k, lvl + 1))
+    return ReferralTree(root=SELLER, parent=parent, children=children, level=level)
+
+
+def scalar_draw_valuations(means, sigma, rng):
+    """``draw_valuations`` in its scalar draw form: one ``rng.normal`` per agent."""
+    return {i: max(0.0, float(rng.normal(mu, sigma))) for i, mu in sorted(means.items())}
+
+
+class TestDrawForms:
+    """The batched draws give the doubles of the scalar forms the sweep's
+    rows were recorded with, and leave the stream at the same state."""
+
+    def test_same_trees_values_and_stream_state(self):
+        clamped = kept_edges = 0
+        for n in (3, 4, 10, 25, 40):
+            for seed in range(300):
+                stage_one = np.random.default_rng([seed, n])
+                base = generate_base_tree(n, stage_one)
+                means = assign_class_means(n, stage_one)
+                fast = np.random.default_rng([seed, n, 1])
+                slow = np.random.default_rng([seed, n, 1])
+                tree = activate_edges(base, fast)
+                assert tree == scalar_activate_edges(base, slow), (n, seed)
+                assert fast.bit_generator.state == slow.bit_generator.state
+                kept_edges += len(tree.agents())
+                for sigma in (5.0, 1e6):
+                    values = draw_valuations(means, sigma, fast)
+                    assert values == scalar_draw_valuations(means, sigma, slow), (n, seed)
+                    assert fast.bit_generator.state == slow.bit_generator.state
+                    assert all(type(v) is float for v in values.values())
+                    clamped += sum(v == 0.0 for v in values.values())
+        # both forms are exercised well away from their trivial cases
+        assert kept_edges > 10000 and clamped > 10000
 
 
 class TestExponentSchedule:
@@ -229,6 +287,67 @@ class TestSweep:
         row = rows[1]
         assert row.used == len(pcts)
         assert row.mean_pct == pytest.approx(float(np.mean(pcts)), abs=1e-12)
+
+
+def reference_rows(config):
+    """The sweep rows from one 1-D ``np.mean`` / ``np.std(ddof=1)`` per
+    lambda over that lambda's own list of improvements."""
+    cols = [[] for _ in config.lambdas]
+    excluded = 0
+    for outer in range(config.outer):
+        base, means = outer_sample(config, outer)
+        maps = [exponent_schedule(base, means, lam) if len(base.child_tuple(SELLER)) >= 2
+                else {} for lam in config.lambdas]
+        tables = [exponent_table(m, range(1, config.n + 1)) for m in [{}] + maps]
+        for inner in range(config.inner):
+            tree, values = inner_sample(config, outer, inner)
+            r0, *revenues = lblev_seller_revenues(tree, values, tables)
+            if r0 > 0:
+                for col, r in zip(cols, revenues):
+                    col.append(100.0 * (r - r0) / r0)
+            else:
+                excluded += 1
+    rows = []
+    for lam, col in zip(config.lambdas, cols):
+        vals = np.asarray(col)
+        if vals.size == 0:
+            rows.append(SweepRow(lam, 0.0, 0.0, 0, excluded))
+            continue
+        se = float(np.std(vals, ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+        rows.append(SweepRow(lam, float(np.mean(vals)), se, int(vals.size), excluded))
+    return rows
+
+
+class TestRowReduction:
+    CONFIGS = [
+        # chains only (n < 6 caps every children set at one): all excluded
+        dict(n=3, sigma=5.0, outer=2, inner=3, seed=0),
+        dict(n=4, sigma=1e6, outer=1, inner=4, seed=1),
+        dict(n=5, sigma=60.0, outer=3, inner=2, seed=2),
+        # exactly one priced draw
+        dict(n=6, sigma=60.0, outer=1, inner=2, seed=1),
+        dict(n=7, sigma=5.0, outer=2, inner=1, seed=0),
+        dict(n=9, sigma=1e6, outer=1, inner=3, seed=0),
+        # worker processes
+        dict(n=10, sigma=5.0, outer=3, inner=4, seed=2, jobs=2),
+        dict(n=12, sigma=60.0, outer=3, inner=5, seed=3, jobs=2),
+        # one lambda, and the criterion-9 grid
+        dict(n=10, sigma=5.0, outer=3, inner=6, seed=4, lambdas=(0.6,)),
+        dict(n=10, sigma=5.0, outer=4, inner=10, seed=42, lambdas=LAMBDAS_21),
+        dict(n=25, sigma=1e-300, outer=2, inner=5, seed=5, lambdas=LAMBDAS_21),
+        dict(n=40, sigma=200.0, outer=2, inner=6, seed=6, lambdas=(1.0, 0.0, 0.5)),
+    ] + [dict(n=n, sigma=sigma, outer=2, inner=5, seed=n)
+         for n in (6, 8, 10, 12, 25, 40) for sigma in (1e-6, 5.0, 1e6)]
+
+    def test_rows_equal_per_lambda_1d_reductions(self):
+        used = set()
+        assert len(self.CONFIGS) == 30
+        for overrides in self.CONFIGS:
+            config = small_config(**overrides)
+            rows = sweep_lambda(config)
+            assert repr(rows) == repr(reference_rows(config)), overrides
+            used.add(min(rows[0].used, 2))
+        assert used == {0, 1, 2}
 
 
 class TestSellerRevenues:
