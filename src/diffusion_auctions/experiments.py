@@ -218,10 +218,12 @@ def sweep_lambda(config: ExperimentConfig) -> list[SweepRow]:
     realized tree and valuations feed both mechanisms and every lambda;
     at lambda zero the schedule is exactly unit and the improvement is
     exactly zero.  Draws with zero baseline revenue are excluded for
-    every lambda alike and counted.
+    every lambda alike and counted.  At most ``config.outer`` worker
+    processes are started, since each prices one outer draw.
     """
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, config.outer)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_outer, [config] * config.outer,
                                     range(config.outer)))
     else:

@@ -27,6 +27,7 @@ from .network import (
     ReferralTree,
     ReportProfile,
     ValuesLike,
+    _fill_subtree_max,
     _value_getter,
     build_referral_tree,
     subtree_values,
@@ -178,11 +179,20 @@ def _rank_level(texp: Mapping[int, float],
 
     The largest ``rho**t`` wins, ties to the smaller id; its effective
     payment is the runner-up's ``rho`` raised to ``t_runner / t_winner``.
+    One pass keeps the leading two under that order.
     """
-    ranked = sorted(survivors, key=lambda nr: (-(nr[1] ** texp[nr[0]]), nr[0]))
-    i_star = ranked[0][0]
-    runner, rho_runner = ranked[1]
-    return i_star, rho_runner ** (texp[runner] / texp[i_star])
+    (w, w_rho), (r, r_rho) = survivors[0], survivors[1]
+    w_key, r_key = w_rho ** texp[w], r_rho ** texp[r]
+    if r_key > w_key or (r_key == w_key and r < w):
+        w, w_rho, w_key, r, r_rho, r_key = r, r_rho, r_key, w, w_rho, w_key
+    for node, rho in survivors[2:]:
+        key = rho ** texp[node]
+        if key > w_key or (key == w_key and node < w):
+            r, r_rho, r_key = w, w_rho, w_key
+            w, w_rho, w_key = node, rho, key
+        elif key > r_key or (key == r_key and node < r):
+            r, r_rho, r_key = node, rho, key
+    return w, r_rho ** (texp[r] / texp[w])
 
 
 def run_lblev(tree: ReferralTree, reports: ValuesLike,
@@ -193,24 +203,17 @@ def run_lblev(tree: ReferralTree, reports: ValuesLike,
     game and pays the runner-up's ``rho`` raised to the exponent ratio
     ``t_runnerup / t_winner``, on top of the running offset.  Ties break
     toward the smaller node id.  Exponents default to 1 when omitted;
-    non-positive or non-finite exponents are rejected.
+    non-positive or non-finite exponents are rejected.  An empty tree or
+    all-zero values leave the item unsold.
     """
     _check_values(reports)
     texp = exponent_table(exponents, tree.agents())
-    winner, pay, traces = _lblev_descent(tree, reports, partial(_rank_level, texp))
-    return _settle(tree, winner, pay), traces
-
-
-def _lblev_descent(tree: ReferralTree, reports: ValuesLike,
-                   rank: Callable[[list[tuple[int, float]]], tuple[int, float]],
-                   record: bool = True
-                   ) -> tuple[Optional[int], dict[int, float], list[LevelTrace]]:
-    """:func:`_run_levels` with the ``rank`` level rule on checked values;
-    an empty tree or all-zero values leave the item unsold."""
     values = _value_getter(reports)
     if all(values(i) == 0.0 for i in tree.agents()):
-        return None, {}, []
-    return _run_levels(tree, values, subtree_values(tree, reports), rank, record=record)
+        return _settle(tree, None, {}), []
+    winner, pay, traces = _run_levels(tree, values, subtree_values(tree, reports),
+                                      partial(_rank_level, texp))
+    return _settle(tree, winner, pay), traces
 
 
 def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
@@ -538,10 +541,13 @@ class Compiled:
 class LblevCurves:
     """:class:`LblevAuction` compiled for one report profile.
 
-    The referral tree and the checked exponent table are built once;
-    :meth:`curve` then runs :func:`run_lblev`'s descent on a value map
-    per own value, with the same float operations, and reads the agent's
-    allocation and net payment without settling the whole outcome.
+    The referral tree, the checked exponent table and the subtree maxima
+    of the reports are built once.  Only the agent's own value changes
+    along a curve, so :meth:`curve` recomputes the maxima of the agent's
+    root path alone, with :func:`subtree_values`'s own loop, then runs
+    :func:`run_lblev`'s descent with the same float operations and reads
+    the agent's allocation and net payment without settling the whole
+    outcome.
     """
 
     def __init__(self, tree: ReferralTree, exponents: Mapping[int, float],
@@ -549,22 +555,34 @@ class LblevCurves:
         self.tree = tree
         self._rank = partial(_rank_level, exponent_table(exponents, tree.agents()))
         self._values = {i: reports.value(i) for i in tree.agents()}
+        self._submax = subtree_values(tree, self._values)
 
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
         """As :meth:`Compiled.curve`; an agent outside the reached tree
         gets (0, 0).  Each value is checked as :class:`Report` checks it."""
-        out = []
+        xs = [float(x) for x in xs]
         for x in xs:
-            x = float(x)
             if not 0 <= x < math.inf:
                 raise InstanceError(f"reported valuation {x} is not a finite "
                                     "non-negative number")
-            if agent not in self._values:
-                out.append((0.0, 0.0))
+        if agent not in self._values:
+            return [(0.0, 0.0)] * len(xs)
+        tree = self.tree
+        values = dict(self._values)
+        submax = dict(self._submax)
+        path = [agent]
+        while tree.parent[path[-1]] != tree.root:
+            path.append(tree.parent[path[-1]])
+        others_zero = all(v == 0.0 for i, v in values.items() if i != agent)
+        out = []
+        for x in xs:
+            if others_zero and x == 0.0:
+                out.append((0.0, 0.0))   # all-zero values leave the item unsold
                 continue
-            values = dict(self._values)
             values[agent] = x
-            winner, pay, _ = _lblev_descent(self.tree, values, self._rank, record=False)
+            _fill_subtree_max(submax, path, values.__getitem__, tree.children)
+            winner, pay, _ = _run_levels(tree, values.__getitem__, submax, self._rank,
+                                         record=False)
             out.append((1.0 if winner == agent else 0.0, _net_payments(pay).get(agent, 0.0)))
         return out
 

@@ -301,16 +301,23 @@ def build_referral_tree(net: DiffusionNetwork, reports: ReportProfile) -> Referr
 
 def subtree_values(tree: ReferralTree, reports: ValuesLike) -> dict[int, float]:
     """Maximum reported valuation within each node's subtree (inclusive)."""
-    value = _value_getter(reports)
-    children = tree.children
     best: dict[int, float] = {}
-    for node in tree.post_order():
+    _fill_subtree_max(best, tree.post_order(), _value_getter(reports), tree.children)
+    return best
+
+
+def _fill_subtree_max(best: dict[int, float], nodes: Iterable[int], value,
+                      children: Mapping[int, tuple[int, ...]]) -> None:
+    """Set ``best[node]`` for each of ``nodes``, children before parents:
+    its own value, replaced by a child's entry only when strictly larger,
+    children in tree order.  Every child outside ``nodes`` must already
+    have its entry."""
+    for node in nodes:
         m = value(node)
         for ch in children.get(node, ()):
             if best[ch] > m:
                 m = best[ch]
         best[node] = m
-    return best
 
 
 @dataclass(frozen=True)

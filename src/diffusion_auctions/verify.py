@@ -157,6 +157,7 @@ class _CurveTable:
         for x, gp in zip(xs, self._compiled.curve(self._agent, xs)):
             self._data[x] = gp
         self._xs = sorted(self._data)
+        self._prefix_cache = None
 
     def ensure(self, points: Iterable[float]) -> None:
         new = [x for x in dict.fromkeys(map(float, points)) if x not in self._data]
@@ -179,46 +180,41 @@ class _CurveTable:
             pending = [half for (a, b), mid in zip(splits, mids)
                        for half in ((a, mid), (mid, b))]
 
-    def _eval(self, x: float) -> tuple[float, float]:
-        hit = self._data.get(x)
-        if hit is None:
-            self.ensure([x])
-            hit = self._data[x]
-        return hit
-
-    # -- views ---------------------------------------------------------
+    # -- views of the sampled points ------------------------------------
     def xs(self) -> list[float]:
         return self._xs
 
     def g_at(self, x: float) -> float:
-        return self._eval(x)[0]
+        return self._data[x][0]
 
     def p_at(self, x: float) -> float:
-        return self._eval(x)[1]
+        return self._data[x][1]
+
+    def columns(self) -> tuple[list[float], list[float], list[float]]:
+        """The sampled own values in order, with the allocation and the
+        payment at each."""
+        data = self._data
+        return (self._xs, [data[x][0] for x in self._xs],
+                [data[x][1] for x in self._xs])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        xs = np.asarray(self._xs)
-        g = np.asarray([self._data[x][0] for x in self._xs])
-        p = np.asarray([self._data[x][1] for x in self._xs])
-        return xs, g, p
+        return tuple(np.asarray(col) for col in self.columns())
 
     def integral_to(self, v: float) -> float:
-        """Trapezoid integral of the allocation from 0 to ``v`` over the
-        sampled points.  ``v`` is evaluated if not yet sampled."""
-        if v not in self._data:
-            self._eval(v)
-        prefix = self._prefix()
-        return prefix[bisect_right(self._xs, v) - 1]
+        """Trapezoid integral of the allocation from 0 to the sampled
+        point ``v`` over the sampled points."""
+        return self.prefix()[bisect_right(self._xs, v) - 1]
 
-    def _prefix(self) -> list[float]:
-        if self._prefix_cache is not None and len(self._prefix_cache) == len(self._xs):
-            return self._prefix_cache
-        prefix = [0.0]
-        for a, b in zip(self._xs[:-1], self._xs[1:]):
-            seg = 0.5 * (self._data[a][0] + self._data[b][0]) * (b - a)
-            prefix.append(prefix[-1] + seg)
-        self._prefix_cache = prefix
-        return prefix
+    def prefix(self) -> list[float]:
+        """``prefix()[k]`` is :meth:`integral_to` at the ``k``-th sampled point."""
+        if self._prefix_cache is None:
+            data = self._data
+            prefix = [0.0]
+            for a, b in zip(self._xs[:-1], self._xs[1:]):
+                seg = 0.5 * (data[a][0] + data[b][0]) * (b - a)
+                prefix.append(prefix[-1] + seg)
+            self._prefix_cache = prefix
+        return self._prefix_cache
 
 
 class _Context:
@@ -286,7 +282,8 @@ def _report(condition: str, witness: Optional[Witness],
 
 
 def _common_points(t_sub: _CurveTable, t_full: _CurveTable) -> list[float]:
-    """Sorted union of two tables' points, evaluated on both."""
+    """Sorted union of two tables' points, evaluated on both; afterwards
+    each table holds exactly these points, so their columns align by index."""
     union = sorted(set(t_sub.xs()) | set(t_full.xs()))
     t_sub.ensure(union)
     t_full.ensure(union)
@@ -298,9 +295,12 @@ def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
     """The first own value ``x`` at which forwarding only the subset beats
     full forwarding by more than ``tol``, as (x, u_full, u_sub); None
     when full forwarding weakly dominates at every common point."""
-    for x in _common_points(t_sub, t_full):
-        u_full = x * t_full.g_at(x) - t_full.p_at(x)
-        u_sub = x * t_sub.g_at(x) - t_sub.p_at(x)
+    union = _common_points(t_sub, t_full)
+    _, g_sub, p_sub = t_sub.columns()
+    _, g_full, p_full = t_full.columns()
+    for k, x in enumerate(union):
+        u_full = x * g_full[k] - p_full[k]
+        u_sub = x * g_sub[k] - p_sub[k]
         if u_sub > u_full + tol:
             return x, u_full, u_sub
     return None
@@ -327,9 +327,11 @@ def _identity_impl(ctx: _Context) -> VerificationReport:
         for subset in ctx.subsets(agent)[0]:
             table = ctx.table(agent, subset)
             payment_at_zero = table.p_at(0.0)
-            for x in list(table.xs()):
-                expected = payment_at_zero + x * table.g_at(x) - table.integral_to(x)
-                actual = table.p_at(x)
+            xs, g, p = table.columns()
+            prefix = table.prefix()
+            for k, x in enumerate(xs):
+                expected = payment_at_zero + x * g[k] - prefix[k]
+                actual = p[k]
                 scale = max(1.0, abs(expected), abs(actual))
                 if abs(actual - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale:
                     return _report("payment-identity", Witness(
@@ -355,10 +357,11 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
             t_sub = ctx.table(agent, subset)
             union = _common_points(t_sub, t_full)
             lhs = t_sub.p_at(0.0) - t_full.p_at(0.0)
+            pre_sub, pre_full = t_sub.prefix(), t_full.prefix()
             rhs_max = -np.inf
             curve = {}
-            for v in union:
-                rhs = t_sub.integral_to(v) - t_full.integral_to(v)
+            for k, v in enumerate(union):
+                rhs = pre_sub[k] - pre_full[k]
                 rhs_max = max(rhs_max, rhs)
                 if v in grid_points:
                     curve[v] = rhs
@@ -369,7 +372,7 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
                         note="withholding is funded beyond the allocation gap")
             details[(agent, tuple(sorted(subset)))] = {
                 "lhs": lhs, "rhs_max": float(rhs_max),
-                "rhs_final": t_sub.integral_to(union[-1]) - t_full.integral_to(union[-1]),
+                "rhs_final": pre_sub[-1] - pre_full[-1],
                 "rhs_by_value": curve}
     return _report("diffusion-constraint", witness, details)
 

@@ -52,6 +52,16 @@ def naive_level_auction(children: dict[int, list[int]], values: dict[int, float]
     return winner, pays
 
 
+def sorted_rank_level(texp: dict[int, float], survivors: list[tuple[int, float]]):
+    """The exponential level rule by a full sort: the winner by largest
+    ``rho**t``, ties to the smaller id, and the runner-up's ``rho`` raised
+    to ``t_runner / t_winner``."""
+    ranked = sorted(survivors, key=lambda nr: (-(nr[1] ** texp[nr[0]]), nr[0]))
+    i_star = ranked[0][0]
+    runner, rho_runner = ranked[1]
+    return i_star, rho_runner ** (texp[runner] / texp[i_star])
+
+
 def naive_net_payments(winner, pays, agents):
     """Per-agent signed payments implied by a payment chain."""
     net = {a: 0.0 for a in agents}

@@ -22,6 +22,7 @@ from diffusion_auctions import (
     truthful_profile,
     verify_mechanism,
 )
+from diffusion_auctions import experiments
 from diffusion_auctions.experiments import (
     SweepRow,
     assign_class_means,
@@ -244,6 +245,31 @@ class TestSweep:
         seq = sweep_lambda(small_config())
         par = sweep_lambda(small_config(jobs=2))
         assert seq == par
+
+    @pytest.mark.parametrize("outer, jobs, workers", [
+        (1, 4, None), (1, 1, None), (2, 2, 2), (3, 8, 3), (6, 2, 2), (6, 4, 4)])
+    def test_workers_capped_at_outer_draws(self, monkeypatch, outer, jobs, workers):
+        made = []
+
+        class SerialPool:
+            """Records the worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        rows = sweep_lambda(small_config(outer=outer, jobs=jobs))
+        assert made == ([] if workers is None else [workers])
+        assert repr(rows) == repr(sweep_lambda(small_config(outer=outer)))
 
     def test_ir_spot_check_on_draws(self):
         # replay ~a fifth of the sweep's draws and assert participation

@@ -27,7 +27,7 @@ from diffusion_auctions import (
 from diffusion_auctions import fixtures, mechanisms
 from diffusion_auctions.mechanisms import ArgminRule, Compiled
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
-from diffusion_auctions.network import Instance
+from diffusion_auctions.network import Instance, Report, ReportProfile
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import _CurveTable, make_grid
 
@@ -36,9 +36,11 @@ from oracles import (
     naive_net_payments,
     random_dag_edges,
     random_tree_children,
+    sorted_rank_level,
     threshold_by_scan,
 )
 from test_acceptance import c03_instances, sibling_shared_exponents, tree_children
+from test_network import random_referral_case
 
 
 @pytest.fixture
@@ -336,6 +338,26 @@ class TestAgainstNaiveReference:
         assert offsets == sorted(offsets)
 
 
+class TestRankLevel:
+    def test_matches_sorted_reference(self):
+        rng = np.random.default_rng(29)
+        # exact rho**t ties across exponents: 4**0.5 == 2**1, 16**0.5 == 4**1 == 2**2
+        rhos = (0.0, 1.0, 2.0, 4.0, 16.0)
+        cross_ties = 0
+        for _ in range(4000):
+            k = int(rng.integers(2, 7))
+            ids = [int(i) for i in rng.choice(np.arange(1, 30), size=k, replace=False)]
+            texp = {i: float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.2, 4.0)])) for i in ids}
+            survivors = [(i, float(rng.choice(rhos)) if rng.random() < 0.7
+                          else float(rng.uniform(0.0, 20.0))) for i in ids]
+            got = mechanisms._rank_level(texp, survivors)
+            assert repr(got) == repr(sorted_rank_level(texp, survivors)), (texp, survivors)
+            scores = [rho ** texp[i] for i, rho in survivors]
+            cross_ties += any(scores[a] == scores[b] and texp[ids[a]] != texp[ids[b]]
+                              for a in range(k) for b in range(a))
+        assert cross_ties >= 500
+
+
 class TestMyersonLevelPayment:
     def test_power_rule_matches_closed_form(self):
         rule = PowerRule({5: 2.0, 4: 1.0})
@@ -531,6 +553,9 @@ class TestEquivalences:
                 assert mech.run(inst.net, raised).winner == out.winner
 
 
+UNSOLD3 = repr([(0.0, 0.0)] * 3)
+
+
 def per_point(mech, net, profile, agent, xs):
     """The agent's curve by one ``evaluate`` call per own value."""
     return [mech.evaluate(net, profile.replace(agent, value=x), agent) for x in xs]
@@ -549,7 +574,7 @@ def curve_points(compiled, agent, subset, profile, grid, ties):
 
 class TestCompiledCurve:
     """``compile(net, reports).curve`` against the per-point ``evaluate``
-    path, bit for bit."""
+    path, bit for bit: compared by ``repr``, so a ``-0.0`` counts."""
 
     def test_c03_trees_every_agent_and_subset(self):
         for k, inst, draws, _ in c03_instances(40):
@@ -573,18 +598,58 @@ class TestCompiledCurve:
                             compiled = mech.compile(net, profile)
                             xs = curve_points(compiled, agent, subset, profile,
                                               grid, ties)
-                            assert (compiled.curve(agent, xs)
-                                    == per_point(mech, net, profile, agent, xs)), (k, agent)
+                            assert (repr(compiled.curve(agent, xs))
+                                    == repr(per_point(mech, net, profile, agent, xs))), (
+                                        k, agent)
                             # agents below a withheld child are cut off
                             for cut in set(kids) - set(subset):
                                 for i in tree.subtree(cut):
                                     probe = [0.0, reports.value(i), grid.points[-1]]
-                                    assert compiled.curve(i, probe) == [(0.0, 0.0)] * 3
-                                    assert per_point(mech, net, profile, i, probe) == [
-                                        (0.0, 0.0)] * 3
+                                    assert repr(compiled.curve(i, probe)) == UNSOLD3
+                                    assert repr(per_point(mech, net, profile, i,
+                                                          probe)) == UNSOLD3
                     probe = [0.0, 1.0, grid.points[7]]
-                    assert (mech.compile(net, zero).curve(agent, probe)
-                            == per_point(mech, net, zero, agent, probe))
+                    assert (repr(mech.compile(net, zero).curve(agent, probe))
+                            == repr(per_point(mech, net, zero, agent, probe)))
+
+    def test_general_digraphs_every_agent(self):
+        """Multi-inviter digraphs with timestamp ties, where the agent's own
+        forwarding re-routes the tree: deep agents, cut-off agents, and
+        agents whose other values are all 0."""
+        rng = np.random.default_rng(31)
+        seen = {"deep": 0, "cut": 0, "others_zero": 0}
+        for case in range(60):
+            net, forwards, stamps, _ = random_referral_case(rng, int(rng.integers(2, 10)))
+            values = {i: float(rng.choice([0.0, 5.0, 5.0, rng.uniform(0.0, 10.0)]))
+                      for i in net.agents}
+            exponents = {i: float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.5, 3.0)]))
+                         for i in net.agents}
+            mech = LblevAuction(exponents)
+            for agent in sorted(net.agents):
+                alone = {i: 0.0 for i in net.agents}
+                alone[agent] = values[agent]
+                for vals in (values, alone):
+                    for sent in (forwards[agent], frozenset()):
+                        sends = dict(forwards)
+                        sends[agent] = sent
+                        profile = ReportProfile({i: Report(vals[i], sends[i], stamps[i])
+                                                 for i in net.agents})
+                        try:
+                            tree = build_referral_tree(net, profile)
+                        except InstanceError:    # stamps that make the parent map cyclic
+                            continue
+                        compiled = mech.compile(net, profile)
+                        ties = [vals[i] for i in sorted(net.agents) if i != agent]
+                        grid = make_grid(profile, size=16, seed=case)
+                        xs = curve_points(compiled, agent, tuple(sorted(sent)), profile,
+                                          grid, ties)
+                        assert (repr(compiled.curve(agent, xs))
+                                == repr(per_point(mech, net, profile, agent, xs))), (
+                                    case, agent)
+                        seen["deep"] += tree.level.get(agent, 0) >= 3
+                        seen["cut"] += agent not in tree.agents()
+                        seen["others_zero"] += vals is alone and agent in tree.agents()
+        assert min(seen.values()) >= 40, seen
 
     def test_invalid_own_values_raise(self):
         inst = fixtures.fig_lblev_instance()
@@ -607,8 +672,8 @@ class TestCompiledCurve:
             assert isinstance(compiled, Compiled)
             xs = make_grid(inst.reports, size=16).points
             for agent in sorted(inst.net.agents):
-                assert (compiled.curve(agent, xs)
-                        == per_point(mech, inst.net, inst.reports, agent, xs)), mech.name
+                assert (repr(compiled.curve(agent, xs))
+                        == repr(per_point(mech, inst.net, inst.reports, agent, xs))), mech.name
 
     def test_worked_example_matches_naive_oracle(self, fig):
         inst, tree = fig
@@ -624,4 +689,4 @@ class TestCompiledCurve:
                 winner, pays = naive_level_auction(children, values, inst.exponents)
                 payments, _ = naive_net_payments(winner, pays, values)
                 expected.append((1.0 if winner == agent else 0.0, payments[agent]))
-            assert compiled.curve(agent, xs) == expected, agent
+            assert repr(compiled.curve(agent, xs)) == repr(expected), agent
