@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy import integrate
@@ -22,6 +22,7 @@ from scipy.special import ndtr
 
 from .mechanisms import (
     ArgmaxRule,
+    Compiled,
     Mechanism,
     SecondPriceReserveRule,
     _complete,
@@ -38,6 +39,7 @@ from .network import (
     ReportProfile,
     build_referral_tree,
     subtree_values,
+    truthful_profile,
     unsold_outcome,
 )
 
@@ -374,36 +376,22 @@ def _rival_matrix(ids: Sequence[int], dists: Mapping[int, ValuationDistribution]
     return np.column_stack(cols)
 
 
-def _scalar_outcomes(mech, net: DiffusionNetwork, ids: Sequence[int],
-                     matrix: np.ndarray) -> Iterator[Outcome]:
-    """Fallback for mechanisms without a batch method: one
-    ``run_on_values`` call per row of ``matrix`` (columns follow ``ids``)."""
-    values: dict[int, float] = {}
-    for row in matrix:
-        values.update(zip(ids, row))
-        yield mech.run_on_values(net, values)
+def _se(x: np.ndarray) -> float:
+    """Standard error of the mean of ``x``; 0 for a single sample."""
+    return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
 
 
-def _revenues(mech, net: DiffusionNetwork, ids: Sequence[int],
-              matrix: np.ndarray) -> np.ndarray:
-    """Seller revenue of every row of ``matrix``, through the mechanism's
-    ``revenue_batch``, else its ``outcome_batch``, else the scalar loop."""
-    batch = getattr(mech, "revenue_batch", None)
-    if batch is not None:
-        return np.asarray(batch(ids, matrix), dtype=float)
-    batch = getattr(mech, "outcome_batch", None)
-    if batch is not None:
-        return batch(net, ids, matrix)[2]
-    return np.fromiter((out.seller_revenue for out in _scalar_outcomes(mech, net, ids, matrix)),
-                       dtype=float, count=len(matrix))
+def _compile_truthful(mech: Mechanism, net: DiffusionNetwork) -> Compiled:
+    """``mech`` compiled for truthful forwarding; the draws supply the values."""
+    return mech.compile(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
 
 
 def estimate_interim(mech: Mechanism, net: DiffusionNetwork,
                      dists: Mapping[int, ValuationDistribution], agent: int,
                      value: float, samples: int, seed: int) -> InterimEstimate:
     """Sample mean of the agent's allocation and payment with its own
-    valuation pinned, everyone forwarding truthfully.  Mechanisms exposing
-    ``outcome_batch`` price all samples in one call."""
+    valuation pinned, everyone forwarding truthfully.  All samples are
+    priced by one :meth:`Compiled.outcomes` call."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0 <= value < math.inf:
@@ -414,22 +402,12 @@ def estimate_interim(mech: Mechanism, net: DiffusionNetwork,
     matrix = _rival_matrix(ids, dists, samples, seed)
     col = ids.index(agent)
     matrix[:, col] = value
-    batch = getattr(mech, "outcome_batch", None)
-    if batch is not None:
-        winner, payments, _ = batch(net, ids, matrix)
-        alloc = (winner == agent).astype(float)
-        pay = payments[:, col]
-    else:
-        alloc = np.empty(samples)
-        pay = np.empty(samples)
-        for t, out in enumerate(_scalar_outcomes(mech, net, ids, matrix)):
-            alloc[t] = out.allocation.get(agent, 0.0)
-            pay[t] = out.payments.get(agent, 0.0)
-    a_se = float(alloc.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    p_se = float(pay.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    winner, payments, _ = _compile_truthful(mech, net).outcomes(ids, matrix)
+    alloc = (winner == agent).astype(float)
+    pay = payments[:, col]
     return InterimEstimate(agent=agent, value=value,
-                           allocation=float(alloc.mean()), allocation_se=a_se,
-                           payment=float(pay.mean()), payment_se=p_se,
+                           allocation=float(alloc.mean()), allocation_se=_se(alloc),
+                           payment=float(pay.mean()), payment_se=_se(pay),
                            samples=samples)
 
 
@@ -437,14 +415,12 @@ def expected_revenue(mech: Mechanism, net: DiffusionNetwork,
                      dists: Mapping[int, ValuationDistribution],
                      trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the seller revenue under
-    truthful reports.  Batch methods run on the same draw matrix the
-    scalar path would use."""
+    truthful reports, priced by one :meth:`Compiled.revenues` call."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ids = sorted(net.agents)
-    revenue = _revenues(mech, net, ids, _rival_matrix(ids, dists, trials, seed))
-    se = float(revenue.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(revenue.mean()), se
+    revenue = _compile_truthful(mech, net).revenues(ids, _rival_matrix(ids, dists, trials, seed))
+    return float(revenue.mean()), _se(revenue)
 
 
 def paired_revenue_gap(mech_a: Mechanism, mech_b: Mechanism,
@@ -452,51 +428,77 @@ def paired_revenue_gap(mech_a: Mechanism, mech_b: Mechanism,
                        dists: Mapping[int, ValuationDistribution],
                        trials: int, seed: int) -> tuple[float, float]:
     """Mean and standard error of revenue(a) - revenue(b) on common draws."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     ids = sorted(net.agents)
     matrix = _rival_matrix(ids, dists, trials, seed)
-    diff = _revenues(mech_a, net, ids, matrix) - _revenues(mech_b, net, ids, matrix)
-    se = float(diff.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return float(diff.mean()), se
+    diff = (_compile_truthful(mech_a, net).revenues(ids, matrix)
+            - _compile_truthful(mech_b, net).revenues(ids, matrix))
+    return float(diff.mean()), _se(diff)
 
 
-class SecondPriceTA(Mechanism):
+class _FirstLevelCompiled(Compiled):
+    """A transformed auction compiled for one profile: :meth:`revenues`
+    prices one round on the first-level subtree maxima of the referral
+    tree, one column per first-level node in id order."""
+
+    def revenues(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+        tree = build_referral_tree(self.net, self.reports)
+        first = tree.child_tuple(tree.root)
+        if not first:
+            return np.zeros(len(matrix))
+        where = {a: j for j, a in enumerate(ids)}
+        submax = np.column_stack([matrix[:, [where[a] for a in tree.subtree(i)]].max(axis=1)
+                                  for i in first])
+        return self.mech.price_first_level(first, submax)
+
+
+class _TransformedAuction(Mechanism):
+    """Depth-one transformed auction.  Subclasses give ``run`` and the
+    vectorised ``price_first_level(first, submax)``: the seller revenue
+    of one round on each row of ``submax``, whose columns follow ``first``."""
+
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> _FirstLevelCompiled:
+        return _FirstLevelCompiled(self, net, reports)
+
+
+class SecondPriceTA(_TransformedAuction):
     """Depth-one transformed auction: highest value wins above a reserve
-    and pays the larger of the reserve and the runner-up value."""
+    and pays the larger of the reserve and the runner-up value.  A lone
+    first-level subtree pays nothing, reserve or not: as in
+    :func:`run_referral_auction`, a lone survivor pays only the offset."""
 
     def __init__(self, reserve: float = 0.0):
         self.reserve = float(reserve)
         self.name = f"ta:second-price-r{reserve:g}"
 
-    def revenue_batch(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
-        best = matrix.max(axis=1)
-        if matrix.shape[1] > 1:
-            second = np.partition(matrix, -2, axis=1)[:, -2]
-        else:
-            second = np.zeros(matrix.shape[0])
-        sale = best >= self.reserve
-        return np.where(sale, np.maximum(second, self.reserve), 0.0)
+    def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
+        if submax.shape[1] < 2:
+            return np.zeros(len(submax))
+        second, best = np.partition(submax, -2, axis=1)[:, -2:].T
+        return np.where(best >= self.reserve, np.maximum(second, self.reserve), 0.0)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         outcome, _ = run_referral_auction(net, reports, SecondPriceReserveRule(self.reserve))
         return outcome
 
 
-class PowerTA(Mechanism):
+class PowerTA(_TransformedAuction):
     """Depth-one transformed auction scoring by value**t."""
 
     def __init__(self, exponents: Mapping[int, float]):
         self.exponents = dict(exponents)
         self.name = "ta:argmax-pow"
 
-    def revenue_batch(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
-        t = np.asarray([self.exponents.get(i, 1.0) for i in ids])
-        scores = matrix ** t[None, :]
+    def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
+        t = np.asarray([self.exponents.get(i, 1.0) for i in first])
+        scores = submax ** t[None, :]
         win = scores.argmax(axis=1)
         masked = scores.copy()
         masked[np.arange(len(win)), win] = -np.inf
         rival_score = masked.max(axis=1)
         pay = np.maximum(rival_score, 0.0) ** (1.0 / t[win])
-        sold = matrix.max(axis=1) > 0
+        sold = submax.max(axis=1) > 0
         return np.where(sold, pay, 0.0)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
@@ -504,25 +506,25 @@ class PowerTA(Mechanism):
         return outcome
 
 
-class MaxVivaTA(Mechanism):
+class MaxVivaTA(_TransformedAuction):
     """Depth-one revenue-optimal transformed auction for given priors."""
 
     def __init__(self, dists: Mapping[int, ValuationDistribution]):
         self.dists = dict(dists)
         self.name = "ta:maxviva"
 
-    def revenue_batch(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+    def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
         w = np.column_stack([
-            np.asarray(_virtual_floor(self.dists[i], matrix[:, j]))
-            for j, i in enumerate(ids)
+            np.asarray(_virtual_floor(self.dists[i], submax[:, j]))
+            for j, i in enumerate(first)
         ])
         win = w.argmax(axis=1)
         sale = w.max(axis=1) >= 0.0
         masked = w.copy()
         masked[np.arange(len(win)), win] = -np.inf
         rival = masked.max(axis=1)
-        revenue = np.zeros(matrix.shape[0])
-        for j, i in enumerate(ids):
+        revenue = np.zeros(submax.shape[0])
+        for j, i in enumerate(first):
             mask = sale & (win == j)
             if not mask.any():
                 continue

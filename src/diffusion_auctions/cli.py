@@ -60,9 +60,7 @@ def _make_mechanism(name: str, exponents, rule_name: Optional[str]) -> Mechanism
     if name == "lblev":
         if not exponents:
             _log("note: no exponents supplied; using unit exponents")
-        mech = LblevAuction(exponents or {})
-        mech.name = "lblev"
-        return mech
+        return LblevAuction(exponents or {})
     if name == "idm":
         return LblevAuction(None)
     if name.startswith("ra:"):

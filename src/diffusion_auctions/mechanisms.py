@@ -25,6 +25,7 @@ from .network import (
     InstanceError,
     Outcome,
     ReferralTree,
+    Report,
     ReportProfile,
     ValuesLike,
     _fill_subtree_max,
@@ -263,7 +264,6 @@ class LevelKernel:
     """
 
     def __init__(self, tree: ReferralTree, exponents: Mapping[int, float]):
-        self.tree = tree
         self.agents = sorted(tree.agents())
         col = {a: k for k, a in enumerate(self.agents)}
         self.texp = np.array([_exponent(exponents, a) for a in self.agents])
@@ -290,6 +290,8 @@ class LevelKernel:
         Returns (winner id, -1 when unsold [S]; net payments [S, len(ids)],
         zero for agents outside the tree; seller revenue [S]).
         """
+        if not np.all(np.isfinite(matrix) & (matrix >= 0)):
+            raise InstanceError("valuations must be finite non-negative numbers")
         where = {a: j for j, a in enumerate(ids)}
         try:
             cols = [where[a] for a in self.agents]
@@ -523,8 +525,9 @@ def rc_example_mechanism(bids: Sequence[float],
 
 class Compiled:
     """A mechanism fixed to one network and report profile, as
-    :meth:`Mechanism.compile` returns it.  This default prices every own
-    value of :meth:`curve` with one :meth:`Mechanism.evaluate` call."""
+    :meth:`Mechanism.compile` returns it.  This default makes one
+    :meth:`Mechanism.evaluate` call per point of :meth:`curve` and one
+    :meth:`Mechanism.run` call per row of :meth:`outcomes`."""
 
     def __init__(self, mech: "Mechanism", net: DiffusionNetwork, reports: ReportProfile):
         self.mech = mech
@@ -537,8 +540,30 @@ class Compiled:
         return [self.mech.evaluate(self.net, self.reports.replace(agent, value=x), agent)
                 for x in xs]
 
+    def outcomes(self, ids: Sequence[int], matrix: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Price every row of ``matrix`` as the values of the agents in
+        ``ids``, every other report held fixed.  Returns (winner id, -1
+        when unsold [S]; net payments [S, len(ids)]; seller revenue [S])."""
+        winner = np.full(len(matrix), -1)
+        payments = np.zeros((len(matrix), len(ids)))
+        revenue = np.zeros(len(matrix))
+        reports = dict(self.reports.reports)
+        for s, row in enumerate(np.asarray(matrix, dtype=float).tolist()):
+            for i, v in zip(ids, row):
+                reports[i] = Report(v, reports[i].neighbors, reports[i].timestamp)
+            out = self.mech.run(self.net, ReportProfile(dict(reports)))
+            winner[s] = -1 if out.winner is None else out.winner
+            payments[s] = [out.payments.get(i, 0.0) for i in ids]
+            revenue[s] = out.seller_revenue
+        return winner, payments, revenue
 
-class LblevCurves:
+    def revenues(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+        """Seller revenue of every row of ``matrix``, as :meth:`outcomes`."""
+        return self.outcomes(ids, matrix)[2]
+
+
+class LblevCurves(Compiled):
     """:class:`LblevAuction` compiled for one report profile.
 
     The referral tree, the checked exponent table and the subtree maxima
@@ -550,10 +575,11 @@ class LblevCurves:
     outcome.
     """
 
-    def __init__(self, tree: ReferralTree, exponents: Mapping[int, float],
-                 reports: ReportProfile):
-        self.tree = tree
-        self._rank = partial(_rank_level, exponent_table(exponents, tree.agents()))
+    def __init__(self, mech: "LblevAuction", net: DiffusionNetwork, reports: ReportProfile):
+        super().__init__(mech, net, reports)
+        self.tree = tree = build_referral_tree(net, reports)
+        self._texp = exponent_table(mech.exponents, tree.agents())
+        self._rank = partial(_rank_level, self._texp)
         self._values = {i: reports.value(i) for i in tree.agents()}
         self._submax = subtree_values(tree, self._values)
 
@@ -586,6 +612,11 @@ class LblevCurves:
             out.append((1.0 if winner == agent else 0.0, _net_payments(pay).get(agent, 0.0)))
         return out
 
+    def outcomes(self, ids: Sequence[int], matrix: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All rows in one :class:`LevelKernel` pass; every tree agent needs a column."""
+        return LevelKernel(self.tree, self._texp).outcomes(ids, np.asarray(matrix, dtype=float))
+
 
 class Mechanism:
     """A diffusion auction runnable on a network plus a report profile.
@@ -593,8 +624,8 @@ class Mechanism:
     ``evaluate`` exposes one agent's allocation probability and payment,
     which is the only surface the incentive checks need; the default
     implementation runs the full auction.  ``compile`` fixes a report
-    profile so that the checks can price one agent's whole own-value
-    axis at once; the default evaluates each point.
+    profile so that the checks and the Monte Carlo estimators can price
+    many own values or value draws at once.
     """
 
     name = "mechanism"
@@ -622,52 +653,20 @@ class LblevAuction(Mechanism):
     i.e. the information-diffusion mechanism."""
 
     def __init__(self, exponents: Optional[Mapping[int, float]] = None):
-        self.exponents = dict(exponents) if exponents else {}
-        self.name = "lblev" if exponents else "idm"
-        # One (net, tree) slot.  The strong reference keeps ``net`` alive,
-        # so an identity match cannot be a new network at a recycled id.
-        self._cached: Optional[tuple[DiffusionNetwork, ReferralTree]] = None
-        self._kernel: Optional[LevelKernel] = None
+        self.exponents = dict(exponents or {})
+        self.name = "idm" if exponents is None else "lblev"
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return self.run_with_traces(net, reports)[0]
 
     def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> LblevCurves:
-        return LblevCurves(build_referral_tree(net, reports), self.exponents, reports)
+        return LblevCurves(self, net, reports)
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:
         tree = build_referral_tree(net, reports)
         outcome, traces = run_lblev(tree, reports, self.exponents)
         return _complete(outcome, net.agents), traces
-
-    def _tree(self, net: DiffusionNetwork) -> ReferralTree:
-        """The truthful-forwarding referral tree of ``net``, built once
-        while ``net`` is the last network seen."""
-        cached = self._cached
-        if cached is not None and cached[0] is net:
-            return cached[1]
-        tree = build_referral_tree(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
-        self._cached = (net, tree)
-        return tree
-
-    def run_on_values(self, net: DiffusionNetwork,
-                      values: Mapping[int, float]) -> Outcome:
-        outcome, _ = run_lblev(self._tree(net), values, self.exponents)
-        return outcome
-
-    def outcome_batch(self, net: DiffusionNetwork, ids: Sequence[int],
-                      matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`run_on_values` for every row of ``matrix`` (columns
-        follow ``ids``) at once; see :meth:`LevelKernel.outcomes`."""
-        matrix = np.asarray(matrix, dtype=float)
-        if not np.all(np.isfinite(matrix) & (matrix >= 0)):
-            raise InstanceError("valuations must be finite non-negative numbers")
-        tree = self._tree(net)
-        kernel = self._kernel
-        if kernel is None or kernel.tree is not tree:
-            kernel = self._kernel = LevelKernel(tree, self.exponents)
-        return kernel.outcomes(ids, matrix)
 
 
 class ReferralAuction(Mechanism):

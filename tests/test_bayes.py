@@ -10,6 +10,7 @@ from diffusion_auctions import (
     LblevAuction,
     MaxVivaAuction,
     MaxVivaTA,
+    Mechanism,
     PowerTA,
     ReferralAuction,
     SecondPriceReserveRule,
@@ -46,6 +47,8 @@ from diffusion_auctions.bayes import (
     _virtual_floor,
 )
 from diffusion_auctions.verify import make_grid, verify_mechanism
+
+from test_mechanisms import truthful_compile
 
 UNIT = uniform_distribution(0.0, 1.0)
 EXP1 = exponential_distribution(1.0)
@@ -278,10 +281,10 @@ class TestInterimEstimates:
         dists = {i: uniform_distribution(0, 100) for i in range(1, 6)}
         lblev = LblevAuction({1: 1.2, 2: 0.8, 3: 2.0, 4: 1.0, 5: 1.5})
 
-        class ScalarOnly:
-            # no outcome_batch: estimate_interim falls back to run_on_values
-            def run_on_values(self, net, values):
-                return lblev.run_on_values(net, values)
+        class ScalarOnly(Mechanism):
+            # inherits compile: the default Compiled.outcomes runs once per row
+            def run(self, net, reports):
+                return lblev.run(net, reports)
 
         agent, samples, seed = 3, 500, 9
         for value in (0.0, 40.0, 110.0):
@@ -317,17 +320,12 @@ class TestExpectedRevenue:
         batch_mean, _ = expected_revenue(MaxVivaTA(dists), inst.net, dists,
                                          trials=4000, seed=2)
 
-        class ScalarOnly(MaxVivaTA):
-            revenue_batch = None
-
-        scalar_mech = MaxVivaTA(dists)
-        del scalar_mech  # readability: build a wrapper without the batch attr
-
-        class Wrapper:
+        class Wrapper(Mechanism):
+            # the default compile: one run per draw, no vectorised revenues
             name = "scalar-maxviva"
 
-            def run_on_values(self, net, values):
-                return run_maxviva(net, truthful_profile(net, values), dists)
+            def run(self, net, reports):
+                return run_maxviva(net, reports, dists)
 
         scalar_mean, _ = expected_revenue(Wrapper(), inst.net, dists,
                                           trials=4000, seed=2)
@@ -388,6 +386,14 @@ class TestRevenueComparisons:
                                          trials=50000, seed=6)
             assert gap >= -3 * se, ch.name
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_paired_gap_rejects_fewer_than_one_trial(self, trials):
+        inst = fixtures.depth1_instance((0.5, 0.5))
+        dists = {1: UNIT, 2: UNIT}
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            paired_revenue_gap(MaxVivaTA(dists), SecondPriceTA(0.0), inst.net, dists,
+                               trials=trials, seed=6)
+
     def test_power_ta_batch_matches_full_mechanism(self):
         rng = np.random.default_rng(3)
         inst = fixtures.depth1_instance((0.5, 0.5, 0.5))
@@ -395,7 +401,7 @@ class TestRevenueComparisons:
         ta = PowerTA(exps)
         ids = sorted(inst.net.agents)
         matrix = rng.uniform(size=(50, 3))
-        batch = ta.revenue_batch(ids, matrix)
+        batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
         for row, expect in zip(matrix, batch):
             values = dict(zip(ids, row))
             out = ta.run_on_values(inst.net, values)
@@ -407,7 +413,7 @@ class TestRevenueComparisons:
         ta = SecondPriceTA(0.25)
         ids = sorted(inst.net.agents)
         matrix = rng.uniform(size=(50, 2))
-        batch = ta.revenue_batch(ids, matrix)
+        batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
         for row, expect in zip(matrix, batch):
             out = ta.run_on_values(inst.net, dict(zip(ids, row)))
             assert out.seller_revenue == pytest.approx(expect, abs=1e-9)
@@ -419,7 +425,7 @@ class TestRevenueComparisons:
         ta = MaxVivaTA(dists)
         ids = sorted(inst.net.agents)
         matrix = rng.uniform(size=(40, 2))
-        batch = ta.revenue_batch(ids, matrix)
+        batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
         for row, expect in zip(matrix, batch):
             out = run_maxviva(inst.net,
                               truthful_profile(inst.net, dict(zip(ids, row))), dists)
@@ -444,21 +450,39 @@ class TestTransformedAuctionRun:
         ]
 
     def test_run_on_truthful_profile_matches_run_on_values(self):
+        # compiled revenues price the first-level subtree maxima, so they
+        # agree with run on deep trees and ignore unreachable agents
         rng = np.random.default_rng(16)
         dists = {i: UNIT for i in range(1, 6)}
         star = fixtures.depth1_instance((0.5, 0.5, 0.5)).net
         deep = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
+        cut = network_from_edges([(0, 1), (0, 2), (1, 3), (4, 5)], agents=range(1, 6))
         for mech, former in self.cases(dists):
-            for net in (star, deep):
+            for net in (star, deep, cut):
                 ids = sorted(net.agents)
                 matrix = rng.uniform(size=(20, len(ids)))
-                batch = mech.revenue_batch(ids, matrix)
+                batch = truthful_compile(mech, net).revenues(ids, matrix)
                 for row, expect in zip(matrix, batch):
                     values = dict(zip(ids, row.tolist()))
                     out = mech.run(net, truthful_profile(net, values))
                     assert out == former(net, values) == mech.run_on_values(net, values)
-                    if net is star:
-                        assert out.seller_revenue == pytest.approx(expect, abs=1e-9)
+                    assert out.seller_revenue == pytest.approx(expect, abs=1e-9)
+
+    def test_lone_first_level_bidder_pays_nothing(self):
+        # run_referral_auction's lone survivor pays only the offset, 0,
+        # even above the reserve; MaxVivaTA needs first-level priors only
+        lone = fixtures.depth1_instance((0.6,)).net
+        chain = network_from_edges([(0, 1), (1, 2)])
+        for mech, _ in self.cases({1: UNIT}):
+            for net in (lone, chain):
+                ids = sorted(net.agents)
+                matrix = np.array([[0.6] * len(ids), [0.9] * len(ids)])
+                batch = truthful_compile(mech, net).revenues(ids, matrix)
+                for row, expect in zip(matrix, batch):
+                    out = mech.run_on_values(net, dict(zip(ids, row.tolist())))
+                    assert out.seller_revenue == pytest.approx(expect, abs=1e-9), mech.name
+        reserve_ta = truthful_compile(SecondPriceTA(0.25), lone)
+        assert reserve_ta.revenues([1], np.array([[0.6]])).tolist() == [0.0]
 
     def test_verify_mechanism_runs_on_each(self):
         inst = fixtures.depth1_instance((0.5, 0.3, 0.8))

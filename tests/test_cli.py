@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from diffusion_auctions import fixtures, load_instance, save_instance
+from diffusion_auctions import LblevAuction, fixtures, load_instance, save_instance
 from diffusion_auctions.network import instance_to_dict
 from diffusion_auctions.cli import main
 from diffusion_auctions.rc_example import fig_rc_instance
@@ -32,6 +32,25 @@ class TestRun:
         assert payload["seller_revenue"] == 729.0
         assert payload["mechanism"] == "lblev"
         assert len(payload["traces"]) == 3
+
+    @pytest.mark.parametrize("mechanism", ["lblev", "idm"])
+    @pytest.mark.parametrize("with_exponents", [True, False])
+    def test_mechanism_name_in_run_and_verify_json(self, fig_path, tmp_path, capsys,
+                                                   mechanism, with_exponents):
+        path = fig_path
+        if not with_exponents:
+            path = str(tmp_path / "d1.json")
+            save_instance(fixtures.depth1_instance((10.0, 7.0)), path)
+        _, out, _ = run_cli(capsys, "run", "--instance", path, "--mechanism", mechanism)
+        assert json.loads(out)["mechanism"] == mechanism
+        _, out, _ = run_cli(capsys, "verify", "--mechanism", mechanism,
+                            "--instance", path, "--grid", "4")
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert records and all(rec["mechanism"] == mechanism for rec in records)
+
+    def test_lblev_auction_named_idm_only_without_exponents(self):
+        assert LblevAuction().name == LblevAuction(None).name == "idm"
+        assert LblevAuction({}).name == LblevAuction({1: 2.0}).name == "lblev"
 
     def test_idm_on_same_instance(self, fig_path, capsys):
         code, out, _ = run_cli(capsys, "run", "--instance", fig_path,

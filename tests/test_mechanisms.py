@@ -170,31 +170,46 @@ class TestTreeReuse:
             wrong += (got.winner, got.seller_revenue) != (expect.winner, expect.seller_revenue)
         assert wrong == 0
 
-    def test_repeated_values_on_one_network_build_once(self, monkeypatch):
+    def test_one_outcomes_call_builds_one_tree(self, monkeypatch):
         builds = []
         real = mechanisms.build_referral_tree
         monkeypatch.setattr(mechanisms, "build_referral_tree",
                             lambda net, reports: builds.append(net) or real(net, reports))
         inst = fixtures.fig_lblev_instance()
-        mech = LblevAuction(inst.exponents)
-        for scale in (1.0, 0.5, 2.0):
-            values = {i: scale * v for i, v in inst.reports.values().items()}
-            mech.run_on_values(inst.net, values)
+        ids = sorted(inst.net.agents)
+        row = [inst.reports.value(i) for i in ids]
+        matrix = np.array([[scale * v for v in row] for scale in (1.0, 0.5, 2.0, 0.0)])
+        winner, _, revenue = truthful_compile(LblevAuction(inst.exponents),
+                                              inst.net).outcomes(ids, matrix)
         assert builds == [inst.net]
+        assert (winner[0], revenue[0]) == (8, 729.0) and winner[3] == -1
 
 
 C10_EDGES = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]
 C10_EXPONENTS = {1: 1.2, 2: 0.8, 3: 2.0, 4: 1.0, 5: 1.5}
 
 
+def truthful_compile(mech, net):
+    """``mech`` compiled for truthful forwarding on ``net``, as the Monte
+    Carlo estimators compile it."""
+    return mech.compile(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
+
+
 def assert_batch_matches_scalar_and_oracle(mech, net, matrix):
-    """Every row of ``matrix`` through ``outcome_batch``, ``run_lblev`` and
+    """Every row of ``matrix`` through the compiled ``outcomes``, the
+    default one-``run``-per-row :class:`Compiled` loop, ``run_lblev`` and
     the naive oracle: identical winners, payments and revenue within 1e-12."""
     ids = sorted(net.agents)
-    winner, payments, revenue = mech.outcome_batch(net, ids, matrix)
+    compiled = truthful_compile(mech, net)
+    winner, payments, revenue = compiled.outcomes(ids, matrix)
     assert winner.shape == revenue.shape == (len(matrix),)
     assert payments.shape == matrix.shape
-    tree = build_referral_tree(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
+    loop_winner, loop_payments, loop_revenue = Compiled(
+        mech, net, compiled.reports).outcomes(ids, matrix)
+    assert winner.tolist() == loop_winner.tolist()
+    assert np.abs(payments - loop_payments).max(initial=0.0) <= 1e-12
+    assert np.abs(revenue - loop_revenue).max(initial=0.0) <= 1e-12
+    tree = compiled.tree
     children = {k: list(v) for k, v in tree.children.items()}
     in_tree = sorted(tree.agents())
     for s, row in enumerate(matrix):
@@ -252,14 +267,32 @@ class TestLevelKernel:
         row = np.array([[inst.reports.value(i) for i in ids]])
         mech = LblevAuction(inst.exponents)
         assert_batch_matches_scalar_and_oracle(mech, inst.net, row)
-        winner, _, revenue = mech.outcome_batch(inst.net, ids, row)
+        winner, _, revenue = truthful_compile(mech, inst.net).outcomes(ids, row)
         assert (winner[0], revenue[0]) == (8, 729.0)
+
+    def test_random_multi_inviter_digraphs(self):
+        # general networks: several inviters per agent, two unreachable agents
+        rng = np.random.default_rng(4040)
+        for k in range(60):
+            n = int(rng.integers(2, 13))
+            base, _, _, _ = random_referral_case(rng, n)
+            edges = [(src, dst) for src, dsts in base.out_edges.items() for dst in dsts]
+            net = network_from_edges(edges + [(n + 1, n + 2)], agents=range(1, n + 3))
+            exps = {i: float(rng.choice([0.5, 1.0, 2.0]) if k % 2 else rng.uniform(0.5, 3.0))
+                    for i in net.agents}
+            matrix = rng.uniform(0.0, 100.0, size=(10, n + 2))
+            matrix[rng.random(matrix.shape) < 0.1] = 0.0
+            matrix[0] = 0.0                                      # all-zero row
+            matrix[1] = 50.0                                     # every value tied
+            matrix[2] = rng.integers(0, 3, size=n + 2) * 25.0    # ties and zeros
+            assert_batch_matches_scalar_and_oracle(LblevAuction(exps), net, matrix)
 
     def test_agents_outside_the_tree_pay_nothing(self):
         net = network_from_edges([(0, 1), (0, 2), (1, 3)], agents=range(1, 5))
         matrix = np.array([[1.0, 2.0, 3.0, 99.0], [0.0, 0.0, 0.0, 5.0]])
         assert_batch_matches_scalar_and_oracle(LblevAuction(), net, matrix)
-        winner, payments, _ = LblevAuction().outcome_batch(net, [1, 2, 3, 4], matrix)
+        winner, payments, _ = truthful_compile(LblevAuction(), net).outcomes([1, 2, 3, 4],
+                                                                             matrix)
         assert winner.tolist() == [3, -1]
         assert payments[:, 3].tolist() == [0.0, 0.0]
 
@@ -268,7 +301,7 @@ class TestLevelKernel:
         net = network_from_edges([(0, 1), (0, 2), (1, 3)])
         matrix = np.array([[1.0, 2.0, 10.0], [1.0, bad, 10.0]])
         with pytest.raises(InstanceError):
-            LblevAuction().outcome_batch(net, [1, 2, 3], matrix)
+            truthful_compile(LblevAuction(), net).outcomes([1, 2, 3], matrix)
 
 
 class TestIdmTree:
