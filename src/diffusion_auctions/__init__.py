@@ -41,7 +41,6 @@ from .mechanisms import (
     run_lblev,
     run_referral_auction,
     transformed_auction_revenue,
-    unit_exponents,
 )
 from .bayes import (
     InterimEstimate,
@@ -54,7 +53,6 @@ from .bayes import (
     estimate_interim,
     expected_revenue,
     exponential_distribution,
-    interim_allocation_second_price,
     interim_payment_second_price,
     invert_virtual,
     max_of_iid,

@@ -184,6 +184,14 @@ def _virtual_floor(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
     return float(w) if np.ndim(w) == 0 else w
 
 
+def _virtual_at(dist: ValuationDistribution, x: float) -> float:
+    """:func:`_virtual_floor` at one point, in Python float arithmetic."""
+    f = float(dist.pdf(x))
+    if f > 0:
+        return x - (1.0 - float(dist.cdf(x))) / f
+    return x if x >= dist.upper else -math.inf
+
+
 def _finite_upper(dist: ValuationDistribution, mass: float = 0.999) -> float:
     if math.isfinite(dist.upper):
         return dist.upper
@@ -228,22 +236,22 @@ def _invert_virtual(dist: ValuationDistribution, target: float,
     ``x = target``."""
     if not dist.mhr:
         raise ValueError(f"{dist.name} is not declared hazard-monotone")
-    if _virtual_floor(dist, 0.0) >= target:
+    if _virtual_at(dist, 0.0) >= target:
         return 0.0
     if math.isfinite(dist.upper):
         hi = dist.upper
-        if _virtual_floor(dist, hi) < target:
+        if _virtual_at(dist, hi) < target:
             return target
     else:
         hi = 1.0
-        while _virtual_floor(dist, hi) < target:
+        while _virtual_at(dist, hi) < target:
             hi *= 2.0
             if hi > 1e12:
                 raise ValueError(f"target {target} not reachable for {dist.name}")
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _virtual_floor(dist, mid) >= target:
+        if _virtual_at(dist, mid) >= target:
             hi = mid
         else:
             lo = mid
@@ -294,7 +302,7 @@ def maxviva_level(entries: Mapping[int, tuple[float, ValuationDistribution]]
     for _, dist in entries.values():
         if not dist.mhr:
             raise ValueError(f"{dist.name} is not declared hazard-monotone")
-    w = {i: float(_virtual_floor(dist, value)) for i, (value, dist) in entries.items()}
+    w = {i: _virtual_at(dist, value) for i, (value, dist) in entries.items()}
     eligible = [i for i in w if w[i] >= 0.0]
     if not eligible:
         return None, 0.0
@@ -551,12 +559,6 @@ def write_revenue_csv(rows: Sequence[Mapping], fh) -> None:
         writer.writerow([row["mechanism"], row["n"], row.get("sigma", ""),
                          row["trials"], repr(row["mean"]), repr(row["stderr"]),
                          row["seed"]])
-
-
-def interim_allocation_second_price(dist: ValuationDistribution, n_rivals: int,
-                                    value: float) -> float:
-    """Win probability of a depth-one second-price bidder at ``value``."""
-    return float(np.asarray(dist.cdf(value)) ** n_rivals)
 
 
 def interim_payment_second_price(dist: ValuationDistribution, n_rivals: int,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -39,10 +39,6 @@ from .network import (
 
 class NonMonotoneRuleError(ValueError):
     """A pluggable level rule failed the monotonicity probe."""
-
-
-def unit_exponents(nodes) -> dict[int, float]:
-    return {i: 1.0 for i in nodes}
 
 
 def _exponent(exponents: Mapping[int, float], node: int) -> float:
@@ -79,6 +75,7 @@ def _run_levels(
     start_parent: Optional[int] = None,
     start_offset: float = 0.0,
     record: bool = True,
+    stay_on: Optional[Container[int]] = None,
 ) -> tuple[Optional[int], dict[int, float], list[LevelTrace]]:
     """Shared descent loop.
 
@@ -88,7 +85,9 @@ def _run_levels(
     ``start_parent``/``start_offset`` resume the descent below a level
     that was decided by other means.  Returns (winner, {path node:
     payment to its parent}, traces); the start node's own payment is not
-    included.  ``record=False`` skips the traces.
+    included.  ``record=False`` skips the traces.  With ``stay_on`` the
+    descent ends once a tentative winner outside it has been charged:
+    nothing below can change the outcome of a node in ``stay_on``.
     """
     children = tree.children
     parent = tree.root if start_parent is None else start_parent
@@ -98,11 +97,9 @@ def _run_levels(
     traces: list[LevelTrace] = []
 
     while True:
-        survivors = []
-        for child in children.get(parent, ()):
-            rho = submax[child] - offset
-            if rho >= -EQ_TOL:
-                survivors.append((child, max(rho, 0.0)))
+        # rho clipped at 0 as max(rho, 0.0) clips it, a -0.0 kept
+        survivors = [(child, rho if rho >= 0.0 else 0.0) for child in children.get(parent, ())
+                     if (rho := submax[child] - offset) >= -EQ_TOL]
         if len(survivors) >= 2:
             chosen = select(survivors)
         elif len(survivors) == 1:
@@ -128,8 +125,8 @@ def _run_levels(
             traces.append(LevelTrace(parent, offset, tuple(survivors), i_star, z, actual))
         tentative = i_star
         parent, offset = i_star, actual
-        if not children.get(i_star):
-            break   # reached a leaf
+        if not children.get(i_star) or (stay_on is not None and i_star not in stay_on):
+            break   # reached a leaf, or left the nodes of interest
 
     return tentative, pay, traces
 
@@ -366,9 +363,7 @@ class ArgmaxRule(LevelRule):
     name = "argmax"
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        if not values:
-            return None
-        return min(values, key=lambda i: (-values[i], i))
+        return min(values, key=lambda i: (-values[i], i), default=None)
 
 
 class PowerRule(LevelRule):
@@ -379,9 +374,8 @@ class PowerRule(LevelRule):
         self.name = "argmax-pow"
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        if not values:
-            return None
-        return min(values, key=lambda i: (-(values[i] ** _exponent(self.exponents, i)), i))
+        return min(values, key=lambda i: (-(values[i] ** _exponent(self.exponents, i)), i),
+                   default=None)
 
 
 class SecondPriceReserveRule(LevelRule):
@@ -392,10 +386,8 @@ class SecondPriceReserveRule(LevelRule):
         self.name = f"second-price-r{reserve:g}"
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        if not values:
-            return None
-        best = min(values, key=lambda i: (-values[i], i))
-        return best if values[best] >= self.reserve else None
+        best = min(values, key=lambda i: (-values[i], i), default=None)
+        return best if best is not None and values[best] >= self.reserve else None
 
 
 class ArgminRule(LevelRule):
@@ -404,9 +396,7 @@ class ArgminRule(LevelRule):
     name = "argmin"
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        if not values:
-            return None
-        return min(values, key=lambda i: (values[i], i))
+        return min(values, key=lambda i: (values[i], i), default=None)
 
 
 def myerson_level_payment(rule: LevelRule, winner: int,
@@ -568,11 +558,12 @@ class LblevCurves(Compiled):
 
     The referral tree, the checked exponent table and the subtree maxima
     of the reports are built once.  Only the agent's own value changes
-    along a curve, so :meth:`curve` recomputes the maxima of the agent's
-    root path alone, with :func:`subtree_values`'s own loop, then runs
-    :func:`run_lblev`'s descent with the same float operations and reads
-    the agent's allocation and net payment without settling the whole
-    outcome.
+    along a curve, so :meth:`curve` finds the agent's root path once per
+    agent and, per point, recomputes the maxima of that path alone with
+    :func:`subtree_values`'s own loop.  It then runs :func:`run_lblev`'s
+    descent with the same float operations, stopping once the tentative
+    winner leaves the path, and nets the agent's payment against the
+    next payment of the chain, without settling the whole outcome.
     """
 
     def __init__(self, mech: "LblevAuction", net: DiffusionNetwork, reports: ReportProfile):
@@ -580,8 +571,10 @@ class LblevCurves(Compiled):
         self.tree = tree = build_referral_tree(net, reports)
         self._texp = exponent_table(mech.exponents, tree.agents())
         self._rank = partial(_rank_level, self._texp)
+        # curve() writes the agent's value and path maxima here, then restores them
         self._values = {i: reports.value(i) for i in tree.agents()}
         self._submax = subtree_values(tree, self._values)
+        self._paths: dict[int, tuple] = {}   # agent: (root path, its set, others 0?, path maxima)
 
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
         """As :meth:`Compiled.curve`; an agent outside the reached tree
@@ -593,23 +586,30 @@ class LblevCurves(Compiled):
                                     "non-negative number")
         if agent not in self._values:
             return [(0.0, 0.0)] * len(xs)
-        tree = self.tree
-        values = dict(self._values)
-        submax = dict(self._submax)
-        path = [agent]
-        while tree.parent[path[-1]] != tree.root:
-            path.append(tree.parent[path[-1]])
-        others_zero = all(v == 0.0 for i, v in values.items() if i != agent)
-        out = []
-        for x in xs:
-            if others_zero and x == 0.0:
-                out.append((0.0, 0.0))   # all-zero values leave the item unsold
-                continue
-            values[agent] = x
-            _fill_subtree_max(submax, path, values.__getitem__, tree.children)
-            winner, pay, _ = _run_levels(tree, values.__getitem__, submax, self._rank,
-                                         record=False)
-            out.append((1.0 if winner == agent else 0.0, _net_payments(pay).get(agent, 0.0)))
+        tree, values, submax = self.tree, self._values, self._submax
+        if agent not in self._paths:
+            path = [agent]
+            while tree.parent[path[-1]] != tree.root:
+                path.append(tree.parent[path[-1]])
+            others_zero = all(v == 0.0 for i, v in values.items() if i != agent)
+            self._paths[agent] = (path, set(path), others_zero, [submax[i] for i in path])
+        path, on_path, others_zero, path_max = self._paths[agent]
+        value, own, out = values.__getitem__, values[agent], []
+        try:
+            for x in xs:
+                if others_zero and x == 0.0:
+                    out.append((0.0, 0.0))   # all-zero values leave the item unsold
+                    continue
+                values[agent] = x
+                _fill_subtree_max(submax, path, value, tree.children)
+                winner, pay, _ = _run_levels(tree, value, submax, self._rank,
+                                             record=False, stay_on=on_path)
+                # a descent past the agent stops at its child: that is the winner
+                out.append((1.0, pay[agent]) if winner == agent else
+                           (0.0, pay[agent] - pay[winner] if agent in pay else 0.0))
+        finally:
+            values[agent] = own
+            submax.update(zip(path, path_max))
         return out
 
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray

@@ -28,7 +28,7 @@ Conditions:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -156,7 +156,7 @@ class _CurveTable:
         self._budget -= len(xs)
         for x, gp in zip(xs, self._compiled.curve(self._agent, xs)):
             self._data[x] = gp
-        self._xs = sorted(self._data)
+            insort(self._xs, x)   # every x is new, so _xs stays sorted(_data)
         self._prefix_cache = None
 
     def ensure(self, points: Iterable[float]) -> None:

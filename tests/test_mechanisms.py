@@ -723,3 +723,58 @@ class TestCompiledCurve:
                 payments, _ = naive_net_payments(winner, pays, values)
                 expected.append((1.0 if winner == agent else 0.0, payments[agent]))
             assert repr(compiled.curve(agent, xs)) == repr(expected), agent
+
+    # seller -> 1, 2; 1 -> 3, 4; 3 -> 5 -> 6.  With unit exponents node 1
+    # buys at 10 (2's value), agent 3 buys from it at 10 + 10 (4's rho) and
+    # keeps the item when its own value is at least 20 - EQ_TOL; below that
+    # it sells to 5 at 20, and 5 (value 15) sells on to 6.
+    EARLY_STOP_EDGES = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (5, 6)]
+    EARLY_STOP_VALUES = {1: 5.0, 2: 10.0, 3: 30.0, 4: 20.0, 5: 15.0, 6: 80.0}
+
+    def test_early_stop_cases_on_a_hand_built_tree(self):
+        net = network_from_edges(self.EARLY_STOP_EDGES)
+        base = truthful_profile(net, self.EARLY_STOP_VALUES)
+        eps = mechanisms.EQ_TOL
+        mech = LblevAuction({})
+        # (profile, agent, {own value: winner}); every point is also compared
+        cases = {
+            "sells to its child, which sells deeper": (base, 3, {5.0: 6, 20.0 - 2 * eps: 6}),
+            "keep test tied within EQ_TOL": (base, 3, {20.0 - 0.5 * eps: 3, 20.0: 3}),
+            "keeps the item": (base, 3, {30.0: 3, 100.0: 3}),
+            "winner leaves the path at the root level":
+                (base.replace(2, value=200.0), 3, {0.0: 2, 50.0: 2, 300.0: 3}),
+            "all other values zero":
+                (truthful_profile(net, {i: 0.0 for i in net.agents}), 3, {0.0: None, 5.0: 1}),
+            "cut-off agent": (base.replace(1, neighbors={4}), 3, {0.0: 4, 100.0: 4}),
+        }
+        for name, (profile, agent, winners) in cases.items():
+            for x, winner in winners.items():
+                assert mech.run(net, profile.replace(agent, value=x)).winner == winner, name
+            xs = sorted(set(winners) | {0.0, 5.0, 20.0 - 2 * eps, 20.0, 30.0, 300.0})
+            compiled = mech.compile(net, profile)
+            for who in sorted(net.agents):
+                assert (repr(compiled.curve(who, xs))
+                        == repr(per_point(mech, net, profile, who, xs))), (name, who)
+        # below the tie agent 3 sold on and pays its net 20 - 20; at it, it keeps
+        assert mech.compile(net, base).curve(3, [20.0 - 2 * eps, 20.0]) == [
+            (0.0, 0.0), (1.0, 20.0)]
+
+    def test_one_compiled_object_alternating_agents(self):
+        """Per-agent state survives other agents' calls, a rejected value
+        and a call that raises mid-curve (``rho**2`` overflows at 1e200)."""
+        net = network_from_edges(self.EARLY_STOP_EDGES)
+        profile = truthful_profile(net, self.EARLY_STOP_VALUES)
+        mech = LblevAuction({3: 2.0, 4: 0.5, 6: 1.5})
+        compiled = mech.compile(net, profile)
+        xs = [0.0, 4.0, 15.0, 20.0, 25.0, 79.0, 80.0, 81.0, 150.0]
+        for step, agent in enumerate([3, 5, 3, 1, 6, 3, 2, 4, 5, 3]):
+            assert (repr(compiled.curve(agent, xs))
+                    == repr(per_point(mech, net, profile, agent, xs))), (step, agent)
+            if step == 2:
+                with pytest.raises(InstanceError):
+                    compiled.curve(3, [25.0, -1.0])
+            if step == 5:
+                with pytest.raises(OverflowError):
+                    compiled.curve(3, [25.0, 1e200])
+                with pytest.raises(OverflowError):
+                    per_point(mech, net, profile, 3, [1e200])
