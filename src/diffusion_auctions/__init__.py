@@ -37,7 +37,6 @@ from .mechanisms import (
     lblev_seller_revenues,
     myerson_level_payment,
     rc_example_mechanism,
-    run_idm_tree,
     run_lblev,
     run_referral_auction,
     transformed_auction_revenue,
@@ -81,8 +80,6 @@ from .experiments import (
     activate_edges,
     exponent_schedule,
     generate_base_tree,
-    grid_search_lambda_star,
-    sample_valuations,
     sweep_lambda,
 )
 

@@ -26,6 +26,7 @@ from .mechanisms import (
     Mechanism,
     SecondPriceReserveRule,
     _complete,
+    _draw_matrix,
     _myerson_level,
     _run_levels,
     _settle,
@@ -451,6 +452,7 @@ class _FirstLevelCompiled(Compiled):
     tree, one column per first-level node in id order."""
 
     def revenues(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+        matrix = _draw_matrix(ids, matrix)
         tree = build_referral_tree(self.net, self.reports)
         first = tree.child_tuple(tree.root)
         if not first:

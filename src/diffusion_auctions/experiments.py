@@ -17,7 +17,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -130,11 +130,6 @@ def draw_valuations(means: Mapping[int, float], sigma: float,
     return {i: max(0.0, means[i] + sigma * zi) for i, zi in zip(ids, z)}
 
 
-def sample_valuations(n: int, sigma: float, rng: np.random.Generator) -> dict[int, float]:
-    """Class assignment plus normal draws in one step."""
-    return draw_valuations(assign_class_means(n, rng), sigma, rng)
-
-
 def exponent_schedule(base: ReferralTree, means: Mapping[int, float],
                       lam: float) -> dict[int, float]:
     """Exponents fixed from the prior alone: the expected first-level
@@ -239,13 +234,6 @@ def sweep_lambda(config: ExperimentConfig) -> list[SweepRow]:
     se = table.std(axis=1, ddof=1) / math.sqrt(used) if used > 1 else np.zeros(len(mean))
     return [SweepRow(lam, float(m), float(s), used, excluded)
             for lam, m, s in zip(config.lambdas, mean, se)]
-
-
-def grid_search_lambda_star(n: int, sigma: float, config: ExperimentConfig) -> float:
-    """Best lambda on the grid by mean improvement; ties keep the smaller
-    lambda, so a flat landscape returns the unit-exponent baseline."""
-    rows = sweep_lambda(replace(config, n=n, sigma=sigma))
-    return max(rows, key=lambda row: row.mean_pct).lam
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], config: ExperimentConfig, fh) -> None:

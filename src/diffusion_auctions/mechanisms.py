@@ -193,6 +193,19 @@ def _rank_level(texp: Mapping[int, float],
     return w, r_rho ** (texp[r] / texp[w])
 
 
+def _draw_matrix(ids: Sequence[int], matrix) -> np.ndarray:
+    """``matrix`` as a float array of draws, one row per draw and one
+    column per id in ``ids``.  A shape that does not fit, a repeated id
+    or a negative or non-finite value raises :class:`InstanceError`."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != len(ids) or len(set(ids)) != len(ids):
+        raise InstanceError(f"a draw matrix of shape {matrix.shape} does not give "
+                            f"one column to each of the distinct ids {list(ids)}")
+    if not np.all(np.isfinite(matrix) & (matrix >= 0)):
+        raise InstanceError("valuations must be finite non-negative numbers")
+    return matrix
+
+
 def run_lblev(tree: ReferralTree, reports: ValuesLike,
               exponents: Mapping[int, float]) -> tuple[Outcome, list[LevelTrace]]:
     """Level-by-level exponential-valuation auction on a referral tree.
@@ -241,12 +254,6 @@ def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
     return [0.0 + _rank_level(texp, survivors)[1] for texp in exponent_tables]
 
 
-def run_idm_tree(tree: ReferralTree, reports: ValuesLike) -> Outcome:
-    """Information-diffusion mechanism on a tree: the unit-exponent case."""
-    outcome, _ = run_lblev(tree, reports, {})
-    return outcome
-
-
 class LevelKernel:
     """:func:`run_lblev` compiled for many valuation draws on one tree.
 
@@ -254,10 +261,18 @@ class LevelKernel:
     the internal nodes in post-order with their child columns, sorted by
     id, and the exponent vector, validated here.  :meth:`outcomes` then
     prices a whole ``values[S, n]`` matrix with one numpy step per tree
-    node instead of one Python descent per row.  Each row carries its
-    own current parent and offset; the comparisons, ties and tolerances
-    are those of :func:`_run_levels`, only ``**`` may round differently
-    from libm in the last ulp.
+    node instead of one Python descent per row.  It works agent-major,
+    on ``[n, S]`` arrays where each agent's draws are one contiguous row,
+    and transposes only the payments back.  Each draw carries its own
+    current parent and offset.  A level scans its children in id order,
+    one 1-D column each, keeping the top two ``rho**t`` per draw; a
+    strict ``>`` keeps the smaller id on ties, as argmax's first maximum
+    and :func:`_rank_level` do.  The comparisons, ties and tolerances are
+    those of :func:`_run_levels`; only ``**`` may round differently from
+    libm in the last ulp.  Each ``rho**t`` gets its exponent as a
+    full-length array: a scalar one, or one broadcast from length 1,
+    sends numpy's ``**`` down sqrt/square fast paths for ``t`` = 0.5 or 2,
+    which round differently from its ``power`` loop.
     """
 
     def __init__(self, tree: ReferralTree, exponents: Mapping[int, float]):
@@ -272,13 +287,11 @@ class LevelKernel:
         self.post = [(col[a], kids(a)) for a in tree.post_order() if tree.child_tuple(a)]
         self.first = kids(tree.root)
         # Descent order, parents before children; None is the root.  The
-        # third entry lists (position in kids, column) of internal children.
+        # third entry lists the internal child columns.
         internal = {node for node, _ in self.post}
-        self.levels = []
-        for node, kid_cols in [(None, self.first)] + self.post[::-1]:
-            if kid_cols.size:
-                inner = [(k, c) for k, c in enumerate(kid_cols.tolist()) if c in internal]
-                self.levels.append((node, kid_cols, inner))
+        self.levels = [(node, kids_in_order, [c for c in kids_in_order if c in internal])
+                       for node, kid_cols in [(None, self.first)] + self.post[::-1]
+                       if (kids_in_order := kid_cols.tolist())]
 
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,62 +300,62 @@ class LevelKernel:
         Returns (winner id, -1 when unsold [S]; net payments [S, len(ids)],
         zero for agents outside the tree; seller revenue [S]).
         """
-        if not np.all(np.isfinite(matrix) & (matrix >= 0)):
-            raise InstanceError("valuations must be finite non-negative numbers")
+        matrix = _draw_matrix(ids, matrix)
         where = {a: j for j, a in enumerate(ids)}
         try:
             cols = [where[a] for a in self.agents]
         except KeyError as exc:
             raise InstanceError(f"no value column for agent {exc}") from exc
-        values = matrix[:, cols]
-        rows_total, n = values.shape
-
+        values = matrix.T[cols]     # [n, S]: one contiguous row of draws per agent
         submax = values.copy()
         for node, kids in self.post:
-            np.maximum(submax[:, node], submax[:, kids].max(axis=1), out=submax[:, node])
+            np.maximum(submax[node], submax[kids].max(axis=0), out=submax[node])
 
-        gross = np.zeros((rows_total, n))    # each path node's payment to its parent
-        offset = np.zeros(rows_total)
-        winner = np.full(rows_total, -1)
-        pending = {None: np.flatnonzero(values.any(axis=1))}   # all-zero rows: unsold
+        gross = np.zeros(values.shape)       # each path node's payment to its parent
+        offset = np.zeros(values.shape[1])
+        winner = np.full(values.shape[1], -1)
+        pending = {None: np.flatnonzero(values.any(axis=0))}   # all-zero rows: unsold
         for node, kids, inner in self.levels:
             rows = pending.pop(node, None)
             if rows is None or not rows.size:
                 continue
-            at = np.arange(rows.size)
             off = offset[rows]
-            rho = submax[np.ix_(rows, kids)] - off[:, None]
-            alive = rho >= -EQ_TOL
-            rho = np.maximum(rho, 0.0)
-            # argmax takes the first maximum: the smallest id among ties
-            score = np.where(alive, rho ** self.texp[kids], -np.inf)
-            best = score.argmax(axis=1)
-            sold = alive[at, best]
-            score[at, best] = -np.inf
-            runner = score.argmax(axis=1)
-            ratio = self.texp[kids[runner]] / self.texp[kids[best]]
-            z = np.where(np.isfinite(score[at, runner]), rho[at, runner] ** ratio, 0.0)
+            # top two rho**t per draw; a dead child (rho < -EQ_TOL) scores -inf
+            for k, c in enumerate(kids):
+                rho = submax[c, rows] - off
+                key = np.where(rho >= -EQ_TOL,
+                               np.maximum(rho, 0.0) ** np.full(rows.size, self.texp[c]), -np.inf)
+                if not k:
+                    best = runner = np.full(rows.size, c)
+                    best_key, runner_key = key, np.full(rows.size, -np.inf)
+                    continue
+                top = key > best_key
+                runner = np.where(top, best, np.where(key > runner_key, c, runner))
+                runner_key = np.where(top, best_key, np.maximum(runner_key, key))
+                best, best_key = np.where(top, c, best), np.maximum(best_key, key)
+            rho = np.maximum(submax[runner, rows] - off, 0.0)
+            z = np.where(np.isfinite(runner_key), rho ** (self.texp[runner] / self.texp[best]), 0.0)
             price = off + z
+            sold = best_key > -np.inf   # the best child is alive
             if node is not None:
-                # the parent keeps the item rather than sell at offset + z
-                sold &= ~(values[rows, node] >= price - EQ_TOL)
-            moved, pick, price = rows[sold], best[sold], price[sold]
-            won = kids[pick]
-            gross[moved, won] = price
+                # unless the parent keeps the item rather than sell at offset + z
+                sold &= values[node, rows] < price - EQ_TOL
+            moved, won, price = rows[sold], best[sold], price[sold]
+            gross[won, moved] = price
             offset[moved] = price
             winner[moved] = won
-            for k, child in inner:
-                pending[child] = moved[pick == k]
+            for child in inner:
+                pending[child] = moved[won == child]
 
         payments = gross.copy()
         for node, kids in self.post:
             # off-path children carry 0, so the sum is the path child's payment
-            payments[:, node] -= gross[:, kids].sum(axis=1)
+            payments[node] -= gross[kids].sum(axis=0)
         full = np.zeros(matrix.shape)
-        full[:, cols] = payments
+        full[:, cols] = payments.T
         # column -1 (unsold) picks the appended -1
         ids_or_unsold = np.array(self.agents + [-1])
-        return ids_or_unsold[winner], full, gross[:, self.first].sum(axis=1)
+        return ids_or_unsold[winner], full, gross[self.first].sum(axis=0)
 
 
 class LevelRule:
@@ -388,15 +401,6 @@ class SecondPriceReserveRule(LevelRule):
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
         best = min(values, key=lambda i: (-values[i], i), default=None)
         return best if best is not None and values[best] >= self.reserve else None
-
-
-class ArgminRule(LevelRule):
-    """Deliberately non-monotone: lowest value wins.  Test helper."""
-
-    name = "argmin"
-
-    def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        return min(values, key=lambda i: (values[i], i), default=None)
 
 
 def myerson_level_payment(rule: LevelRule, winner: int,
@@ -535,11 +539,12 @@ class Compiled:
         """Price every row of ``matrix`` as the values of the agents in
         ``ids``, every other report held fixed.  Returns (winner id, -1
         when unsold [S]; net payments [S, len(ids)]; seller revenue [S])."""
+        matrix = _draw_matrix(ids, matrix)
         winner = np.full(len(matrix), -1)
-        payments = np.zeros((len(matrix), len(ids)))
+        payments = np.zeros(matrix.shape)
         revenue = np.zeros(len(matrix))
         reports = dict(self.reports.reports)
-        for s, row in enumerate(np.asarray(matrix, dtype=float).tolist()):
+        for s, row in enumerate(matrix.tolist()):
             for i, v in zip(ids, row):
                 reports[i] = Report(v, reports[i].neighbors, reports[i].timestamp)
             out = self.mech.run(self.net, ReportProfile(dict(reports)))
@@ -615,7 +620,7 @@ class LblevCurves(Compiled):
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All rows in one :class:`LevelKernel` pass; every tree agent needs a column."""
-        return LevelKernel(self.tree, self._texp).outcomes(ids, np.asarray(matrix, dtype=float))
+        return LevelKernel(self.tree, self._texp).outcomes(ids, matrix)
 
 
 class Mechanism:

@@ -137,6 +137,7 @@ class _CurveTable:
         self._data: dict[float, tuple[float, float]] = {}
         self._xs: list[float] = []
         self._prefix_cache: Optional[list[float]] = None
+        self._columns_cache: Optional[tuple[list[float], list[float], list[float]]] = None
 
     def _price(self, xs: list[float], splits: Optional[list[tuple[float, float]]]) -> None:
         """Evaluate the new points ``xs`` with one ``curve`` call.
@@ -157,7 +158,7 @@ class _CurveTable:
         for x, gp in zip(xs, self._compiled.curve(self._agent, xs)):
             self._data[x] = gp
             insort(self._xs, x)   # every x is new, so _xs stays sorted(_data)
-        self._prefix_cache = None
+        self._prefix_cache = self._columns_cache = None
 
     def ensure(self, points: Iterable[float]) -> None:
         new = [x for x in dict.fromkeys(map(float, points)) if x not in self._data]
@@ -193,9 +194,11 @@ class _CurveTable:
     def columns(self) -> tuple[list[float], list[float], list[float]]:
         """The sampled own values in order, with the allocation and the
         payment at each."""
-        data = self._data
-        return (self._xs, [data[x][0] for x in self._xs],
-                [data[x][1] for x in self._xs])
+        if self._columns_cache is None:
+            data = self._data
+            self._columns_cache = (self._xs, [data[x][0] for x in self._xs],
+                                   [data[x][1] for x in self._xs])
+        return self._columns_cache
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return tuple(np.asarray(col) for col in self.columns())

@@ -49,7 +49,6 @@ from diffusion_auctions import (
     random_tree_instance,
     rc_example_mechanism,
     revenue_identity_sides,
-    run_idm_tree,
     run_lblev,
     run_referral_auction,
     sweep_lambda,
@@ -63,6 +62,7 @@ from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import INEQ_TOL, make_grid, random_exponents
 
+from helpers import run_idm_tree
 from oracles import (
     naive_forwarding_utility,
     naive_profitable_withholding,

@@ -13,11 +13,9 @@ from diffusion_auctions import (
     exponent_table,
     fixtures,
     generate_base_tree,
-    grid_search_lambda_star,
     lblev_seller_revenues,
     network_from_edges,
     run_lblev,
-    sample_valuations,
     sweep_lambda,
     truthful_profile,
     verify_mechanism,
@@ -32,6 +30,8 @@ from diffusion_auctions.experiments import (
     write_sweep_csv,
 )
 from diffusion_auctions.network import SELLER, InstanceError, ReferralTree
+
+from helpers import grid_search_lambda_star, sample_valuations
 
 
 def small_config(**overrides):

@@ -13,24 +13,25 @@ from diffusion_auctions import (
     NonMonotoneRuleError,
     PowerRule,
     SecondPriceReserveRule,
+    SecondPriceTA,
     build_referral_tree,
     myerson_level_payment,
     network_from_edges,
     random_tree_instance,
     rc_example_mechanism,
-    run_idm_tree,
     run_lblev,
     run_referral_auction,
     transformed_auction_revenue,
     truthful_profile,
 )
 from diffusion_auctions import fixtures, mechanisms
-from diffusion_auctions.mechanisms import ArgminRule, Compiled
+from diffusion_auctions.mechanisms import Compiled
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
-from diffusion_auctions.network import Instance, Report, ReportProfile
+from diffusion_auctions.network import EQ_TOL, Instance, Report, ReportProfile
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import _CurveTable, make_grid
 
+from helpers import ArgminRule, run_idm_tree
 from oracles import (
     naive_level_auction,
     naive_net_payments,
@@ -302,6 +303,99 @@ class TestLevelKernel:
         matrix = np.array([[1.0, 2.0, 10.0], [1.0, bad, 10.0]])
         with pytest.raises(InstanceError):
             truthful_compile(LblevAuction(), net).outcomes([1, 2, 3], matrix)
+
+    @pytest.mark.parametrize("path", ["kernel", "default-loop", "first-level"])
+    @pytest.mark.parametrize("ids, matrix", [
+        ([1, 1, 2, 3], [[5.0, 1.0, 7.0, 2.0]]),       # a repeated id
+        ([1, 2, 3], [[5.0, 1.0, 7.0, 2.0]]),          # a column without an id
+        ([1, 2, 3, 4], [[5.0, 1.0, 7.0]]),            # an id without a column
+        ([1, 2, 3], [5.0, 1.0, 7.0]),                 # 1-D
+        ([1, 2, 3], [[[5.0, 1.0, 7.0]]]),             # 3-D
+        ([1, 2, 3], [[5.0, -1.0, 7.0]]),              # a negative value
+        ([1, 2, 3], [[5.0, 1.0, math.nan]]),          # a NaN value
+    ])
+    def test_malformed_draw_matrix_is_rejected(self, path, ids, matrix):
+        net = network_from_edges([(0, 1), (0, 2), (1, 3)])
+        lblev = truthful_compile(LblevAuction(), net)
+        price = {"kernel": lblev.outcomes,
+                 "default-loop": Compiled(lblev.mech, net, lblev.reports).outcomes,
+                 "first-level": truthful_compile(SecondPriceTA(), net).revenues}[path]
+        with pytest.raises(InstanceError):
+            price(ids, np.array(matrix))
+
+    # seller -> 1, 2, 3, 4; 2 -> 5, 6, 7; 5 -> 8.  Exponents 0.5 and 2.0
+    # take numpy's sqrt/square fast paths when passed as scalars.
+    SCAN_EDGES = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (2, 6), (2, 7), (5, 8)]
+    SCAN_EXPONENTS = {1: 1.0, 2: 2.0, 3: 0.5, 4: 1.0, 5: 0.5, 6: 2.0, 7: 1.0, 8: 2.0}
+
+    def test_top_two_scan_edge_cases(self):
+        keep = 2.0 + 3.0 - EQ_TOL   # node 2's price 5 at its level, minus EQ_TOL
+        x, a, b = 1.7140402119374163, 2.9940205861449836, 80.35615142258744
+        assert (x * x) ** 2 != x ** 4 and b ** 0.25 > a
+        cases = [  # (values of agents 1..8, winner)
+            # root: 1, 2 and 3 tie at rho**t = 4; the smallest id wins
+            ([4.0, 2.0, 16.0, 1.0, 0.0, 0.0, 0.0, 0.0], 1),
+            # root: 3 wins at 10; 1 and 2 tie for runner-up at x**2, and
+            # 1's rho**(t_1 / t_3) = (x**2)**2 is the price, not x**4
+            ([x * x, x, 100.0, 0.0, 0.0, 0.0, 0.0, 0.0], 3),
+            # node 2 (offset 0): 5 wins at 10, then 6 and 7 tie for
+            # runner-up at x**2, and 6's price x**4 is not (x**2)**2
+            ([0.0, 0.0, 0.0, 0.0, 100.0, x, x * x, 0.0], 5),
+            # root: 2 and 3 tie at a**2 = b**0.5 and 2 wins; its price
+            # b**0.25 rounds one ulp above a, so at node 2 the child 7
+            # survives only by the EQ_TOL margin, alone
+            ([0.0, 0.0, b, 0.0, 0.0, 0.0, a, 0.0], 7),
+            # node 2: child 5 is dead (rho < -EQ_TOL) and scanned before 6
+            ([10.0, 0.0, 9.0, 5.0, 1.0, 50.0, 20.0, 0.0], 6),
+            # node 2: every child is dead, so 2 keeps the item
+            ([10.0, 50.0, 0.0, 0.0, 1.0, 2.0, 0.0, 0.0], 2),
+            # node 2: 6 is the lone survivor and pays the offset
+            ([10.0, 0.0, 0.0, 0.0, 1.0, 40.0, 1.0, 0.0], 6),
+            # node 5 has one child: lone survivors down the chain to 8
+            ([10.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 60.0], 8),
+            # node 2: the keep test exactly at price - EQ_TOL keeps the item
+            ([4.0, keep, 0.0, 0.0, 0.0, 30.0, 11.0, 0.0], 2),
+            # ... and one ulp below it sells to 6 at 5
+            ([4.0, np.nextafter(keep, 0.0), 0.0, 0.0, 0.0, 30.0, 11.0, 0.0], 6),
+            ([0.0] * 8, -1),
+        ]
+        net = network_from_edges(self.SCAN_EDGES)
+        mech = LblevAuction(self.SCAN_EXPONENTS)
+        matrix = np.array([values for values, _ in cases])
+        assert_batch_matches_scalar_and_oracle(mech, net, matrix)
+        winner, payments, revenue = truthful_compile(mech, net).outcomes(range(1, 9), matrix)
+        assert winner.tolist() == [w for _, w in cases]
+        assert revenue[:2].tolist() == [4.0, (x * x) ** 2]
+        assert payments[2, 4] == x ** 4                  # agent 5
+        assert payments[9, 5] == 5.0                     # agent 6
+
+    def test_layout_and_column_order_do_not_change_the_bytes(self):
+        rng = np.random.default_rng(1212)
+        for _ in range(20):
+            n = int(rng.integers(2, 16))
+            base, _, _, _ = random_referral_case(rng, n)
+            edges = [(src, dst) for src, dsts in base.out_edges.items() for dst in dsts]
+            # agents n+1 and n+2 are outside the tree
+            net = network_from_edges(edges + [(n + 1, n + 2)], agents=range(1, n + 3))
+            exps = {i: float(rng.choice([0.5, 0.8, 1.0, 2.0])) for i in net.agents}
+            compiled = truthful_compile(LblevAuction(exps), net)
+            ids = sorted(net.agents)
+            matrix = rng.integers(0, 4, size=(40, n + 2)) * 25.0
+            matrix[20:] = rng.uniform(0.0, 100.0, size=(20, n + 2))
+            expect = compiled.outcomes(ids, matrix)
+            # shuffled ids, plus two columns for ids the network lacks
+            order = rng.permutation(n + 4)
+            back = np.argsort(order)
+            shuffled = [(ids + [n + 3, n + 4])[j] for j in order]
+            wide = np.hstack([matrix, rng.uniform(0.0, 100.0, size=(40, 2))])[:, order]
+            strided = np.zeros((80, 2 * (n + 4)))
+            strided[::2, ::2] = wide
+            for view in (wide, np.asfortranarray(wide), strided[::2, ::2]):
+                winner, payments, revenue = compiled.outcomes(shuffled, view)
+                assert winner.tobytes() == expect[0].tobytes()
+                assert payments[:, back[:n + 2]].tobytes() == expect[1].tobytes()
+                assert not payments[:, back[n + 2:]].any()
+                assert revenue.tobytes() == expect[2].tobytes()
 
 
 class TestIdmTree:
