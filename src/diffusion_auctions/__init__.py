@@ -63,7 +63,6 @@ from .bayes import (
     truncated_normal,
     uniform_distribution,
     virtual_valuation,
-    write_revenue_csv,
 )
 from .verify import (
     DeviationGrid,

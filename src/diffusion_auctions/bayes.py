@@ -25,7 +25,7 @@ from .mechanisms import (
     Compiled,
     Mechanism,
     SecondPriceReserveRule,
-    _complete,
+    _columns,
     _draw_matrix,
     _myerson_level,
     _run_levels,
@@ -41,7 +41,6 @@ from .network import (
     build_referral_tree,
     subtree_values,
     truthful_profile,
-    unsold_outcome,
 )
 
 ArrayLike = Union[float, np.ndarray]
@@ -50,23 +49,15 @@ ArrayLike = Union[float, np.ndarray]
 @dataclass(frozen=True)
 class ValuationDistribution:
     """cdf/pdf/support/sampler bundle with a declared hazard-monotonicity
-    flag.  ``upper`` may be ``math.inf``."""
+    flag.  ``upper`` may be ``math.inf``; ``sample(rng, size)`` draws
+    ``size`` values."""
 
     name: str
     upper: float
     mhr: bool
-    cdf_fn: Callable[[ArrayLike], ArrayLike]
-    pdf_fn: Callable[[ArrayLike], ArrayLike]
-    sample_fn: Callable[[np.random.Generator, int], np.ndarray]
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        return self.cdf_fn(x)
-
-    def pdf(self, x: ArrayLike) -> ArrayLike:
-        return self.pdf_fn(x)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.sample_fn(rng, size)
+    cdf: Callable[[ArrayLike], ArrayLike]
+    pdf: Callable[[ArrayLike], ArrayLike]
+    sample: Callable[[np.random.Generator, int], np.ndarray]
 
 
 def uniform_distribution(low: float = 0.0, high: float = 1.0) -> ValuationDistribution:
@@ -83,8 +74,7 @@ def uniform_distribution(low: float = 0.0, high: float = 1.0) -> ValuationDistri
 
     return ValuationDistribution(
         name=f"uniform[{low:g},{high:g}]", upper=high, mhr=True,
-        cdf_fn=cdf, pdf_fn=pdf,
-        sample_fn=lambda rng, size: rng.uniform(low, high, size=size))
+        cdf=cdf, pdf=pdf, sample=lambda rng, size: rng.uniform(low, high, size=size))
 
 
 def exponential_distribution(rate: float = 1.0) -> ValuationDistribution:
@@ -101,8 +91,7 @@ def exponential_distribution(rate: float = 1.0) -> ValuationDistribution:
 
     return ValuationDistribution(
         name=f"exp[{rate:g}]", upper=math.inf, mhr=True,
-        cdf_fn=cdf, pdf_fn=pdf,
-        sample_fn=lambda rng, size: rng.exponential(1.0 / rate, size=size))
+        cdf=cdf, pdf=pdf, sample=lambda rng, size: rng.exponential(1.0 / rate, size=size))
 
 
 def truncated_normal(mean: float, sd: float) -> ValuationDistribution:
@@ -123,8 +112,8 @@ def truncated_normal(mean: float, sd: float) -> ValuationDistribution:
 
     return ValuationDistribution(
         name=f"tnorm[{mean:g},{sd:g}]", upper=math.inf, mhr=True,
-        cdf_fn=cdf, pdf_fn=pdf,
-        sample_fn=lambda rng, size: np.maximum(rng.normal(mean, sd, size=size), 0.0))
+        cdf=cdf, pdf=pdf,
+        sample=lambda rng, size: np.maximum(rng.normal(mean, sd, size=size), 0.0))
 
 
 def parse_distribution(spec: str) -> ValuationDistribution:
@@ -160,7 +149,7 @@ def max_of_iid(dist: ValuationDistribution, n: int) -> ValuationDistribution:
 
     return ValuationDistribution(
         name=f"max{n}[{dist.name}]", upper=dist.upper, mhr=dist.mhr,
-        cdf_fn=cdf, pdf_fn=pdf, sample_fn=sample)
+        cdf=cdf, pdf=pdf, sample=sample)
 
 
 def virtual_valuation(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
@@ -324,10 +313,10 @@ def run_maxviva(net: DiffusionNetwork, reports: ReportProfile,
     with threshold payments (lower levels cannot change the revenue).
     """
     tree = build_referral_tree(net, reports)
-    agents = tree.agents()
-    if not agents or all(reports.value(i) == 0.0 for i in agents):
-        return unsold_outcome(net.agents)
-    submax = subtree_values(tree, reports)
+    values = reports.values()
+    if all(values[i] == 0.0 for i in tree.agents()):
+        return Outcome({}, {}, 0.0)
+    submax = subtree_values(tree, values)
     first = tree.child_tuple(tree.root)
     try:
         entries = {i: (submax[i], first_level_dists[i]) for i in first}
@@ -335,13 +324,13 @@ def run_maxviva(net: DiffusionNetwork, reports: ReportProfile,
         raise ValueError(f"missing first-level distribution for node {exc}") from exc
     winner1, price1 = maxviva_level(entries)
     if winner1 is None:
-        return unsold_outcome(net.agents)
+        return Outcome({}, {}, 0.0)
     # Levels below the first are revenue-neutral; descend with the plain
     # highest-value rule starting from the decided winner and price.
-    winner, pay_rest, _ = _run_levels(tree, reports.value, submax,
+    winner, pay_rest, _ = _run_levels(tree, values, submax,
                                       partial(_myerson_level, ArgmaxRule()),
                                       start_parent=winner1, start_offset=price1)
-    return _complete(_settle(tree, winner, {winner1: price1, **pay_rest}), net.agents)
+    return _settle(winner, {winner1: price1, **pay_rest})
 
 
 class MaxVivaAuction(Mechanism):
@@ -457,8 +446,7 @@ class _FirstLevelCompiled(Compiled):
         first = tree.child_tuple(tree.root)
         if not first:
             return np.zeros(len(matrix))
-        where = {a: j for j, a in enumerate(ids)}
-        submax = np.column_stack([matrix[:, [where[a] for a in tree.subtree(i)]].max(axis=1)
+        submax = np.column_stack([matrix[:, _columns(ids, tree.subtree(i))].max(axis=1)
                                   for i in first])
         return self.mech.price_first_level(first, submax)
 
@@ -512,7 +500,8 @@ class PowerTA(_TransformedAuction):
         return np.where(sold, pay, 0.0)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        outcome, _ = run_lblev(build_referral_tree(net, reports), reports, self.exponents)
+        outcome, _ = run_lblev(build_referral_tree(net, reports), reports.values(),
+                               self.exponents)
         return outcome
 
 
@@ -549,18 +538,6 @@ class MaxVivaTA(_TransformedAuction):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return run_maxviva(net, reports, self.dists)
-
-
-def write_revenue_csv(rows: Sequence[Mapping], fh) -> None:
-    """Revenue report rows: mechanism,n,sigma,trials,mean,stderr,seed."""
-    import csv
-
-    writer = csv.writer(fh)
-    writer.writerow(["mechanism", "n", "sigma", "trials", "mean", "stderr", "seed"])
-    for row in rows:
-        writer.writerow([row["mechanism"], row["n"], row.get("sigma", ""),
-                         row["trials"], repr(row["mean"]), repr(row["stderr"]),
-                         row["seed"]])
 
 
 def interim_payment_second_price(dist: ValuationDistribution, n_rivals: int,

@@ -88,12 +88,12 @@ def _cmd_run(args) -> int:
             raise InstanceError("rc3 needs exactly three agents")
         bids = [inst.reports.value(i) for i in ids]
         outcome = rc_example_mechanism(bids, ids=ids)
-        print(json.dumps(outcome.to_dict(), indent=2))
+        print(json.dumps(outcome.to_dict(ids), indent=2))
         return EXIT_OK
     mech = _make_mechanism(args.mechanism, exponents, args.rule)
     if hasattr(mech, "run_with_traces"):
         outcome, traces = mech.run_with_traces(inst.net, inst.reports)
-        payload = outcome.to_dict()
+        payload = outcome.to_dict(inst.net.agents)
         payload["traces"] = [
             {"parent": t.parent, "offset": t.offset,
              "survivors": [[i, r] for i, r in t.survivors],
@@ -103,7 +103,7 @@ def _cmd_run(args) -> int:
             for t in traces
         ]
     else:
-        payload = mech.run(inst.net, inst.reports).to_dict()
+        payload = mech.run(inst.net, inst.reports).to_dict(inst.net.agents)
     payload["mechanism"] = mech.name
     print(json.dumps(payload, indent=2))
     return EXIT_OK

@@ -70,7 +70,6 @@ def generate_base_tree(n: int, rng: np.random.Generator) -> ReferralTree:
     queue = [SELLER]
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {}
-    level: dict[int, int] = {}
     head = 0
     while pool:
         node = queue[head]
@@ -81,10 +80,9 @@ def generate_base_tree(n: int, rng: np.random.Generator) -> ReferralTree:
         children[node] = kids
         for k in kids:
             parent[k] = node
-            level[k] = level.get(node, 0) + 1
             queue.append(k)
     return ReferralTree(root=SELLER, parent=parent,
-                        children={k: tuple(v) for k, v in children.items()}, level=level)
+                        children={k: tuple(v) for k, v in children.items()})
 
 
 def activate_edges(base: ReferralTree, rng: np.random.Generator) -> ReferralTree:
@@ -93,9 +91,8 @@ def activate_edges(base: ReferralTree, rng: np.random.Generator) -> ReferralTree
     return the seller-reachable subtree."""
     parent: dict[int, int] = {}
     children: dict[int, tuple[int, ...]] = {}
-    level: dict[int, int] = {}
-    frontier = [(SELLER, 0)]
-    for node, lvl in frontier:
+    frontier = [SELLER]
+    for node in frontier:
         kids = base.children.get(node, ())
         if not kids:
             continue
@@ -106,9 +103,8 @@ def activate_edges(base: ReferralTree, rng: np.random.Generator) -> ReferralTree
             children[node] = kept
         for k in kept:
             parent[k] = node
-            level[k] = lvl + 1
-            frontier.append((k, lvl + 1))
-    return ReferralTree(root=SELLER, parent=parent, children=children, level=level)
+        frontier.extend(kept)
+    return ReferralTree(root=SELLER, parent=parent, children=children)
 
 
 def assign_class_means(n: int, rng: np.random.Generator) -> dict[int, float]:
@@ -164,18 +160,11 @@ def outer_sample(config: ExperimentConfig, outer: int) -> tuple[ReferralTree, di
     return generate_base_tree(config.n, rng), assign_class_means(config.n, rng)
 
 
-def inner_sample(config: ExperimentConfig, outer: int,
-                 inner: int) -> tuple[ReferralTree, dict[int, float]]:
-    """One stage-two draw: activated tree plus valuations.  Independent of
-    lambda, so every lambda sees identical draws."""
-    base, means = outer_sample(config, outer)
-    return _inner_draw(config, base, means, outer, inner)
-
-
 def _inner_draw(config: ExperimentConfig, base: ReferralTree, means: Mapping[int, float],
                 outer: int, inner: int) -> tuple[ReferralTree, dict[int, float]]:
     """The activated tree and valuations of draw (outer, inner) on a given
-    stage-one tree and class means."""
+    stage-one tree and class means.  Independent of lambda, so every
+    lambda sees identical draws."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, outer, inner]))
     return activate_edges(base, rng), draw_valuations(means, config.sigma, rng)
 

@@ -18,9 +18,6 @@ import math
 
 from .network import Instance, network_from_edges, truthful_profile
 
-#: Letter names for the worked example's agent ids.
-FIG_LBLEV_NAMES = {1: "A", 2: "B", 3: "C", 4: "D", 5: "E", 6: "F", 7: "J", 8: "K"}
-
 FIG_LBLEV_VALUES = {1: 730.0, 2: 6.0, 3: 9.0, 4: 735.0, 5: 700.0, 6: 4.0,
                     7: 745.0, 8: 750.0}
 
@@ -31,8 +28,6 @@ FIG_LBLEV_EXPONENTS = {1: 1.0, 2: 1.0, 3: 3.0, 4: 1.0, 5: 2.0, 6: 1.0,
 FIG_LBLEV_PAY_A = 729.0
 FIG_LBLEV_PAY_E = 729.0 + math.sqrt(6.0)
 FIG_LBLEV_PAY_K = 729.0 + math.sqrt(6.0) + math.sqrt(16.0 - math.sqrt(6.0))
-FIG_LBLEV_COMMISSION_A = math.sqrt(6.0)
-FIG_LBLEV_COMMISSION_E = math.sqrt(16.0 - math.sqrt(6.0))
 
 
 def fig_lblev_instance() -> Instance:

@@ -27,13 +27,10 @@ from .network import (
     ReferralTree,
     Report,
     ReportProfile,
-    ValuesLike,
     _fill_subtree_max,
-    _value_getter,
     build_referral_tree,
     subtree_values,
     truthful_profile,
-    unsold_outcome,
 )
 
 
@@ -69,7 +66,7 @@ class LevelTrace:
 
 def _run_levels(
     tree: ReferralTree,
-    values: Callable[[int], float],
+    values: Mapping[int, float],
     submax: Mapping[int, float],
     select: Callable[[list[tuple[int, float]]], Optional[tuple[int, float]]],
     start_parent: Optional[int] = None,
@@ -114,7 +111,7 @@ def _run_levels(
                 traces.append(LevelTrace(parent, offset, tuple(survivors), None, 0.0, None))
             break
         i_star, z = chosen
-        if parent != tree.root and values(parent) >= offset + z - EQ_TOL:
+        if parent != tree.root and values[parent] >= offset + z - EQ_TOL:
             # The parent prefers keeping the item over selling at offset+z.
             if record:
                 traces.append(LevelTrace(parent, offset, tuple(survivors), None, z, None))
@@ -131,43 +128,21 @@ def _run_levels(
     return tentative, pay, traces
 
 
-def _net_payments(pay: Mapping[int, float]) -> dict[int, float]:
-    """Each node of the payment chain pays its parent and receives the
-    next node's payment; insertion order follows the descent."""
-    path = list(pay)
-    return {node: pay[node] - (pay[path[idx + 1]] if idx + 1 < len(path) else 0.0)
-            for idx, node in enumerate(path)}
-
-
-def _settle(tree: ReferralTree, winner: Optional[int],
-            pay: Mapping[int, float]) -> Outcome:
-    """Net out the payment chain along the winning path."""
-    agents = tree.agents()
-    allocation = {i: 0.0 for i in agents}
-    payments = {i: 0.0 for i in agents}
+def _settle(winner: Optional[int], pay: Mapping[int, float]) -> Outcome:
+    """The outcome of a descent: the winner gets the item, and each node
+    of the payment chain pays its parent and receives the next node's
+    payment (``pay`` is in descent order).  The seller gets the first."""
     if winner is None:
-        return Outcome(allocation, payments, 0.0, None)
-    allocation[winner] = 1.0
-    payments.update(_net_payments(pay))
-    revenue = next(iter(pay.values()), 0.0)
-    return Outcome(allocation, payments, revenue, winner)
+        return Outcome({}, {}, 0.0)
+    path = list(pay)
+    payments = {node: pay[node] - (pay[path[k + 1]] if k + 1 < len(path) else 0.0)
+                for k, node in enumerate(path)}
+    return Outcome({winner: 1.0}, payments, pay[path[0]], winner)
 
 
-def _complete(outcome: Outcome, agents) -> Outcome:
-    """``outcome`` with zero allocation and payment for the rest of ``agents``,
-    e.g. those cut off by the reported forwards."""
-    allocation = {i: 0.0 for i in agents}
-    payments = {i: 0.0 for i in agents}
-    allocation.update(outcome.allocation)
-    payments.update(outcome.payments)
-    return Outcome(allocation, payments, outcome.seller_revenue, outcome.winner)
-
-
-def _check_values(reports: ValuesLike) -> None:
-    """A bare value map must hold finite non-negative numbers (``Report``
-    already checks the values of a profile)."""
-    if not isinstance(reports, ReportProfile) and not all(
-            0 <= v < math.inf for v in reports.values()):
+def _check_values(values: Mapping[int, float]) -> None:
+    """A value map must hold finite non-negative numbers."""
+    if not all(0 <= v < math.inf for v in values.values()):
         raise InstanceError("valuations must be finite non-negative numbers")
 
 
@@ -206,7 +181,17 @@ def _draw_matrix(ids: Sequence[int], matrix) -> np.ndarray:
     return matrix
 
 
-def run_lblev(tree: ReferralTree, reports: ValuesLike,
+def _columns(ids: Sequence[int], agents: Iterable[int]) -> list[int]:
+    """The column of each of ``agents`` in a draw matrix whose columns
+    follow ``ids``; an agent without one raises :class:`InstanceError`."""
+    where = {a: j for j, a in enumerate(ids)}
+    try:
+        return [where[a] for a in agents]
+    except KeyError as exc:
+        raise InstanceError(f"no value column for agent {exc}") from exc
+
+
+def run_lblev(tree: ReferralTree, values: Mapping[int, float],
               exponents: Mapping[int, float]) -> tuple[Outcome, list[LevelTrace]]:
     """Level-by-level exponential-valuation auction on a referral tree.
 
@@ -217,14 +202,13 @@ def run_lblev(tree: ReferralTree, reports: ValuesLike,
     non-positive or non-finite exponents are rejected.  An empty tree or
     all-zero values leave the item unsold.
     """
-    _check_values(reports)
+    _check_values(values)
     texp = exponent_table(exponents, tree.agents())
-    values = _value_getter(reports)
-    if all(values(i) == 0.0 for i in tree.agents()):
-        return _settle(tree, None, {}), []
-    winner, pay, traces = _run_levels(tree, values, subtree_values(tree, reports),
+    if all(values[i] == 0.0 for i in tree.agents()):
+        return Outcome({}, {}, 0.0), []
+    winner, pay, traces = _run_levels(tree, values, subtree_values(tree, values),
                                       partial(_rank_level, texp))
-    return _settle(tree, winner, pay), traces
+    return _settle(winner, pay), traces
 
 
 def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
@@ -301,11 +285,7 @@ class LevelKernel:
         zero for agents outside the tree; seller revenue [S]).
         """
         matrix = _draw_matrix(ids, matrix)
-        where = {a: j for j, a in enumerate(ids)}
-        try:
-            cols = [where[a] for a in self.agents]
-        except KeyError as exc:
-            raise InstanceError(f"no value column for agent {exc}") from exc
+        cols = _columns(ids, self.agents)
         values = matrix.T[cols]     # [n, S]: one contiguous row of draws per agent
         submax = values.copy()
         for node, kids in self.post:
@@ -465,13 +445,12 @@ def run_referral_auction(net: DiffusionNetwork, reports: ReportProfile,
     netting follow the same accounting as :func:`run_lblev`.
     """
     tree = build_referral_tree(net, reports)
-    agents = tree.agents()
-    if not agents or all(reports.value(i) == 0.0 for i in agents):
-        return unsold_outcome(net.agents), []
-    submax = subtree_values(tree, reports)
-    winner, pay, traces = _run_levels(tree, reports.value, submax,
+    values = reports.values()
+    if all(values[i] == 0.0 for i in tree.agents()):
+        return Outcome({}, {}, 0.0), []
+    winner, pay, traces = _run_levels(tree, values, subtree_values(tree, values),
                                       partial(_myerson_level, rule))
-    return _complete(_settle(tree, winner, pay), net.agents), traces
+    return _settle(winner, pay), traces
 
 
 def transformed_auction_revenue(net: DiffusionNetwork, reports: ReportProfile,
@@ -481,16 +460,12 @@ def transformed_auction_revenue(net: DiffusionNetwork, reports: ReportProfile,
     of the rule with its Myerson threshold payment."""
     tree = build_referral_tree(net, reports)
     first = tree.child_tuple(tree.root)
-    if not first or all(reports.value(i) == 0.0 for i in tree.agents()):
-        return 0.0
-    submax = subtree_values(tree, reports)
-    level_values = {i: submax[i] for i in first}
-    if len(level_values) == 1:
-        return 0.0
-    i_star = rule.winner(level_values)
-    if i_star is None:
-        return 0.0
-    return myerson_level_payment(rule, i_star, level_values)
+    values = reports.values()
+    if len(first) < 2 or all(values[i] == 0.0 for i in tree.agents()):
+        return 0.0   # a lone survivor pays the offset, 0
+    submax = subtree_values(tree, values)
+    chosen = _myerson_level(rule, [(i, submax[i]) for i in first])
+    return 0.0 if chosen is None else chosen[1]
 
 
 def rc_example_mechanism(bids: Sequence[float],
@@ -508,7 +483,7 @@ def rc_example_mechanism(bids: Sequence[float],
     if any(b < 0 for b in bids):
         raise ValueError("bids must be non-negative")
     if all(b == 0 for b in bids):
-        return unsold_outcome(ids)
+        return Outcome({}, {}, 0.0)
     order = sorted(zip(ids, bids), key=lambda ib: (-ib[1], ib[0]))
     (hi, _), (mid, mid_bid), (lo, _) = order
     transfer = mid_bid / 3.0
@@ -540,6 +515,9 @@ class Compiled:
         ``ids``, every other report held fixed.  Returns (winner id, -1
         when unsold [S]; net payments [S, len(ids)]; seller revenue [S])."""
         matrix = _draw_matrix(ids, matrix)
+        unknown = set(ids) - self.reports.agents()
+        if unknown:
+            raise InstanceError(f"agents {sorted(unknown)} are not in the compiled profile")
         winner = np.full(len(matrix), -1)
         payments = np.zeros(matrix.shape)
         revenue = np.zeros(len(matrix))
@@ -599,15 +577,15 @@ class LblevCurves(Compiled):
             others_zero = all(v == 0.0 for i, v in values.items() if i != agent)
             self._paths[agent] = (path, set(path), others_zero, [submax[i] for i in path])
         path, on_path, others_zero, path_max = self._paths[agent]
-        value, own, out = values.__getitem__, values[agent], []
+        own, out = values[agent], []
         try:
             for x in xs:
                 if others_zero and x == 0.0:
                     out.append((0.0, 0.0))   # all-zero values leave the item unsold
                     continue
                 values[agent] = x
-                _fill_subtree_max(submax, path, value, tree.children)
-                winner, pay, _ = _run_levels(tree, value, submax, self._rank,
+                _fill_subtree_max(submax, path, values, tree.children)
+                winner, pay, _ = _run_levels(tree, values, submax, self._rank,
                                              record=False, stay_on=on_path)
                 # a descent past the agent stops at its child: that is the winner
                 out.append((1.0, pay[agent]) if winner == agent else
@@ -669,9 +647,7 @@ class LblevAuction(Mechanism):
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:
-        tree = build_referral_tree(net, reports)
-        outcome, traces = run_lblev(tree, reports, self.exponents)
-        return _complete(outcome, net.agents), traces
+        return run_lblev(build_referral_tree(net, reports), reports.values(), self.exponents)
 
 
 class ReferralAuction(Mechanism):

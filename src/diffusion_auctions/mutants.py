@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import fixtures
-from .mechanisms import Mechanism, _complete, _settle, run_lblev
+from .mechanisms import Mechanism, _settle, run_lblev
 from .network import (
     DiffusionNetwork,
     Outcome,
@@ -21,7 +21,6 @@ from .network import (
     build_referral_tree,
     filter_subnetwork,
     subtree_values,
-    unsold_outcome,
 )
 
 
@@ -35,9 +34,9 @@ class AwardLowestMechanism(Mechanism):
         reached = filter_subnetwork(net, reports)
         positive = [i for i in sorted(reached) if reports.value(i) > 0]
         if not positive:
-            return unsold_outcome(net.agents)
+            return Outcome({}, {}, 0.0)
         winner = min(positive, key=lambda i: (reports.value(i), i))
-        return _complete(Outcome({winner: 1.0}, {}, 0.0, winner), net.agents)
+        return Outcome({winner: 1.0}, {}, 0.0, winner)
 
 
 class FlatFeeMechanism(Mechanism):
@@ -51,16 +50,13 @@ class FlatFeeMechanism(Mechanism):
         self.discount = float(discount)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        tree = build_referral_tree(net, reports)
-        outcome, _ = run_lblev(tree, reports, {})
+        outcome, _ = run_lblev(build_referral_tree(net, reports), reports.values(), {})
         if outcome.winner is None:
-            return _complete(outcome, net.agents)
+            return outcome
         payments = dict(outcome.payments)
         payments[outcome.winner] -= self.discount
         revenue = sum(payments.values())
-        return _complete(
-            Outcome(outcome.allocation, payments, revenue, outcome.winner),
-            net.agents)
+        return Outcome(outcome.allocation, payments, revenue, outcome.winner)
 
 
 class GreedyNoCommissionMechanism(Mechanism):
@@ -72,12 +68,12 @@ class GreedyNoCommissionMechanism(Mechanism):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         reached = sorted(filter_subnetwork(net, reports))
-        if not reached or all(reports.value(i) == 0 for i in reached):
-            return unsold_outcome(net.agents)
+        if all(reports.value(i) == 0 for i in reached):
+            return Outcome({}, {}, 0.0)
         ranked = sorted(reached, key=lambda i: (-reports.value(i), i))
         winner = ranked[0]
         price = reports.value(ranked[1]) if len(ranked) > 1 else 0.0
-        return _complete(Outcome({winner: 1.0}, {winner: price}, price, winner), net.agents)
+        return Outcome({winner: 1.0}, {winner: price}, price, winner)
 
 
 class NoOffsetLevelMechanism(Mechanism):
@@ -90,10 +86,10 @@ class NoOffsetLevelMechanism(Mechanism):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         tree = build_referral_tree(net, reports)
-        agents = tree.agents()
-        if not agents or all(reports.value(i) == 0 for i in agents):
-            return unsold_outcome(net.agents)
-        submax = subtree_values(tree, reports)
+        values = reports.values()
+        if all(values[i] == 0 for i in tree.agents()):
+            return Outcome({}, {}, 0.0)
+        submax = subtree_values(tree, values)
         node = tree.root
         pay: dict[int, float] = {}
         while True:
@@ -102,12 +98,11 @@ class NoOffsetLevelMechanism(Mechanism):
                 break
             ranked = sorted(kids, key=lambda c: (-submax[c], c))
             best = ranked[0]
-            if node != tree.root and reports.value(node) >= submax[best]:
+            if node != tree.root and values[node] >= submax[best]:
                 break
             pay[best] = submax[ranked[1]] if len(ranked) > 1 else 0.0
             node = best
-        winner = node if node != tree.root else None
-        return _complete(_settle(tree, winner, pay), net.agents)
+        return _settle(node if node != tree.root else None, pay)
 
 
 class LoserFeeMechanism(Mechanism):
@@ -121,17 +116,15 @@ class LoserFeeMechanism(Mechanism):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         tree = build_referral_tree(net, reports)
-        outcome, _ = run_lblev(tree, reports, {})
+        outcome, _ = run_lblev(tree, reports.values(), {})
         payments = dict(outcome.payments)
         extra = 0.0
         for agent in tree.agents():
             if agent != outcome.winner:
                 payments[agent] = payments.get(agent, 0.0) + self.fee
                 extra += self.fee
-        return _complete(
-            Outcome(outcome.allocation, payments,
-                    outcome.seller_revenue + extra, outcome.winner),
-            net.agents)
+        return Outcome(outcome.allocation, payments,
+                       outcome.seller_revenue + extra, outcome.winner)
 
 
 MUTANTS: Mapping[str, type] = {

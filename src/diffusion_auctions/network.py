@@ -14,7 +14,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -131,17 +131,6 @@ class ReportProfile:
         return ReportProfile(merged)
 
 
-#: Mechanisms accept either a full profile or a bare {agent: value} map
-#: wherever only valuations matter (e.g. Monte Carlo loops on a fixed tree).
-ValuesLike = Union[ReportProfile, Mapping[int, float]]
-
-
-def _value_getter(reports: ValuesLike):
-    if isinstance(reports, ReportProfile):
-        return reports.value
-    return reports.__getitem__
-
-
 def bfs_timestamps(net: DiffusionNetwork) -> dict[int, int]:
     """Arrival order under full forwarding: breadth-first from the seller,
     ties within a layer by ascending id.  Unreachable agents are stamped
@@ -199,11 +188,9 @@ def _live_walk(net: DiffusionNetwork, reports: ReportProfile) -> dict[int, froze
     return live_of
 
 
-def filter_subnetwork(net: DiffusionNetwork, reports: ValuesLike) -> frozenset[int]:
+def filter_subnetwork(net: DiffusionNetwork, reports: ReportProfile) -> frozenset[int]:
     """Agents reachable from the seller along reported forwarding edges
     (see :func:`_live_walk` for which edges are live)."""
-    if not isinstance(reports, ReportProfile):
-        raise TypeError("filter_subnetwork needs a full ReportProfile")
     return frozenset(_live_walk(net, reports))
 
 
@@ -214,7 +201,6 @@ class ReferralTree:
     root: int
     parent: Mapping[int, int]
     children: Mapping[int, tuple[int, ...]]
-    level: Mapping[int, int]
 
     def agents(self) -> frozenset[int]:
         cached = getattr(self, "_agents", None)
@@ -281,39 +267,30 @@ def build_referral_tree(net: DiffusionNetwork, reports: ReportProfile) -> Referr
     for lst in children.values():
         lst.sort()
 
-    level: dict[int, int] = {}
-    queue = deque((c, 1) for c in children.get(net.seller, []))
-    while queue:
-        node, lvl = queue.popleft()
-        level[node] = lvl
-        for ch in children.get(node, []):
-            queue.append((ch, lvl + 1))
-    if len(level) != len(parent):
+    tree = ReferralTree(root=net.seller, parent=parent,
+                        children={k: tuple(v) for k, v in children.items()})
+    # an agent on a parent cycle is never reached from the seller
+    if len(tree.post_order()) != len(parent):
         raise InstanceError("timestamps induce a cyclic parent map")
-
-    return ReferralTree(
-        root=net.seller,
-        parent=parent,
-        children={k: tuple(v) for k, v in children.items()},
-        level=level,
-    )
+    return tree
 
 
-def subtree_values(tree: ReferralTree, reports: ValuesLike) -> dict[int, float]:
-    """Maximum reported valuation within each node's subtree (inclusive)."""
+def subtree_values(tree: ReferralTree, values: Mapping[int, float]) -> dict[int, float]:
+    """Maximum valuation within each node's subtree (inclusive)."""
     best: dict[int, float] = {}
-    _fill_subtree_max(best, tree.post_order(), _value_getter(reports), tree.children)
+    _fill_subtree_max(best, tree.post_order(), values, tree.children)
     return best
 
 
-def _fill_subtree_max(best: dict[int, float], nodes: Iterable[int], value,
+def _fill_subtree_max(best: dict[int, float], nodes: Iterable[int],
+                      values: Mapping[int, float],
                       children: Mapping[int, tuple[int, ...]]) -> None:
     """Set ``best[node]`` for each of ``nodes``, children before parents:
     its own value, replaced by a child's entry only when strictly larger,
     children in tree order.  Every child outside ``nodes`` must already
     have its entry."""
     for node in nodes:
-        m = value(node)
+        m = values[node]
         for ch in children.get(node, ()):
             if best[ch] > m:
                 m = best[ch]
@@ -323,7 +300,8 @@ def _fill_subtree_max(best: dict[int, float], nodes: Iterable[int], value,
 @dataclass(frozen=True)
 class Outcome:
     """Joint result of a mechanism: allocation probabilities and signed
-    payments (positive means the agent pays)."""
+    payments (positive means the agent pays).  Both maps are sparse: an
+    agent they leave out has 0."""
 
     allocation: Mapping[int, float]
     payments: Mapping[int, float]
@@ -342,19 +320,15 @@ class Outcome:
     def utility(self, agent: int, true_value: float) -> float:
         return true_value * self.allocation.get(agent, 0.0) - self.payments.get(agent, 0.0)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, agents: Iterable[int]) -> dict:
+        """JSON form that lists each of ``agents``, an absent one with 0."""
+        keys = sorted(agents)
         return {
             "winner": self.winner,
             "seller_revenue": self.seller_revenue,
-            "allocation": {str(k): v for k, v in sorted(self.allocation.items())},
-            "payments": {str(k): v for k, v in sorted(self.payments.items())},
+            "allocation": {str(k): self.allocation.get(k, 0.0) for k in keys},
+            "payments": {str(k): self.payments.get(k, 0.0) for k in keys},
         }
-
-
-def unsold_outcome(agents: Iterable[int]) -> Outcome:
-    zeros = {i: 0.0 for i in agents}
-    return Outcome(allocation=dict(zeros), payments=dict(zeros),
-                   seller_revenue=0.0, winner=None)
 
 
 @dataclass(frozen=True)

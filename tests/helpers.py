@@ -13,12 +13,12 @@ from diffusion_auctions.experiments import (
     assign_class_means,
     draw_valuations,
 )
-from diffusion_auctions.network import Outcome, ValuesLike
+from diffusion_auctions.network import Outcome
 
 
-def run_idm_tree(tree: ReferralTree, reports: ValuesLike) -> Outcome:
+def run_idm_tree(tree: ReferralTree, values: Mapping[int, float]) -> Outcome:
     """Information-diffusion mechanism on a tree: the unit-exponent case."""
-    outcome, _ = run_lblev(tree, reports, {})
+    outcome, _ = run_lblev(tree, values, {})
     return outcome
 
 

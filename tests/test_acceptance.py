@@ -82,13 +82,13 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 def test_c01_lblev_worked_example():
     inst = fixtures.fig_lblev_instance()
     tree = build_referral_tree(inst.net, inst.reports)
-    outcome, traces = run_lblev(tree, inst.reports, inst.exponents)
+    outcome, traces = run_lblev(tree, inst.reports.values(), inst.exponents)
 
     start = time.perf_counter()
     best = math.inf
     for _ in range(200):
         t0 = time.perf_counter()
-        run_lblev(tree, inst.reports, inst.exponents)
+        run_lblev(tree, inst.reports.values(), inst.exponents)
         best = min(best, time.perf_counter() - t0)
     _ = time.perf_counter() - start
 
@@ -310,8 +310,8 @@ def test_c04_equivalences():
     for k in range(500):
         inst = random_tree_instance(int(rng.integers(1, 12)), rng)
         tree = build_referral_tree(inst.net, inst.reports)
-        a, _ = run_lblev(tree, inst.reports, {})
-        b = run_idm_tree(tree, inst.reports)
+        a, _ = run_lblev(tree, inst.reports.values(), {})
+        b = run_idm_tree(tree, inst.reports.values())
         assert a.winner == b.winner
         assert a.payments == b.payments
 
@@ -323,10 +323,10 @@ def test_c04_equivalences():
         exps = {i: float(rng.uniform(0.5, 3)) for i in net.agents}
         ra, _ = run_referral_auction(net, profile, PowerRule(exps))
         tree = build_referral_tree(net, profile)
-        lb, _ = run_lblev(tree, profile, exps)
+        lb, _ = run_lblev(tree, profile.values(), exps)
         assert ra.winner == lb.winner
         for agent in tree.agents():
-            assert abs(ra.payments[agent] - lb.payments[agent]) <= 1e-9
+            assert abs(ra.payments.get(agent, 0.0) - lb.payments.get(agent, 0.0)) <= 1e-9
     report(4, True, "500 instances: unit-exponent==baseline exact; "
                     "referral power rule == level auction within 1e-9")
 

@@ -58,9 +58,9 @@ def heavy_tailed() -> ValuationDistribution:
     # density 1/(1+x)^2 on [0, inf): hazard 1/(1+x) decreases
     return ValuationDistribution(
         name="pareto-like", upper=math.inf, mhr=False,
-        cdf_fn=lambda x: np.where(np.asarray(x) >= 0, np.asarray(x) / (1.0 + np.asarray(x)), 0.0),
-        pdf_fn=lambda x: np.where(np.asarray(x) >= 0, 1.0 / (1.0 + np.asarray(x)) ** 2, 0.0),
-        sample_fn=lambda rng, size: rng.uniform(size=size) / (1.0 - rng.uniform(size=size)))
+        cdf=lambda x: np.where(np.asarray(x) >= 0, np.asarray(x) / (1.0 + np.asarray(x)), 0.0),
+        pdf=lambda x: np.where(np.asarray(x) >= 0, 1.0 / (1.0 + np.asarray(x)) ** 2, 0.0),
+        sample=lambda rng, size: rng.uniform(size=size) / (1.0 - rng.uniform(size=size)))
 
 
 class TestVirtualValuation:
@@ -215,7 +215,7 @@ class TestRunMaxViva:
             profile = truthful_profile(inst.net, values)
             out = mech.run(inst.net, profile)
             tree = build_referral_tree(inst.net, profile)
-            sub = subtree_values(tree, profile)
+            sub = subtree_values(tree, profile.values())
             entries = {i: (sub[i], max_of_iid(UNIT, sum(1 for _ in tree.subtree(i))))
                        for i in tree.child_tuple(tree.root)}
             winner, pay = maxviva_level(entries)
@@ -334,9 +334,9 @@ class TestExpectedRevenue:
     def test_point_mass_matches_deterministic_run(self):
         point = ValuationDistribution(
             name="point", upper=1.0, mhr=True,
-            cdf_fn=lambda x: np.where(np.asarray(x) >= 0.7, 1.0, 0.0),
-            pdf_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            sample_fn=lambda rng, size: np.full(size, 0.7))
+            cdf=lambda x: np.where(np.asarray(x) >= 0.7, 1.0, 0.0),
+            pdf=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            sample=lambda rng, size: np.full(size, 0.7))
         inst = fixtures.depth1_instance((1.0, 1.0))
         mech = ReferralAuction(ArgmaxRule())
         mean, se = expected_revenue(mech, inst.net, {1: point, 2: point},
@@ -518,23 +518,6 @@ class TestRevenueIdentity:
         for v in (0.2, 0.5, 0.9):
             assert interim_payment_second_price(UNIT, 1, v) == pytest.approx(
                 v * v / 2.0, abs=1e-10)
-
-
-class TestRevenueCsv:
-    def test_header_and_rows(self, tmp_path):
-        from diffusion_auctions.bayes import write_revenue_csv
-        inst = fixtures.depth1_instance((0.5, 0.5))
-        dists = {1: UNIT, 2: UNIT}
-        mean, se = expected_revenue(MaxVivaTA(dists), inst.net, dists,
-                                    trials=2000, seed=3)
-        path = tmp_path / "revenue.csv"
-        with open(path, "w", newline="") as fh:
-            write_revenue_csv([{"mechanism": "ta:maxviva", "n": 2, "sigma": "",
-                                "trials": 2000, "mean": mean, "stderr": se,
-                                "seed": 3}], fh)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "mechanism,n,sigma,trials,mean,stderr,seed"
-        assert lines[1].startswith("ta:maxviva,2,,2000,")
 
 
 class TestDistributionSpecs:

@@ -3,7 +3,15 @@ import math
 
 import pytest
 
-from diffusion_auctions import LblevAuction, fixtures, load_instance, save_instance
+from diffusion_auctions import (
+    Instance,
+    LblevAuction,
+    fixtures,
+    load_instance,
+    network_from_edges,
+    save_instance,
+    truthful_profile,
+)
 from diffusion_auctions.network import instance_to_dict
 from diffusion_auctions.cli import main
 from diffusion_auctions.rc_example import fig_rc_instance
@@ -74,6 +82,22 @@ class TestRun:
         ra, lb = json.loads(out_ra), json.loads(out_lb)
         assert ra["winner"] == lb["winner"] == 8
         assert ra["seller_revenue"] == pytest.approx(lb["seller_revenue"], abs=1e-9)
+
+    @pytest.mark.parametrize("mechanism", ["lblev", "mutant:award-lowest"])
+    def test_json_lists_agents_the_auction_does_not_reach(self, tmp_path, capsys, mechanism):
+        # agent 4 has no inviter, and agent 5 is cut off because 3 does not forward
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 5)], agents=range(1, 6))
+        values = {1: 5.0, 2: 7.0, 3: 9.0, 4: 11.0, 5: 13.0}
+        profile = truthful_profile(net, values).replace(3, neighbors=())
+        path = tmp_path / "unreached.json"
+        save_instance(Instance(net, profile), path)
+        code, out, _ = run_cli(capsys, "run", "--instance", str(path), "--mechanism", mechanism)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["winner"] in (1, 2, 3)
+        for field in ("allocation", "payments"):
+            assert list(payload[field]) == ["1", "2", "3", "4", "5"]
+            assert payload[field]["4"] == payload[field]["5"] == 0.0
 
     def test_unsold_all_zero(self, tmp_path, capsys):
         inst = fixtures.depth1_instance((0.0, 0.0))

@@ -24,8 +24,8 @@ from diffusion_auctions import experiments
 from diffusion_auctions.experiments import (
     SweepRow,
     assign_class_means,
+    _inner_draw,
     draw_valuations,
-    inner_sample,
     outer_sample,
     write_sweep_csv,
 )
@@ -90,8 +90,7 @@ class TestActivation:
     def test_keep_rate_matches_first_moment(self):
         # one parent, one child, many draws: the keep probability itself
         # is drawn as u**(1/5), whose mean is 5/6
-        base = ReferralTree(root=SELLER, parent={1: SELLER}, children={SELLER: (1,)},
-                            level={1: 1})
+        base = ReferralTree(root=SELLER, parent={1: SELLER}, children={SELLER: (1,)})
         rng = np.random.default_rng(123)
         kept = sum(1 in activate_edges(base, rng).agents() for _ in range(100000))
         assert kept / 100000 == pytest.approx(5.0 / 6.0, abs=0.01)
@@ -139,10 +138,10 @@ class TestValuations:
 def scalar_activate_edges(base, rng):
     """``activate_edges`` in its scalar draw form: one ``rng.uniform()``
     per reached parent and one per child."""
-    parent, children, level = {}, {}, {}
-    frontier = [(SELLER, 0)]
+    parent, children = {}, {}
+    frontier = [SELLER]
     while frontier:
-        node, lvl = frontier.pop(0)
+        node = frontier.pop(0)
         kids = base.children.get(node, ())
         if not kids:
             continue
@@ -152,9 +151,8 @@ def scalar_activate_edges(base, rng):
             children[node] = kept
         for k in kept:
             parent[k] = node
-            level[k] = lvl + 1
-            frontier.append((k, lvl + 1))
-    return ReferralTree(root=SELLER, parent=parent, children=children, level=level)
+            frontier.append(k)
+    return ReferralTree(root=SELLER, parent=parent, children=children)
 
 
 def scalar_draw_valuations(means, sigma, rng):
@@ -192,8 +190,7 @@ class TestDrawForms:
 class TestExponentSchedule:
     def tree_with_two_tops(self):
         return ReferralTree(root=SELLER, parent={1: SELLER, 2: SELLER, 3: 1, 4: 2},
-                            children={SELLER: (1, 2), 1: (3,), 2: (4,)},
-                            level={1: 1, 2: 1, 3: 2, 4: 2})
+                            children={SELLER: (1, 2), 1: (3,), 2: (4,)})
 
     def test_lambda_zero_is_unit(self):
         base = self.tree_with_two_tops()
@@ -218,7 +215,7 @@ class TestExponentSchedule:
 
     def test_single_first_level_subtree_warns_unit(self, caplog):
         base = ReferralTree(root=SELLER, parent={1: SELLER, 2: 1},
-                            children={SELLER: (1,), 1: (2,)}, level={1: 1, 2: 2})
+                            children={SELLER: (1,), 1: (2,)})
         with caplog.at_level("WARNING"):
             sched = exponent_schedule(base, {1: 70.0, 2: 100.0}, 0.8)
         assert all(t == 1.0 for t in sched.values())
@@ -282,7 +279,7 @@ class TestSweep:
             for inner in range(config.inner):
                 if rng.random() > 0.2:
                     continue
-                tree, values = inner_sample(config, outer, inner)
+                tree, values = _inner_draw(config, base, means, outer, inner)
                 if not tree.agents():
                     continue
                 edges = [(tree.parent[a], a) for a in tree.agents()]
@@ -303,7 +300,7 @@ class TestSweep:
                 if len(base.child_tuple(SELLER)) >= 2 \
                 else {i: 1.0 for i in range(1, config.n + 1)}
             for inner in range(config.inner):
-                tree, values = inner_sample(config, outer, inner)
+                tree, values = _inner_draw(config, base, means, outer, inner)
                 base_out, _ = run_lblev(tree, values, {})
                 if base_out.seller_revenue <= 0:
                     continue
@@ -326,7 +323,7 @@ def reference_rows(config):
                 else {} for lam in config.lambdas]
         tables = [exponent_table(m, range(1, config.n + 1)) for m in [{}] + maps]
         for inner in range(config.inner):
-            tree, values = inner_sample(config, outer, inner)
+            tree, values = _inner_draw(config, base, means, outer, inner)
             r0, *revenues = lblev_seller_revenues(tree, values, tables)
             if r0 > 0:
                 for col, r in zip(cols, revenues):
@@ -390,7 +387,7 @@ class TestSellerRevenues:
             maps = self.sweep_maps(config, outer)
             tables = [exponent_table(m, range(1, config.n + 1)) for m in maps]
             for inner in range(config.inner):
-                tree, values = inner_sample(config, outer, inner)
+                tree, values = _inner_draw(config, *outer_sample(config, outer), outer, inner)
                 fast = lblev_seller_revenues(tree, values, tables)
                 slow = [run_lblev(tree, values, m)[0].seller_revenue for m in maps]
                 assert fast == slow, (config, outer, inner)
@@ -437,7 +434,7 @@ class TestSellerRevenues:
         assert lblev_seller_revenues(tree, values, tables)[:2] == [9.0, 729.0]
 
     def test_empty_tree_and_no_maps(self):
-        empty = activate_edges(ReferralTree(root=SELLER, parent={}, children={}, level={}),
+        empty = activate_edges(ReferralTree(root=SELLER, parent={}, children={}),
                                np.random.default_rng(0))
         assert lblev_seller_revenues(empty, {1: 5.0}, [{}, {}]) == [0.0, 0.0]
         inst = fixtures.fig_lblev_instance()
@@ -460,7 +457,7 @@ class TestSellerRevenues:
         inst = fixtures.fig_lblev_instance()
         tree = build_referral_tree(inst.net, inst.reports)
         with pytest.raises(InstanceError):
-            run_lblev(tree, inst.reports, {1: bad})
+            run_lblev(tree, inst.reports.values(), {1: bad})
         with pytest.raises(InstanceError):
             exponent_table({1: bad}, tree.agents())
 

@@ -54,13 +54,13 @@ def fig():
 class TestLblevWorkedExample:
     def test_winner_and_revenue(self, fig):
         inst, tree = fig
-        out, _ = run_lblev(tree, inst.reports, inst.exponents)
+        out, _ = run_lblev(tree, inst.reports.values(), inst.exponents)
         assert out.winner == 8
         assert out.seller_revenue == 729.0
 
     def test_payment_chain(self, fig):
         inst, tree = fig
-        _, traces = run_lblev(tree, inst.reports, inst.exponents)
+        _, traces = run_lblev(tree, inst.reports.values(), inst.exponents)
         actual = [t.actual_payment for t in traces]
         assert actual == pytest.approx(
             [fixtures.FIG_LBLEV_PAY_A, fixtures.FIG_LBLEV_PAY_E,
@@ -71,23 +71,29 @@ class TestLblevWorkedExample:
 
     def test_commissions(self, fig):
         inst, tree = fig
-        out, _ = run_lblev(tree, inst.reports, inst.exponents)
+        out, _ = run_lblev(tree, inst.reports.values(), inst.exponents)
         assert -out.payments[1] == pytest.approx(math.sqrt(6.0), abs=1e-9)
         assert -out.payments[5] == pytest.approx(
             math.sqrt(16.0 - math.sqrt(6.0)), abs=1e-9)
 
     def test_effective_valuations_per_level(self, fig):
         inst, tree = fig
-        _, traces = run_lblev(tree, inst.reports, inst.exponents)
+        _, traces = run_lblev(tree, inst.reports.values(), inst.exponents)
         assert dict(traces[0].survivors) == {1: 750.0, 2: 6.0, 3: 9.0}
         level2 = dict(traces[1].survivors)
         assert level2[4] == pytest.approx(6.0)
         assert level2[5] == pytest.approx(21.0)
         assert 6 not in level2  # negative effective valuation is dropped
 
+    def test_outcome_lists_only_the_winner_and_the_payment_chain(self, fig):
+        inst, _ = fig
+        out = LblevAuction(fixtures.FIG_LBLEV_EXPONENTS).run(inst.net, inst.reports)
+        assert out.allocation == {8: 1.0}
+        assert set(out.payments) == {1, 5, 8}   # A, E and K; everyone else pays 0
+
     def test_payments_sum_to_revenue(self, fig):
         inst, tree = fig
-        out, _ = run_lblev(tree, inst.reports, inst.exponents)
+        out, _ = run_lblev(tree, inst.reports.values(), inst.exponents)
         assert sum(out.payments.values()) == pytest.approx(out.seller_revenue, abs=1e-9)
 
 
@@ -96,7 +102,7 @@ class TestLblevEdgeCases:
         net = network_from_edges([(0, 1), (1, 2)])
         profile = truthful_profile(net, {1: 0.0, 2: 0.0})
         tree = build_referral_tree(net, profile)
-        out, traces = run_lblev(tree, profile, {})
+        out, traces = run_lblev(tree, profile.values(), {})
         assert out.winner is None
         assert out.seller_revenue == 0.0
         assert all(p == 0.0 for p in out.payments.values())
@@ -105,7 +111,7 @@ class TestLblevEdgeCases:
     def test_empty_tree_unsold(self):
         # everything deactivated: the seller is alone
         from diffusion_auctions.network import ReferralTree
-        empty = ReferralTree(root=0, parent={}, children={}, level={})
+        empty = ReferralTree(root=0, parent={}, children={})
         out, traces = run_lblev(empty, {}, {})
         assert out.winner is None
         assert out.allocation == {} and out.payments == {}
@@ -114,20 +120,20 @@ class TestLblevEdgeCases:
         net = network_from_edges([(0, 1)])
         profile = truthful_profile(net, {1: 5.0})
         tree = build_referral_tree(net, profile)
-        out, _ = run_lblev(tree, profile, {1: 2.0})
+        out, _ = run_lblev(tree, profile.values(), {1: 2.0})
         assert out.winner == 1
         assert out.payments[1] == 0.0
 
     def test_rejects_non_positive_exponent(self, fig):
         inst, tree = fig
         with pytest.raises(ValueError):
-            run_lblev(tree, inst.reports, {1: 0.0})
+            run_lblev(tree, inst.reports.values(), {1: 0.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_exponent(self, fig, bad):
         inst, tree = fig
         with pytest.raises(InstanceError):
-            run_lblev(tree, inst.reports, {1: bad})
+            run_lblev(tree, inst.reports.values(), {1: bad})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
     def test_bare_value_map_rejects_non_finite_or_negative(self, bad):
@@ -141,7 +147,7 @@ class TestLblevEdgeCases:
         net = network_from_edges([(0, 1), (0, 2), (1, 3)])
         profile = truthful_profile(net, {1: 50.0, 2: 10.0, 3: 20.0})
         tree = build_referral_tree(net, profile)
-        out, _ = run_lblev(tree, profile, {})
+        out, _ = run_lblev(tree, profile.values(), {})
         assert out.winner == 1
         assert out.payments[1] == pytest.approx(10.0)
         assert out.seller_revenue == pytest.approx(10.0)
@@ -151,7 +157,7 @@ class TestLblevEdgeCases:
         net = network_from_edges([(0, 1), (0, 2), (1, 3)])
         profile = truthful_profile(net, {1: 0.0, 2: 10.0, 3: 10.0})
         tree = build_referral_tree(net, profile)
-        out, _ = run_lblev(tree, profile, {})
+        out, _ = run_lblev(tree, profile.values(), {})
         assert out.winner == 3
         assert out.payments[3] == pytest.approx(10.0)
 
@@ -315,13 +321,29 @@ class TestLevelKernel:
         ([1, 2, 3], [[5.0, 1.0, math.nan]]),          # a NaN value
     ])
     def test_malformed_draw_matrix_is_rejected(self, path, ids, matrix):
+        with pytest.raises(InstanceError):
+            self.pricing_paths()[path](ids, np.array(matrix))
+
+    @pytest.mark.parametrize("path, ids", [
+        ("kernel", [1, 2]),              # agent 3 of the tree has no column
+        ("kernel", [4, 2, 1]),
+        ("default-loop", [1, 2, 4]),     # agent 4 is not in the compiled profile
+        ("default-loop", [4]),
+        ("first-level", [1, 2]),         # agent 3, in node 1's subtree, has no column
+        ("first-level", [2, 1, 4]),
+    ])
+    def test_missing_column_is_rejected(self, path, ids):
+        with pytest.raises(InstanceError, match="agent"):
+            self.pricing_paths()[path](ids, np.full((2, len(ids)), 5.0))
+
+    @staticmethod
+    def pricing_paths():
+        """The three ways to price a draw matrix, on 0->1, 0->2, 1->3."""
         net = network_from_edges([(0, 1), (0, 2), (1, 3)])
         lblev = truthful_compile(LblevAuction(), net)
-        price = {"kernel": lblev.outcomes,
-                 "default-loop": Compiled(lblev.mech, net, lblev.reports).outcomes,
-                 "first-level": truthful_compile(SecondPriceTA(), net).revenues}[path]
-        with pytest.raises(InstanceError):
-            price(ids, np.array(matrix))
+        return {"kernel": lblev.outcomes,
+                "default-loop": Compiled(lblev.mech, net, lblev.reports).outcomes,
+                "first-level": truthful_compile(SecondPriceTA(), net).revenues}
 
     # seller -> 1, 2, 3, 4; 2 -> 5, 6, 7; 5 -> 8.  Exponents 0.5 and 2.0
     # take numpy's sqrt/square fast paths when passed as scalars.
@@ -401,7 +423,7 @@ class TestLevelKernel:
 class TestIdmTree:
     def test_fig_instance_unit_exponent_trace(self, fig):
         inst, tree = fig
-        out = run_idm_tree(tree, inst.reports)
+        out = run_idm_tree(tree, inst.reports.values())
         # derived by hand-executing the unit-exponent descent:
         # level prices 9, then 9+726=735, then 735+10=745
         assert out.winner == 8
@@ -413,14 +435,14 @@ class TestIdmTree:
     def test_depth_one_is_second_price(self):
         inst = fixtures.depth1_instance((10.0, 7.0))
         tree = build_referral_tree(inst.net, inst.reports)
-        out = run_idm_tree(tree, inst.reports)
+        out = run_idm_tree(tree, inst.reports.values())
         assert out.winner == 1
         assert out.payments[1] == pytest.approx(7.0)
 
     def test_all_zero_unsold(self):
         inst = fixtures.depth1_instance((0.0, 0.0))
         tree = build_referral_tree(inst.net, inst.reports)
-        out = run_idm_tree(tree, inst.reports)
+        out = run_idm_tree(tree, inst.reports.values())
         assert out.winner is None
 
 
@@ -438,7 +460,7 @@ class TestAgainstNaiveReference:
         net = network_from_edges(edges, agents=range(1, n + 1))
         profile = truthful_profile(net, values)
         tree = build_referral_tree(net, profile)
-        out, _ = run_lblev(tree, profile, exponents)
+        out, _ = run_lblev(tree, profile.values(), exponents)
 
         winner, pays = naive_level_auction(
             {p: list(k) for p, k in children.items()}, values, exponents)
@@ -446,7 +468,7 @@ class TestAgainstNaiveReference:
         assert out.winner == winner
         assert out.seller_revenue == pytest.approx(revenue, abs=1e-9)
         for agent in values:
-            assert out.payments[agent] == pytest.approx(net_pay[agent], abs=1e-9)
+            assert out.payments.get(agent, 0.0) == pytest.approx(net_pay[agent], abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9), n=st.integers(1, 10))
@@ -455,7 +477,7 @@ class TestAgainstNaiveReference:
         inst = random_tree_instance(n, rng)
         exps = {i: float(rng.uniform(0.5, 3.0)) for i in inst.net.agents}
         tree = build_referral_tree(inst.net, inst.reports)
-        out, traces = run_lblev(tree, inst.reports, exps)
+        out, traces = run_lblev(tree, inst.reports.values(), exps)
         assert sum(out.payments.values()) == pytest.approx(out.seller_revenue, abs=1e-9)
         for agent in inst.net.agents:
             utility = out.utility(agent, inst.reports.value(agent))
@@ -538,18 +560,20 @@ class TestReferralAuction:
     def test_power_rule_reduces_to_lblev(self, fig):
         inst, tree = fig
         ra, _ = run_referral_auction(inst.net, inst.reports, PowerRule(inst.exponents))
-        lb, _ = run_lblev(tree, inst.reports, inst.exponents)
+        lb, _ = run_lblev(tree, inst.reports.values(), inst.exponents)
         assert ra.winner == lb.winner
         for agent in tree.agents():
-            assert ra.payments[agent] == pytest.approx(lb.payments[agent], abs=1e-9)
+            assert (ra.payments.get(agent, 0.0)
+                    == pytest.approx(lb.payments.get(agent, 0.0), abs=1e-9))
 
     def test_argmax_rule_reduces_to_idm(self, fig):
         inst, tree = fig
         ra, _ = run_referral_auction(inst.net, inst.reports, ArgmaxRule())
-        idm = run_idm_tree(tree, inst.reports)
+        idm = run_idm_tree(tree, inst.reports.values())
         assert ra.winner == idm.winner
         for agent in tree.agents():
-            assert ra.payments[agent] == pytest.approx(idm.payments[agent], abs=1e-9)
+            assert (ra.payments.get(agent, 0.0)
+                    == pytest.approx(idm.payments.get(agent, 0.0), abs=1e-9))
 
     def test_all_zero_unsold(self):
         inst = fixtures.depth1_instance((0.0, 0.0, 0.0))
@@ -576,7 +600,7 @@ class TestReferralAuction:
         assert tree.parent[3] == 1  # first inviter
         out, _ = run_referral_auction(net, profile, ArgmaxRule())
         assert out.winner == 3
-        assert out.payments[2] == 0.0  # off the winning path
+        assert 2 not in out.payments  # off the winning path, so it pays 0
         withheld = profile.replace(1, neighbors=frozenset())
         tree2 = build_referral_tree(net, withheld)
         assert tree2.parent[3] == 2  # re-routed below the other inviter
@@ -646,8 +670,8 @@ class TestEquivalences:
         for _ in range(100):
             inst = random_tree_instance(int(rng.integers(1, 12)), rng)
             tree = build_referral_tree(inst.net, inst.reports)
-            a, _ = run_lblev(tree, inst.reports, {})
-            b = run_idm_tree(tree, inst.reports)
+            a, _ = run_lblev(tree, inst.reports.values(), {})
+            b = run_idm_tree(tree, inst.reports.values())
             assert a == b
 
     def test_referral_power_rule_equals_lblev_everywhere(self):
@@ -661,10 +685,11 @@ class TestEquivalences:
             exps = {i: float(rng.uniform(0.5, 3)) for i in net.agents}
             ra, _ = run_referral_auction(net, profile, PowerRule(exps))
             tree = build_referral_tree(net, profile)
-            lb, _ = run_lblev(tree, profile, exps)
+            lb, _ = run_lblev(tree, profile.values(), exps)
             assert ra.winner == lb.winner
             for agent in tree.agents():
-                assert ra.payments[agent] == pytest.approx(lb.payments[agent], abs=1e-9)
+                assert (ra.payments.get(agent, 0.0)
+                        == pytest.approx(lb.payments.get(agent, 0.0), abs=1e-9))
 
     def test_winner_monotone_under_own_raise(self):
         rng = np.random.default_rng(33)
@@ -773,7 +798,8 @@ class TestCompiledCurve:
                         assert (repr(compiled.curve(agent, xs))
                                 == repr(per_point(mech, net, profile, agent, xs))), (
                                     case, agent)
-                        seen["deep"] += tree.level.get(agent, 0) >= 3
+                        # depth 3 or more: the agent's grandparent is not the seller
+                        seen["deep"] += tree.parent.get(tree.parent.get(agent, 0), 0) != 0
                         seen["cut"] += agent not in tree.agents()
                         seen["others_zero"] += vals is alone and agent in tree.agents()
         assert min(seen.values()) >= 40, seen

@@ -128,17 +128,11 @@ def random_referral_case(rng: np.random.Generator, n: int):
     return net, forwards, stamps, profile
 
 
-def children_and_levels(parent: dict[int, int], root: int = 0):
+def children_of(parent: dict[int, int]) -> dict[int, tuple[int, ...]]:
     children: dict[int, tuple[int, ...]] = {}
     for node in sorted(parent):
         children[parent[node]] = children.get(parent[node], ()) + (node,)
-    level = {}
-    for node in parent:
-        depth, cur = 0, node
-        while cur != root:
-            depth, cur = depth + 1, parent[cur]
-        level[node] = depth
-    return children, level
+    return children
 
 
 class TestReferralTreeAgainstOracle:
@@ -156,10 +150,9 @@ class TestReferralTreeAgainstOracle:
                 continue
             built += 1
             tree = build_referral_tree(net, profile)
-            children, level = children_and_levels(expect)
             assert tree.parent == expect
-            assert dict(tree.children) == children
-            assert tree.level == level
+            assert dict(tree.children) == children_of(expect)
+            assert sorted(tree.post_order()) == sorted(expect)
         # both branches are exercised, and re-routing is common
         assert built >= 250 and cyclic >= 10
 
@@ -186,17 +179,17 @@ class TestSubtreeMax:
     def test_worked_example_values(self):
         inst = fixtures.fig_lblev_instance()
         tree = build_referral_tree(inst.net, inst.reports)
-        assert subtree_values(tree, inst.reports)[1] == 750.0
-        assert subtree_values(tree, inst.reports)[5] == 750.0
-        assert subtree_values(tree, inst.reports)[8] == 750.0  # leaf = own report
-        assert subtree_values(tree, inst.reports)[3] == 9.0
+        assert subtree_values(tree, inst.reports.values())[1] == 750.0
+        assert subtree_values(tree, inst.reports.values())[5] == 750.0
+        assert subtree_values(tree, inst.reports.values())[8] == 750.0  # leaf = own report
+        assert subtree_values(tree, inst.reports.values())[3] == 9.0
 
     def test_at_least_own_value(self):
         rng = np.random.default_rng(11)
         inst = random_tree_instance(9, rng)
         tree = build_referral_tree(inst.net, inst.reports)
         for agent in tree.agents():
-            assert subtree_values(tree, inst.reports)[agent] >= inst.reports.value(agent)
+            assert subtree_values(tree, inst.reports.values())[agent] >= inst.reports.value(agent)
 
 
 class TestOutcomeValidation:
