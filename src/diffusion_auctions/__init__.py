@@ -52,13 +52,11 @@ from .bayes import (
     estimate_interim,
     expected_revenue,
     exponential_distribution,
-    interim_payment_second_price,
     invert_virtual,
     max_of_iid,
     maxviva_level,
     paired_revenue_gap,
     parse_distribution,
-    revenue_identity_sides,
     run_maxviva,
     truncated_normal,
     uniform_distribution,

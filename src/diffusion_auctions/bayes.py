@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .mechanisms import (
@@ -37,6 +36,7 @@ from .network import (
     DiffusionNetwork,
     InstanceError,
     Outcome,
+    ReferralTree,
     ReportProfile,
     build_referral_tree,
     subtree_values,
@@ -312,8 +312,11 @@ def run_maxviva(net: DiffusionNetwork, reports: ReportProfile,
     the descent below the first level uses the plain highest-value rule
     with threshold payments (lower levels cannot change the revenue).
     """
-    tree = build_referral_tree(net, reports)
-    values = reports.values()
+    return _run_maxviva(build_referral_tree(net, reports), reports.values(), first_level_dists)
+
+
+def _run_maxviva(tree: ReferralTree, values: Mapping[int, float],
+                 first_level_dists: Mapping[int, ValuationDistribution]) -> Outcome:
     if all(values[i] == 0.0 for i in tree.agents()):
         return Outcome({}, {}, 0.0)
     submax = subtree_values(tree, values)
@@ -341,13 +344,11 @@ class MaxVivaAuction(Mechanism):
         self.base = base
         self.name = "maxviva"
 
-    def _first_level_dists(self, net, reports):
-        tree = build_referral_tree(net, reports)
-        sizes = {i: sum(1 for _ in tree.subtree(i)) for i in tree.child_tuple(tree.root)}
-        return {i: max_of_iid(self.base, m) for i, m in sizes.items()}
-
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        return run_maxviva(net, reports, self._first_level_dists(net, reports))
+        tree = build_referral_tree(net, reports)
+        dists = {i: max_of_iid(self.base, sum(1 for _ in tree.subtree(i)))
+                 for i in tree.child_tuple(tree.root)}
+        return _run_maxviva(tree, reports.values(), dists)
 
 
 @dataclass(frozen=True)
@@ -477,8 +478,7 @@ class SecondPriceTA(_TransformedAuction):
         return np.where(best >= self.reserve, np.maximum(second, self.reserve), 0.0)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        outcome, _ = run_referral_auction(net, reports, SecondPriceReserveRule(self.reserve))
-        return outcome
+        return run_referral_auction(net, reports, SecondPriceReserveRule(self.reserve))[0]
 
 
 class PowerTA(_TransformedAuction):
@@ -500,9 +500,7 @@ class PowerTA(_TransformedAuction):
         return np.where(sold, pay, 0.0)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        outcome, _ = run_lblev(build_referral_tree(net, reports), reports.values(),
-                               self.exponents)
-        return outcome
+        return run_lblev(build_referral_tree(net, reports), reports.values(), self.exponents)[0]
 
 
 class MaxVivaTA(_TransformedAuction):
@@ -538,38 +536,3 @@ class MaxVivaTA(_TransformedAuction):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return run_maxviva(net, reports, self.dists)
-
-
-def interim_payment_second_price(dist: ValuationDistribution, n_rivals: int,
-                                 value: float) -> float:
-    """Expected payment via the threshold integral (zero value-independent
-    component): v*a(v) - integral of a."""
-    alpha = lambda y: np.asarray(dist.cdf(y)) ** n_rivals
-    tail, _ = integrate.quad(alpha, 0.0, value, limit=200)
-    return value * float(alpha(value)) - tail
-
-
-def revenue_identity_sides(dist: ValuationDistribution,
-                           n_agents: int) -> tuple[float, float]:
-    """Both sides of the expected-payment / virtual-surplus identity for
-    a depth-one second-price bidder: integral of pay*f versus integral
-    of w*alpha*f, each by quadrature."""
-    if n_agents < 2:
-        raise ValueError("need at least two agents")
-    n_rivals = n_agents - 1
-    upper = dist.upper if math.isfinite(dist.upper) else np.inf
-
-    def lhs_integrand(v):
-        return interim_payment_second_price(dist, n_rivals, v) * float(dist.pdf(v))
-
-    def rhs_integrand(v):
-        # w(v)*f(v) written as v*f(v) - (1 - F(v)): no division, so the
-        # density's underflow tail stays finite
-        alpha = float(np.asarray(dist.cdf(v)) ** n_rivals)
-        f = float(dist.pdf(v))
-        tail = 1.0 - float(dist.cdf(v))
-        return (v * f - tail) * alpha
-
-    lhs, _ = integrate.quad(lhs_integrand, 0.0, upper, limit=200)
-    rhs, _ = integrate.quad(rhs_integrand, 0.0, upper, limit=200)
-    return lhs, rhs

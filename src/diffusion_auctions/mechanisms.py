@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .network import (
     ReferralTree,
     Report,
     ReportProfile,
-    _fill_subtree_max,
     build_referral_tree,
     subtree_values,
     truthful_profile,
@@ -71,8 +70,6 @@ def _run_levels(
     select: Callable[[list[tuple[int, float]]], Optional[tuple[int, float]]],
     start_parent: Optional[int] = None,
     start_offset: float = 0.0,
-    record: bool = True,
-    stay_on: Optional[Container[int]] = None,
 ) -> tuple[Optional[int], dict[int, float], list[LevelTrace]]:
     """Shared descent loop.
 
@@ -82,9 +79,7 @@ def _run_levels(
     ``start_parent``/``start_offset`` resume the descent below a level
     that was decided by other means.  Returns (winner, {path node:
     payment to its parent}, traces); the start node's own payment is not
-    included.  ``record=False`` skips the traces.  With ``stay_on`` the
-    descent ends once a tentative winner outside it has been charged:
-    nothing below can change the outcome of a node in ``stay_on``.
+    included.
     """
     children = tree.children
     parent = tree.root if start_parent is None else start_parent
@@ -97,33 +92,26 @@ def _run_levels(
         # rho clipped at 0 as max(rho, 0.0) clips it, a -0.0 kept
         survivors = [(child, rho if rho >= 0.0 else 0.0) for child in children.get(parent, ())
                      if (rho := submax[child] - offset) >= -EQ_TOL]
-        if len(survivors) >= 2:
-            chosen = select(survivors)
-        elif len(survivors) == 1:
-            chosen = (survivors[0][0], 0.0)
-        else:
-            chosen = None
+        chosen = (select(survivors) if len(survivors) >= 2
+                  else (survivors[0][0], 0.0) if survivors else None)
 
         if chosen is None:
             # No child stays in the game: the current tentative winner
             # keeps the item (or the item is unsold at the root).
-            if record:
-                traces.append(LevelTrace(parent, offset, tuple(survivors), None, 0.0, None))
+            traces.append(LevelTrace(parent, offset, tuple(survivors), None, 0.0, None))
             break
         i_star, z = chosen
         if parent != tree.root and values[parent] >= offset + z - EQ_TOL:
             # The parent prefers keeping the item over selling at offset+z.
-            if record:
-                traces.append(LevelTrace(parent, offset, tuple(survivors), None, z, None))
+            traces.append(LevelTrace(parent, offset, tuple(survivors), None, z, None))
             break
         actual = offset + z
         pay[i_star] = actual
-        if record:
-            traces.append(LevelTrace(parent, offset, tuple(survivors), i_star, z, actual))
+        traces.append(LevelTrace(parent, offset, tuple(survivors), i_star, z, actual))
         tentative = i_star
         parent, offset = i_star, actual
-        if not children.get(i_star) or (stay_on is not None and i_star not in stay_on):
-            break   # reached a leaf, or left the nodes of interest
+        if not children.get(i_star):
+            break   # reached a leaf
 
     return tentative, pay, traces
 
@@ -536,28 +524,93 @@ class Compiled:
         return self.outcomes(ids, matrix)[2]
 
 
+class _PathLevel:
+    """A level of an agent's root path, for :class:`LblevCurves`: the path
+    ``child``, its parent's value ``held`` (``-inf`` at the root: no keep
+    test) and ``best``, the child's subtree maximum leaving out the agent
+    (where x ties it, the two differ at most in the sign of a zero, which
+    no price shows).  The rest is kept once a point has computed it."""
+
+    __slots__ = ("child", "t", "best", "siblings", "held", "texp",
+                 "rivals", "ranked", "won", "fixed")
+
+    def __init__(self, child: int, best: float, siblings: list[tuple[int, float]],
+                 held: float, texp: Mapping[int, float]):
+        self.child, self.best, self.siblings, self.held = child, best, siblings, held
+        self.texp, self.t = texp, texp[child]
+        self.rivals = self.ranked = self.won = self.fixed = None
+
+    def step(self, rho: float, offset: float) -> Optional[float]:
+        """The child's payment when it wins at effective valuation ``rho``, else None."""
+        if self.rivals is None:   # the surviving siblings at this offset
+            self.rivals = [(s, r if r >= 0.0 else 0.0) for s, m in self.siblings
+                           if (r := m - offset) >= -EQ_TOL]
+        alive, rivals = rho >= -EQ_TOL, self.rivals
+        if rivals and (alive or len(rivals) >= 2):   # the level is ranked
+            if self.ranked is None:   # (rho**t, node, rho), best first
+                self.ranked = sorted(((r ** self.texp[s], s, r) for s, r in rivals),
+                                     key=lambda e: (-e[0], e[1]))
+            rho = rho if rho >= 0.0 else 0.0
+            key = rho ** self.t if alive else -math.inf
+            ranked, child = self.ranked, self.child
+            w_key, w, _ = ranked[0]
+            if key < w_key or (key == w_key and child > w):   # it loses the level
+                if ranked[1:] and (ranked[1][0], -ranked[1][1]) > (key, -child):
+                    _, child, rho = ranked[1]   # the runner-up is the second sibling
+                rho ** (self.texp[child] / self.texp[w])   # the price, for its OverflowError
+                return None
+        elif not alive:
+            return None
+        if self.won is None:
+            z = self.ranked[0][2] ** (self.texp[self.ranked[0][1]] / self.t) if rivals else 0.0
+            self.won = (offset + z, self.held >= offset + z - EQ_TOL)
+        return None if self.won[1] else self.won[0]
+
+
 class LblevCurves(Compiled):
     """:class:`LblevAuction` compiled for one report profile.
 
     The referral tree, the checked exponent table and the subtree maxima
-    of the reports are built once.  Only the agent's own value changes
-    along a curve, so :meth:`curve` finds the agent's root path once per
-    agent and, per point, recomputes the maxima of that path alone with
-    :func:`subtree_values`'s own loop.  It then runs :func:`run_lblev`'s
-    descent with the same float operations, stopping once the tentative
-    winner leaves the path, and nets the agent's payment against the
-    next payment of the chain, without settling the whole outcome.
+    are built once; the first :meth:`curve` call for an agent plans its
+    root path.  While the path child wins, all of a level but its
+    ``rho`` is constant, so a point costs one ``rho``, one ``rho**t`` and
+    one comparison per level, with :func:`_run_levels`' float operations.
+    Each constant is computed the first time a point needs it, so a point
+    raises :class:`OverflowError` where :meth:`Mechanism.evaluate` does,
+    down to where the winner leaves the agent's path.
     """
 
     def __init__(self, mech: "LblevAuction", net: DiffusionNetwork, reports: ReportProfile):
         super().__init__(mech, net, reports)
         self.tree = tree = build_referral_tree(net, reports)
         self._texp = exponent_table(mech.exponents, tree.agents())
-        self._rank = partial(_rank_level, self._texp)
-        # curve() writes the agent's value and path maxima here, then restores them
         self._values = {i: reports.value(i) for i in tree.agents()}
         self._submax = subtree_values(tree, self._values)
-        self._paths: dict[int, tuple] = {}   # agent: (root path, its set, others 0?, path maxima)
+        self._plans: dict[int, tuple[bool, list[_PathLevel]]] = {}
+        self._own: dict[int, tuple[float, float]] = {}   # agent: (keep threshold, net payment)
+
+    def _plan(self, agent: int) -> tuple[bool, list[_PathLevel]]:
+        """(are all other values 0, the path levels top-down)."""
+        tree, values, submax, levels, node = self.tree, self._values, self._submax, [], agent
+        best = max([-math.inf, *(submax[c] for c in tree.child_tuple(agent))])
+        while node != tree.root:
+            parent = tree.parent[node]
+            held = -math.inf if parent == tree.root else values[parent]
+            siblings = [(s, submax[s]) for s in tree.child_tuple(parent) if s != node]
+            levels.append(_PathLevel(node, best, siblings, held, self._texp))
+            best = max([held, best, *(m for _, m in siblings)])
+            node = parent
+        self._plans[agent] = (all(v == 0.0 for i, v in values.items() if i != agent), levels[::-1])
+        return self._plans[agent]
+
+    def _own_level(self, agent: int, pay: float) -> tuple[float, float]:
+        """The agent's own level once it paid ``pay``: (the least own value
+        at which it keeps the item, its net payment when it sells)."""
+        survivors = [(c, rho if rho >= 0.0 else 0.0) for c in self.tree.child_tuple(agent)
+                     if (rho := self._submax[c] - pay) >= -EQ_TOL]
+        z = _rank_level(self._texp, survivors)[1] if len(survivors) >= 2 else 0.0
+        self._own[agent] = (pay + z - EQ_TOL, pay - (pay + z)) if survivors else (-math.inf, 0.0)
+        return self._own[agent]
 
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
         """As :meth:`Compiled.curve`; an agent outside the reached tree
@@ -569,30 +622,24 @@ class LblevCurves(Compiled):
                                     "non-negative number")
         if agent not in self._values:
             return [(0.0, 0.0)] * len(xs)
-        tree, values, submax = self.tree, self._values, self._submax
-        if agent not in self._paths:
-            path = [agent]
-            while tree.parent[path[-1]] != tree.root:
-                path.append(tree.parent[path[-1]])
-            others_zero = all(v == 0.0 for i, v in values.items() if i != agent)
-            self._paths[agent] = (path, set(path), others_zero, [submax[i] for i in path])
-        path, on_path, others_zero, path_max = self._paths[agent]
-        own, out = values[agent], []
-        try:
-            for x in xs:
-                if others_zero and x == 0.0:
-                    out.append((0.0, 0.0))   # all-zero values leave the item unsold
-                    continue
-                values[agent] = x
-                _fill_subtree_max(submax, path, values, tree.children)
-                winner, pay, _ = _run_levels(tree, values, submax, self._rank,
-                                             record=False, stay_on=on_path)
-                # a descent past the agent stops at its child: that is the winner
-                out.append((1.0, pay[agent]) if winner == agent else
-                           (0.0, pay[agent] - pay[winner] if agent in pay else 0.0))
-        finally:
-            values[agent] = own
-            submax.update(zip(path, path_max))
+        others_zero, levels = self._plans.get(agent) or self._plan(agent)
+        own, out = self._own.get(agent), []
+        for x in xs:
+            pay = None if others_zero and x == 0.0 else 0.0   # all-zero values: unsold
+            for level in levels:
+                if pay is None:
+                    break
+                if level.best > x:   # the child's subtree maximum is best, not x
+                    if level.fixed is None:
+                        level.fixed = (level.step(level.best - pay, pay),)
+                    pay = level.fixed[0]
+                else:
+                    pay = level.step(x - pay, pay)
+            if pay is None:   # the path child lost a level, or an ancestor kept the item
+                out.append((0.0, 0.0))
+                continue
+            own = own or self._own_level(agent, pay)   # only its keep test reads x
+            out.append((1.0, pay) if x >= own[0] else (0.0, own[1]))
         return out
 
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray
@@ -658,8 +705,7 @@ class ReferralAuction(Mechanism):
         self.name = f"ra:{rule.name}"
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        outcome, _ = run_referral_auction(net, reports, self.rule)
-        return outcome
+        return self.run_with_traces(net, reports)[0]
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:

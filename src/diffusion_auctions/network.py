@@ -276,25 +276,18 @@ def build_referral_tree(net: DiffusionNetwork, reports: ReportProfile) -> Referr
 
 
 def subtree_values(tree: ReferralTree, values: Mapping[int, float]) -> dict[int, float]:
-    """Maximum valuation within each node's subtree (inclusive)."""
+    """Maximum valuation within each node's subtree (inclusive): the
+    node's own value, replaced by a child's entry only when strictly
+    larger, children in tree order."""
     best: dict[int, float] = {}
-    _fill_subtree_max(best, tree.post_order(), values, tree.children)
-    return best
-
-
-def _fill_subtree_max(best: dict[int, float], nodes: Iterable[int],
-                      values: Mapping[int, float],
-                      children: Mapping[int, tuple[int, ...]]) -> None:
-    """Set ``best[node]`` for each of ``nodes``, children before parents:
-    its own value, replaced by a child's entry only when strictly larger,
-    children in tree order.  Every child outside ``nodes`` must already
-    have its entry."""
-    for node in nodes:
+    children = tree.children
+    for node in tree.post_order():
         m = values[node]
         for ch in children.get(node, ()):
             if best[ch] > m:
                 m = best[ch]
         best[node] = m
+    return best
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import Mapping, Optional
 
 import numpy as np
+from scipy import integrate
 
-from diffusion_auctions import LevelRule, ReferralTree, run_lblev, sweep_lambda
+from diffusion_auctions import (
+    LevelRule,
+    ReferralTree,
+    ValuationDistribution,
+    run_lblev,
+    sweep_lambda,
+)
 from diffusion_auctions.experiments import (
     ExperimentConfig,
     assign_class_means,
@@ -41,3 +49,38 @@ def grid_search_lambda_star(n: int, sigma: float, config: ExperimentConfig) -> f
     lambda, so a flat landscape returns the unit-exponent baseline."""
     rows = sweep_lambda(replace(config, n=n, sigma=sigma))
     return max(rows, key=lambda row: row.mean_pct).lam
+
+
+def interim_payment_second_price(dist: ValuationDistribution, n_rivals: int,
+                                 value: float) -> float:
+    """Expected payment via the threshold integral (zero value-independent
+    component): v*a(v) - integral of a."""
+    alpha = lambda y: np.asarray(dist.cdf(y)) ** n_rivals
+    tail, _ = integrate.quad(alpha, 0.0, value, limit=200)
+    return value * float(alpha(value)) - tail
+
+
+def revenue_identity_sides(dist: ValuationDistribution,
+                           n_agents: int) -> tuple[float, float]:
+    """Both sides of the expected-payment / virtual-surplus identity for
+    a depth-one second-price bidder: integral of pay*f versus integral
+    of w*alpha*f, each by quadrature."""
+    if n_agents < 2:
+        raise ValueError("need at least two agents")
+    n_rivals = n_agents - 1
+    upper = dist.upper if math.isfinite(dist.upper) else np.inf
+
+    def lhs_integrand(v):
+        return interim_payment_second_price(dist, n_rivals, v) * float(dist.pdf(v))
+
+    def rhs_integrand(v):
+        # w(v)*f(v) written as v*f(v) - (1 - F(v)): no division, so the
+        # density's underflow tail stays finite
+        alpha = float(np.asarray(dist.cdf(v)) ** n_rivals)
+        f = float(dist.pdf(v))
+        tail = 1.0 - float(dist.cdf(v))
+        return (v * f - tail) * alpha
+
+    lhs, _ = integrate.quad(lhs_integrand, 0.0, upper, limit=200)
+    rhs, _ = integrate.quad(rhs_integrand, 0.0, upper, limit=200)
+    return lhs, rhs

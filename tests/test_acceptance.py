@@ -48,7 +48,6 @@ from diffusion_auctions import (
     paired_revenue_gap,
     random_tree_instance,
     rc_example_mechanism,
-    revenue_identity_sides,
     run_lblev,
     run_referral_auction,
     sweep_lambda,
@@ -62,7 +61,7 @@ from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import INEQ_TOL, make_grid, random_exponents
 
-from helpers import run_idm_tree
+from helpers import revenue_identity_sides, run_idm_tree
 from oracles import (
     naive_forwarding_utility,
     naive_profitable_withholding,

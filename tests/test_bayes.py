@@ -20,14 +20,12 @@ from diffusion_auctions import (
     estimate_interim,
     expected_revenue,
     exponential_distribution,
-    interim_payment_second_price,
     invert_virtual,
     max_of_iid,
     maxviva_level,
     network_from_edges,
     paired_revenue_gap,
     parse_distribution,
-    revenue_identity_sides,
     run_lblev,
     run_maxviva,
     run_referral_auction,
@@ -37,7 +35,7 @@ from diffusion_auctions import (
     uniform_distribution,
     virtual_valuation,
 )
-from diffusion_auctions import fixtures
+from diffusion_auctions import bayes, fixtures
 from diffusion_auctions.bayes import (
     InterimEstimate,
     ValuationDistribution,
@@ -48,6 +46,7 @@ from diffusion_auctions.bayes import (
 )
 from diffusion_auctions.verify import make_grid, verify_mechanism
 
+from helpers import interim_payment_second_price, revenue_identity_sides
 from test_mechanisms import truthful_compile
 
 UNIT = uniform_distribution(0.0, 1.0)
@@ -240,6 +239,20 @@ class TestRunMaxViva:
         inst = fixtures.depth1_instance((0.8, 0.6))
         with pytest.raises(ValueError):
             run_maxviva(inst.net, inst.reports, {1: UNIT})
+
+    def test_run_builds_the_referral_tree_once(self, monkeypatch):
+        inst = fixtures.fig_lblev_instance()
+        base = uniform_distribution(0.0, 1000.0)
+        build, builds = bayes.build_referral_tree, []
+        monkeypatch.setattr(bayes, "build_referral_tree",
+                            lambda *args: builds.append(args) or build(*args))
+        out = MaxVivaAuction(base).run(inst.net, inst.reports)
+        assert len(builds) == 1
+        tree = build(inst.net, inst.reports)
+        dists = {i: max_of_iid(base, sum(1 for _ in tree.subtree(i)))
+                 for i in tree.child_tuple(tree.root)}
+        assert repr(out) == repr(run_maxviva(inst.net, inst.reports, dists))
+        assert out.winner is not None
 
 
 class TestInterimEstimates:

@@ -879,6 +879,27 @@ class TestCompiledCurve:
         assert mech.compile(net, base).curve(3, [20.0 - 2 * eps, 20.0]) == [
             (0.0, 0.0), (1.0, 20.0)]
 
+    def test_sibling_keys_are_taken_only_when_the_level_is_ranked(self):
+        """seller -> 1, 2; 1 -> 3, 4, agent 4 at 1e160 with exponent 2, so
+        ranking agent 3's level squares about 1e160 and overflows.  Below
+        agent 2's value (10, the price node 1 pays), agent 3 drops out of
+        that level and 4 is its lone survivor: no ``rho**t`` is taken.
+        Above it, the level is ranked and raises.  Each way the curve
+        agrees with ``evaluate``, and a raise leaves nothing cached."""
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4)])
+        profile = truthful_profile(net, {1: 5.0, 2: 10.0, 3: 30.0, 4: 1e160})
+        mech = LblevAuction({4: 2.0})
+        below, above = [4.0], [50.0]
+        assert repr(mech.compile(net, profile).curve(3, below)) == repr([(0.0, 0.0)])
+        assert repr(per_point(mech, net, profile, 3, below)) == repr([(0.0, 0.0)])
+        compiled = mech.compile(net, profile)
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                compiled.curve(3, above)
+            with pytest.raises(OverflowError):
+                per_point(mech, net, profile, 3, above)
+            assert repr(compiled.curve(3, below)) == repr([(0.0, 0.0)])
+
     def test_one_compiled_object_alternating_agents(self):
         """Per-agent state survives other agents' calls, a rejected value
         and a call that raises mid-curve (``rho**2`` overflows at 1e200)."""
