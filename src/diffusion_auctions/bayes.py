@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -58,6 +58,12 @@ class ValuationDistribution:
     cdf: Callable[[ArrayLike], ArrayLike]
     pdf: Callable[[ArrayLike], ArrayLike]
     sample: Callable[[np.random.Generator, int], np.ndarray]
+
+    @cached_property
+    def reserve(self) -> float:
+        """The smallest value with a non-negative virtual valuation,
+        bisected once per distribution."""
+        return _invert_virtual(self, 0.0)
 
 
 def uniform_distribution(low: float = 0.0, high: float = 1.0) -> ValuationDistribution:
@@ -299,9 +305,8 @@ def maxviva_level(entries: Mapping[int, tuple[float, ValuationDistribution]]
     winner = min(eligible, key=lambda i: (-w[i], i))
     _, dist_w = entries[winner]
     rival = max((w[i] for i in w if i != winner), default=-math.inf)
-    reserve = _invert_virtual(dist_w, 0.0)
     match = _invert_virtual(dist_w, rival) if math.isfinite(rival) else 0.0
-    return winner, max(reserve, match)
+    return winner, max(dist_w.reserve, match)
 
 
 def run_maxviva(net: DiffusionNetwork, reports: ReportProfile,
@@ -525,13 +530,12 @@ class MaxVivaTA(_TransformedAuction):
             mask = sale & (win == j)
             if not mask.any():
                 continue
-            reserve = _invert_virtual(self.dists[i], 0.0)
             targets = rival[mask]
             finite = np.isfinite(targets)
             match = np.zeros(targets.shape)
             if finite.any():
                 match[finite] = _invert_virtual_many(self.dists[i], targets[finite])
-            revenue[mask] = np.maximum(reserve, match)
+            revenue[mask] = np.maximum(self.dists[i].reserve, match)
         return revenue
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:

@@ -125,7 +125,8 @@ class _CurveTable:
     fixed forwarded subset.  The mechanism is compiled once for the
     subset and each batch of new points is priced by one ``curve`` call;
     jump locations are pinned by bisection so step integrals are exact
-    to ``xtol``."""
+    to ``xtol``.  The checks read the points as numpy columns, cached
+    with their trapezoid prefix until the next batch is priced."""
 
     def __init__(self, compiled: Compiled, agent: int,
                  subset: tuple[int, ...], xtol: float):
@@ -136,8 +137,8 @@ class _CurveTable:
         self._budget = CURVE_BUDGET
         self._data: dict[float, tuple[float, float]] = {}
         self._xs: list[float] = []
-        self._prefix_cache: Optional[list[float]] = None
-        self._columns_cache: Optional[tuple[list[float], list[float], list[float]]] = None
+        self._arrays: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._prefix: Optional[np.ndarray] = None
 
     def _price(self, xs: list[float], splits: Optional[list[tuple[float, float]]]) -> None:
         """Evaluate the new points ``xs`` with one ``curve`` call.
@@ -158,7 +159,7 @@ class _CurveTable:
         for x, gp in zip(xs, self._compiled.curve(self._agent, xs)):
             self._data[x] = gp
             insort(self._xs, x)   # every x is new, so _xs stays sorted(_data)
-        self._prefix_cache = self._columns_cache = None
+        self._arrays = self._prefix = None
 
     def ensure(self, points: Iterable[float]) -> None:
         new = [x for x in dict.fromkeys(map(float, points)) if x not in self._data]
@@ -191,33 +192,27 @@ class _CurveTable:
     def p_at(self, x: float) -> float:
         return self._data[x][1]
 
-    def columns(self) -> tuple[list[float], list[float], list[float]]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sampled own values in order, with the allocation and the
         payment at each."""
-        if self._columns_cache is None:
-            data = self._data
-            self._columns_cache = (self._xs, [data[x][0] for x in self._xs],
-                                   [data[x][1] for x in self._xs])
-        return self._columns_cache
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.asarray(col) for col in self.columns())
+        if self._arrays is None:
+            gp = np.array(list(map(self._data.__getitem__, self._xs)), dtype=float)
+            self._arrays = (np.array(self._xs), gp[:, 0], gp[:, 1])
+        return self._arrays
 
     def integral_to(self, v: float) -> float:
         """Trapezoid integral of the allocation from 0 to the sampled
         point ``v`` over the sampled points."""
-        return self.prefix()[bisect_right(self._xs, v) - 1]
+        return float(self.prefix()[bisect_right(self._xs, v) - 1])
 
-    def prefix(self) -> list[float]:
-        """``prefix()[k]`` is :meth:`integral_to` at the ``k``-th sampled point."""
-        if self._prefix_cache is None:
-            data = self._data
-            prefix = [0.0]
-            for a, b in zip(self._xs[:-1], self._xs[1:]):
-                seg = 0.5 * (data[a][0] + data[b][0]) * (b - a)
-                prefix.append(prefix[-1] + seg)
-            self._prefix_cache = prefix
-        return self._prefix_cache
+    def prefix(self) -> np.ndarray:
+        """``prefix()[k]`` is :meth:`integral_to` at the ``k``-th sampled
+        point, summed left to right as a sequential loop would."""
+        if self._prefix is None:
+            xs, g, _ = self.arrays()
+            seg = 0.5 * (g[:-1] + g[1:]) * (xs[1:] - xs[:-1])
+            self._prefix = np.add.accumulate(np.concatenate(([0.0], seg)))
+        return self._prefix
 
 
 class _Context:
@@ -271,8 +266,7 @@ class _Context:
         if table is None:
             compiled = self.mech.compile(self.net, self.reports.replace(agent, neighbors=subset))
             table = _CurveTable(compiled, agent, key[1], self.xtol)
-            table.ensure(self.grid.points)
-            table.ensure([0.0, self.reports.value(agent)])
+            table.ensure([*self.grid.points, 0.0, self.reports.value(agent)])
             table.refine_jumps()
             self._tables[key] = table
         return table
@@ -284,13 +278,14 @@ def _report(condition: str, witness: Optional[Witness],
                               witness=witness, details=details or {})
 
 
-def _common_points(t_sub: _CurveTable, t_full: _CurveTable) -> list[float]:
-    """Sorted union of two tables' points, evaluated on both; afterwards
-    each table holds exactly these points, so their columns align by index."""
-    union = sorted(set(t_sub.xs()) | set(t_full.xs()))
-    t_sub.ensure(union)
-    t_full.ensure(union)
-    return union
+def _common_points(t_sub: _CurveTable, t_full: _CurveTable) -> None:
+    """Evaluate both tables on the sorted union of their points;
+    afterwards each holds exactly these points, so their columns align
+    by index."""
+    if t_sub.xs() != t_full.xs():
+        union = sorted(set(t_sub.xs()) | set(t_full.xs()))
+        t_sub.ensure(union)
+        t_full.ensure(union)
 
 
 def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
@@ -298,15 +293,16 @@ def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
     """The first own value ``x`` at which forwarding only the subset beats
     full forwarding by more than ``tol``, as (x, u_full, u_sub); None
     when full forwarding weakly dominates at every common point."""
-    union = _common_points(t_sub, t_full)
-    _, g_sub, p_sub = t_sub.columns()
-    _, g_full, p_full = t_full.columns()
-    for k, x in enumerate(union):
-        u_full = x * g_full[k] - p_full[k]
-        u_sub = x * g_sub[k] - p_sub[k]
-        if u_sub > u_full + tol:
-            return x, u_full, u_sub
-    return None
+    _common_points(t_sub, t_full)
+    xs, g_sub, p_sub = t_sub.arrays()
+    _, g_full, p_full = t_full.arrays()
+    u_full = xs * g_full - p_full
+    u_sub = xs * g_sub - p_sub
+    gains = np.flatnonzero(u_sub > u_full + tol)
+    if not gains.size:
+        return None
+    k = gains[0]
+    return t_sub.xs()[k], float(u_full[k]), float(u_sub[k])
 
 
 def _monotonicity_impl(ctx: _Context) -> VerificationReport:
@@ -330,25 +326,25 @@ def _identity_impl(ctx: _Context) -> VerificationReport:
         for subset in ctx.subsets(agent)[0]:
             table = ctx.table(agent, subset)
             payment_at_zero = table.p_at(0.0)
-            xs, g, p = table.columns()
-            prefix = table.prefix()
-            for k, x in enumerate(xs):
-                expected = payment_at_zero + x * g[k] - prefix[k]
-                actual = p[k]
-                scale = max(1.0, abs(expected), abs(actual))
-                if abs(actual - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale:
-                    return _report("payment-identity", Witness(
-                        agent=agent, subset=tuple(sorted(subset)), value=x,
-                        lhs=actual, rhs=expected,
-                        note="payment differs from the threshold integral form",
-                        data={"payment_at_zero": payment_at_zero}))
+            xs, g, p = table.arrays()
+            expected = payment_at_zero + xs * g - table.prefix()
+            scale = np.maximum(np.maximum(1.0, np.abs(expected)), np.abs(p))
+            bad = np.flatnonzero(np.abs(p - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale)
+            if bad.size:
+                k = bad[0]
+                x = table.xs()[k]
+                return _report("payment-identity", Witness(
+                    agent=agent, subset=tuple(sorted(subset)), value=x,
+                    lhs=table.p_at(x), rhs=float(expected[k]),
+                    note="payment differs from the threshold integral form",
+                    data={"payment_at_zero": payment_at_zero}))
     return _report("payment-identity", None)
 
 
 def _diffusion_impl(ctx: _Context) -> VerificationReport:
     """Details map each (agent, forwarded subset) to its ``lhs``, the
     largest and final ``rhs``, and ``rhs_by_value`` at the grid points."""
-    grid_points = set(ctx.grid.points)
+    grid = np.asarray(ctx.grid.points)
     details: dict = {}
     witness = None
     for agent in ctx.agents():
@@ -358,25 +354,21 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
             if subset == full:
                 continue
             t_sub = ctx.table(agent, subset)
-            union = _common_points(t_sub, t_full)
+            _common_points(t_sub, t_full)
             lhs = t_sub.p_at(0.0) - t_full.p_at(0.0)
-            pre_sub, pre_full = t_sub.prefix(), t_full.prefix()
-            rhs_max = -np.inf
-            curve = {}
-            for k, v in enumerate(union):
-                rhs = pre_sub[k] - pre_full[k]
-                rhs_max = max(rhs_max, rhs)
-                if v in grid_points:
-                    curve[v] = rhs
-                if rhs > lhs + ctx.tol and witness is None:
-                    witness = Witness(
-                        agent=agent, subset=tuple(sorted(subset)), value=v,
-                        lhs=lhs, rhs=rhs,
-                        note="withholding is funded beyond the allocation gap")
+            rhs = t_sub.prefix() - t_full.prefix()
+            xs = t_sub.arrays()[0]
+            over = np.flatnonzero(rhs > lhs + ctx.tol)
+            if over.size and witness is None:
+                witness = Witness(
+                    agent=agent, subset=tuple(sorted(subset)), value=t_sub.xs()[over[0]],
+                    lhs=lhs, rhs=float(rhs[over[0]]),
+                    note="withholding is funded beyond the allocation gap")
+            # every table holds the grid, so each grid point has an index
+            on_grid = np.searchsorted(xs, grid)
             details[(agent, tuple(sorted(subset)))] = {
-                "lhs": lhs, "rhs_max": float(rhs_max),
-                "rhs_final": pre_sub[-1] - pre_full[-1],
-                "rhs_by_value": curve}
+                "lhs": lhs, "rhs_max": float(rhs.max()), "rhs_final": float(rhs[-1]),
+                "rhs_by_value": dict(zip(xs[on_grid].tolist(), rhs[on_grid].tolist()))}
     return _report("diffusion-constraint", witness, details)
 
 
@@ -444,8 +436,9 @@ def _ic_impl(ctx: _Context) -> VerificationReport:
 
 def _ir_impl(ctx: _Context) -> VerificationReport:
     details = {}
+    compiled = ctx.mech.compile(ctx.net, ctx.reports)
     for agent in ctx.agents():
-        g, p = ctx.mech.evaluate(ctx.net, ctx.reports, agent)
+        [(g, p)] = compiled.curve(agent, [ctx.reports.value(agent)])
         utility = ctx.reports.value(agent) * g - p
         details[agent] = utility
         if utility < -ctx.tol:

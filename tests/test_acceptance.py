@@ -59,7 +59,7 @@ from diffusion_auctions import fixtures
 from diffusion_auctions.experiments import ExperimentConfig
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
-from diffusion_auctions.verify import INEQ_TOL, make_grid, random_exponents
+from diffusion_auctions.verify import ALL_CONDITIONS, INEQ_TOL, make_grid, random_exponents
 
 from helpers import revenue_identity_sides, run_idm_tree
 from oracles import (
@@ -302,6 +302,24 @@ def test_c03_per_agent_exponent_withholding():
     assert oracle_flagged == flagged == WITHHOLDING_INSTANCES
     assert digest.hexdigest() == C03_PER_AGENT_DIGEST, digest.hexdigest()
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
+
+
+# sha256 over every report of the seven conditions on the first ten c03
+# trees, under both exponent classes, with the diffusion curves
+# (``rhs_by_value``) included; recorded at commit 4aab156, whose checks
+# scanned the points one by one
+C03_FIRST_TEN_DIGEST = "175a13d79a195c28dbb1a908ed507860dd0390bfac60ce1dc02baade9050f864"
+
+
+def test_c03_first_ten_with_diffusion_curves():
+    digest = hashlib.sha256()
+    for _, inst, draws, grid in c03_instances(10):
+        shared = sibling_shared_exponents(tree_children(inst.net), draws)
+        for exponents in (shared, draws):
+            for r in verify_mechanism(LblevAuction(exponents), inst.net, inst.reports,
+                                      grid, ALL_CONDITIONS):
+                digest.update(repr((r.to_dict(), r.details)).encode())
+    assert digest.hexdigest() == C03_FIRST_TEN_DIGEST, digest.hexdigest()
 
 
 def test_c04_equivalences():

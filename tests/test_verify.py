@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -17,10 +18,11 @@ from diffusion_auctions import (
     verify_mechanism,
 )
 from diffusion_auctions import fixtures
-from diffusion_auctions.mutants import DESIGNATED, make_mutant
+from diffusion_auctions.mutants import DESIGNATED, MUTANTS, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.mechanisms import Mechanism
-from diffusion_auctions.verify import CORE_CONDITIONS, VerificationError, random_exponents
+from diffusion_auctions.verify import (ALL_CONDITIONS, CORE_CONDITIONS, VerificationError,
+                                       _Context, random_exponents)
 
 from oracles import naive_forwarding_utility, random_dag_edges
 
@@ -393,3 +395,83 @@ class TestCurveBudget:
         assert 0.0 <= lo < hi <= 20.0
         # the bracket straddles a step that is still to be pinned down
         assert math.floor(lo * steps / 20.0) < math.floor(hi * steps / 20.0)
+
+
+class TestFirstWitnesses:
+    # sha256 over repr((to_dict(), details)) of every report below,
+    # recorded at commit 4aab156, whose checks scanned the points one by
+    # one: each check must keep picking the same first witness
+    MUTANT_DIGEST = "15597d52695d6e37d32990bd4243871b1f36bb46ad7fc403fb69a91116184821"
+
+    def test_every_mutant_on_every_designated_instance(self):
+        digest = hashlib.sha256()
+        failed = set()
+        count = 0
+        for name in MUTANTS:
+            for _, factory in DESIGNATED.values():
+                inst = factory()
+                for r in verify_mechanism(make_mutant(name), inst.net, inst.reports,
+                                          None, ALL_CONDITIONS):
+                    digest.update(repr((r.to_dict(), r.details)).encode())
+                    if not r.passed:
+                        failed.add(r.condition)
+                    count += 1
+        assert count == 175
+        assert {"monotonicity", "payment-identity", "diffusion-constraint"} <= failed
+        assert digest.hexdigest() == self.MUTANT_DIGEST, digest.hexdigest()
+
+
+def sequential_prefix(table):
+    """The trapezoid prefix summed point by point in Python."""
+    xs = table.xs()
+    prefix = [0.0]
+    for a, b in zip(xs[:-1], xs[1:]):
+        seg = 0.5 * (table.g_at(a) + table.g_at(b)) * (b - a)
+        prefix.append(prefix[-1] + seg)
+    return prefix
+
+
+class TestCurveTablePrefix:
+    class Flat(Mechanism):
+        """Half the item at every own value, for nothing."""
+
+        name = "test:flat"
+
+        def evaluate(self, net, reports, agent):
+            return 0.5, 0.0
+
+    def tables(self):
+        inst = fixtures.depth1_instance((10.0, 7.0))   # agent 1 jumps at 7
+        yield _Context(self.Flat(), inst.net, inst.reports,
+                       make_grid(inst.reports, size=16)).table(1, frozenset())
+        yield _Context(LblevAuction(None), inst.net, inst.reports,
+                       make_grid(inst.reports, size=64)).table(1, frozenset())
+        rng = np.random.default_rng(31)
+        for k in range(4):
+            inst = random_tree_instance(int(rng.integers(3, 9)), rng)
+            ctx = _Context(LblevAuction(random_exponents(inst.net.agents, rng)),
+                           inst.net, inst.reports, make_grid(inst.reports, size=32, seed=k))
+            for agent in ctx.agents():
+                for subset in ctx.subsets(agent)[0]:
+                    yield ctx.table(agent, subset)
+
+    def test_prefix_equals_the_sequential_sum(self):
+        flat, jump, *rest = self.tables()
+        assert len({flat.g_at(x) for x in flat.xs()}) == 1
+        assert len({jump.g_at(x) for x in jump.xs()}) == 2
+        for table in (flat, jump, *rest):
+            expected = sequential_prefix(table)
+            assert [repr(float(x)) for x in table.prefix()] == [repr(x) for x in expected]
+            for x, integral in zip(table.xs(), expected):
+                got = table.integral_to(x)
+                assert type(got) is float and repr(got) == repr(integral)
+
+
+class TestIrOverflow:
+    def test_ir_raises_where_per_agent_evaluate_raised(self):
+        # agent 4's 1e160 squared overflows; agent 1's curve point stops
+        # before the level that overflows, but agent 3's own level does not
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
+        profile = truthful_profile(net, {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0})
+        with pytest.raises(OverflowError):
+            verify_mechanism(LblevAuction({4: 2.0}), net, profile, None, ("ir",))
