@@ -52,15 +52,12 @@ from .bayes import (
     estimate_interim,
     expected_revenue,
     exponential_distribution,
-    invert_virtual,
     max_of_iid,
     maxviva_level,
     paired_revenue_gap,
-    parse_distribution,
     run_maxviva,
     truncated_normal,
     uniform_distribution,
-    virtual_valuation,
 )
 from .verify import (
     DeviationGrid,

@@ -3,17 +3,21 @@ transformed auction, and Monte Carlo interim/revenue estimators.
 
 Distributions are plain cdf/pdf/sampler bundles whose callables accept
 numpy arrays, so the revenue estimators can run fully vectorized.  The
-virtual valuation ``w(x) = x - (1 - F(x)) / f(x)`` is non-decreasing
-for hazard-monotone priors, which makes the revenue-optimal first-level
-auction a "highest non-negative virtual valuation wins, pays the
-smallest value that would still win" rule.
+virtual valuation ``w(x) = x - (1 - F(x)) / f(x)`` (:func:`_virtual`)
+is non-decreasing for hazard-monotone priors, which makes the
+revenue-optimal first-level auction a "highest non-negative virtual
+valuation wins, pays the smallest value that would still win" rule
+(:func:`_maxviva_prices`).  Its price inverts ``w``
+(:func:`_inverse_virtual`): in closed form for uniform[l, h], ``(t + h)
+/ 2``, and exponential(r), ``t + 1/r`` (Myerson 1981), by bisection
+for any other prior.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -29,6 +33,7 @@ from .mechanisms import (
     _myerson_level,
     _run_levels,
     _settle,
+    exponent_table,
     run_lblev,
     run_referral_auction,
 )
@@ -50,7 +55,8 @@ ArrayLike = Union[float, np.ndarray]
 class ValuationDistribution:
     """cdf/pdf/support/sampler bundle with a declared hazard-monotonicity
     flag.  ``upper`` may be ``math.inf``; ``sample(rng, size)`` draws
-    ``size`` values."""
+    ``size`` values.  ``inverse``, when given, is the closed form of
+    :func:`_inverse_virtual` on an array of targets."""
 
     name: str
     upper: float
@@ -58,12 +64,13 @@ class ValuationDistribution:
     cdf: Callable[[ArrayLike], ArrayLike]
     pdf: Callable[[ArrayLike], ArrayLike]
     sample: Callable[[np.random.Generator, int], np.ndarray]
+    inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @cached_property
     def reserve(self) -> float:
         """The smallest value with a non-negative virtual valuation,
-        bisected once per distribution."""
-        return _invert_virtual(self, 0.0)
+        computed once per distribution."""
+        return float(_inverse_virtual(self, np.zeros(1))[0])
 
 
 def uniform_distribution(low: float = 0.0, high: float = 1.0) -> ValuationDistribution:
@@ -80,7 +87,8 @@ def uniform_distribution(low: float = 0.0, high: float = 1.0) -> ValuationDistri
 
     return ValuationDistribution(
         name=f"uniform[{low:g},{high:g}]", upper=high, mhr=True,
-        cdf=cdf, pdf=pdf, sample=lambda rng, size: rng.uniform(low, high, size=size))
+        cdf=cdf, pdf=pdf, sample=lambda rng, size: rng.uniform(low, high, size=size),
+        inverse=lambda t: np.where(t > high, t, np.maximum(low, (t + high) / 2)))
 
 
 def exponential_distribution(rate: float = 1.0) -> ValuationDistribution:
@@ -97,7 +105,8 @@ def exponential_distribution(rate: float = 1.0) -> ValuationDistribution:
 
     return ValuationDistribution(
         name=f"exp[{rate:g}]", upper=math.inf, mhr=True,
-        cdf=cdf, pdf=pdf, sample=lambda rng, size: rng.exponential(1.0 / rate, size=size))
+        cdf=cdf, pdf=pdf, sample=lambda rng, size: rng.exponential(1.0 / rate, size=size),
+        inverse=lambda t: np.maximum(0.0, t + 1.0 / rate))
 
 
 def truncated_normal(mean: float, sd: float) -> ValuationDistribution:
@@ -122,20 +131,6 @@ def truncated_normal(mean: float, sd: float) -> ValuationDistribution:
         sample=lambda rng, size: np.maximum(rng.normal(mean, sd, size=size), 0.0))
 
 
-def parse_distribution(spec: str) -> ValuationDistribution:
-    """Parse ``uniform:0:1``, ``exp:1.0`` or ``tnorm:100:5``."""
-    parts = spec.split(":")
-    kind = parts[0]
-    args = [float(p) for p in parts[1:]]
-    if kind == "uniform" and len(args) == 2:
-        return uniform_distribution(*args)
-    if kind == "exp" and len(args) == 1:
-        return exponential_distribution(*args)
-    if kind == "tnorm" and len(args) == 2:
-        return truncated_normal(*args)
-    raise ValueError(f"unrecognized distribution spec {spec!r}")
-
-
 def max_of_iid(dist: ValuationDistribution, n: int) -> ValuationDistribution:
     """Distribution of the maximum of ``n`` independent draws: cdf F**n,
     density n*F**(n-1)*f.  Preserves hazard monotonicity."""
@@ -158,34 +153,17 @@ def max_of_iid(dist: ValuationDistribution, n: int) -> ValuationDistribution:
         cdf=cdf, pdf=pdf, sample=sample)
 
 
-def virtual_valuation(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
-    """w(x) = x - (1 - F(x)) / f(x); undefined where the density vanishes."""
-    f = np.asarray(dist.pdf(x), dtype=float)
-    if np.any(f <= 0):
-        raise ValueError("virtual valuation undefined where the density is zero")
-    w = np.asarray(x, dtype=float) - (1.0 - np.asarray(dist.cdf(x))) / f
-    return float(w) if np.isscalar(x) or np.ndim(x) == 0 else w
-
-
-def _virtual_floor(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
-    """Virtual valuation extended to zero-density points: -inf below the
-    support (the limit at the lower edge of e.g. max-transformed
-    supports) and ``x`` at or above a bounded support's upper end, where
-    ``1 - F = 0``.  Internal: the public op treats those points as errors."""
+def _virtual(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
+    """Virtual valuation ``w(x) = x - (1 - F(x)) / f(x)``, extended to
+    zero-density points: -inf below the support (the limit at the lower
+    edge of e.g. max-transformed supports) and ``x`` at or above a
+    bounded support's upper end, where ``1 - F = 0``."""
     x = np.asarray(x, dtype=float)
     f = np.asarray(dist.pdf(x), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(f > 0, x - (1.0 - np.asarray(dist.cdf(x))) / np.where(f > 0, f, 1.0),
                      np.where(x >= dist.upper, x, -np.inf))
     return float(w) if np.ndim(w) == 0 else w
-
-
-def _virtual_at(dist: ValuationDistribution, x: float) -> float:
-    """:func:`_virtual_floor` at one point, in Python float arithmetic."""
-    f = float(dist.pdf(x))
-    if f > 0:
-        return x - (1.0 - float(dist.cdf(x))) / f
-    return x if x >= dist.upper else -math.inf
 
 
 def _finite_upper(dist: ValuationDistribution, mass: float = 0.999) -> float:
@@ -214,106 +192,84 @@ def check_mhr(dist: ValuationDistribution, grid_size: int = 256) -> bool:
     return bool(np.all(diffs >= -slack))
 
 
-def invert_virtual(dist: ValuationDistribution, target: float,
-                   tol: float = 1e-10) -> float:
-    """Smallest x with w(x) >= target, by bisection.  Requires a
-    hazard-monotone (hence virtual-monotone) distribution.  Targets above
-    the virtual range of a bounded support are rejected."""
-    x = _invert_virtual(dist, target, tol)
-    if x > dist.upper:
-        raise ValueError(f"target {target} above the virtual range of {dist.name}")
-    return x
-
-
-def _invert_virtual(dist: ValuationDistribution, target: float,
-                    tol: float = 1e-10) -> float:
-    """:func:`invert_virtual` on :func:`_virtual_floor`, which is ``x``
-    above a bounded support: a target above ``w(upper)`` is reached at
-    ``x = target``."""
+def _inverse_virtual(dist: ValuationDistribution, targets: np.ndarray,
+                     tol: float = 1e-10) -> np.ndarray:
+    """Smallest ``x >= 0`` with ``_virtual(dist, x) >= t`` for each target
+    ``t``: 0 where ``w(0)`` already reaches ``t``, ``t`` itself above a
+    bounded support's ``w(upper)``, else the prior's closed-form
+    ``inverse`` or, without one, one array bisection to within ``tol``.
+    Requires a hazard-monotone (hence virtual-monotone) prior."""
     if not dist.mhr:
         raise ValueError(f"{dist.name} is not declared hazard-monotone")
-    if _virtual_at(dist, 0.0) >= target:
-        return 0.0
-    if math.isfinite(dist.upper):
-        hi = dist.upper
-        if _virtual_at(dist, hi) < target:
-            return target
-    else:
-        hi = 1.0
-        while _virtual_at(dist, hi) < target:
-            hi *= 2.0
-            if hi > 1e12:
-                raise ValueError(f"target {target} not reachable for {dist.name}")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _virtual_at(dist, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _invert_virtual_many(dist: ValuationDistribution, targets: np.ndarray,
-                         tol: float = 1e-10) -> np.ndarray:
-    """Vectorized bisection of :func:`_invert_virtual`."""
     targets = np.asarray(targets, dtype=float)
-    if targets.size == 0:
-        return targets.copy()
-    if math.isfinite(dist.upper):
-        hi0 = dist.upper
+    if dist.inverse is not None:
+        x = dist.inverse(targets)
     else:
-        hi0 = 1.0
-        tmax = targets.max()
-        while _virtual_floor(dist, hi0) < tmax:
-            hi0 *= 2.0
-            if hi0 > 1e12:
-                raise ValueError("target not reachable")
-    lo = np.zeros_like(targets)
-    hi = np.full_like(targets, hi0)
-    iterations = max(64, int(math.ceil(math.log2(max(hi0 / tol, 2.0)))))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        ok = np.asarray(_virtual_floor(dist, mid)) >= targets
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-        if np.all(hi - lo <= tol):
-            break
-    done = np.asarray(_virtual_floor(dist, np.zeros_like(targets))) >= targets
-    beyond = targets > _virtual_floor(dist, hi0) if math.isfinite(dist.upper) else False
-    return np.where(done, 0.0, np.where(beyond, targets, hi))
+        hi0 = dist.upper
+        if not math.isfinite(hi0):
+            hi0, tmax = 1.0, targets.max(initial=-math.inf)
+            while _virtual(dist, hi0) < tmax:
+                hi0 *= 2.0
+                if hi0 > 1e12:
+                    raise ValueError(f"target {tmax} not reachable for {dist.name}")
+        lo, x = np.zeros_like(targets), np.full_like(targets, hi0)
+        for _ in range(max(64, math.ceil(math.log2(max(hi0 / tol, 2.0))))):
+            mid = 0.5 * (lo + x)
+            ok = _virtual(dist, mid) >= targets
+            x, lo = np.where(ok, mid, x), np.where(ok, lo, mid)
+            if np.all(x - lo <= tol):
+                break
+    beyond = targets > _virtual(dist, dist.upper) if math.isfinite(dist.upper) else False
+    return np.where(_virtual(dist, 0.0) >= targets, 0.0, np.where(beyond, targets, x))
+
+
+def _maxviva_prices(dists: Mapping[int, ValuationDistribution], first: Sequence[int],
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round of the revenue-optimal transformed auction on each row
+    of ``values``, whose columns follow the first-level nodes ``first``.
+
+    The highest non-negative virtual valuation wins, ties toward the
+    first column; the price is the smallest valuation that would still
+    win: the larger of the winner's reserve and the value matching the
+    best rival's virtual valuation.  Returns (winning column, -1 when
+    unsold; price, 0 when unsold)."""
+    try:
+        priors = [dists[i] for i in first]
+    except KeyError as exc:
+        raise ValueError(f"missing first-level distribution for node {exc}") from exc
+    reserves = [dist.reserve for dist in priors]  # rejects non-MHR priors
+    w = np.column_stack([_virtual(dist, values[:, j]) for j, dist in enumerate(priors)])
+    rows = np.arange(len(w))
+    win = w.argmax(axis=1)
+    sold = w[rows, win] >= 0.0
+    w[rows, win] = -np.inf
+    rival = w.max(axis=1)
+    price = np.zeros(len(w))
+    for j, dist in enumerate(priors):
+        mask = sold & (win == j)
+        if mask.any():
+            price[mask] = np.maximum(reserves[j], _inverse_virtual(dist, rival[mask]))
+    return np.where(sold, win, -1), price
 
 
 def maxviva_level(entries: Mapping[int, tuple[float, ValuationDistribution]]
                   ) -> tuple[Optional[int], float]:
-    """One round of the revenue-optimal transformed auction.
-
-    Every entry carries the node's (transformed) valuation and its
-    distribution.  The highest non-negative virtual valuation wins, ties
-    toward the smaller id; the price is the smallest valuation that
-    would still win: the larger of the winner's reserve and the value
-    matching the best rival's virtual valuation.  All-negative virtual
-    valuations leave the item unsold.
-    """
-    for _, dist in entries.values():
-        if not dist.mhr:
-            raise ValueError(f"{dist.name} is not declared hazard-monotone")
-    w = {i: _virtual_at(dist, value) for i, (value, dist) in entries.items()}
-    eligible = [i for i in w if w[i] >= 0.0]
-    if not eligible:
+    """:func:`_maxviva_prices` on one row: every entry carries a node's
+    (transformed) valuation and its distribution, and ties go toward the
+    smaller id.  All-negative virtual valuations leave the item unsold."""
+    ids = sorted(entries)
+    if not ids:
         return None, 0.0
-    winner = min(eligible, key=lambda i: (-w[i], i))
-    _, dist_w = entries[winner]
-    rival = max((w[i] for i in w if i != winner), default=-math.inf)
-    match = _invert_virtual(dist_w, rival) if math.isfinite(rival) else 0.0
-    return winner, max(dist_w.reserve, match)
+    win, price = _maxviva_prices({i: entries[i][1] for i in ids}, ids,
+                                 np.array([[entries[i][0] for i in ids]], dtype=float))
+    return (ids[win[0]], float(price[0])) if win[0] >= 0 else (None, 0.0)
 
 
 def run_maxviva(net: DiffusionNetwork, reports: ReportProfile,
                 first_level_dists: Mapping[int, ValuationDistribution]) -> Outcome:
     """Revenue-optimal referral auction for supplied first-level priors.
 
-    The first level runs :func:`maxviva_level` on the subtree maxima;
+    The first level runs the :func:`maxviva_level` round on the subtree maxima;
     the descent below the first level uses the plain highest-value rule
     with threshold payments (lower levels cannot change the revenue).
     """
@@ -325,14 +281,11 @@ def _run_maxviva(tree: ReferralTree, values: Mapping[int, float],
     if all(values[i] == 0.0 for i in tree.agents()):
         return Outcome({}, {}, 0.0)
     submax = subtree_values(tree, values)
-    first = tree.child_tuple(tree.root)
-    try:
-        entries = {i: (submax[i], first_level_dists[i]) for i in first}
-    except KeyError as exc:
-        raise ValueError(f"missing first-level distribution for node {exc}") from exc
-    winner1, price1 = maxviva_level(entries)
-    if winner1 is None:
+    first = sorted(tree.child_tuple(tree.root))
+    win, price = _maxviva_prices(first_level_dists, first, np.array([[submax[i] for i in first]]))
+    if win[0] < 0:
         return Outcome({}, {}, 0.0)
+    winner1, price1 = first[win[0]], float(price[0])
     # Levels below the first are revenue-neutral; descend with the plain
     # highest-value rule starting from the decided winner and price.
     winner, pay_rest, _ = _run_levels(tree, values, submax,
@@ -348,10 +301,12 @@ class MaxVivaAuction(Mechanism):
     def __init__(self, base: ValuationDistribution):
         self.base = base
         self.name = "maxviva"
+        # one prior per subtree size, so each reserve is computed once
+        self._prior = cache(partial(max_of_iid, base))
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         tree = build_referral_tree(net, reports)
-        dists = {i: max_of_iid(self.base, sum(1 for _ in tree.subtree(i)))
+        dists = {i: self._prior(sum(1 for _ in tree.subtree(i)))
                  for i in tree.child_tuple(tree.root)}
         return _run_maxviva(tree, reports.values(), dists)
 
@@ -494,7 +449,7 @@ class PowerTA(_TransformedAuction):
         self.name = "ta:argmax-pow"
 
     def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
-        t = np.asarray([self.exponents.get(i, 1.0) for i in first])
+        t = np.array(list(exponent_table(self.exponents, first).values()))
         scores = submax ** t[None, :]
         win = scores.argmax(axis=1)
         masked = scores.copy()
@@ -516,27 +471,7 @@ class MaxVivaTA(_TransformedAuction):
         self.name = "ta:maxviva"
 
     def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
-        w = np.column_stack([
-            np.asarray(_virtual_floor(self.dists[i], submax[:, j]))
-            for j, i in enumerate(first)
-        ])
-        win = w.argmax(axis=1)
-        sale = w.max(axis=1) >= 0.0
-        masked = w.copy()
-        masked[np.arange(len(win)), win] = -np.inf
-        rival = masked.max(axis=1)
-        revenue = np.zeros(submax.shape[0])
-        for j, i in enumerate(first):
-            mask = sale & (win == j)
-            if not mask.any():
-                continue
-            targets = rival[mask]
-            finite = np.isfinite(targets)
-            match = np.zeros(targets.shape)
-            if finite.any():
-                match[finite] = _invert_virtual_many(self.dists[i], targets[finite])
-            revenue[mask] = np.maximum(self.dists[i].reserve, match)
-        return revenue
+        return _maxviva_prices(self.dists, first, submax)[1]
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return run_maxviva(net, reports, self.dists)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,12 +21,10 @@ from diffusion_auctions import (
     estimate_interim,
     expected_revenue,
     exponential_distribution,
-    invert_virtual,
     max_of_iid,
     maxviva_level,
     network_from_edges,
     paired_revenue_gap,
-    parse_distribution,
     run_lblev,
     run_maxviva,
     run_referral_auction,
@@ -33,16 +32,14 @@ from diffusion_auctions import (
     truncated_normal,
     truthful_profile,
     uniform_distribution,
-    virtual_valuation,
 )
 from diffusion_auctions import bayes, fixtures
 from diffusion_auctions.bayes import (
     InterimEstimate,
     ValuationDistribution,
-    _invert_virtual,
-    _invert_virtual_many,
+    _inverse_virtual,
     _rival_matrix,
-    _virtual_floor,
+    _virtual,
 )
 from diffusion_auctions.verify import make_grid, verify_mechanism
 
@@ -62,22 +59,23 @@ def heavy_tailed() -> ValuationDistribution:
         sample=lambda rng, size: rng.uniform(size=size) / (1.0 - rng.uniform(size=size)))
 
 
+def bisected(dist: ValuationDistribution) -> ValuationDistribution:
+    """``dist`` without its closed-form inverse: :func:`_inverse_virtual` bisects."""
+    return dataclasses.replace(dist, inverse=None)
+
+
 class TestVirtualValuation:
     def test_uniform_midpoint_is_zero(self):
-        assert virtual_valuation(UNIT, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert _virtual(UNIT, 0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential_is_shift_by_mean(self):
         for x in (0.0, 0.7, 1.0, 3.0):
-            assert virtual_valuation(EXP1, x) == pytest.approx(x - 1.0, abs=1e-12)
+            assert _virtual(EXP1, x) == pytest.approx(x - 1.0, abs=1e-12)
 
     def test_wide_uniform(self):
         wide = uniform_distribution(0.0, 12.0)
-        assert virtual_valuation(wide, 6.0) == pytest.approx(0.0, abs=1e-12)
-        assert virtual_valuation(wide, 9.0) == pytest.approx(6.0, abs=1e-12)
-
-    def test_rejects_zero_density(self):
-        with pytest.raises(ValueError):
-            virtual_valuation(UNIT, 2.0)
+        assert _virtual(wide, 6.0) == pytest.approx(0.0, abs=1e-12)
+        assert _virtual(wide, 9.0) == pytest.approx(6.0, abs=1e-12)
 
 
 class TestHazardMonotonicity:
@@ -115,37 +113,68 @@ class TestMaxOfIid:
 
 class TestInvertVirtual:
     def test_uniform_targets(self):
-        assert invert_virtual(UNIT, 0.0) == pytest.approx(0.5, abs=1e-9)
-        assert invert_virtual(UNIT, 0.2) == pytest.approx(0.6, abs=1e-9)
+        assert _inverse_virtual(UNIT, np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-9)
+        assert _inverse_virtual(UNIT, np.array([0.2]))[0] == pytest.approx(0.6, abs=1e-9)
 
     def test_exponential_reserve(self):
-        assert invert_virtual(EXP1, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert _inverse_virtual(EXP1, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_below_range_clamps_to_zero(self):
-        assert invert_virtual(UNIT, -5.0) == 0.0
-
-    def test_above_range_rejected(self):
-        with pytest.raises(ValueError):
-            invert_virtual(UNIT, 2.0)
+        assert _inverse_virtual(UNIT, np.array([-5.0]))[0] == 0.0
 
     def test_non_mhr_rejected(self):
         with pytest.raises(ValueError):
-            invert_virtual(heavy_tailed(), 0.0)
+            _inverse_virtual(heavy_tailed(), np.array([0.0]))
 
     def test_floor_is_the_value_above_a_bounded_support(self):
         # 1 - F = 0 there, so w(x) = x; below the support stays -inf
-        assert _virtual_floor(max_of_iid(UNIT, 3), 1.5) == 1.5
-        assert _virtual_floor(uniform_distribution(0.5, 1.0), 0.25) == -math.inf
-        assert _invert_virtual(UNIT, 2.0) == 2.0
-        many = _invert_virtual_many(UNIT, np.array([0.2, 1.5, 2.0]))
+        assert _virtual(max_of_iid(UNIT, 3), 1.5) == 1.5
+        assert _virtual(uniform_distribution(0.5, 1.0), 0.25) == -math.inf
+        assert _inverse_virtual(UNIT, np.array([2.0]))[0] == 2.0
+        many = _inverse_virtual(bisected(UNIT), np.array([0.2, 1.5, 2.0]))
         assert many[0] == pytest.approx(0.6, abs=1e-9)
         assert many[1:].tolist() == [1.5, 2.0]
 
     def test_vectorized_matches_scalar(self):
         targets = np.array([-1.0, 0.0, 0.1, 0.5, 0.9])
-        many = _invert_virtual_many(UNIT, targets)
+        many = _inverse_virtual(bisected(UNIT), targets)
         for t, x in zip(targets, many):
-            assert x == pytest.approx(invert_virtual(UNIT, float(t)), abs=1e-8)
+            assert x == pytest.approx(_inverse_virtual(bisected(UNIT), np.array([t]))[0],
+                                      abs=1e-8)
+
+
+class TestClosedFormInverse:
+    """The built-in priors' closed-form inverses against the bisection
+    on the same prior, on dense grids that cross the support edges."""
+
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.5, 1.0), (2.0, 12.0)])
+    def test_uniform(self, low, high):
+        dist = uniform_distribution(low, high)
+        edge = 2 * low - high  # w(low): every lower target is first met at low
+        targets = np.concatenate([np.linspace(edge - 1.0, high + 1.0, 2001),
+                                  [edge - 0.5, edge, high, high + 1e-9]])
+        closed = _inverse_virtual(dist, targets)
+        assert np.max(np.abs(closed - _inverse_virtual(bisected(dist), targets))) <= self.TOL
+        assert _inverse_virtual(dist, np.array([edge - 0.5]))[0] == low
+        assert _inverse_virtual(dist, np.array([high, high + 1e-9])).tolist() == [
+            high, high + 1e-9]
+
+    @pytest.mark.parametrize("rate", [0.05, 1.0, 2.0])
+    def test_exponential(self, rate):
+        dist = exponential_distribution(rate)
+        targets = np.concatenate([np.linspace(-3.0 / rate, 5.0 / rate, 2001),
+                                  [-2.0 / rate, -1.0 / rate, 0.0]])
+        closed = _inverse_virtual(dist, targets)
+        assert np.max(np.abs(closed - _inverse_virtual(bisected(dist), targets))) <= self.TOL
+        assert _inverse_virtual(dist, np.array([-2.0 / rate]))[0] == 0.0
+        assert dist.reserve == 1.0 / rate
+
+    def test_reserves(self):
+        assert UNIT.reserve == 0.5
+        assert uniform_distribution(2.0, 12.0).reserve == 6.0
+        assert bisected(UNIT).reserve == pytest.approx(0.5, abs=self.TOL)
 
 
 class TestMaxVivaLevel:
@@ -239,6 +268,16 @@ class TestRunMaxViva:
         inst = fixtures.depth1_instance((0.8, 0.6))
         with pytest.raises(ValueError):
             run_maxviva(inst.net, inst.reports, {1: UNIT})
+
+    def test_run_keeps_one_prior_per_subtree_size(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(bayes, "max_of_iid", lambda *args: made.append(args) or max_of_iid(*args))
+        mech = MaxVivaAuction(UNIT)
+        inst = fixtures.fig_lblev_instance()
+        first = mech.run(inst.net, inst.reports)
+        assert mech.run(inst.net, inst.reports) == first
+        # the first-level subtrees of fig_lblev hold 6, 1 and 1 agents
+        assert sorted(made) == [(UNIT, 1), (UNIT, 6)]
 
     def test_run_builds_the_referral_tree_once(self, monkeypatch):
         inst = fixtures.fig_lblev_instance()
@@ -506,6 +545,27 @@ class TestTransformedAuctionRun:
             assert len(reports) == 5
             assert all(rep.passed for rep in reports), mech.name
 
+    @pytest.mark.parametrize("dists, match", [
+        ({1: UNIT, 2: heavy_tailed()}, "not declared hazard-monotone"),
+        ({1: UNIT}, "missing first-level distribution for node 2"),
+    ])
+    def test_maxviva_ta_checks_priors_on_both_paths(self, dists, match):
+        inst = fixtures.depth1_instance((0.5, 0.3))
+        mech = MaxVivaTA(dists)
+        with pytest.raises(ValueError, match=match):
+            mech.run(inst.net, inst.reports)
+        with pytest.raises(ValueError, match=match):
+            truthful_compile(mech, inst.net).revenues([1, 2], [[0.5, 0.3], [0.2, 0.9]])
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+    def test_power_ta_checks_exponents_on_both_paths(self, bad):
+        inst = fixtures.depth1_instance((0.5, 0.3))
+        mech = PowerTA({1: bad})
+        with pytest.raises(InstanceError, match=r"exponent t\[1\]=.* must be positive"):
+            mech.run(inst.net, inst.reports)
+        with pytest.raises(InstanceError, match=r"exponent t\[1\]=.* must be positive"):
+            truthful_compile(mech, inst.net).revenues([1, 2], [[0.5, 0.3], [0.2, 0.9]])
+
     def test_maxviva_ta_passes_above_a_bounded_support(self):
         # grid points above U[0,1]'s support used to get virtual value -inf
         inst = fixtures.depth1_instance((0.5, 0.3, 0.8))
@@ -533,16 +593,7 @@ class TestRevenueIdentity:
                 v * v / 2.0, abs=1e-10)
 
 
-class TestDistributionSpecs:
-    def test_parse_round_trip(self):
-        assert parse_distribution("uniform:0:1").name == "uniform[0,1]"
-        assert parse_distribution("exp:1.0").name == "exp[1]"
-        assert parse_distribution("tnorm:100:5").name == "tnorm[100,5]"
-
-    def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            parse_distribution("weird:1:2:3")
-
+class TestTruncatedNormal:
     def test_truncated_normal_clamps_sampler(self):
         rng = np.random.default_rng(1)
         tn = truncated_normal(1.0, 5.0)
