@@ -28,6 +28,7 @@ from .mechanisms import (
     Compiled,
     Mechanism,
     SecondPriceReserveRule,
+    _check_power_range,
     _columns,
     _draw_matrix,
     _myerson_level,
@@ -409,13 +410,13 @@ class _FirstLevelCompiled(Compiled):
             return np.zeros(len(matrix))
         submax = np.column_stack([matrix[:, _columns(ids, tree.subtree(i))].max(axis=1)
                                   for i in first])
-        return self.mech.price_first_level(first, submax)
+        return self.mech.price_first_level(tree, submax)
 
 
 class _TransformedAuction(Mechanism):
     """Depth-one transformed auction.  Subclasses give ``run`` and the
-    vectorised ``price_first_level(first, submax)``: the seller revenue
-    of one round on each row of ``submax``, whose columns follow ``first``."""
+    vectorised ``price_first_level(tree, submax)``: the seller revenue of
+    one round on each row of ``submax``, one column per first-level node."""
 
     def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> _FirstLevelCompiled:
         return _FirstLevelCompiled(self, net, reports)
@@ -431,7 +432,7 @@ class SecondPriceTA(_TransformedAuction):
         self.reserve = float(reserve)
         self.name = f"ta:second-price-r{reserve:g}"
 
-    def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
+    def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
         if submax.shape[1] < 2:
             return np.zeros(len(submax))
         second, best = np.partition(submax, -2, axis=1)[:, -2:].T
@@ -442,22 +443,24 @@ class SecondPriceTA(_TransformedAuction):
 
 
 class PowerTA(_TransformedAuction):
-    """Depth-one transformed auction scoring by value**t."""
+    """Depth-one transformed auction scoring by value**t.  Its revenues
+    check the whole tree's exponents and values as :func:`run_lblev` does."""
 
     def __init__(self, exponents: Mapping[int, float]):
         self.exponents = dict(exponents)
         self.name = "ta:argmax-pow"
 
-    def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
-        t = np.array(list(exponent_table(self.exponents, first).values()))
+    def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
+        texp = exponent_table(self.exponents, tree.agents())
+        _check_power_range(texp, float(submax.max(initial=0.0)))
+        t = np.array([texp[i] for i in tree.child_tuple(tree.root)])
         scores = submax ** t[None, :]
         win = scores.argmax(axis=1)
         masked = scores.copy()
         masked[np.arange(len(win)), win] = -np.inf
         rival_score = masked.max(axis=1)
         pay = np.maximum(rival_score, 0.0) ** (1.0 / t[win])
-        sold = submax.max(axis=1) > 0
-        return np.where(sold, pay, 0.0)
+        return np.where(submax.max(axis=1) > 0, pay, 0.0)
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return run_lblev(build_referral_tree(net, reports), reports.values(), self.exponents)[0]
@@ -470,8 +473,8 @@ class MaxVivaTA(_TransformedAuction):
         self.dists = dict(dists)
         self.name = "ta:maxviva"
 
-    def price_first_level(self, first: Sequence[int], submax: np.ndarray) -> np.ndarray:
-        return _maxviva_prices(self.dists, first, submax)[1]
+    def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
+        return _maxviva_prices(self.dists, tree.child_tuple(tree.root), submax)[1]
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return run_maxviva(net, reports, self.dists)

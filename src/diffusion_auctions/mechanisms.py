@@ -134,6 +134,20 @@ def _check_values(values: Mapping[int, float]) -> None:
         raise InstanceError("valuations must be finite non-negative numbers")
 
 
+def _check_power_range(texp: Mapping[int, float], top: float) -> None:
+    """No ``rho**t`` key or ``rho**(t_r/t_w)`` price of a tree with
+    exponents ``texp`` and largest value ``top`` exceeds
+    ``max(top, 1)**max(t_max, t_max/t_min)``; where that is not finite,
+    raise :class:`InstanceError` naming the agents whose exponents set it."""
+    t_max, t_min = max(texp.values(), default=1.0), min(texp.values(), default=1.0)
+    try:
+        math.pow(max(top, 1.0), power := t_max / min(t_min, 1.0))
+    except OverflowError:
+        named = sorted(i for i, t in texp.items() if t == t_max or t == t_min < 1.0)
+        raise InstanceError(f"values up to {top!r} overflow under the exponents of agents "
+                            f"{named}: max(V, 1)**{power!r} is not finite") from None
+
+
 def _rank_level(texp: Mapping[int, float],
                 survivors: list[tuple[int, float]]) -> tuple[int, float]:
     """The exponential level rule on two or more (node, rho) survivors.
@@ -187,15 +201,18 @@ def run_lblev(tree: ReferralTree, values: Mapping[int, float],
     game and pays the runner-up's ``rho`` raised to the exponent ratio
     ``t_runnerup / t_winner``, on top of the running offset.  Ties break
     toward the smaller node id.  Exponents default to 1 when omitted;
-    non-positive or non-finite exponents are rejected.  An empty tree or
-    all-zero values leave the item unsold.
+    non-positive or non-finite exponents are rejected, and so is a tree
+    that fails :func:`_check_power_range`.  An empty tree or all-zero
+    values leave the item unsold.
     """
     _check_values(values)
     texp = exponent_table(exponents, tree.agents())
-    if all(values[i] == 0.0 for i in tree.agents()):
+    submax = subtree_values(tree, values)
+    top = max((submax[c] for c in tree.child_tuple(tree.root)), default=0.0)
+    _check_power_range(texp, top)
+    if top == 0.0:
         return Outcome({}, {}, 0.0), []
-    winner, pay, traces = _run_levels(tree, values, subtree_values(tree, values),
-                                      partial(_rank_level, texp))
+    winner, pay, traces = _run_levels(tree, values, submax, partial(_rank_level, texp))
     return _settle(winner, pay), traces
 
 
@@ -210,7 +227,9 @@ def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
     first level never changes it.  The values are checked and the
     first-level survivors found once; each table then costs one
     :func:`_rank_level` step with :func:`run_lblev`'s float operations,
-    so the revenues are identical.
+    so the revenues are identical.  It ranks only the root level, so it
+    rejects only an overflow there, as :class:`InstanceError`, and not
+    :func:`run_lblev`'s up-front :func:`_check_power_range`.
     """
     _check_values(values)
     agents = tree.agents()
@@ -222,8 +241,11 @@ def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
     survivors = [(child, submax[child]) for child in tree.child_tuple(tree.root)]
     if len(survivors) < 2:
         return [0.0] * len(exponent_tables)   # a lone survivor pays the offset, 0
-    # 0.0 + z is the root level's offset + z; it also turns a z of -0.0 into 0.0
-    return [0.0 + _rank_level(texp, survivors)[1] for texp in exponent_tables]
+    try:
+        # 0.0 + z is the root level's offset + z; it also turns a z of -0.0 into 0.0
+        return [0.0 + _rank_level(texp, survivors)[1] for texp in exponent_tables]
+    except OverflowError:
+        raise InstanceError("a first-level rho**t or price overflows") from None
 
 
 class LevelKernel:
@@ -244,13 +266,15 @@ class LevelKernel:
     libm in the last ulp.  Each ``rho**t`` gets its exponent as a
     full-length array: a scalar one, or one broadcast from length 1,
     sends numpy's ``**`` down sqrt/square fast paths for ``t`` = 0.5 or 2,
-    which round differently from its ``power`` loop.
+    which round differently from its ``power`` loop.  A matrix that fails
+    :func:`_check_power_range` raises as a whole.
     """
 
     def __init__(self, tree: ReferralTree, exponents: Mapping[int, float]):
         self.agents = sorted(tree.agents())
         col = {a: k for k, a in enumerate(self.agents)}
-        self.texp = np.array([_exponent(exponents, a) for a in self.agents])
+        self.exponents = exponent_table(exponents, self.agents)
+        self.texp = np.array(list(self.exponents.values()))
 
         def kids(node: int) -> np.ndarray:
             return np.array(sorted(col[c] for c in tree.child_tuple(node)), dtype=np.intp)
@@ -275,6 +299,7 @@ class LevelKernel:
         matrix = _draw_matrix(ids, matrix)
         cols = _columns(ids, self.agents)
         values = matrix.T[cols]     # [n, S]: one contiguous row of draws per agent
+        _check_power_range(self.exponents, float(values.max(initial=0.0)))
         submax = values.copy()
         for node, kids in self.post:
             np.maximum(submax[node], submax[kids].max(axis=0), out=submax[node])
@@ -524,60 +549,16 @@ class Compiled:
         return self.outcomes(ids, matrix)[2]
 
 
-class _PathLevel:
-    """A level of an agent's root path, for :class:`LblevCurves`: the path
-    ``child``, its parent's value ``held`` (``-inf`` at the root: no keep
-    test) and ``best``, the child's subtree maximum leaving out the agent
-    (where x ties it, the two differ at most in the sign of a zero, which
-    no price shows).  The rest is kept once a point has computed it."""
-
-    __slots__ = ("child", "t", "best", "siblings", "held", "texp",
-                 "rivals", "ranked", "won", "fixed")
-
-    def __init__(self, child: int, best: float, siblings: list[tuple[int, float]],
-                 held: float, texp: Mapping[int, float]):
-        self.child, self.best, self.siblings, self.held = child, best, siblings, held
-        self.texp, self.t = texp, texp[child]
-        self.rivals = self.ranked = self.won = self.fixed = None
-
-    def step(self, rho: float, offset: float) -> Optional[float]:
-        """The child's payment when it wins at effective valuation ``rho``, else None."""
-        if self.rivals is None:   # the surviving siblings at this offset
-            self.rivals = [(s, r if r >= 0.0 else 0.0) for s, m in self.siblings
-                           if (r := m - offset) >= -EQ_TOL]
-        alive, rivals = rho >= -EQ_TOL, self.rivals
-        if rivals and (alive or len(rivals) >= 2):   # the level is ranked
-            if self.ranked is None:   # (rho**t, node, rho), best first
-                self.ranked = sorted(((r ** self.texp[s], s, r) for s, r in rivals),
-                                     key=lambda e: (-e[0], e[1]))
-            rho = rho if rho >= 0.0 else 0.0
-            key = rho ** self.t if alive else -math.inf
-            ranked, child = self.ranked, self.child
-            w_key, w, _ = ranked[0]
-            if key < w_key or (key == w_key and child > w):   # it loses the level
-                if ranked[1:] and (ranked[1][0], -ranked[1][1]) > (key, -child):
-                    _, child, rho = ranked[1]   # the runner-up is the second sibling
-                rho ** (self.texp[child] / self.texp[w])   # the price, for its OverflowError
-                return None
-        elif not alive:
-            return None
-        if self.won is None:
-            z = self.ranked[0][2] ** (self.texp[self.ranked[0][1]] / self.t) if rivals else 0.0
-            self.won = (offset + z, self.held >= offset + z - EQ_TOL)
-        return None if self.won[1] else self.won[0]
-
-
 class LblevCurves(Compiled):
     """:class:`LblevAuction` compiled for one report profile.
 
     The referral tree, the checked exponent table and the subtree maxima
-    are built once; the first :meth:`curve` call for an agent plans its
-    root path.  While the path child wins, all of a level but its
-    ``rho`` is constant, so a point costs one ``rho``, one ``rho**t`` and
-    one comparison per level, with :func:`_run_levels`' float operations.
-    Each constant is computed the first time a point needs it, so a point
-    raises :class:`OverflowError` where :meth:`Mechanism.evaluate` does,
-    down to where the winner leaves the agent's path.
+    are built once, and the profile must pass :func:`_check_power_range`.
+    While the path child wins, each level of an agent's root path is
+    reached at one offset, so all of it but its ``rho`` is constant: the
+    first :meth:`curve` call for the agent plans the path, and a point
+    then costs one ``rho``, one ``rho**t`` and one comparison per level,
+    with :func:`_run_levels`' float operations.
     """
 
     def __init__(self, mech: "LblevAuction", net: DiffusionNetwork, reports: ReportProfile):
@@ -585,61 +566,75 @@ class LblevCurves(Compiled):
         self.tree = tree = build_referral_tree(net, reports)
         self._texp = exponent_table(mech.exponents, tree.agents())
         self._values = {i: reports.value(i) for i in tree.agents()}
+        self._top = max(self._values.values(), default=0.0)   # the largest checked value
+        _check_power_range(self._texp, self._top)
         self._submax = subtree_values(tree, self._values)
-        self._plans: dict[int, tuple[bool, list[_PathLevel]]] = {}
-        self._own: dict[int, tuple[float, float]] = {}   # agent: (keep threshold, net payment)
+        self._plans: dict[int, tuple] = {}
 
-    def _plan(self, agent: int) -> tuple[bool, list[_PathLevel]]:
-        """(are all other values 0, the path levels top-down)."""
-        tree, values, submax, levels, node = self.tree, self._values, self._submax, [], agent
-        best = max([-math.inf, *(submax[c] for c in tree.child_tuple(agent))])
-        while node != tree.root:
+    def _plan(self, agent: int) -> tuple:
+        """(are all other values 0, the path levels top-down, the agent's
+        own level: its least value that keeps the item, and its net payment
+        when it sells).  A level is (child, t, the child's subtree maximum
+        leaving out the agent, the best surviving sibling's (rho**t, id,
+        rho) or None, the child's payment when it wins or None when the
+        parent keeps the item); the plan ends at the first kept level, and
+        then no point reaches the own level, which is None."""
+        tree, texp, submax, values = self.tree, self._texp, self._submax, self._values
+        best = subtree_values(tree, {**values, agent: -math.inf})   # leaving out the agent
+        path = [agent]
+        while (parent := tree.parent[path[-1]]) != tree.root:
+            path.append(parent)
+        levels, pay, own = [], 0.0, None
+        for node in reversed(path):   # top-down, at each offset
             parent = tree.parent[node]
-            held = -math.inf if parent == tree.root else values[parent]
-            siblings = [(s, submax[s]) for s in tree.child_tuple(parent) if s != node]
-            levels.append(_PathLevel(node, best, siblings, held, self._texp))
-            best = max([held, best, *(m for _, m in siblings)])
-            node = parent
-        self._plans[agent] = (all(v == 0.0 for i, v in values.items() if i != agent), levels[::-1])
+            rivals = [(s, r if r >= 0.0 else 0.0) for s in tree.child_tuple(parent)
+                      if s != node and (r := submax[s] - pay) >= -EQ_TOL]
+            rival = min(((r ** texp[s], s, r) for s, r in rivals),
+                        key=lambda e: (-e[0], e[1]), default=None)
+            z = rival[2] ** (texp[rival[1]] / texp[node]) if rival else 0.0
+            pay = None if parent != tree.root and values[parent] >= pay + z - EQ_TOL else pay + z
+            levels.append((node, texp[node], best[node], rival, pay))
+            if pay is None:
+                break   # the parent keeps the item: no point gets below it
+        else:
+            survivors = [(c, rho if rho >= 0.0 else 0.0) for c in tree.child_tuple(agent)
+                         if (rho := submax[c] - pay) >= -EQ_TOL]
+            z = _rank_level(texp, survivors)[1] if len(survivors) >= 2 else 0.0
+            own = (pay + z - EQ_TOL, pay - (pay + z)) if survivors else (-math.inf, 0.0)
+        others_zero = all(v == 0.0 for i, v in values.items() if i != agent)
+        self._plans[agent] = (others_zero, levels, own)
         return self._plans[agent]
-
-    def _own_level(self, agent: int, pay: float) -> tuple[float, float]:
-        """The agent's own level once it paid ``pay``: (the least own value
-        at which it keeps the item, its net payment when it sells)."""
-        survivors = [(c, rho if rho >= 0.0 else 0.0) for c in self.tree.child_tuple(agent)
-                     if (rho := self._submax[c] - pay) >= -EQ_TOL]
-        z = _rank_level(self._texp, survivors)[1] if len(survivors) >= 2 else 0.0
-        self._own[agent] = (pay + z - EQ_TOL, pay - (pay + z)) if survivors else (-math.inf, 0.0)
-        return self._own[agent]
 
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
         """As :meth:`Compiled.curve`; an agent outside the reached tree
-        gets (0, 0).  Each value is checked as :class:`Report` checks it."""
+        gets (0, 0).  Each value is checked as :class:`Report` checks it,
+        and the largest against :func:`_check_power_range`."""
         xs = [float(x) for x in xs]
         for x in xs:
             if not 0 <= x < math.inf:
-                raise InstanceError(f"reported valuation {x} is not a finite "
-                                    "non-negative number")
+                raise InstanceError(f"reported valuation {x} is not a finite non-negative number")
         if agent not in self._values:
             return [(0.0, 0.0)] * len(xs)
-        others_zero, levels = self._plans.get(agent) or self._plan(agent)
-        own, out = self._own.get(agent), []
+        if (top := max(xs, default=0.0)) > self._top:   # the bound grows with it
+            _check_power_range(self._texp, top)
+            self._top = top
+        others_zero, levels, own = self._plans.get(agent) or self._plan(agent)
+        out = []
         for x in xs:
-            pay = None if others_zero and x == 0.0 else 0.0   # all-zero values: unsold
-            for level in levels:
-                if pay is None:
+            pay = 0.0
+            for child, t, best, rival, price in levels:
+                # the child's subtree maximum less the offset; where x ties best,
+                # the two differ at most in the sign of a zero, which no price shows
+                rho = (best if best > x else x) - pay
+                if rho < -EQ_TOL or rival and ((key := (rho if rho >= 0.0 else 0.0) ** t)
+                                               < rival[0] or key == rival[0] and child > rival[1]):
+                    pay = None   # the child is out of the level, or a sibling outranks it
                     break
-                if level.best > x:   # the child's subtree maximum is best, not x
-                    if level.fixed is None:
-                        level.fixed = (level.step(level.best - pay, pay),)
-                    pay = level.fixed[0]
-                else:
-                    pay = level.step(x - pay, pay)
-            if pay is None:   # the path child lost a level, or an ancestor kept the item
+                pay = price   # None at a last level whose parent keeps the item
+            if pay is None or others_zero and x == 0.0:   # all values 0: unsold
                 out.append((0.0, 0.0))
-                continue
-            own = own or self._own_level(agent, pay)   # only its keep test reads x
-            out.append((1.0, pay) if x >= own[0] else (0.0, own[1]))
+            else:   # only its own level's keep test reads x
+                out.append((1.0, pay) if x >= own[0] else (0.0, own[1]))
         return out
 
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray

@@ -17,20 +17,25 @@ def naive_level_auction(children: dict[int, list[int]], values: dict[int, float]
 
     Returns (winner or None, {path node: gross payment to its parent}).
     """
-    def best_in_subtree(node):
-        m = values[node]
-        for c in children.get(node, []):
-            m = max(m, best_in_subtree(c))
-        return m
-
     agents = [n for n in values]
     if not agents or all(values[a] == 0 for a in agents):
         return None, {}
 
+    best: dict[int, float] = {}   # each reached node's subtree maximum
+
+    def fill(node):
+        m = values[node]
+        for c in children.get(node, []):
+            m = max(m, fill(c))
+        best[node] = m
+        return m
+
+    for c in children.get(root, []):
+        fill(c)
     pays: dict[int, float] = {}
 
     def descend(parent, offset, v_parent):
-        kids = [(c, best_in_subtree(c) - offset) for c in children.get(parent, [])]
+        kids = [(c, best[c] - offset) for c in children.get(parent, [])]
         kids = [(c, max(r, 0.0)) for c, r in kids if r >= -1e-9]
         if len(kids) >= 2:
             order = sorted(kids, key=lambda cr: (-(cr[1] ** exponents.get(cr[0], 1.0)), cr[0]))
@@ -75,12 +80,12 @@ def naive_net_payments(winner, pays, agents):
     return net, revenue
 
 
-def naive_forwarding_utility(children: dict[int, list[int]], values: dict[int, float],
-                             exponents: dict[int, float], agent: int,
-                             withheld, true_value: float) -> float:
-    """Utility of ``agent`` when it reports ``true_value`` and forwards to
-    all its children except ``withheld``, by direct execution of the
-    naive descent on the tree that forwarding choice reaches."""
+def _forwarding_utility(children: dict[int, list[int]], values: dict[int, float],
+                       exponents: dict[int, float], agent: int, withheld):
+    """``agent``'s utility as a function of its true value when it
+    forwards to all its children except ``withheld``: the tree that
+    forwarding choice reaches is built once, and each call runs the naive
+    descent on it with the agent reporting its true value."""
     cut = set(withheld)
     kids = dict(children)
     kids[agent] = [c for c in children.get(agent, []) if c not in cut]
@@ -90,10 +95,23 @@ def naive_forwarding_utility(children: dict[int, list[int]], values: dict[int, f
         reached.append(node)
         stack.extend(kids.get(node, []))
     vals = {i: values[i] for i in reached}
-    vals[agent] = true_value
-    winner, pays = naive_level_auction(kids, vals, exponents)
-    net, _ = naive_net_payments(winner, pays, vals)
-    return true_value * (winner == agent) - net[agent]
+
+    def utility(true_value: float) -> float:
+        vals[agent] = true_value
+        winner, pays = naive_level_auction(kids, vals, exponents)
+        net, _ = naive_net_payments(winner, pays, vals)
+        return true_value * (winner == agent) - net[agent]
+
+    return utility
+
+
+def naive_forwarding_utility(children: dict[int, list[int]], values: dict[int, float],
+                             exponents: dict[int, float], agent: int,
+                             withheld, true_value: float) -> float:
+    """Utility of ``agent`` when it reports ``true_value`` and forwards to
+    all its children except ``withheld``, by direct execution of the
+    naive descent on the tree that forwarding choice reaches."""
+    return _forwarding_utility(children, values, exponents, agent, withheld)(true_value)
 
 
 def naive_profitable_withholding(children: dict[int, list[int]],
@@ -106,17 +124,18 @@ def naive_profitable_withholding(children: dict[int, list[int]],
     true value in ``points`` plus the agent's own value.  Returns the
     first ``(agent, withheld, true_value, u_full, u_cut)`` whose cut
     utility beats full forwarding by more than ``tol``, or ``None``.
+    Each forwarding choice's tree is built once for all the values.
     """
     for agent in sorted(values):
         kids = sorted(children.get(agent, []))
         xs = sorted(set(points) | {values[agent]})
-        u_full = {x: naive_forwarding_utility(children, values, exponents,
-                                              agent, (), x) for x in xs}
+        full = _forwarding_utility(children, values, exponents, agent, ())
+        u_full = {x: full(x) for x in xs}
         for r in range(1, len(kids) + 1):
             for withheld in itertools.combinations(kids, r):
+                cut = _forwarding_utility(children, values, exponents, agent, withheld)
                 for x in xs:
-                    u_cut = naive_forwarding_utility(
-                        children, values, exponents, agent, withheld, x)
+                    u_cut = cut(x)
                     if u_cut > u_full[x] + tol:
                         return agent, withheld, x, u_full[x], u_cut
     return None

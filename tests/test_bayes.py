@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -565,6 +566,19 @@ class TestTransformedAuctionRun:
             mech.run(inst.net, inst.reports)
         with pytest.raises(InstanceError, match=r"exponent t\[1\]=.* must be positive"):
             truthful_compile(mech, inst.net).revenues([1, 2], [[0.5, 0.3], [0.2, 0.9]])
+
+    def test_power_ta_checks_the_power_bound_on_both_paths(self):
+        # 1e200**3 is not finite: run_lblev rejects the profile, and the
+        # compiled revenues reject the matrix instead of warning
+        inst = fixtures.depth1_instance((1e120, 1e200))
+        mech = PowerTA({1: 3.0, 2: 1.0})
+        match = r"values up to 1e\+200 overflow under the exponents of agents \[1\]"
+        with pytest.raises(InstanceError, match=match):
+            mech.run(inst.net, inst.reports)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InstanceError, match=match):
+                truthful_compile(mech, inst.net).revenues([1, 2], [[1.0, 2.0], [1e120, 1e200]])
 
     def test_maxviva_ta_passes_above_a_bounded_support(self):
         # grid points above U[0,1]'s support used to get virtual value -inf

@@ -191,6 +191,23 @@ class TestRun:
         assert out == "" and err.startswith("error: ")
 
 
+class TestOverflowInstance:
+    """An instance whose ``rho**t`` could overflow is bad input: both
+    verbs exit 2 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_exit_2(self, tmp_path, capsys, verb):
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
+        values = {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0}
+        path = tmp_path / "overflow.json"
+        save_instance(Instance(net, truthful_profile(net, values), {4: 2.0}), path)
+        code, out, err = run_cli(capsys, verb, "--instance", str(path),
+                                 "--mechanism", "lblev")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "agents [4]" in err
+
+
 class TestVerify:
     def test_lblev_random_trials_pass(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--mechanism", "lblev",

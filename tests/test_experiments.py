@@ -441,6 +441,24 @@ class TestSellerRevenues:
         tree = build_referral_tree(inst.net, inst.reports)
         assert lblev_seller_revenues(tree, inst.reports.values(), []) == []
 
+    def test_root_level_overflow_contract(self):
+        """Only the root level is ranked, so only its overflow raises.
+        Agent 4's 1e160 squared would be ranked one level down: run_lblev's
+        up-front bound rejects it, and this function prices the root level
+        (winner 1 pays agent 2's 10).  An exponent of 2 on first-level
+        agent 1 squares 1e160 at the root: both raise InstanceError."""
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4)])
+        values = {1: 5.0, 2: 10.0, 3: 30.0, 4: 1e160}
+        tree = build_referral_tree(net, truthful_profile(net, values))
+        deep, root = (exponent_table(m, tree.agents()) for m in ({4: 2.0}, {1: 2.0}))
+        assert lblev_seller_revenues(tree, values, [deep]) == [10.0]
+        with pytest.raises(InstanceError, match=r"agents \[4\]"):
+            run_lblev(tree, values, deep)
+        with pytest.raises(InstanceError, match="first-level"):
+            lblev_seller_revenues(tree, values, [deep, root])
+        with pytest.raises(InstanceError, match=r"agents \[1\]"):
+            run_lblev(tree, values, root)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
     def test_rejects_the_values_run_lblev_rejects(self, bad):
         inst = fixtures.fig_lblev_instance()

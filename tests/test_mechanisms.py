@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from diffusion_auctions import (
     LblevAuction,
     NonMonotoneRuleError,
     PowerRule,
+    PowerTA,
     SecondPriceReserveRule,
     SecondPriceTA,
     build_referral_tree,
@@ -881,28 +883,24 @@ class TestCompiledCurve:
 
     def test_sibling_keys_are_taken_only_when_the_level_is_ranked(self):
         """seller -> 1, 2; 1 -> 3, 4, agent 4 at 1e160 with exponent 2, so
-        ranking agent 3's level squares about 1e160 and overflows.  Below
-        agent 2's value (10, the price node 1 pays), agent 3 drops out of
-        that level and 4 is its lone survivor: no ``rho**t`` is taken.
-        Above it, the level is ranked and raises.  Each way the curve
-        agrees with ``evaluate``, and a raise leaves nothing cached."""
+        ranking agent 3's level would square about 1e160.  Whether a point
+        ranks that level or not, the profile fails the up-front bound:
+        ``compile`` raises, and ``evaluate`` raises at either own value of
+        agent 3, below agent 2's value (where 4 would be the lone
+        survivor) and above it."""
         net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4)])
         profile = truthful_profile(net, {1: 5.0, 2: 10.0, 3: 30.0, 4: 1e160})
         mech = LblevAuction({4: 2.0})
-        below, above = [4.0], [50.0]
-        assert repr(mech.compile(net, profile).curve(3, below)) == repr([(0.0, 0.0)])
-        assert repr(per_point(mech, net, profile, 3, below)) == repr([(0.0, 0.0)])
-        compiled = mech.compile(net, profile)
-        for _ in range(2):
-            with pytest.raises(OverflowError):
-                compiled.curve(3, above)
-            with pytest.raises(OverflowError):
-                per_point(mech, net, profile, 3, above)
-            assert repr(compiled.curve(3, below)) == repr([(0.0, 0.0)])
+        with pytest.raises(InstanceError, match=r"agents \[4\]"):
+            mech.compile(net, profile)
+        for x in (4.0, 50.0):
+            with pytest.raises(InstanceError, match=r"agents \[4\]"):
+                per_point(mech, net, profile, 3, [x])
 
     def test_one_compiled_object_alternating_agents(self):
         """Per-agent state survives other agents' calls, a rejected value
-        and a call that raises mid-curve (``rho**2`` overflows at 1e200)."""
+        and a batch that fails the power bound (``1e200**4`` is not
+        finite), which raises as a whole as ``evaluate`` does."""
         net = network_from_edges(self.EARLY_STOP_EDGES)
         profile = truthful_profile(net, self.EARLY_STOP_VALUES)
         mech = LblevAuction({3: 2.0, 4: 0.5, 6: 1.5})
@@ -915,7 +913,70 @@ class TestCompiledCurve:
                 with pytest.raises(InstanceError):
                     compiled.curve(3, [25.0, -1.0])
             if step == 5:
-                with pytest.raises(OverflowError):
+                with pytest.raises(InstanceError):
                     compiled.curve(3, [25.0, 1e200])
-                with pytest.raises(OverflowError):
+                with pytest.raises(InstanceError):
                     per_point(mech, net, profile, 3, [1e200])
+
+
+class TestPowerBound:
+    """Values and exponents with ``max(V, 1)**max(t_max, t_max/t_min)``
+    not finite raise one :class:`InstanceError` on every lblev path."""
+
+    EDGES = [(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)]
+    VALUES = {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0}
+
+    def test_every_path_raises_the_same_error(self):
+        net = network_from_edges(self.EDGES)
+        profile = truthful_profile(net, self.VALUES)
+        mech, ta = LblevAuction({4: 2.0}), PowerTA({4: 2.0})
+        ids = sorted(net.agents)
+        rows = [[1.0] * len(ids), [self.VALUES[i] for i in ids]]
+        # the profile with agent 4 at 1 passes, so the batch paths check their own input
+        tame = mech.compile(net, profile.replace(4, value=1.0))
+        tame_ta = ta.compile(net, profile.replace(4, value=1.0))
+        calls = {"run": lambda: mech.run(net, profile),
+                 "run_lblev": lambda: run_lblev(build_referral_tree(net, profile),
+                                                profile.values(), {4: 2.0}),
+                 "outcomes": lambda: tame.outcomes(ids, rows),
+                 "PowerTA.run": lambda: ta.run(net, profile),
+                 "PowerTA revenues": lambda: tame_ta.revenues(ids, rows)}
+        for a in ids:
+            calls[f"compile for {a}"] = lambda a=a: mech.compile(net, profile).curve(a, [5.0])
+            calls[f"curve {a}"] = lambda a=a: tame.curve(a, [5.0, 1e160])
+            calls[f"evaluate {a}"] = lambda a=a: mech.evaluate(
+                net, profile.replace(4, value=1.0).replace(a, value=1e160), a)
+        expected = ("values up to 1e+160 overflow under the exponents of agents [4]: "
+                    "max(V, 1)**2.0 is not finite")
+        for name, call in calls.items():
+            with pytest.raises(InstanceError) as info:
+                call()
+            assert str(info.value) == expected, name
+
+    @pytest.mark.parametrize("exponents, top, named", [
+        ({4: 2.0}, 1e154, "[4]"),                 # 1e154**2 = 1e308
+        ({1: 0.5, 4: 2.0}, 1e77, "[1, 4]"),       # the ratio 2/0.5 sets the power
+    ])
+    def test_the_bound_is_tight(self, exponents, top, named):
+        """At the largest finite bound every path prices and agrees with
+        ``run``; ten times that value raises on each."""
+        net = network_from_edges(self.EDGES)
+        ids = sorted(net.agents)
+        mech = LblevAuction(exponents)
+        profile = truthful_profile(net, {**self.VALUES, 4: top})
+        out = mech.run(net, profile)
+        compiled = mech.compile(net, profile)
+        winner, payments, _ = compiled.outcomes(ids, [[profile.value(i) for i in ids]])
+        assert winner[0] == out.winner
+        assert payments[0].tolist() == pytest.approx(
+            [out.payments.get(i, 0.0) for i in ids], rel=1e-12)
+        for a in ids:
+            assert repr(compiled.curve(a, [profile.value(a)])) == repr(
+                [mech.evaluate(net, profile, a)])
+        over = profile.replace(4, value=10.0 * top)
+        row = [[over.value(i) for i in ids]]
+        for call in (lambda: mech.run(net, over), lambda: mech.compile(net, over),
+                     lambda: compiled.curve(4, [10.0 * top]),
+                     lambda: truthful_compile(mech, net).outcomes(ids, row)):
+            with pytest.raises(InstanceError, match=rf"agents {re.escape(named)}"):
+                call()

@@ -7,6 +7,7 @@ import pytest
 
 from diffusion_auctions import (
     ArgmaxRule,
+    InstanceError,
     LblevAuction,
     PowerRule,
     check_ta_equivalence,
@@ -469,9 +470,14 @@ class TestCurveTablePrefix:
 
 class TestIrOverflow:
     def test_ir_raises_where_per_agent_evaluate_raised(self):
-        # agent 4's 1e160 squared overflows; agent 1's curve point stops
-        # before the level that overflows, but agent 3's own level does not
+        # agent 4's 1e160 squared is not finite: the reported profile
+        # fails the power bound, so compiling it raises before any point,
+        # as every agent's evaluate does
         net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
         profile = truthful_profile(net, {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0})
-        with pytest.raises(OverflowError):
-            verify_mechanism(LblevAuction({4: 2.0}), net, profile, None, ("ir",))
+        mech = LblevAuction({4: 2.0})
+        with pytest.raises(InstanceError, match=r"agents \[4\]"):
+            verify_mechanism(mech, net, profile, None, ("ir",))
+        for agent in sorted(net.agents):
+            with pytest.raises(InstanceError, match=r"agents \[4\]"):
+                mech.evaluate(net, profile, agent)
