@@ -440,12 +440,15 @@ def _myerson_level(rule: LevelRule, survivors: list[tuple[int, float]]
                    ) -> Optional[tuple[int, float]]:
     """A pluggable level rule on two or more (node, rho) survivors: the
     rule's winner and its :func:`myerson_level_payment`, or ``None`` when
-    the rule declines the level."""
-    level_values = dict(survivors)
-    i_star = rule.winner(level_values)
-    if i_star is None:
-        return None
-    return i_star, myerson_level_payment(rule, i_star, level_values)
+    the rule declines the level.  A rule that overflows on the level is
+    :class:`InstanceError`."""
+    level = dict(survivors)
+    try:
+        i_star = rule.winner(level)
+        return None if i_star is None else (i_star, myerson_level_payment(rule, i_star, level))
+    except OverflowError as exc:
+        raise InstanceError(f"the {rule.name} rule overflows on effective valuations "
+                            f"up to {max(level.values())!r}") from exc
 
 
 def run_referral_auction(net: DiffusionNetwork, reports: ReportProfile,

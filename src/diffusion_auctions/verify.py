@@ -28,7 +28,6 @@ Conditions:
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -109,107 +108,104 @@ class VerificationReport:
         out = {"condition": self.condition, "pass": self.passed}
         if self.witness is not None:
             w = self.witness
-            out["witness"] = {
-                "agent": w.agent,
-                "subset": list(w.subset) if w.subset is not None else None,
-                "value": w.value,
-                "lhs": w.lhs,
-                "rhs": w.rhs,
-                "note": w.note,
-            }
+            out["witness"] = {"agent": w.agent, "subset": None if w.subset is None else
+                              list(w.subset), "value": w.value, "lhs": w.lhs, "rhs": w.rhs,
+                              "note": w.note}
         return out
 
 
 class _CurveTable:
     """Allocation/payment of one agent along its own-value axis, under a
-    fixed forwarded subset.  The mechanism is compiled once for the
+    fixed forwarded subset, as the rows ``x``, ``g`` and ``p`` of one
+    array sorted by own value.  The mechanism is compiled once for the
     subset and each batch of new points is priced by one ``curve`` call;
     jump locations are pinned by bisection so step integrals are exact
-    to ``xtol``.  The checks read the points as numpy columns, cached
-    with their trapezoid prefix until the next batch is priced."""
+    to ``xtol``.  The trapezoid prefix is cached until the next merge."""
 
     def __init__(self, compiled: Compiled, agent: int,
                  subset: tuple[int, ...], xtol: float):
-        self._compiled = compiled
-        self._agent = agent
-        self._subset = subset
-        self._xtol = xtol
+        self._compiled, self._agent, self._subset, self._xtol = compiled, agent, subset, xtol
         self._budget = CURVE_BUDGET
-        self._data: dict[float, tuple[float, float]] = {}
-        self._xs: list[float] = []
-        self._arrays: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._prefix: Optional[np.ndarray] = None
+        self._cols, self._prefix = np.empty((3, 0)), None
 
-    def _price(self, xs: list[float], splits: Optional[list[tuple[float, float]]]) -> None:
-        """Evaluate the new points ``xs`` with one ``curve`` call.
-        ``splits[k]`` is the interval that point ``k`` bisects (None when
-        the points are not midpoints); the error names the first one the
-        budget cannot pay for."""
+    def _price(self, xs: list[float], splits: Optional[list[tuple]]) -> list[tuple[float, float]]:
+        """``curve`` at the new points ``xs``; ``splits[k]`` is the bracket
+        ``(a, g_a, b, g_b)`` point ``k`` bisects, or None for non-midpoints.
+        The error names the first bracket the budget cannot pay for."""
         if len(xs) > self._budget:
             if splits is None:
                 where = f"pricing {len(xs)} points in [{min(xs)!r}, {max(xs)!r}]"
             else:
-                lo, hi = splits[self._budget]
+                lo, _, hi, _ = splits[self._budget]
                 where = f"splitting [{lo!r}, {hi!r}]"
             raise VerificationError(
                 f"curve evaluation budget of {CURVE_BUDGET} exhausted for agent "
                 f"{self._agent} forwarding to {self._subset} while {where} "
                 "(allocation appears pathological)")
         self._budget -= len(xs)
-        for x, gp in zip(xs, self._compiled.curve(self._agent, xs)):
-            self._data[x] = gp
-            insort(self._xs, x)   # every x is new, so _xs stays sorted(_data)
-        self._arrays = self._prefix = None
+        return self._compiled.curve(self._agent, xs)
 
-    def ensure(self, points: Iterable[float]) -> None:
-        new = [x for x in dict.fromkeys(map(float, points)) if x not in self._data]
+    def _merge(self, xs: list[float], gp: list[tuple[float, float]]) -> None:
+        """Merge priced points, none of them held yet, by one stable sort."""
+        cols = np.concatenate((self._cols, [xs, *zip(*gp)]), axis=1)
+        self._cols = cols[:, np.argsort(cols[0], kind="stable")]
+        self._prefix = None
+
+    def ensure(self, points: Sequence[float]) -> None:
+        """Price the points not held yet, in their first-seen order."""
+        xs, held = np.asarray(points, dtype=float), self._cols[0]
+        if held.size:
+            xs = xs[held[np.searchsorted(held, xs).clip(max=held.size - 1)] != xs]
+        new = list(dict.fromkeys(xs.tolist()))
         if new:
-            self._price(new, None)
+            self._merge(new, self._price(new, None))
 
     def refine_jumps(self) -> None:
         """Bisect every interval whose endpoint allocations differ until
-        each jump is bracketed within ``xtol``, one round of midpoints at
-        a time.  Each split depends only on its two endpoints, so the
-        points are those of a depth-first bisection."""
-        pending = list(zip(self._xs[:-1], self._xs[1:]))
-        while pending:
-            splits = [(a, b) for a, b in pending
-                      if b - a > self._xtol
-                      and abs(self._data[b][0] - self._data[a][0]) > 1e-12]
-            mids = [0.5 * (a + b) for a, b in splits]
-            if mids:
-                self._price(mids, splits)
-            pending = [half for (a, b), mid in zip(splits, mids)
-                       for half in ((a, mid), (mid, b))]
+        each jump is bracketed within ``xtol``, one ``curve`` call per round
+        of midpoints.  A round's brackets ``(a, g_a, b, g_b)`` carry their
+        endpoints' allocations, and all midpoints are merged at the end.
+        Each split depends only on its two endpoints, so the points are
+        those of a depth-first bisection."""
+        x, g, _ = self._cols
+        xtol, mids, gps = self._xtol, [], []
+        at = np.flatnonzero((x[1:] - x[:-1] > xtol) & (np.abs(g[1:] - g[:-1]) > 1e-12))
+        splits = list(zip(*(col[at + d].tolist() for d in (0, 1) for col in (x, g))))
+        while splits:
+            new = [0.5 * (a + b) for a, _, b, _ in splits]
+            gp = self._price(new, splits)
+            mids += new
+            gps += gp
+            splits = [half for (a, g_a, b, g_b), m, (g_m, _) in zip(splits, new, gp)
+                      for half in ((a, g_a, m, g_m), (m, g_m, b, g_b))
+                      if half[2] - half[0] > xtol and abs(half[3] - half[1]) > 1e-12]
+        if mids:
+            self._merge(mids, gps)
 
     # -- views of the sampled points ------------------------------------
     def xs(self) -> list[float]:
-        return self._xs
+        return self._cols[0].tolist()
 
     def g_at(self, x: float) -> float:
-        return self._data[x][0]
+        return float(self._cols[1, self.xs().index(x)])
 
     def p_at(self, x: float) -> float:
-        return self._data[x][1]
+        return float(self._cols[2, self.xs().index(x)])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sampled own values in order, with the allocation and the
-        payment at each."""
-        if self._arrays is None:
-            gp = np.array(list(map(self._data.__getitem__, self._xs)), dtype=float)
-            self._arrays = (np.array(self._xs), gp[:, 0], gp[:, 1])
-        return self._arrays
+        """The sampled own values in order, with ``g`` and ``p`` at each."""
+        return tuple(self._cols)
 
     def integral_to(self, v: float) -> float:
         """Trapezoid integral of the allocation from 0 to the sampled
         point ``v`` over the sampled points."""
-        return float(self.prefix()[bisect_right(self._xs, v) - 1])
+        return float(self.prefix()[np.searchsorted(self._cols[0], v, side="right") - 1])
 
     def prefix(self) -> np.ndarray:
         """``prefix()[k]`` is :meth:`integral_to` at the ``k``-th sampled
         point, summed left to right as a sequential loop would."""
         if self._prefix is None:
-            xs, g, _ = self.arrays()
+            xs, g, _ = self._cols
             seg = 0.5 * (g[:-1] + g[1:]) * (xs[1:] - xs[:-1])
             self._prefix = np.add.accumulate(np.concatenate(([0.0], seg)))
         return self._prefix
@@ -220,12 +216,8 @@ class _Context:
 
     def __init__(self, mech: Mechanism, net: DiffusionNetwork,
                  reports: ReportProfile, grid: DeviationGrid):
-        self.mech = mech
-        self.net = net
-        self.reports = reports
-        self.grid = grid
-        self.vmax = max((reports.value(i) for i in reports.agents()), default=1.0)
-        self.vmax = max(self.vmax, 1.0)
+        self.mech, self.net, self.reports, self.grid = mech, net, reports, grid
+        self.vmax = max([1.0, *(reports.value(i) for i in reports.agents())])
         # jump brackets this tight keep step-integral error far below the
         # 1e-9 tolerances the worked-example checks are held to
         self.xtol = 1e-12 * self.vmax
@@ -238,9 +230,8 @@ class _Context:
 
     def subsets(self, agent: int) -> tuple[list[frozenset[int]], bool]:
         """Tested forwarded subsets for ``agent`` and a sampled? flag."""
-        hit = self._subset_cache.get(agent)
-        if hit is not None:
-            return hit
+        if agent in self._subset_cache:
+            return self._subset_cache[agent]
         full = self.reports.neighbors(agent)
         members = sorted(full)
         if len(members) <= SUBSET_CAP:
@@ -282,10 +273,10 @@ def _common_points(t_sub: _CurveTable, t_full: _CurveTable) -> None:
     """Evaluate both tables on the sorted union of their points;
     afterwards each holds exactly these points, so their columns align
     by index."""
-    if t_sub.xs() != t_full.xs():
-        union = sorted(set(t_sub.xs()) | set(t_full.xs()))
-        t_sub.ensure(union)
-        t_full.ensure(union)
+    x_sub, x_full = t_sub.arrays()[0], t_full.arrays()[0]
+    if not np.array_equal(x_sub, x_full):   # each prices the other's extra points
+        t_sub.ensure(x_full)
+        t_full.ensure(x_sub)
 
 
 def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
@@ -296,13 +287,24 @@ def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
     _common_points(t_sub, t_full)
     xs, g_sub, p_sub = t_sub.arrays()
     _, g_full, p_full = t_full.arrays()
-    u_full = xs * g_full - p_full
-    u_sub = xs * g_sub - p_sub
+    u_full, u_sub = xs * g_full - p_full, xs * g_sub - p_sub
     gains = np.flatnonzero(u_sub > u_full + tol)
     if not gains.size:
         return None
     k = gains[0]
-    return t_sub.xs()[k], float(u_full[k]), float(u_sub[k])
+    return float(xs[k]), float(u_full[k]), float(u_sub[k])
+
+
+def _best_response(xs: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``(xs[:, None] * g - p).max(axis=1)``: the best utility at each
+    true value over the reports (g, p), from each distinct allocation's
+    least payment only.  Rounded subtraction is monotone, so the maxima
+    are exact."""
+    order = np.argsort(g, kind="stable")
+    levels = g[order]
+    starts = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1])))
+    least = np.minimum.reduceat(p[order], starts)
+    return (xs[:, None] * levels[starts] - least).max(axis=1)
 
 
 def _monotonicity_impl(ctx: _Context) -> VerificationReport:
@@ -332,10 +334,9 @@ def _identity_impl(ctx: _Context) -> VerificationReport:
             bad = np.flatnonzero(np.abs(p - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale)
             if bad.size:
                 k = bad[0]
-                x = table.xs()[k]
                 return _report("payment-identity", Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=x,
-                    lhs=table.p_at(x), rhs=float(expected[k]),
+                    agent=agent, subset=tuple(sorted(subset)), value=float(xs[k]),
+                    lhs=float(p[k]), rhs=float(expected[k]),
                     note="payment differs from the threshold integral form",
                     data={"payment_at_zero": payment_at_zero}))
     return _report("payment-identity", None)
@@ -345,8 +346,7 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
     """Details map each (agent, forwarded subset) to its ``lhs``, the
     largest and final ``rhs``, and ``rhs_by_value`` at the grid points."""
     grid = np.asarray(ctx.grid.points)
-    details: dict = {}
-    witness = None
+    details, witness = {}, None
     for agent in ctx.agents():
         full = ctx.reports.neighbors(agent)
         t_full = ctx.table(agent, full)
@@ -361,7 +361,7 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
             over = np.flatnonzero(rhs > lhs + ctx.tol)
             if over.size and witness is None:
                 witness = Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=t_sub.xs()[over[0]],
+                    agent=agent, subset=tuple(sorted(subset)), value=float(xs[over[0]]),
                     lhs=lhs, rhs=float(rhs[over[0]]),
                     note="withholding is funded beyond the allocation gap")
             # every table holds the grid, so each grid point has an index
@@ -385,15 +385,15 @@ def _ddsic_impl(ctx: _Context) -> VerificationReport:
             xs, g, p = table.arrays()
             # Point 1: at every true value, reporting it beats any other
             # report under the same forwarding choice.
-            utilities = xs[:, None] * g[None, :] - p[None, :]
             truthful = xs * g - p
-            gaps = utilities.max(axis=1) - truthful
+            gaps = _best_response(xs, g, p) - truthful
             k = int(np.argmax(gaps))
             if gaps[k] > ctx.tol:
-                y = int(np.argmax(utilities[k]))
+                utilities = xs[k] * g - p
+                y = int(np.argmax(utilities))
                 return _report("ddsic", Witness(
                     agent=agent, subset=tuple(sorted(subset)), value=float(xs[y]),
-                    lhs=float(truthful[k]), rhs=float(utilities[k, y]),
+                    lhs=float(truthful[k]), rhs=float(utilities[y]),
                     note="value misreport beats the truthful report",
                     data={"true_value": float(xs[k]), "point": 1}))
             if subset == full:
@@ -407,8 +407,7 @@ def _ddsic_impl(ctx: _Context) -> VerificationReport:
                     lhs=u_full, rhs=u_sub,
                     note="withholding neighbors beats full forwarding",
                     data={"true_value": x, "point": 2}))
-    details = {"sampled_agents": sampled_agents} if sampled_agents else {}
-    return _report("ddsic", None, details)
+    return _report("ddsic", None, {"sampled_agents": sampled_agents} if sampled_agents else {})
 
 
 def _ic_impl(ctx: _Context) -> VerificationReport:
@@ -419,16 +418,15 @@ def _ic_impl(ctx: _Context) -> VerificationReport:
         xs_true, g_full, p_full = ctx.table(agent, full).arrays()
         truthful = xs_true * g_full - p_full
         for subset in subsets:
-            table = ctx.table(agent, subset)
-            ys, g, p = table.arrays()
-            utilities = xs_true[:, None] * g[None, :] - p[None, :]
-            gaps = utilities.max(axis=1) - truthful
+            ys, g, p = ctx.table(agent, subset).arrays()
+            gaps = _best_response(xs_true, g, p) - truthful
             k = int(np.argmax(gaps))
             if gaps[k] > ctx.tol:
-                y = int(np.argmax(utilities[k]))
+                utilities = xs_true[k] * g - p
+                y = int(np.argmax(utilities))
                 return _report("ic", Witness(
                     agent=agent, subset=tuple(sorted(subset)), value=float(ys[y]),
-                    lhs=float(truthful[k]), rhs=float(utilities[k, y]),
+                    lhs=float(truthful[k]), rhs=float(utilities[y]),
                     note="joint deviation beats the truthful full report",
                     data={"true_value": float(xs_true[k])}))
     return _report("ic", None)
@@ -553,8 +551,7 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
         if cond == "payment-identity":
             expected = (table.p_at(0.0) + w.value * table.g_at(w.value)
                         - table.integral_to(w.value))
-            scale = max(1.0, abs(expected))
-            tol = INTEGRAL_ATOL + INTEGRAL_RTOL * scale
+            tol = INTEGRAL_ATOL + INTEGRAL_RTOL * max(1.0, abs(expected))
             return abs(table.p_at(w.value) - expected) > tol
         t_full = ctx.table(w.agent, reports.neighbors(w.agent))
         _common_points(table, t_full)   # the table already holds w.value

@@ -57,6 +57,7 @@ from diffusion_auctions import (
 )
 from diffusion_auctions import fixtures
 from diffusion_auctions.experiments import ExperimentConfig
+from diffusion_auctions.mechanisms import Compiled
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import ALL_CONDITIONS, INEQ_TOL, make_grid, random_exponents
@@ -320,6 +321,48 @@ def test_c03_first_ten_with_diffusion_curves():
                                       grid, ALL_CONDITIONS):
                 digest.update(repr((r.to_dict(), r.details)).encode())
     assert digest.hexdigest() == C03_FIRST_TEN_DIGEST, digest.hexdigest()
+
+
+class RecordingCurves(Compiled):
+    """A compiled mechanism that logs ``(agent, tuple(xs))`` per
+    ``curve`` call before passing it to the compiled ``inner``."""
+
+    def __init__(self, inner: Compiled, log: list):
+        super().__init__(inner.mech, inner.net, inner.reports)
+        self.inner, self.log = inner, log
+
+    def curve(self, agent, xs):
+        xs = list(xs)
+        self.log.append((agent, tuple(xs)))
+        return self.inner.curve(agent, xs)
+
+
+class RecordingLblev(LblevAuction):
+    def __init__(self, exponents, log: list):
+        super().__init__(exponents)
+        self.log = log
+
+    def compile(self, net, reports):
+        return RecordingCurves(super().compile(net, reports), self.log)
+
+
+# sha256 of repr of every (agent, points) batch the verifier sends to
+# ``curve`` for the seven conditions on the first ten c03 trees, under
+# both exponent classes; recorded at commit 41bea97: a verifier change
+# that keeps its reports must price the same points in the same batches
+C03_CURVE_BATCH_DIGEST = "9510b107c4ab24bdc55a6fcb9813b6c241e16f437a95bc7e13e6b96ceb2b146a"
+
+
+def test_c03_first_ten_curve_batches():
+    log: list = []
+    for _, inst, draws, grid in c03_instances(10):
+        shared = sibling_shared_exponents(tree_children(inst.net), draws)
+        for exponents in (shared, draws):
+            verify_mechanism(RecordingLblev(exponents, log), inst.net, inst.reports,
+                             grid, ALL_CONDITIONS)
+    assert len(log) > 1000
+    digest = hashlib.sha256(repr(log).encode()).hexdigest()
+    assert digest == C03_CURVE_BATCH_DIGEST, digest
 
 
 def test_c04_equivalences():

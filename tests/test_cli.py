@@ -207,6 +207,19 @@ class TestOverflowInstance:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert "agents [4]" in err
 
+    def test_referral_verify_exit_2(self, tmp_path, capsys):
+        # the argmax-pow rule's value**2 overflows on some deviation of the
+        # checks: the referral family exits 2 like lblev, not with a traceback
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
+        values = {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0}
+        path = tmp_path / "overflow.json"
+        save_instance(Instance(net, truthful_profile(net, values), {4: 2.0}), path)
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
+                                 "--mechanism", "ra:argmax-pow")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "argmax-pow rule overflows" in err
+
 
 class TestVerify:
     def test_lblev_random_trials_pass(self, capsys):

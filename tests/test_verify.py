@@ -4,12 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusion_auctions import (
     ArgmaxRule,
     InstanceError,
     LblevAuction,
     PowerRule,
+    ReferralAuction,
     check_ta_equivalence,
     make_grid,
     network_from_edges,
@@ -23,7 +26,7 @@ from diffusion_auctions.mutants import DESIGNATED, MUTANTS, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.mechanisms import Mechanism
 from diffusion_auctions.verify import (ALL_CONDITIONS, CORE_CONDITIONS, VerificationError,
-                                       _Context, random_exponents)
+                                       _best_response, _Context, random_exponents)
 
 from oracles import naive_forwarding_utility, random_dag_edges
 
@@ -481,3 +484,54 @@ class TestIrOverflow:
         for agent in sorted(net.agents):
             with pytest.raises(InstanceError, match=r"agents \[4\]"):
                 mech.evaluate(net, profile, agent)
+
+
+class TestReferralOverflow:
+    def test_verify_raises_instance_error(self):
+        # PowerRule.winner takes Python value**t: agent 4's 1e160 squared
+        # overflows at a level the checks' deviations reach, while the
+        # reported profile itself runs
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
+        profile = truthful_profile(net, {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0})
+        mech = ReferralAuction(PowerRule({4: 2.0}))
+        assert mech.run(net, profile).winner == 4
+        with pytest.raises(InstanceError, match="argmax-pow rule overflows"):
+            verify_mechanism(mech, net, profile, None)
+        with pytest.raises(InstanceError, match="argmax-pow rule overflows"):
+            mech.evaluate(net, profile.replace(5, value=1e160), 5)
+
+
+# Allocation levels of the tables the point-1 checks read: all-or-nothing,
+# the rc3 fixture's thirds, TestCurveBudget's 4096-step staircase (whole, and
+# its first 33 steps, so that many nearby levels meet in one table) and any
+# fraction; payments and values from small pools so that they repeat and tie.
+LEVELS = (st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 1 / 3, 2 / 3]),
+          st.integers(0, 4096).map(lambda k: k / 4096),
+          st.integers(0, 32).map(lambda k: k / 4096), st.floats(0.0, 1.0))
+PAYMENTS = st.sampled_from([0.0, 1.0, 2.5, -1.0, -4 / 3, 7.0]) | st.floats(-100.0, 100.0)
+VALUES = st.sampled_from([0.0, 1.0, 2.5, 7.0]) | st.floats(0.0, 200.0)
+
+
+class TestBestResponse:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_utilities_matrix(self, data):
+        m = data.draw(st.integers(1, 24))
+        level = data.draw(st.sampled_from(LEVELS))
+        g = np.array(data.draw(st.lists(level, min_size=m, max_size=m)))
+        p = np.array(data.draw(st.lists(PAYMENTS, min_size=m, max_size=m)))
+        xs = np.array(sorted(data.draw(st.lists(VALUES, min_size=m, max_size=m))))
+        # ic's true values come from another table, of another length
+        n = data.draw(st.integers(1, 24))
+        xs_true = np.array(sorted(data.draw(st.lists(VALUES, min_size=n, max_size=n))))
+        for x, truthful in ((xs, xs * g - p), (xs_true, xs_true * g[0] - p[0])):
+            utilities = x[:, None] * g[None, :] - p[None, :]
+            best = _best_response(x, g, p)
+            assert (best == utilities.max(axis=1)).all()
+            # the failing row: the same true value and the same best report
+            gaps, matrix_gaps = best - truthful, utilities.max(axis=1) - truthful
+            k = int(np.argmax(gaps))
+            assert k == int(np.argmax(matrix_gaps)) and gaps[k] == matrix_gaps[k]
+            row = x[k] * g - p
+            y = int(np.argmax(row))
+            assert y == int(np.argmax(utilities[k])) and row[y] == utilities[k, y]
