@@ -56,7 +56,7 @@ def _make_rule(name: str, exponents) -> LevelRule:
     raise InstanceError(f"unknown level rule {name!r}")
 
 
-def _make_mechanism(name: str, exponents, rule_name: Optional[str]) -> Mechanism:
+def _make_mechanism(name: str, exponents) -> Mechanism:
     if name == "lblev":
         if not exponents:
             _log("note: no exponents supplied; using unit exponents")
@@ -65,8 +65,6 @@ def _make_mechanism(name: str, exponents, rule_name: Optional[str]) -> Mechanism
         return LblevAuction(None)
     if name.startswith("ra:"):
         return ReferralAuction(_make_rule(name[3:], exponents))
-    if name == "ra":
-        return ReferralAuction(_make_rule(rule_name or "argmax", exponents))
     if name.startswith("mutant:"):
         return make_mutant(name[len("mutant:"):])
     raise InstanceError(f"unknown mechanism {name!r}")
@@ -90,7 +88,7 @@ def _cmd_run(args) -> int:
         outcome = rc_example_mechanism(bids, ids=ids)
         print(json.dumps(outcome.to_dict(ids), indent=2))
         return EXIT_OK
-    mech = _make_mechanism(args.mechanism, exponents, args.rule)
+    mech = _make_mechanism(args.mechanism, exponents)
     if hasattr(mech, "run_with_traces"):
         outcome, traces = mech.run_with_traces(inst.net, inst.reports)
         payload = outcome.to_dict(inst.net.agents)
@@ -140,7 +138,7 @@ def _cmd_verify(args) -> int:
     failures = 0
     total = 0
     for label, inst, exponents in _verify_instances(args):
-        mech = _make_mechanism(args.mechanism, exponents, args.rule)
+        mech = _make_mechanism(args.mechanism, exponents)
         grid = make_grid(inst.reports, size=args.grid, seed=args.seed)
         reports = verify_mechanism(mech, inst.net, inst.reports, grid,
                                    conditions=CORE_CONDITIONS + ("ic",))
@@ -213,13 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mechanism", required=True,
                        help="lblev | idm | ra:<rule> | rc3 | mutant:<name>")
     run_p.add_argument("--exponents", help="JSON file {node id: exponent}")
-    run_p.add_argument("--rule", help="level rule name for ra")
     run_p.set_defaults(fn=_cmd_run)
 
     ver_p = sub.add_parser("verify", help="run the incentive checks")
     ver_p.add_argument("--mechanism", required=True)
     ver_p.add_argument("--instance")
-    ver_p.add_argument("--rule")
     ver_p.add_argument("--trials", type=int, default=20)
     ver_p.add_argument("--grid", type=int, default=64)
     ver_p.add_argument("--n", type=int, default=0)

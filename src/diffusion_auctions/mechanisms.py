@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,17 +37,14 @@ class NonMonotoneRuleError(ValueError):
     """A pluggable level rule failed the monotonicity probe."""
 
 
-def _exponent(exponents: Mapping[int, float], node: int) -> float:
-    t = exponents.get(node, 1.0)
-    if not 0 < t < math.inf:
-        raise InstanceError(f"exponent t[{node}]={t} must be positive and finite")
-    return t
-
-
 def exponent_table(exponents: Mapping[int, float], nodes: Iterable[int]) -> dict[int, float]:
     """Every node's exponent, 1 when omitted; non-positive or non-finite
     exponents raise :class:`InstanceError`."""
-    return {i: _exponent(exponents, i) for i in nodes}
+    table = {i: exponents.get(i, 1.0) for i in nodes}
+    for i, t in table.items():
+        if not 0 < t < math.inf:
+            raise InstanceError(f"exponent t[{i}]={t} must be positive and finite")
+    return table
 
 
 @dataclass(frozen=True)
@@ -248,109 +245,6 @@ def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
         raise InstanceError("a first-level rho**t or price overflows") from None
 
 
-class LevelKernel:
-    """:func:`run_lblev` compiled for many valuation draws on one tree.
-
-    The tree is flattened once into columns (its agents in id order):
-    the internal nodes in post-order with their child columns, sorted by
-    id, and the exponent vector, validated here.  :meth:`outcomes` then
-    prices a whole ``values[S, n]`` matrix with one numpy step per tree
-    node instead of one Python descent per row.  It works agent-major,
-    on ``[n, S]`` arrays where each agent's draws are one contiguous row,
-    and transposes only the payments back.  Each draw carries its own
-    current parent and offset.  A level scans its children in id order,
-    one 1-D column each, keeping the top two ``rho**t`` per draw; a
-    strict ``>`` keeps the smaller id on ties, as argmax's first maximum
-    and :func:`_rank_level` do.  The comparisons, ties and tolerances are
-    those of :func:`_run_levels`; only ``**`` may round differently from
-    libm in the last ulp.  Each ``rho**t`` gets its exponent as a
-    full-length array: a scalar one, or one broadcast from length 1,
-    sends numpy's ``**`` down sqrt/square fast paths for ``t`` = 0.5 or 2,
-    which round differently from its ``power`` loop.  A matrix that fails
-    :func:`_check_power_range` raises as a whole.
-    """
-
-    def __init__(self, tree: ReferralTree, exponents: Mapping[int, float]):
-        self.agents = sorted(tree.agents())
-        col = {a: k for k, a in enumerate(self.agents)}
-        self.exponents = exponent_table(exponents, self.agents)
-        self.texp = np.array(list(self.exponents.values()))
-
-        def kids(node: int) -> np.ndarray:
-            return np.array(sorted(col[c] for c in tree.child_tuple(node)), dtype=np.intp)
-
-        # (node column, child columns), children before parents
-        self.post = [(col[a], kids(a)) for a in tree.post_order() if tree.child_tuple(a)]
-        self.first = kids(tree.root)
-        # Descent order, parents before children; None is the root.  The
-        # third entry lists the internal child columns.
-        internal = {node for node, _ in self.post}
-        self.levels = [(node, kids_in_order, [c for c in kids_in_order if c in internal])
-                       for node, kid_cols in [(None, self.first)] + self.post[::-1]
-                       if (kids_in_order := kid_cols.tolist())]
-
-    def outcomes(self, ids: Sequence[int], matrix: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Price every row of ``matrix``, whose columns follow ``ids``.
-
-        Returns (winner id, -1 when unsold [S]; net payments [S, len(ids)],
-        zero for agents outside the tree; seller revenue [S]).
-        """
-        matrix = _draw_matrix(ids, matrix)
-        cols = _columns(ids, self.agents)
-        values = matrix.T[cols]     # [n, S]: one contiguous row of draws per agent
-        _check_power_range(self.exponents, float(values.max(initial=0.0)))
-        submax = values.copy()
-        for node, kids in self.post:
-            np.maximum(submax[node], submax[kids].max(axis=0), out=submax[node])
-
-        gross = np.zeros(values.shape)       # each path node's payment to its parent
-        offset = np.zeros(values.shape[1])
-        winner = np.full(values.shape[1], -1)
-        pending = {None: np.flatnonzero(values.any(axis=0))}   # all-zero rows: unsold
-        for node, kids, inner in self.levels:
-            rows = pending.pop(node, None)
-            if rows is None or not rows.size:
-                continue
-            off = offset[rows]
-            # top two rho**t per draw; a dead child (rho < -EQ_TOL) scores -inf
-            for k, c in enumerate(kids):
-                rho = submax[c, rows] - off
-                key = np.where(rho >= -EQ_TOL,
-                               np.maximum(rho, 0.0) ** np.full(rows.size, self.texp[c]), -np.inf)
-                if not k:
-                    best = runner = np.full(rows.size, c)
-                    best_key, runner_key = key, np.full(rows.size, -np.inf)
-                    continue
-                top = key > best_key
-                runner = np.where(top, best, np.where(key > runner_key, c, runner))
-                runner_key = np.where(top, best_key, np.maximum(runner_key, key))
-                best, best_key = np.where(top, c, best), np.maximum(best_key, key)
-            rho = np.maximum(submax[runner, rows] - off, 0.0)
-            z = np.where(np.isfinite(runner_key), rho ** (self.texp[runner] / self.texp[best]), 0.0)
-            price = off + z
-            sold = best_key > -np.inf   # the best child is alive
-            if node is not None:
-                # unless the parent keeps the item rather than sell at offset + z
-                sold &= values[node, rows] < price - EQ_TOL
-            moved, won, price = rows[sold], best[sold], price[sold]
-            gross[won, moved] = price
-            offset[moved] = price
-            winner[moved] = won
-            for child in inner:
-                pending[child] = moved[won == child]
-
-        payments = gross.copy()
-        for node, kids in self.post:
-            # off-path children carry 0, so the sum is the path child's payment
-            payments[node] -= gross[kids].sum(axis=0)
-        full = np.zeros(matrix.shape)
-        full[:, cols] = payments.T
-        # column -1 (unsold) picks the appended -1
-        ids_or_unsold = np.array(self.agents + [-1])
-        return ids_or_unsold[winner], full, gross[self.first].sum(axis=0)
-
-
 class LevelRule:
     """Deterministic single-winner allocation over one level's effective
     valuations.  Must be monotone: raising the winner's value keeps it
@@ -376,11 +270,11 @@ class PowerRule(LevelRule):
     """Highest ``value**t_i`` wins; ties break to the smaller id."""
 
     def __init__(self, exponents: Mapping[int, float]):
-        self.exponents = dict(exponents)
+        self.exponents = exponent_table(exponents, exponents)
         self.name = "argmax-pow"
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        return min(values, key=lambda i: (-(values[i] ** _exponent(self.exponents, i)), i),
+        return min(values, key=lambda i: (-(values[i] ** self.exponents.get(i, 1.0)), i),
                    default=None)
 
 
@@ -400,10 +294,10 @@ def myerson_level_payment(rule: LevelRule, winner: int,
                           rhos: Mapping[int, float]) -> float:
     """Threshold payment: the smallest value at which ``winner`` still wins.
 
-    Computed by 64 bisection steps over the winner's coordinate with
-    everything else fixed.  Equals ``rho_w - integral of the win
-    indicator`` for a deterministic monotone rule.  Probes that detect a
-    non-monotone rule raise :class:`NonMonotoneRuleError`.
+    Computed by bisection over the winner's coordinate with everything
+    else fixed, until the bracket is two adjacent floats.  Equals ``rho_w -
+    integral of the win indicator`` for a deterministic monotone rule.
+    Probes that detect a non-monotone rule raise :class:`NonMonotoneRuleError`.
     """
     rhos = dict(rhos)
     if any(v < 0 for v in rhos.values()):
@@ -423,8 +317,7 @@ def myerson_level_payment(rule: LevelRule, winner: int,
     if wins(0.0):
         return 0.0
     lo, hi = 0.0, rho_w
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):   # halves first: no overflow
         if wins(mid):
             hi = mid
         else:
@@ -511,8 +404,8 @@ def rc_example_mechanism(bids: Sequence[float],
 class Compiled:
     """A mechanism fixed to one network and report profile, as
     :meth:`Mechanism.compile` returns it.  This default makes one
-    :meth:`Mechanism.evaluate` call per point of :meth:`curve` and one
-    :meth:`Mechanism.run` call per row of :meth:`outcomes`."""
+    :meth:`Mechanism.run` call per point of :meth:`curve` and per row of
+    :meth:`outcomes`."""
 
     def __init__(self, mech: "Mechanism", net: DiffusionNetwork, reports: ReportProfile):
         self.mech = mech
@@ -522,8 +415,8 @@ class Compiled:
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
         """``agent``'s (allocation, payment) at each own value in ``xs``,
         every other report held fixed."""
-        return [self.mech.evaluate(self.net, self.reports.replace(agent, value=x), agent)
-                for x in xs]
+        outs = (self.mech.run(self.net, self.reports.replace(agent, value=x)) for x in xs)
+        return [(out.allocation.get(agent, 0.0), out.payments.get(agent, 0.0)) for out in outs]
 
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -640,20 +533,114 @@ class LblevCurves(Compiled):
                 out.append((1.0, pay) if x >= own[0] else (0.0, own[1]))
         return out
 
+    @cached_property
+    def _flat(self) -> tuple:
+        """The tree as columns, its agents in id order: (agents, exponent
+        vector, (node column, child columns sorted by id) of each internal
+        node, children first, the root's child columns, and the descent
+        levels, parents first, as (node column or None for the root, child
+        columns, internal child columns))."""
+        tree, agents = self.tree, sorted(self._texp)
+        col = {a: k for k, a in enumerate(agents)}
+
+        def kids(node: int) -> np.ndarray:
+            return np.array(sorted(col[c] for c in tree.child_tuple(node)), dtype=np.intp)
+
+        post = [(col[a], kids(a)) for a in tree.post_order() if tree.child_tuple(a)]
+        first = kids(tree.root)
+        internal = {node for node, _ in post}
+        levels = [(node, kids_in_order, [c for c in kids_in_order if c in internal])
+                  for node, kid_cols in [(None, first)] + post[::-1]
+                  if (kids_in_order := kid_cols.tolist())]
+        return agents, np.array([self._texp[a] for a in agents]), post, first, levels
+
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All rows in one :class:`LevelKernel` pass; every tree agent needs a column."""
-        return LevelKernel(self.tree, self._texp).outcomes(ids, matrix)
+        """:func:`run_lblev` on every row of ``matrix``, whose columns
+        follow ``ids``; every tree agent needs a column.  Returns (winner
+        id, -1 when unsold [S]; net payments [S, len(ids)], zero for agents
+        outside the tree; seller revenue [S]).
+
+        All rows are priced on the columns of :attr:`_flat`, with one numpy
+        step per tree node instead of one Python descent per row.  It works
+        agent-major, on ``[n, S]`` arrays where each agent's draws are one
+        contiguous row, and transposes only the payments back.  Each draw
+        carries its own current parent and offset.  A level scans its
+        children in id order, one 1-D column each, keeping the top two
+        ``rho**t`` per draw; a strict ``>`` keeps the smaller id on ties,
+        as argmax's first maximum and :func:`_rank_level` do.  The
+        comparisons, ties and tolerances are those of :func:`_run_levels`;
+        only ``**`` may round differently from libm in the last ulp.  Each
+        ``rho**t`` gets its exponent as a full-length array: a scalar one,
+        or one broadcast from length 1, sends numpy's ``**`` down
+        sqrt/square fast paths for ``t`` = 0.5 or 2, which round
+        differently from its ``power`` loop.  A matrix that fails
+        :func:`_check_power_range` raises as a whole.
+        """
+        agents, texp, post, first, levels = self._flat
+        matrix = _draw_matrix(ids, matrix)
+        cols = _columns(ids, agents)
+        values = matrix.T[cols]     # [n, S]: one contiguous row of draws per agent
+        _check_power_range(self._texp, float(values.max(initial=0.0)))
+        submax = values.copy()
+        for node, kids in post:
+            np.maximum(submax[node], submax[kids].max(axis=0), out=submax[node])
+
+        gross = np.zeros(values.shape)       # each path node's payment to its parent
+        offset = np.zeros(values.shape[1])
+        winner = np.full(values.shape[1], -1)
+        pending = {None: np.flatnonzero(values.any(axis=0))}   # all-zero rows: unsold
+        for node, kids, inner in levels:
+            rows = pending.pop(node, None)
+            if rows is None or not rows.size:
+                continue
+            off = offset[rows]
+            # top two rho**t per draw; a dead child (rho < -EQ_TOL) scores -inf
+            for k, c in enumerate(kids):
+                rho = submax[c, rows] - off
+                key = np.where(rho >= -EQ_TOL,
+                               np.maximum(rho, 0.0) ** np.full(rows.size, texp[c]), -np.inf)
+                if not k:
+                    best = runner = np.full(rows.size, c)
+                    best_key, runner_key = key, np.full(rows.size, -np.inf)
+                    continue
+                top = key > best_key
+                runner = np.where(top, best, np.where(key > runner_key, c, runner))
+                runner_key = np.where(top, best_key, np.maximum(runner_key, key))
+                best, best_key = np.where(top, c, best), np.maximum(best_key, key)
+            rho = np.maximum(submax[runner, rows] - off, 0.0)
+            z = np.where(np.isfinite(runner_key), rho ** (texp[runner] / texp[best]), 0.0)
+            price = off + z
+            sold = best_key > -np.inf   # the best child is alive
+            if node is not None:
+                # unless the parent keeps the item rather than sell at offset + z
+                sold &= values[node, rows] < price - EQ_TOL
+            moved, won, price = rows[sold], best[sold], price[sold]
+            gross[won, moved] = price
+            offset[moved] = price
+            winner[moved] = won
+            for child in inner:
+                pending[child] = moved[won == child]
+
+        payments = gross.copy()
+        for node, kids in post:
+            # off-path children carry 0, so the sum is the path child's payment
+            payments[node] -= gross[kids].sum(axis=0)
+        full = np.zeros(matrix.shape)
+        full[:, cols] = payments.T
+        # column -1 (unsold) picks the appended -1
+        ids_or_unsold = np.array(agents + [-1])
+        return ids_or_unsold[winner], full, gross[first].sum(axis=0)
 
 
 class Mechanism:
     """A diffusion auction runnable on a network plus a report profile.
 
-    ``evaluate`` exposes one agent's allocation probability and payment,
-    which is the only surface the incentive checks need; the default
-    implementation runs the full auction.  ``compile`` fixes a report
-    profile so that the checks and the Monte Carlo estimators can price
-    many own values or value draws at once.
+    ``compile`` is the one per-agent hook: it fixes a report profile, and
+    the :class:`Compiled` result prices one agent's (allocation, payment)
+    at many own values, which is all the incentive checks read, or many
+    value draws for the Monte Carlo estimators.  The default prices each
+    point with :meth:`run`.
     """
 
     name = "mechanism"
@@ -666,8 +653,8 @@ class Mechanism:
 
     def evaluate(self, net: DiffusionNetwork, reports: ReportProfile,
                  agent: int) -> tuple[float, float]:
-        out = self.run(net, reports)
-        return out.allocation.get(agent, 0.0), out.payments.get(agent, 0.0)
+        """One :meth:`compile` curve point at ``agent``'s report; perfbench traces it."""
+        return self.compile(net, reports).curve(agent, [reports.value(agent)])[0]
 
     def run_on_values(self, net: DiffusionNetwork,
                       values: Mapping[int, float]) -> Outcome:

@@ -20,7 +20,9 @@ worked example's payment values and extended monotonically.
 
 from __future__ import annotations
 
-from .mechanisms import Mechanism, rc_example_mechanism
+from typing import Iterable
+
+from .mechanisms import Compiled, Mechanism, rc_example_mechanism
 from .network import (
     DiffusionNetwork,
     Instance,
@@ -73,19 +75,17 @@ def _step_integral(steps: tuple[tuple[float, float], ...], value: float) -> floa
     return total
 
 
-class RcExampleAuction(Mechanism):
-    """Verifier view of the residual-claimant fixture (see module docs)."""
+class _RcCurves(Compiled):
+    def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
+        return [self._point(self.reports.replace(agent, value=x), agent) for x in xs]
 
-    name = "rc-example"
-
-    def evaluate(self, net: DiffusionNetwork, reports: ReportProfile,
-                 agent: int) -> tuple[float, float]:
+    def _point(self, reports: ReportProfile, agent: int) -> tuple[float, float]:
         for other in reports.agents():
             if other != agent and reports.value(other) != FIG_RC_BIDS[other]:
                 raise ValueError(
                     "fixture is defined only for single-agent deviations "
                     "from the worked-example bids")
-        reached = filter_subnetwork(net, reports)
+        reached = filter_subnetwork(self.net, reports)
         value = reports.value(agent)
         if {4, 5} <= reached:
             steps = _FULL_FORWARD_STEPS[agent]
@@ -99,7 +99,12 @@ class RcExampleAuction(Mechanism):
         outcome = rc_example_mechanism(bids, ids=(1, 2, 3))
         return outcome.allocation.get(agent, 0.0), outcome.payments.get(agent, 0.0)
 
-    def run(self, net: DiffusionNetwork, reports: ReportProfile):
-        raise NotImplementedError(
-            "the fixture defines per-agent curves, not a joint outcome; "
-            "use evaluate()")
+
+class RcExampleAuction(Mechanism):
+    """Verifier view of the residual-claimant fixture (see module docs): it
+    defines per-agent curves, not a joint outcome, so it has no ``run``."""
+
+    name = "rc-example"
+
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> Compiled:
+        return _RcCurves(self, net, reports)

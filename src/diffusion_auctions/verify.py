@@ -124,7 +124,7 @@ class _CurveTable:
 
     def __init__(self, compiled: Compiled, agent: int,
                  subset: tuple[int, ...], xtol: float):
-        self._compiled, self._agent, self._subset, self._xtol = compiled, agent, subset, xtol
+        self._compiled, self.agent, self.subset, self._xtol = compiled, agent, subset, xtol
         self._budget = CURVE_BUDGET
         self._cols, self._prefix = np.empty((3, 0)), None
 
@@ -140,10 +140,10 @@ class _CurveTable:
                 where = f"splitting [{lo!r}, {hi!r}]"
             raise VerificationError(
                 f"curve evaluation budget of {CURVE_BUDGET} exhausted for agent "
-                f"{self._agent} forwarding to {self._subset} while {where} "
+                f"{self.agent} forwarding to {self.subset} while {where} "
                 "(allocation appears pathological)")
         self._budget -= len(xs)
-        return self._compiled.curve(self._agent, xs)
+        return self._compiled.curve(self.agent, xs)
 
     def _merge(self, xs: list[float], gp: list[tuple[float, float]]) -> None:
         """Merge priced points, none of them held yet, by one stable sort."""
@@ -223,15 +223,15 @@ class _Context:
         self.xtol = 1e-12 * self.vmax
         self.tol = INEQ_TOL * self.vmax
         self._tables: dict[tuple[int, tuple[int, ...]], _CurveTable] = {}
-        self._subset_cache: dict[int, tuple[list[frozenset[int]], bool]] = {}
+        self.subset_cache: dict[int, tuple[list[frozenset[int]], bool]] = {}
 
     def agents(self) -> list[int]:
         return sorted(self.net.agents)
 
     def subsets(self, agent: int) -> tuple[list[frozenset[int]], bool]:
         """Tested forwarded subsets for ``agent`` and a sampled? flag."""
-        if agent in self._subset_cache:
-            return self._subset_cache[agent]
+        if agent in self.subset_cache:
+            return self.subset_cache[agent]
         full = self.reports.neighbors(agent)
         members = sorted(full)
         if len(members) <= SUBSET_CAP:
@@ -248,7 +248,7 @@ class _Context:
                 chosen.add(frozenset(m for m, keep in zip(members, mask) if keep))
             subsets = sorted(chosen, key=lambda s: (len(s), sorted(s)))
             sampled = True
-        self._subset_cache[agent] = (subsets, sampled)
+        self.subset_cache[agent] = (subsets, sampled)
         return subsets, sampled
 
     def table(self, agent: int, subset: frozenset[int]) -> _CurveTable:
@@ -279,10 +279,10 @@ def _common_points(t_sub: _CurveTable, t_full: _CurveTable) -> None:
         t_full.ensure(x_sub)
 
 
-def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
-                     tol: float) -> Optional[tuple[float, float, float]]:
-    """The first own value ``x`` at which forwarding only the subset beats
-    full forwarding by more than ``tol``, as (x, u_full, u_sub); None
+def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable, tol: float,
+                     note: str) -> Optional[Witness]:
+    """The witness at the first own value at which forwarding only
+    ``t_sub``'s subset beats full forwarding by more than ``tol``; None
     when full forwarding weakly dominates at every common point."""
     _common_points(t_sub, t_full)
     xs, g_sub, p_sub = t_sub.arrays()
@@ -291,8 +291,28 @@ def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable,
     gains = np.flatnonzero(u_sub > u_full + tol)
     if not gains.size:
         return None
-    k = gains[0]
-    return float(xs[k]), float(u_full[k]), float(u_sub[k])
+    k, x = gains[0], float(xs[gains[0]])
+    return Witness(agent=t_sub.agent, subset=t_sub.subset, value=x, lhs=float(u_full[k]),
+                   rhs=float(u_sub[k]), note=note, data={"true_value": x})
+
+
+def _value_deviation(t_true: _CurveTable, t_dev: _CurveTable, tol: float,
+                     note: str) -> Optional[Witness]:
+    """The witness at the true value among ``t_true``'s points where some
+    report of ``t_dev`` beats the truthful report of ``t_true`` the most,
+    if by more than ``tol``, at that best report; None otherwise."""
+    xs, g_true, p_true = t_true.arrays()
+    ys, g, p = t_dev.arrays()
+    truthful = xs * g_true - p_true
+    gaps = _best_response(xs, g, p) - truthful
+    k = int(np.argmax(gaps))
+    if gaps[k] > tol:
+        utilities = xs[k] * g - p
+        y = int(np.argmax(utilities))
+        return Witness(agent=t_dev.agent, subset=t_dev.subset, value=float(ys[y]),
+                       lhs=float(truthful[k]), rhs=float(utilities[y]), note=note,
+                       data={"true_value": float(xs[k])})
+    return None
 
 
 def _best_response(xs: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -382,53 +402,33 @@ def _ddsic_impl(ctx: _Context) -> VerificationReport:
         t_full = ctx.table(agent, full)
         for subset in subsets:
             table = ctx.table(agent, subset)
-            xs, g, p = table.arrays()
             # Point 1: at every true value, reporting it beats any other
             # report under the same forwarding choice.
-            truthful = xs * g - p
-            gaps = _best_response(xs, g, p) - truthful
-            k = int(np.argmax(gaps))
-            if gaps[k] > ctx.tol:
-                utilities = xs[k] * g - p
-                y = int(np.argmax(utilities))
-                return _report("ddsic", Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=float(xs[y]),
-                    lhs=float(truthful[k]), rhs=float(utilities[y]),
-                    note="value misreport beats the truthful report",
-                    data={"true_value": float(xs[k]), "point": 1}))
+            witness = _value_deviation(table, table, ctx.tol,
+                                       "value misreport beats the truthful report")
+            if witness is not None:
+                witness.data["point"] = 1
+                return _report("ddsic", witness)
             if subset == full:
                 continue
             # Point 2: at every true value, full forwarding beats this subset.
-            gain = _forwarding_gain(table, t_full, ctx.tol)
-            if gain is not None:
-                x, u_full, u_sub = gain
-                return _report("ddsic", Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=x,
-                    lhs=u_full, rhs=u_sub,
-                    note="withholding neighbors beats full forwarding",
-                    data={"true_value": x, "point": 2}))
+            witness = _forwarding_gain(table, t_full, ctx.tol,
+                                       "withholding neighbors beats full forwarding")
+            if witness is not None:
+                witness.data["point"] = 2
+                return _report("ddsic", witness)
     return _report("ddsic", None, {"sampled_agents": sampled_agents} if sampled_agents else {})
 
 
 def _ic_impl(ctx: _Context) -> VerificationReport:
     """Joint value/forwarding deviations against the truthful full report."""
     for agent in ctx.agents():
-        subsets, _ = ctx.subsets(agent)
-        full = ctx.reports.neighbors(agent)
-        xs_true, g_full, p_full = ctx.table(agent, full).arrays()
-        truthful = xs_true * g_full - p_full
-        for subset in subsets:
-            ys, g, p = ctx.table(agent, subset).arrays()
-            gaps = _best_response(xs_true, g, p) - truthful
-            k = int(np.argmax(gaps))
-            if gaps[k] > ctx.tol:
-                utilities = xs_true[k] * g - p
-                y = int(np.argmax(utilities))
-                return _report("ic", Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=float(ys[y]),
-                    lhs=float(truthful[k]), rhs=float(utilities[y]),
-                    note="joint deviation beats the truthful full report",
-                    data={"true_value": float(xs_true[k])}))
+        t_full = ctx.table(agent, ctx.reports.neighbors(agent))
+        for subset in ctx.subsets(agent)[0]:
+            witness = _value_deviation(t_full, ctx.table(agent, subset), ctx.tol,
+                                       "joint deviation beats the truthful full report")
+            if witness is not None:
+                return _report("ic", witness)
     return _report("ic", None)
 
 
@@ -459,14 +459,10 @@ def _misreport_impl(ctx: _Context) -> VerificationReport:
         for subset in ctx.subsets(agent)[0]:
             if subset == full:
                 continue
-            gain = _forwarding_gain(ctx.table(agent, subset), t_full, ctx.tol)
-            if gain is not None:
-                x, u_full, u_sub = gain
-                return _report("misreport", Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=x,
-                    lhs=u_full, rhs=u_sub,
-                    note="strict neighbor under-report raises utility",
-                    data={"true_value": x}))
+            witness = _forwarding_gain(ctx.table(agent, subset), t_full, ctx.tol,
+                                       "strict neighbor under-report raises utility")
+            if witness is not None:
+                return _report("misreport", witness)
     return _report("misreport", None)
 
 
@@ -522,7 +518,7 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
             prof = prof.replace(agent, neighbors=subset)
         if value is not None:
             prof = prof.replace(agent, value=value)
-        return mech.evaluate(net, prof, agent)
+        return mech.compile(net, prof).curve(agent, [prof.value(agent)])[0]
 
     if cond == "monotonicity":
         g_lo, _ = point(w.agent, w.subset, w.data["value_lo"])

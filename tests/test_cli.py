@@ -138,6 +138,13 @@ class TestRun:
                              "--mechanism", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_bare_ra_exit_2(self, fig_path, capsys, verb):
+        # the referral family is spelled ra:<rule> only
+        code, out, err = run_cli(capsys, verb, "--instance", fig_path, "--mechanism", "ra")
+        assert code == 2
+        assert out == "" and err == "error: unknown mechanism 'ra'\n"
+
     def test_exponent_table_file(self, tmp_path, fig_path, capsys):
         table = tmp_path / "exps.json"
         table.write_text(json.dumps({str(i): 1.0 for i in range(1, 9)}))
@@ -195,29 +202,31 @@ class TestOverflowInstance:
     """An instance whose ``rho**t`` could overflow is bad input: both
     verbs exit 2 with one error line, not a traceback."""
 
-    @pytest.mark.parametrize("verb", ["run", "verify"])
-    def test_exit_2(self, tmp_path, capsys, verb):
+    def overflow_error(self, tmp_path, capsys, verb, mechanism):
         net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
         values = {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0}
         path = tmp_path / "overflow.json"
         save_instance(Instance(net, truthful_profile(net, values), {4: 2.0}), path)
         code, out, err = run_cli(capsys, verb, "--instance", str(path),
-                                 "--mechanism", "lblev")
+                                 "--mechanism", mechanism)
         assert code == 2
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-        assert "agents [4]" in err
+        return err
+
+    @pytest.mark.parametrize("verb", ["run", "verify"])
+    def test_exit_2(self, tmp_path, capsys, verb):
+        assert "agents [4]" in self.overflow_error(tmp_path, capsys, verb, "lblev")
 
     def test_referral_verify_exit_2(self, tmp_path, capsys):
         # the argmax-pow rule's value**2 overflows on some deviation of the
         # checks: the referral family exits 2 like lblev, not with a traceback
-        net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
-        values = {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0}
-        path = tmp_path / "overflow.json"
-        save_instance(Instance(net, truthful_profile(net, values), {4: 2.0}), path)
-        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
-                                 "--mechanism", "ra:argmax-pow")
-        assert code == 2
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        err = self.overflow_error(tmp_path, capsys, "verify", "ra:argmax-pow")
+        assert "argmax-pow rule overflows" in err
+
+    def test_referral_run_exit_2(self, tmp_path, capsys):
+        # priced at agent 2's threshold, agent 1's purchase leaves agent 5
+        # alive at agent 3's level, so the reported profile itself overflows
+        err = self.overflow_error(tmp_path, capsys, "run", "ra:argmax-pow")
         assert "argmax-pow rule overflows" in err
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -14,6 +15,7 @@ from diffusion_auctions import (
     NonMonotoneRuleError,
     PowerRule,
     PowerTA,
+    ReferralAuction,
     SecondPriceReserveRule,
     SecondPriceTA,
     build_referral_tree,
@@ -557,6 +559,29 @@ class TestMyersonLevelPayment:
         with pytest.raises(NonMonotoneRuleError):
             myerson_level_payment(ArgminRule(), 2, {1: 10.0, 2: 3.0})
 
+    def test_bisects_to_adjacent_floats(self):
+        # a threshold far below the winner's value comes out exactly
+        assert myerson_level_payment(ArgmaxRule(), 1, {1: 1e3, 2: 1e-3}) == 1e-3
+        assert myerson_level_payment(ArgmaxRule(), 1, {1: 1e300, 2: 1e-300}) == 1e-300
+        # lo + hi would overflow here; the midpoint must not
+        assert myerson_level_payment(ArgmaxRule(), 1, {1: 1.7e308, 2: 1.5e308}) == 1.5e308
+
+    def test_argmax_referral_prices_as_idm_at_a_huge_value(self):
+        # agent 1's subtree maximum is 1e160 and its threshold agent 2's 10
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
+        profile = truthful_profile(net, {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0})
+        out = ReferralAuction(ArgmaxRule()).run(net, profile)
+        assert out == LblevAuction(None).run(net, profile)
+        assert (out.winner, out.seller_revenue) == (4, 10.0)
+        assert out.payments == {1: 0.0, 3: -90.0, 4: 100.0}
+
+
+class TestPowerRule:
+    def test_rejects_a_bad_exponent_when_built(self):
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InstanceError, match=r"exponent t\[1\]"):
+                PowerRule({1: bad})
+
 
 class TestReferralAuction:
     def test_power_rule_reduces_to_lblev(self, fig):
@@ -711,8 +736,9 @@ UNSOLD3 = repr([(0.0, 0.0)] * 3)
 
 
 def per_point(mech, net, profile, agent, xs):
-    """The agent's curve by one ``evaluate`` call per own value."""
-    return [mech.evaluate(net, profile.replace(agent, value=x), agent) for x in xs]
+    """The agent's curve by one ``run`` call per own value."""
+    outs = [mech.run(net, profile.replace(agent, value=x)) for x in xs]
+    return [(out.allocation.get(agent, 0.0), out.payments.get(agent, 0.0)) for out in outs]
 
 
 def curve_points(compiled, agent, subset, profile, grid, ties):
@@ -727,8 +753,8 @@ def curve_points(compiled, agent, subset, profile, grid, ties):
 
 
 class TestCompiledCurve:
-    """``compile(net, reports).curve`` against the per-point ``evaluate``
-    path, bit for bit: compared by ``repr``, so a ``-0.0`` counts."""
+    """``compile(net, reports).curve`` against one ``run`` per point, bit
+    for bit: compared by ``repr``, so a ``-0.0`` counts."""
 
     def test_c03_trees_every_agent_and_subset(self):
         for k, inst, draws, _ in c03_instances(40):
@@ -817,18 +843,28 @@ class TestCompiledCurve:
                     with pytest.raises(InstanceError):
                         compiled.curve(agent, [1.0, x])
 
+    # sha256 over repr(curve) of every agent of both RcExampleAuction cases
+    # below, recorded at commit 4377bb9, where the fixture overrode evaluate
+    RC_CURVES_DIGEST = "54794b51ca4189ba4e5b94f7e4560e837818cb45a1711130533c388b3951515e"
+
     def test_default_compile_is_evaluate(self):
-        cases = [(make_mutant(name), factory()) for name, factory in DESIGNATED.values()]
-        rc = fig_rc_instance()
-        cases += [(RcExampleAuction(), rc),
-                  (RcExampleAuction(), Instance(rc.net, rc.reports.replace(1, neighbors=())))]
-        for mech, inst in cases:
+        for name, factory in DESIGNATED.values():
+            mech, inst = make_mutant(name), factory()
             compiled = mech.compile(inst.net, inst.reports)
-            assert isinstance(compiled, Compiled)
+            assert type(compiled) is Compiled
             xs = make_grid(inst.reports, size=16).points
             for agent in sorted(inst.net.agents):
                 assert (repr(compiled.curve(agent, xs))
-                        == repr(per_point(mech, inst.net, inst.reports, agent, xs))), mech.name
+                        == repr(per_point(mech, inst.net, inst.reports, agent, xs))), name
+        rc = fig_rc_instance()
+        digest = hashlib.sha256()
+        for inst in (rc, Instance(rc.net, rc.reports.replace(1, neighbors=()))):
+            compiled = RcExampleAuction().compile(inst.net, inst.reports)
+            assert isinstance(compiled, Compiled)
+            xs = make_grid(inst.reports, size=16).points
+            for agent in sorted(inst.net.agents):
+                digest.update(repr(compiled.curve(agent, xs)).encode())
+        assert digest.hexdigest() == self.RC_CURVES_DIGEST, digest.hexdigest()
 
     def test_worked_example_matches_naive_oracle(self, fig):
         inst, tree = fig

@@ -24,7 +24,8 @@ from diffusion_auctions import (
 from diffusion_auctions import fixtures
 from diffusion_auctions.mutants import DESIGNATED, MUTANTS, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
-from diffusion_auctions.mechanisms import Mechanism
+from diffusion_auctions.mechanisms import Compiled, Mechanism
+from diffusion_auctions.network import Outcome
 from diffusion_auctions.verify import (ALL_CONDITIONS, CORE_CONDITIONS, VerificationError,
                                        _best_response, _Context, random_exponents)
 
@@ -305,8 +306,7 @@ class TestNeighborMisreport:
     def test_catches_branch_biased_referrals(self):
         # pay a referral bonus only when the inviter's branch loses: the
         # chokepoint prefers cutting its winning branch
-        from diffusion_auctions.mechanisms import Mechanism
-        from diffusion_auctions.network import Outcome, filter_subnetwork
+        from diffusion_auctions.network import filter_subnetwork
 
         class BranchBiasedBonus(Mechanism):
             name = "mutant:branch-biased"
@@ -378,14 +378,18 @@ class TestCurveBudget:
     def test_exhaustion_names_agent_subset_and_interval(self):
         steps = 4096
 
+        class Staircase(Compiled):
+            def curve(self, agent, xs):
+                return [(min(math.floor(x * steps / 20.0), steps) / steps, 0.0) for x in xs]
+
         class FineStaircase(Mechanism):
             """Allocation climbs in ``steps`` equal steps over [0, 20]:
             bracketing every step costs far more than the budget."""
 
             name = "test:fine-staircase"
 
-            def evaluate(self, net, reports, agent):
-                return min(math.floor(reports.value(agent) * steps / 20.0), steps) / steps, 0.0
+            def compile(self, net, reports):
+                return Staircase(self, net, reports)
 
         net = network_from_edges([(0, 1), (1, 2)])
         profile = truthful_profile(net, {1: 10.0, 2: 3.0})
@@ -437,12 +441,12 @@ def sequential_prefix(table):
 
 class TestCurveTablePrefix:
     class Flat(Mechanism):
-        """Half the item at every own value, for nothing."""
+        """Half the item to each of two agents at every value, for nothing."""
 
         name = "test:flat"
 
-        def evaluate(self, net, reports, agent):
-            return 0.5, 0.0
+        def run(self, net, reports):
+            return Outcome({i: 0.5 for i in reports.agents()}, {}, 0.0)
 
     def tables(self):
         inst = fixtures.depth1_instance((10.0, 7.0))   # agent 1 jumps at 7
@@ -489,12 +493,13 @@ class TestIrOverflow:
 class TestReferralOverflow:
     def test_verify_raises_instance_error(self):
         # PowerRule.winner takes Python value**t: agent 4's 1e160 squared
-        # overflows at a level the checks' deviations reach, while the
-        # reported profile itself runs
+        # overflows at agent 3's level, which the reported profile reaches
+        # at agent 1's threshold price, agent 2's 10, with agent 5 alive
         net = network_from_edges([(0, 1), (0, 2), (1, 3), (3, 4), (3, 5)])
         profile = truthful_profile(net, {1: 5.0, 2: 10.0, 3: 5.0, 4: 1e160, 5: 100.0})
         mech = ReferralAuction(PowerRule({4: 2.0}))
-        assert mech.run(net, profile).winner == 4
+        with pytest.raises(InstanceError, match="argmax-pow rule overflows"):
+            mech.run(net, profile)
         with pytest.raises(InstanceError, match="argmax-pow rule overflows"):
             verify_mechanism(mech, net, profile, None)
         with pytest.raises(InstanceError, match="argmax-pow rule overflows"):
