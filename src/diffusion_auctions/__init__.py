@@ -34,7 +34,7 @@ from .mechanisms import (
     ReferralAuction,
     SecondPriceReserveRule,
     exponent_table,
-    lblev_seller_revenues,
+    lblev_first_level_revenues,
     myerson_level_payment,
     rc_example_mechanism,
     run_lblev,

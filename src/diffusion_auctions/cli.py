@@ -10,6 +10,7 @@ stderr.  Exit codes: 0 ok, 1 verification failure, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -42,6 +43,7 @@ from .verify import CORE_CONDITIONS, make_grid, random_exponents, verify_mechani
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
+MAX_LAMBDAS = 1001   # the largest --lambdas grid: step 0.001 on [0, 1]
 
 
 def _log(msg: str) -> None:
@@ -92,14 +94,7 @@ def _cmd_run(args) -> int:
     if hasattr(mech, "run_with_traces"):
         outcome, traces = mech.run_with_traces(inst.net, inst.reports)
         payload = outcome.to_dict(inst.net.agents)
-        payload["traces"] = [
-            {"parent": t.parent, "offset": t.offset,
-             "survivors": [[i, r] for i, r in t.survivors],
-             "tentative_winner": t.tentative_winner,
-             "effective_payment": t.effective_payment,
-             "actual_payment": t.actual_payment}
-            for t in traces
-        ]
+        payload["traces"] = [dataclasses.asdict(t) for t in traces]
     else:
         payload = mech.run(inst.net, inst.reports).to_dict(inst.net.agents)
     payload["mechanism"] = mech.name
@@ -164,7 +159,11 @@ def _parse_lambdas(spec: str) -> tuple[float, ...]:
         raise InstanceError(f"bad --lambdas {spec!r}; lo, hi and step must be finite")
     if step <= 0:
         raise InstanceError("lambda step must be positive")
-    count = int(round((hi - lo) / step)) + 1
+    # counted before the grid is built: a tiny step would hang or overflow
+    span = (hi - lo) / step
+    if not span < MAX_LAMBDAS:
+        raise InstanceError(f"bad --lambdas {spec!r}; more than {MAX_LAMBDAS} grid points")
+    count = int(round(span)) + 1
     return tuple(round(lo + k * step, 12) for k in range(count) if lo + k * step <= hi + 1e-12)
 
 
@@ -225,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p = sub.add_parser("experiment", help="lambda sweep CSV")
     exp_p.add_argument("--n", type=int, required=True)
     exp_p.add_argument("--sigma", type=float, required=True)
-    exp_p.add_argument("--lambdas", default="0:1:0.05", help="lo:hi:step")
+    exp_p.add_argument("--lambdas", default="0:1:0.05",
+                       help=f"lo:hi:step, at most {MAX_LAMBDAS} points")
     exp_p.add_argument("--trials-outer", type=int, default=50)
     exp_p.add_argument("--trials-inner", type=int, default=50)
     exp_p.add_argument("--seed", type=int, default=42)

@@ -18,11 +18,11 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .mechanisms import exponent_table, lblev_seller_revenues
+from .mechanisms import lblev_first_level_revenues
 from .network import SELLER, InstanceError, ReferralTree, subtree_values
 
 logger = logging.getLogger(__name__)
@@ -87,23 +87,23 @@ def generate_base_tree(n: int, rng: np.random.Generator) -> ReferralTree:
 
 def activate_edges(base: ReferralTree, rng: np.random.Generator) -> ReferralTree:
     """Keep each child edge independently with its node's Beta(5,1) draw
-    (inverse-cdf form u**(1/5)), a parent's child uniforms in one call;
-    return the seller-reachable subtree."""
+    (inverse-cdf form u**(1/5)), a parent's keep uniform and child
+    uniforms in one call; return the seller-reachable subtree, whose
+    ``parent`` map lists every agent after its parent."""
     parent: dict[int, int] = {}
     children: dict[int, tuple[int, ...]] = {}
     frontier = [SELLER]
     for node in frontier:
-        kids = base.children.get(node, ())
-        if not kids:
-            continue
-        keep_prob = rng.random() ** 0.2
-        kept = tuple(k for k, u in zip(kids, rng.random(len(kids)).tolist())
-                     if u < keep_prob)
-        if kept:
-            children[node] = kept
-        for k in kept:
-            parent[k] = node
-        frontier.extend(kept)
+        kids = base.children.get(node)
+        if kids:
+            keep, *draws = rng.random(len(kids) + 1).tolist()
+            keep_prob = keep ** 0.2
+            kept = tuple([k for k, u in zip(kids, draws) if u < keep_prob])
+            if kept:
+                children[node] = kept
+                for k in kept:
+                    parent[k] = node
+                frontier += kept
     return ReferralTree(root=SELLER, parent=parent, children=children)
 
 
@@ -118,32 +118,57 @@ def assign_class_means(n: int, rng: np.random.Generator) -> dict[int, float]:
 
 def draw_valuations(means: Mapping[int, float], sigma: float,
                     rng: np.random.Generator) -> dict[int, float]:
-    """Clamped ``mu + sigma * z`` per agent in id order, as ``rng.normal`` draws."""
+    """Clamped ``mu + sigma * z`` per agent in id order, as ``rng.normal`` draws.
+    A draw that overflows to infinity raises :class:`InstanceError`."""
     if sigma < 0:
         raise ValueError("scale < 0")
     ids = sorted(means)
     z = rng.standard_normal(len(ids)).tolist()
-    return {i: max(0.0, means[i] + sigma * zi) for i, zi in zip(ids, z)}
+    # v if v > 0.0 else 0.0 is max(0.0, v), also for a -0.0 or nan v
+    values = {i: v if (v := means[i] + sigma * zi) > 0.0 else 0.0 for i, zi in zip(ids, z)}
+    if math.inf in values.values():   # the only non-finite value left
+        raise InstanceError("valuations must be finite non-negative numbers")
+    return values
+
+
+def runner_up_exponents(base: ReferralTree, means: Mapping[int, float],
+                        lambdas: Sequence[float]) -> tuple[Optional[int], list[float]]:
+    """The expected first-level runner-up node, from the prior alone, and
+    its exponent (1-lambda) + lambda * log(win)/log(runner-up) at each of
+    ``lambdas``; ``None`` and ones with fewer than two first-level
+    subtrees or an expected maximum of at most 1."""
+    first = base.child_tuple(SELLER)
+    if len(first) >= 2:
+        best = subtree_values(base, means)
+        win, run = sorted(first, key=lambda i: (-best[i], i))[:2]
+        if best[win] > 1.0 and best[run] > 1.0:
+            ratio = math.log(best[win]) / math.log(best[run])
+            return run, [(1.0 - lam) + lam * ratio for lam in lambdas]
+    return None, [1.0] * len(lambdas)
 
 
 def exponent_schedule(base: ReferralTree, means: Mapping[int, float],
                       lam: float) -> dict[int, float]:
-    """Exponents fixed from the prior alone: the expected first-level
-    runner-up node gets (1-lambda) + lambda * log(win)/log(runner-up),
-    everyone else gets one."""
-    exponents = {i: 1.0 for i in sorted(base.agents())}
-    first = base.child_tuple(SELLER)
-    if len(first) < 2:
+    """Every agent's exponent at ``lam``: the :func:`runner_up_exponents`
+    node's, and one for everyone else."""
+    if len(base.child_tuple(SELLER)) < 2:
         logger.warning("fewer than two first-level subtrees; schedule is all ones")
-        return exponents
-    best = subtree_values(base, means)
-    ranked = sorted(first, key=lambda i: (-best[i], i))
-    w_win = best[ranked[0]]
-    w_run = best[ranked[1]]
-    if w_win <= 1.0 or w_run <= 1.0:
-        return exponents
-    exponents[ranked[1]] = (1.0 - lam) + lam * (math.log(w_win) / math.log(w_run))
-    return exponents
+    node, (t,) = runner_up_exponents(base, means, (lam,))
+    return {i: t if i == node else 1.0 for i in sorted(base.agents())}
+
+
+def first_level_maxima(tree: ReferralTree,
+                       values: Mapping[int, float]) -> list[tuple[int, float]]:
+    """Each first-level node of an :func:`activate_edges` tree with the
+    largest value in its subtree, in tree order: one pass over
+    ``tree.parent``, which lists every agent after its parent."""
+    top: dict[int, int] = {}   # each agent's first-level ancestor
+    best: dict[int, float] = {}
+    for agent, parent in tree.parent.items():
+        head = top[agent] = agent if parent == SELLER else top[parent]
+        if head == agent or values[agent] > best[head]:
+            best[head] = values[agent]
+    return list(best.items())
 
 
 @dataclass(frozen=True)
@@ -173,21 +198,14 @@ def _sweep_outer(config: ExperimentConfig, outer: int) -> tuple[list[list[float]
     """Per priced draw, the improvement percentage at every lambda; and the
     count of draws excluded for zero baseline revenue."""
     base, means = outer_sample(config, outer)
-    agents = range(1, config.n + 1)
-    if len(base.child_tuple(SELLER)) < 2:
-        # degenerate prior: the schedule is unit for every lambda
-        unit = {i: 1.0 for i in agents}
-        schedules = [unit] * len(config.lambdas)
-    else:
-        schedules = [exponent_schedule(base, means, lam) for lam in config.lambdas]
-    # the baseline's unit exponents first, then one schedule per lambda,
-    # each checked once here rather than on every inner draw
-    tables = [exponent_table(m, agents) for m in [{}] + schedules]
+    node, scheduled = runner_up_exponents(base, means, config.lambdas)
+    exponents = [1.0] + scheduled   # the unit-exponent baseline first
     pcts: list[list[float]] = []
     excluded = 0
     for inner in range(config.inner):
         tree, values = _inner_draw(config, base, means, outer, inner)
-        r0, *revenues = lblev_seller_revenues(tree, values, tables)
+        r0, *revenues = lblev_first_level_revenues(first_level_maxima(tree, values),
+                                                   node, exponents)
         if r0 > 0:
             pcts.append([100.0 * (r - r0) / r0 for r in revenues])
         else:

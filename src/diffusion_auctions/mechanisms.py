@@ -125,12 +125,6 @@ def _settle(winner: Optional[int], pay: Mapping[int, float]) -> Outcome:
     return Outcome({winner: 1.0}, payments, pay[path[0]], winner)
 
 
-def _check_values(values: Mapping[int, float]) -> None:
-    """A value map must hold finite non-negative numbers."""
-    if not all(0 <= v < math.inf for v in values.values()):
-        raise InstanceError("valuations must be finite non-negative numbers")
-
-
 def _check_power_range(texp: Mapping[int, float], top: float) -> None:
     """No ``rho**t`` key or ``rho**(t_r/t_w)`` price of a tree with
     exponents ``texp`` and largest value ``top`` exceeds
@@ -202,7 +196,8 @@ def run_lblev(tree: ReferralTree, values: Mapping[int, float],
     that fails :func:`_check_power_range`.  An empty tree or all-zero
     values leave the item unsold.
     """
-    _check_values(values)
+    if not all(0 <= v < math.inf for v in values.values()):
+        raise InstanceError("valuations must be finite non-negative numbers")
     texp = exponent_table(exponents, tree.agents())
     submax = subtree_values(tree, values)
     top = max((submax[c] for c in tree.child_tuple(tree.root)), default=0.0)
@@ -213,34 +208,33 @@ def run_lblev(tree: ReferralTree, values: Mapping[int, float],
     return _settle(winner, pay), traces
 
 
-def lblev_seller_revenues(tree: ReferralTree, values: Mapping[int, float],
-                          exponent_tables: Sequence[Mapping[int, float]]) -> list[float]:
-    """``run_lblev(tree, values, m)[0].seller_revenue`` for many exponent maps.
-
-    ``exponent_tables`` holds :func:`exponent_table` results, which
-    checked each map once; every first-level node needs an entry.  The
-    seller's revenue is the first-level winner's gross payment, and the
-    root level has offset 0 and no keep test, so the descent below the
-    first level never changes it.  The values are checked and the
-    first-level survivors found once; each table then costs one
-    :func:`_rank_level` step with :func:`run_lblev`'s float operations,
-    so the revenues are identical.  It ranks only the root level, so it
-    rejects only an overflow there, as :class:`InstanceError`, and not
-    :func:`run_lblev`'s up-front :func:`_check_power_range`.
-    """
-    _check_values(values)
-    agents = tree.agents()
-    if not agents or all(values[i] == 0.0 for i in agents):
-        return [0.0] * len(exponent_tables)
-    submax = subtree_values(tree, values)
-    # The values are non-negative, so every first-level subtree survives
-    # the root level with rho = max(submax - 0.0, 0.0) = submax, bit for bit.
-    survivors = [(child, submax[child]) for child in tree.child_tuple(tree.root)]
-    if len(survivors) < 2:
-        return [0.0] * len(exponent_tables)   # a lone survivor pays the offset, 0
-    try:
-        # 0.0 + z is the root level's offset + z; it also turns a z of -0.0 into 0.0
-        return [0.0 + _rank_level(texp, survivors)[1] for texp in exponent_tables]
+def lblev_first_level_revenues(first: Sequence[tuple[int, float]], node: Optional[int],
+                               exponents: Sequence[float]) -> list[float]:
+    """``run_lblev``'s seller revenue, the first-level winner's gross
+    payment, under each map that gives ``node`` one of the positive finite
+    ``exponents`` and every other agent 1.  ``first`` holds the tree's
+    first-level (node, subtree maximum) pairs; a negative or non-finite
+    maximum raises :class:`InstanceError`, as does an overflow of a
+    ``rho**t`` or price.  The other nodes are ranked once; each exponent
+    then costs one ``rho**t`` and at most two comparisons, on
+    :func:`_rank_level`'s operands, so the revenues are identical."""
+    if not all(0 <= m < math.inf for _, m in first):
+        raise InstanceError("valuations must be finite non-negative numbers")
+    if len(first) < 2:
+        return [0.0] * len(exponents)   # a lone survivor pays the offset, 0
+    # the other nodes' unit (rho**1.0, id, rho), leader a first, then b or,
+    # when node is the leader's only rival, a b that node always outranks
+    (a_key, a, a_rho), (b_key, b, b_rho), *_ = sorted(
+        ((m ** 1.0, i, m) for i, m in first if i != node),
+        key=lambda k: (-k[0], k[1])) + [(-math.inf, node, 0.0)]
+    # 0.0 + z is the root level's offset + z; it also turns a z of -0.0 into 0.0
+    b_price = 0.0 + b_rho ** 1.0
+    if (rho := dict(first).get(node)) is None:   # every map is unit here
+        return [b_price] * len(exponents)
+    try:   # node outranks a and a pays; or node pays rho**(t/1.0), its key; or b pays
+        return [0.0 + a_rho ** (1.0 / t) if (key := rho ** t) > a_key or key == a_key and node < a
+                else 0.0 + key if key > b_key or key == b_key and node < b else b_price
+                for t in exponents]
     except OverflowError:
         raise InstanceError("a first-level rho**t or price overflows") from None
 

@@ -88,12 +88,8 @@ def network_from_edges(edges: Iterable[tuple[int, int]],
         seen.add(dst)
         if src != seller:
             seen.add(src)
-    agent_set = frozenset(agents) if agents is not None else frozenset(seen)
-    return DiffusionNetwork(
-        seller=seller,
-        agents=agent_set,
-        out_edges={k: frozenset(v) for k, v in adj.items()},
-    )
+    return DiffusionNetwork(seller, frozenset(seen if agents is None else agents),
+                            {k: frozenset(v) for k, v in adj.items()})
 
 
 @dataclass(frozen=True)
@@ -121,14 +117,9 @@ class ReportProfile:
                 neighbors: Optional[Iterable[int]] = None) -> "ReportProfile":
         """Copy of the profile with one agent's report altered."""
         old = self.reports[agent]
-        new = Report(
-            value=old.value if value is None else float(value),
-            neighbors=old.neighbors if neighbors is None else frozenset(neighbors),
-            timestamp=old.timestamp,
-        )
-        merged = dict(self.reports)
-        merged[agent] = new
-        return ReportProfile(merged)
+        return ReportProfile({**self.reports, agent: Report(
+            old.value if value is None else float(value),
+            old.neighbors if neighbors is None else frozenset(neighbors), old.timestamp)})
 
 
 def bfs_timestamps(net: DiffusionNetwork) -> dict[int, int]:
@@ -159,12 +150,8 @@ def truthful_profile(net: DiffusionNetwork, values: Mapping[int, float],
                      timestamps: Optional[Mapping[int, int]] = None) -> ReportProfile:
     """Profile where every agent reports its true value and full neighbor set."""
     stamps = dict(timestamps) if timestamps is not None else bfs_timestamps(net)
-    reports = {
-        i: Report(value=float(values[i]), neighbors=net.neighbors(i),
-                  timestamp=int(stamps[i]))
-        for i in net.agents
-    }
-    return ReportProfile(reports)
+    return ReportProfile({i: Report(float(values[i]), net.neighbors(i), int(stamps[i]))
+                          for i in net.agents})
 
 
 def _live_walk(net: DiffusionNetwork, reports: ReportProfile) -> dict[int, frozenset[int]]:
@@ -335,8 +322,7 @@ class Instance:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return instance_from_dict(raw)
+        return instance_from_dict(json.load(fh))
 
 
 def exponents_from_dict(raw) -> dict[int, float]:
@@ -378,18 +364,9 @@ def instance_from_dict(raw: Mapping) -> Instance:
 
 def instance_to_dict(inst: Instance) -> dict:
     net, profile = inst.net, inst.reports
-    agents = []
-    for i in net.sorted_agents():
-        agents.append({
-            "id": i,
-            "valuation": profile.value(i),
-            "neighbors": sorted(profile.neighbors(i)),
-            "timestamp": profile.timestamp(i),
-        })
-    edges = []
-    for src in sorted(net.out_edges):
-        for dst in sorted(net.out_edges[src]):
-            edges.append([src, dst])
+    agents = [{"id": i, "valuation": profile.value(i), "neighbors": sorted(profile.neighbors(i)),
+               "timestamp": profile.timestamp(i)} for i in net.sorted_agents()]
+    edges = [[src, dst] for src in sorted(net.out_edges) for dst in sorted(net.out_edges[src])]
     out = {"seller": net.seller, "agents": agents, "edges": edges}
     if inst.exponents is not None:
         out["exponents"] = {str(k): float(v) for k, v in sorted(inst.exponents.items())}

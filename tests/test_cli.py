@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -341,6 +342,31 @@ class TestExperiment:
         assert err == "error: lambda values must be distinct\n"
         _, _, err = run_cli(capsys, *base, "--seed", "-1")
         assert err == "error: need seed >= 0 and jobs >= 1\n"
+
+    @pytest.mark.parametrize("spec", ["0:1:1e-9", "0:1:5e-324", "0:1:0.0009", "0:1e308:1e-300"])
+    def test_oversized_lambda_grid_exit_2_at_once(self, capsys, spec):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "experiment", "--n", "6", "--sigma", "5",
+                                 "--lambdas", spec, "--trials-outer", "1",
+                                 "--trials-inner", "1")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == f"error: bad --lambdas {spec!r}; more than 1001 grid points\n"
+
+    def test_lambda_grid_cap_and_default_grid(self, capsys):
+        base = ("experiment", "--n", "6", "--sigma", "5", "--trials-outer", "1",
+                "--trials-inner", "1")
+        code, out, _ = run_cli(capsys, *base, "--lambdas", "0:1:0.001")
+        assert code == 0 and len(out.splitlines()) == 1 + 1001
+        code, out, _ = run_cli(capsys, *base, "--lambdas", "0:1:0.05")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == \
+            [f"{0.05 * k:.12g}" for k in range(21)]
+
+    def test_overflowing_first_level_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "experiment", "--n", "10", "--sigma", "1e308")
+        assert code == 2 and out == ""
+        assert err == "error: a first-level rho**t or price overflows\n"
 
     def test_draw_counts_on_stderr(self, capsys):
         code, out, err = run_cli(capsys, "experiment", "--n", "6", "--sigma", "5",

@@ -13,7 +13,7 @@ from diffusion_auctions import (
     exponent_table,
     fixtures,
     generate_base_tree,
-    lblev_seller_revenues,
+    lblev_first_level_revenues,
     network_from_edges,
     run_lblev,
     sweep_lambda,
@@ -26,10 +26,12 @@ from diffusion_auctions.experiments import (
     assign_class_means,
     _inner_draw,
     draw_valuations,
+    first_level_maxima,
     outer_sample,
+    runner_up_exponents,
     write_sweep_csv,
 )
-from diffusion_auctions.network import SELLER, InstanceError, ReferralTree
+from diffusion_auctions.network import SELLER, InstanceError, ReferralTree, subtree_values
 
 from helpers import grid_search_lambda_star, sample_valuations
 
@@ -187,6 +189,38 @@ class TestDrawForms:
         assert kept_edges > 10000 and clamped > 10000
 
 
+class TestDrawPath:
+    """What the sweep's first-level pass reads off a draw, over the
+    ``TestDrawForms`` stream."""
+
+    def test_parents_first_and_first_level_maxima(self):
+        multi = 0
+        for n in (3, 4, 10, 25, 40):
+            for seed in range(300):
+                stage_one = np.random.default_rng([seed, n])
+                base = generate_base_tree(n, stage_one)
+                means = assign_class_means(n, stage_one)
+                rng = np.random.default_rng([seed, n, 1])
+                tree = activate_edges(base, rng)
+                placed = {SELLER}
+                for agent, parent in tree.parent.items():
+                    assert parent in placed, (n, seed, agent)
+                    placed.add(agent)
+                for sigma in (5.0, 1e6):
+                    values = draw_valuations(means, sigma, rng)
+                    first = first_level_maxima(tree, values)
+                    assert first == reference_first_level(tree, values), (n, seed)
+                    multi += len(first) >= 2
+        assert multi > 1000
+
+    def test_overflowing_draw_rejected(self):
+        # z above 1.06 takes 100 + 1.7e308 * z past the largest float
+        rng = np.random.default_rng(0)
+        with pytest.raises(InstanceError, match="valuations"):
+            for _ in range(100):
+                draw_valuations({1: 100.0, 2: 70.0}, 1.7e308, rng)
+
+
 class TestExponentSchedule:
     def tree_with_two_tops(self):
         return ReferralTree(root=SELLER, parent={1: SELLER, 2: SELLER, 3: 1, 4: 2},
@@ -212,6 +246,22 @@ class TestExponentSchedule:
         means = {1: 60.0, 2: 55.0, 3: 100.0, 4: 70.0}
         sched = exponent_schedule(base, means, 0.5)
         assert sched[2] == pytest.approx(1.0420, abs=1e-4)
+
+    def test_schedule_is_the_runner_up_exponents(self):
+        rng = np.random.default_rng(8)
+        lambdas = (0.0, 0.3, 1.0, 0.65)
+        for n in (3, 6, 10, 25):
+            for _ in range(20):
+                base = generate_base_tree(n, rng)
+                means = assign_class_means(n, rng)
+                node, exponents = runner_up_exponents(base, means, lambdas)
+                for lam, t in zip(lambdas, exponents):
+                    assert exponent_schedule(base, means, lam) == \
+                        {i: t if i == node else 1.0 for i in range(1, n + 1)}
+                if node is None:
+                    assert exponents == [1.0] * len(lambdas)
+                else:
+                    assert node in base.child_tuple(SELLER) and exponents[0] == 1.0
 
     def test_single_first_level_subtree_warns_unit(self, caplog):
         base = ReferralTree(root=SELLER, parent={1: SELLER, 2: 1},
@@ -312,6 +362,12 @@ class TestSweep:
         assert row.mean_pct == pytest.approx(float(np.mean(pcts)), abs=1e-12)
 
 
+def reference_first_level(tree, values):
+    """The first-level (node, subtree maximum) pairs from ``subtree_values``."""
+    best = subtree_values(tree, values)
+    return [(c, best[c]) for c in tree.child_tuple(SELLER)]
+
+
 def reference_rows(config):
     """The sweep rows from one 1-D ``np.mean`` / ``np.std(ddof=1)`` per
     lambda over that lambda's own list of improvements."""
@@ -319,12 +375,11 @@ def reference_rows(config):
     excluded = 0
     for outer in range(config.outer):
         base, means = outer_sample(config, outer)
-        maps = [exponent_schedule(base, means, lam) if len(base.child_tuple(SELLER)) >= 2
-                else {} for lam in config.lambdas]
-        tables = [exponent_table(m, range(1, config.n + 1)) for m in [{}] + maps]
+        node, scheduled = runner_up_exponents(base, means, config.lambdas)
         for inner in range(config.inner):
             tree, values = _inner_draw(config, base, means, outer, inner)
-            r0, *revenues = lblev_seller_revenues(tree, values, tables)
+            r0, *revenues = lblev_first_level_revenues(
+                reference_first_level(tree, values), node, [1.0] + scheduled)
             if r0 > 0:
                 for col, r in zip(cols, revenues):
                     col.append(100.0 * (r - r0) / r0)
@@ -374,35 +429,38 @@ class TestRowReduction:
 
 
 class TestSellerRevenues:
-    """``lblev_seller_revenues`` against one ``run_lblev`` per exponent map."""
-
-    def sweep_maps(self, config, outer):
-        base, means = outer_sample(config, outer)
-        if len(base.child_tuple(SELLER)) < 2:
-            return [{}] * (len(config.lambdas) + 1)
-        return [{}] + [exponent_schedule(base, means, lam) for lam in config.lambdas]
+    """``lblev_first_level_revenues`` against one ``run_lblev`` per exponent
+    of the varying node."""
 
     def assert_matches_run_lblev(self, config, seen):
         for outer in range(config.outer):
-            maps = self.sweep_maps(config, outer)
-            tables = [exponent_table(m, range(1, config.n + 1)) for m in maps]
+            base, means = outer_sample(config, outer)
+            node, scheduled = runner_up_exponents(base, means, config.lambdas)
+            exponents = [1.0] + scheduled
             for inner in range(config.inner):
-                tree, values = _inner_draw(config, *outer_sample(config, outer), outer, inner)
-                fast = lblev_seller_revenues(tree, values, tables)
-                slow = [run_lblev(tree, values, m)[0].seller_revenue for m in maps]
+                tree, values = _inner_draw(config, base, means, outer, inner)
+                first = reference_first_level(tree, values)
+                fast = lblev_first_level_revenues(first, node, exponents)
+                slow = [run_lblev(tree, values, {} if node is None else {node: t})[0]
+                        .seller_revenue for t in exponents]
                 assert fast == slow, (config, outer, inner)
                 assert all(type(r) is float for r in fast)
-                first = [max(values[j] for j in tree.subtree(c))
-                         for c in tree.child_tuple(SELLER)]
+                maxima = dict(first)
                 seen["draws"] += 1
                 seen["all_zero"] += bool(tree.agents()) and not any(
                     values[a] for a in tree.agents())
                 seen["one_first_level"] += len(first) == 1
-                seen["tie"] += len(first) > len(set(first))
+                seen["tie"] += len(first) > len(set(maxima.values()))
                 seen["sold"] += slow[0] > 0
+                if node is not None and len(first) >= 2:
+                    seen["absent"] += node not in maxima
+                    seen["only_rival"] += node in maxima and len(first) == 2
+                    seen["tie_at_unit"] += node in maxima and list(
+                        maxima.values()).count(maxima[node]) > 1
 
     def test_equals_run_lblev_on_every_draw_and_map(self):
-        seen = dict(draws=0, all_zero=0, one_first_level=0, tie=0, sold=0)
+        seen = dict(draws=0, all_zero=0, one_first_level=0, tie=0, sold=0,
+                    absent=0, only_rival=0, tie_at_unit=0)
         # seeds of the benchmark's lambda-sweep input pool (its default seed 42)
         pool = np.random.default_rng(42).integers(0, 2**31, size=200)
         for seed in pool[:40]:
@@ -417,29 +475,62 @@ class TestSellerRevenues:
         # the configurations reach every edge case of the first level
         assert seen["draws"] == 40 * 10 + 5 * 6 * 3 * 6
         # (measured: 7 all-zero, 447 with one first-level subtree, 19 tied
-        # first-level maxima and 402 sold draws of 940)
+        # first-level maxima and 402 sold draws of 940; with a varying node
+        # and two or more first-level subtrees, 22 draws leave that node off
+        # the first level, in 184 it is the only rival and in 19 it ties)
         assert seen["all_zero"] >= 5
         assert seen["one_first_level"] >= 100
         assert seen["tie"] >= 10
         assert seen["sold"] >= 300
+        assert seen["absent"] >= 10
+        assert seen["only_rival"] >= 100
+        assert seen["tie_at_unit"] >= 10
+
+    @pytest.mark.parametrize("edges, values, node", [
+        # the varying node 3 is not on the realized first level
+        ([(0, 1), (0, 2), (1, 3)], {1: 5.0, 2: 7.0, 3: 40.0}, 3),
+        ([(0, 1), (0, 2), (0, 4), (2, 3)], {1: 5.0, 2: 7.0, 3: 2.0, 4: 6.0}, 3),
+        # it is the leader's only rival, below it, above it and tied with it
+        ([(0, 1), (0, 2)], {1: 50.0, 2: 30.0}, 2),
+        ([(0, 1), (0, 2)], {1: 30.0, 2: 50.0}, 2),
+        ([(0, 1), (0, 2)], {1: 30.0, 2: 30.0}, 2),
+        ([(0, 1), (0, 2)], {1: 30.0, 2: 30.0}, 1),
+        ([(0, 1), (0, 2), (2, 3)], {1: 0.5, 2: 0.2, 3: 0.7}, 2),
+        # it ties another first-level maximum at t = 1, as leader or as runner-up
+        ([(0, 1), (0, 2), (0, 3)], {1: 20.0, 2: 20.0, 3: 10.0}, 2),
+        ([(0, 1), (0, 2), (0, 3)], {1: 20.0, 2: 20.0, 3: 10.0}, 1),
+        ([(0, 1), (0, 2), (0, 3)], {1: 30.0, 2: 20.0, 3: 20.0}, 3),
+        ([(0, 1), (0, 2), (0, 3)], {1: 30.0, 2: 20.0, 3: 20.0}, 2),
+        ([(0, 3), (0, 2), (0, 1), (2, 4)], {1: 20.0, 2: 5.0, 3: 30.0, 4: 20.0}, 2),
+        # zero maxima
+        ([(0, 1), (0, 2), (0, 3)], {1: 0.0, 2: 0.0, 3: 0.0}, 2),
+        ([(0, 1), (0, 2), (0, 3)], {1: 0.0, 2: 3.0, 3: 0.0}, 1),
+    ])
+    def test_constructed_first_levels(self, edges, values, node):
+        net = network_from_edges(edges)
+        tree = build_referral_tree(net, truthful_profile(net, values))
+        exponents = [1.0, 0.5, 0.9, 1.0000001, math.log(30.0) / math.log(20.0), 2.0, 3.0]
+        fast = lblev_first_level_revenues(reference_first_level(tree, values), node, exponents)
+        assert fast == [run_lblev(tree, values, {node: t})[0].seller_revenue
+                        for t in exponents]
 
     def test_worked_example(self):
         inst = fixtures.fig_lblev_instance()
         tree = build_referral_tree(inst.net, inst.reports)
         values = inst.reports.values()
-        maps = [{}, inst.exponents, {a: 2.0 for a in tree.agents()}]
-        tables = [exponent_table(m, tree.agents()) for m in maps]
-        assert lblev_seller_revenues(tree, values, tables) == \
-            [run_lblev(tree, values, m)[0].seller_revenue for m in maps]
-        assert lblev_seller_revenues(tree, values, tables)[:2] == [9.0, 729.0]
+        first = reference_first_level(tree, values)
+        assert lblev_first_level_revenues(first, 3, [1.0, 3.0]) == \
+            [run_lblev(tree, values, {3: t})[0].seller_revenue for t in (1.0, 3.0)] == \
+            [9.0, 729.0]
 
     def test_empty_tree_and_no_maps(self):
         empty = activate_edges(ReferralTree(root=SELLER, parent={}, children={}),
                                np.random.default_rng(0))
-        assert lblev_seller_revenues(empty, {1: 5.0}, [{}, {}]) == [0.0, 0.0]
-        inst = fixtures.fig_lblev_instance()
-        tree = build_referral_tree(inst.net, inst.reports)
-        assert lblev_seller_revenues(tree, inst.reports.values(), []) == []
+        assert lblev_first_level_revenues(first_level_maxima(empty, {1: 5.0}), 1,
+                                          [1.0, 2.0]) == [0.0, 0.0]
+        assert lblev_first_level_revenues([(1, 5.0)], 1, [1.0, 2.0]) == [0.0, 0.0]
+        assert lblev_first_level_revenues([(1, 5.0), (2, 3.0)], 1, []) == []
+        assert lblev_first_level_revenues([(1, 5.0), (2, 3.0)], None, []) == []
 
     def test_root_level_overflow_contract(self):
         """Only the root level is ranked, so only its overflow raises.
@@ -450,14 +541,14 @@ class TestSellerRevenues:
         net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4)])
         values = {1: 5.0, 2: 10.0, 3: 30.0, 4: 1e160}
         tree = build_referral_tree(net, truthful_profile(net, values))
-        deep, root = (exponent_table(m, tree.agents()) for m in ({4: 2.0}, {1: 2.0}))
-        assert lblev_seller_revenues(tree, values, [deep]) == [10.0]
+        first = reference_first_level(tree, values)
+        assert lblev_first_level_revenues(first, 4, [1.0, 2.0]) == [10.0, 10.0]
         with pytest.raises(InstanceError, match=r"agents \[4\]"):
-            run_lblev(tree, values, deep)
+            run_lblev(tree, values, {4: 2.0})
         with pytest.raises(InstanceError, match="first-level"):
-            lblev_seller_revenues(tree, values, [deep, root])
+            lblev_first_level_revenues(first, 1, [1.0, 2.0])
         with pytest.raises(InstanceError, match=r"agents \[1\]"):
-            run_lblev(tree, values, root)
+            run_lblev(tree, values, {1: 2.0})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
     def test_rejects_the_values_run_lblev_rejects(self, bad):
@@ -467,8 +558,11 @@ class TestSellerRevenues:
         values[max(values)] = bad
         with pytest.raises(InstanceError):
             run_lblev(tree, values, {})
-        with pytest.raises(InstanceError):
-            lblev_seller_revenues(tree, values, [exponent_table({}, values)])
+        for first in ([(1, 5.0), (2, bad)], [(2, bad), (1, 5.0)], [(2, bad)]):
+            with pytest.raises(InstanceError, match="valuations"):
+                lblev_first_level_revenues(first, 1, [1.0])
+            with pytest.raises(InstanceError, match="valuations"):
+                lblev_first_level_revenues(first, None, [1.0])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_exponent_table_rejects_what_run_lblev_rejects(self, bad):
