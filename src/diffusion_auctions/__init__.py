@@ -72,7 +72,6 @@ from .experiments import (
     ExperimentConfig,
     SweepRow,
     activate_edges,
-    exponent_schedule,
     generate_base_tree,
     sweep_lambda,
 )

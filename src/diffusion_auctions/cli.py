@@ -4,7 +4,8 @@ Verbs: ``run`` executes a mechanism on an instance file and prints the
 outcome as JSON; ``verify`` runs the incentive checks and exits nonzero
 on any failure; ``experiment`` writes the lambda-sweep CSV; ``gen``
 writes a random instance file.  Machine output goes to stdout, logs to
-stderr.  Exit codes: 0 ok, 1 verification failure, 2 malformed input.
+stderr.  Exit codes: 0 ok, 1 verification failure, 2 malformed input,
+3 a check that could not complete (its curve budget ran out).
 """
 
 from __future__ import annotations
@@ -38,12 +39,16 @@ from .network import (
     random_tree_instance,
     save_instance,
 )
-from .verify import CORE_CONDITIONS, make_grid, random_exponents, verify_mechanism
+from .verify import (CORE_CONDITIONS, CURVE_BUDGET, VerificationError, make_grid,
+                     random_exponents, verify_mechanism)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_INPUT = 2
+EXIT_CHECK_ERROR = 3
 MAX_LAMBDAS = 1001   # the largest --lambdas grid: step 0.001 on [0, 1]
+MAX_VERIFY_AGENTS = 300   # each table keeps its tree: 136 MB at 300 agents, 818 at 700
+MAX_GEN_AGENTS = 100_000   # a 17 MB instance file, written in about 5 s
 
 
 def _log(msg: str) -> None:
@@ -127,9 +132,12 @@ def _verify_instances(args):
 
 
 def _cmd_verify(args) -> int:
-    for flag, count in (("--trials", args.trials), ("--grid", args.grid)):
-        if count < 1:
-            raise InstanceError(f"{flag} must be >= 1, got {count}")
+    # --trials needs no cap: each trial is printed before the next is drawn
+    for flag, count, cap in (("--trials", args.trials, math.inf),
+                             ("--grid", args.grid, CURVE_BUDGET),   # one table prices them all
+                             ("--n", args.n or 1, MAX_VERIFY_AGENTS)):   # 0 draws 3..10
+        if not 1 <= count <= cap:
+            raise InstanceError(f"{flag} must lie in [1, {cap}], got {count}")
     failures = 0
     total = 0
     for label, inst, exponents in _verify_instances(args):
@@ -192,6 +200,8 @@ def _cmd_gen(args) -> int:
     elif args.fixture == "fig-rc":
         from .rc_example import fig_rc_instance
         inst = fig_rc_instance()
+    elif not 1 <= args.n <= MAX_GEN_AGENTS:
+        raise InstanceError(f"--n must lie in [1, {MAX_GEN_AGENTS}], got {args.n}")
     else:
         inst = random_tree_instance(args.n, rng)
     save_instance(inst, args.out)
@@ -248,9 +258,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InstanceError, FileNotFoundError, json.JSONDecodeError, VerificationError) as exc:
         _log(f"error: {exc}")
-        return EXIT_BAD_INPUT
+        return EXIT_CHECK_ERROR if isinstance(exc, VerificationError) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ improvement of the scheduled auction over the unit-exponent baseline.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,8 +23,6 @@ import numpy as np
 
 from .mechanisms import lblev_first_level_revenues
 from .network import SELLER, InstanceError, ReferralTree, subtree_values
-
-logger = logging.getLogger(__name__)
 
 CLASS_MEANS = (100.0, 70.0, 50.0)
 
@@ -145,16 +142,6 @@ def runner_up_exponents(base: ReferralTree, means: Mapping[int, float],
             ratio = math.log(best[win]) / math.log(best[run])
             return run, [(1.0 - lam) + lam * ratio for lam in lambdas]
     return None, [1.0] * len(lambdas)
-
-
-def exponent_schedule(base: ReferralTree, means: Mapping[int, float],
-                      lam: float) -> dict[int, float]:
-    """Every agent's exponent at ``lam``: the :func:`runner_up_exponents`
-    node's, and one for everyone else."""
-    if len(base.child_tuple(SELLER)) < 2:
-        logger.warning("fewer than two first-level subtrees; schedule is all ones")
-    node, (t,) = runner_up_exponents(base, means, (lam,))
-    return {i: t if i == node else 1.0 for i in sorted(base.agents())}
 
 
 def first_level_maxima(tree: ReferralTree,

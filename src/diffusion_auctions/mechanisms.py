@@ -28,6 +28,7 @@ from .network import (
     Report,
     ReportProfile,
     build_referral_tree,
+    exponent_table,
     subtree_values,
     truthful_profile,
 )
@@ -35,16 +36,6 @@ from .network import (
 
 class NonMonotoneRuleError(ValueError):
     """A pluggable level rule failed the monotonicity probe."""
-
-
-def exponent_table(exponents: Mapping[int, float], nodes: Iterable[int]) -> dict[int, float]:
-    """Every node's exponent, 1 when omitted; non-positive or non-finite
-    exponents raise :class:`InstanceError`."""
-    table = {i: exponents.get(i, 1.0) for i in nodes}
-    for i, t in table.items():
-        if not 0 < t < math.inf:
-            raise InstanceError(f"exponent t[{i}]={t} must be positive and finite")
-    return table
 
 
 @dataclass(frozen=True)

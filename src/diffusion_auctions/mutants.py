@@ -45,9 +45,7 @@ class FlatFeeMechanism(Mechanism):
     integral, so the payment identity fails."""
 
     name = "mutant:flat-fee"
-
-    def __init__(self, discount: float = 5.0):
-        self.discount = float(discount)
+    discount = 5.0
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         outcome, _ = run_lblev(build_referral_tree(net, reports), reports.values(), {})
@@ -110,9 +108,7 @@ class LoserFeeMechanism(Mechanism):
     flat participation fee, violating individual rationality only."""
 
     name = "mutant:loser-fee"
-
-    def __init__(self, fee: float = 1.0):
-        self.fee = float(fee)
+    fee = 1.0
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         tree = build_referral_tree(net, reports)

@@ -325,16 +325,23 @@ def load_instance(path) -> Instance:
         return instance_from_dict(json.load(fh))
 
 
+def exponent_table(exponents: Mapping[int, float], nodes: Iterable[int]) -> dict[int, float]:
+    """Every node's exponent, 1 when omitted; non-positive or non-finite
+    exponents raise :class:`InstanceError`."""
+    table = {i: exponents.get(i, 1.0) for i in nodes}
+    for i, t in table.items():
+        if not 0 < t < math.inf:
+            raise InstanceError(f"exponent t[{i}]={t} must be positive and finite")
+    return table
+
+
 def exponents_from_dict(raw) -> dict[int, float]:
     """A JSON ``{node id: exponent}`` table, each exponent positive and finite."""
     try:
         table = {int(k): float(v) for k, v in raw.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed exponent table: {exc}") from exc
-    for node, t in table.items():
-        if not 0 < t < math.inf:
-            raise InstanceError(f"exponent t[{node}]={t} must be positive and finite")
-    return table
+    return exponent_table(table, table)
 
 
 def instance_from_dict(raw: Mapping) -> Instance:

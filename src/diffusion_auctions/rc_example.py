@@ -49,12 +49,8 @@ _FULL_FORWARD_STEPS: dict[int, tuple[tuple[float, float], ...]] = {
 _FULL_FORWARD_PAYMENT_AT_ZERO = {1: -11.0 / 3.0, 2: -3.0, 3: -2.0, 4: 0.0, 5: 0.0}
 
 
-def fig_rc_network() -> DiffusionNetwork:
-    return network_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-
-
 def fig_rc_instance() -> Instance:
-    net = fig_rc_network()
+    net = network_from_edges([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
     return Instance(net=net, reports=truthful_profile(net, FIG_RC_BIDS))
 
 

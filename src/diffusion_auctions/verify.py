@@ -182,28 +182,13 @@ class _CurveTable:
         if mids:
             self._merge(mids, gps)
 
-    # -- views of the sampled points ------------------------------------
-    def xs(self) -> list[float]:
-        return self._cols[0].tolist()
-
-    def g_at(self, x: float) -> float:
-        return float(self._cols[1, self.xs().index(x)])
-
-    def p_at(self, x: float) -> float:
-        return float(self._cols[2, self.xs().index(x)])
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sampled own values in order, with ``g`` and ``p`` at each."""
         return tuple(self._cols)
 
-    def integral_to(self, v: float) -> float:
-        """Trapezoid integral of the allocation from 0 to the sampled
-        point ``v`` over the sampled points."""
-        return float(self.prefix()[np.searchsorted(self._cols[0], v, side="right") - 1])
-
     def prefix(self) -> np.ndarray:
-        """``prefix()[k]`` is :meth:`integral_to` at the ``k``-th sampled
-        point, summed left to right as a sequential loop would."""
+        """``prefix()[k]`` integrates ``g`` by trapezoids up to the ``k``-th
+        sampled point, summed left to right as a sequential loop would."""
         if self._prefix is None:
             xs, g, _ = self._cols
             seg = 0.5 * (g[:-1] + g[1:]) * (xs[1:] - xs[:-1])
@@ -224,9 +209,6 @@ class _Context:
         self.tol = INEQ_TOL * self.vmax
         self._tables: dict[tuple[int, tuple[int, ...]], _CurveTable] = {}
         self.subset_cache: dict[int, tuple[list[frozenset[int]], bool]] = {}
-
-    def agents(self) -> list[int]:
-        return sorted(self.net.agents)
 
     def subsets(self, agent: int) -> tuple[list[frozenset[int]], bool]:
         """Tested forwarded subsets for ``agent`` and a sampled? flag."""
@@ -328,7 +310,7 @@ def _best_response(xs: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _monotonicity_impl(ctx: _Context) -> VerificationReport:
-    for agent in ctx.agents():
+    for agent in ctx.net.sorted_agents():
         for subset in ctx.subsets(agent)[0]:
             table = ctx.table(agent, subset)
             xs, g, _ = table.arrays()
@@ -344,11 +326,11 @@ def _monotonicity_impl(ctx: _Context) -> VerificationReport:
 
 
 def _identity_impl(ctx: _Context) -> VerificationReport:
-    for agent in ctx.agents():
+    for agent in ctx.net.sorted_agents():
         for subset in ctx.subsets(agent)[0]:
             table = ctx.table(agent, subset)
-            payment_at_zero = table.p_at(0.0)
             xs, g, p = table.arrays()
+            payment_at_zero = float(p[0])   # xs[0] is 0.0: grids start there, table() adds it
             expected = payment_at_zero + xs * g - table.prefix()
             scale = np.maximum(np.maximum(1.0, np.abs(expected)), np.abs(p))
             bad = np.flatnonzero(np.abs(p - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale)
@@ -367,7 +349,7 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
     largest and final ``rhs``, and ``rhs_by_value`` at the grid points."""
     grid = np.asarray(ctx.grid.points)
     details, witness = {}, None
-    for agent in ctx.agents():
+    for agent in ctx.net.sorted_agents():
         full = ctx.reports.neighbors(agent)
         t_full = ctx.table(agent, full)
         for subset in ctx.subsets(agent)[0]:
@@ -375,7 +357,7 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
                 continue
             t_sub = ctx.table(agent, subset)
             _common_points(t_sub, t_full)
-            lhs = t_sub.p_at(0.0) - t_full.p_at(0.0)
+            lhs = float(t_sub.arrays()[2][0] - t_full.arrays()[2][0])
             rhs = t_sub.prefix() - t_full.prefix()
             xs = t_sub.arrays()[0]
             over = np.flatnonzero(rhs > lhs + ctx.tol)
@@ -394,7 +376,7 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
 
 def _ddsic_impl(ctx: _Context) -> VerificationReport:
     sampled_agents = []
-    for agent in ctx.agents():
+    for agent in ctx.net.sorted_agents():
         subsets, sampled = ctx.subsets(agent)
         if sampled:
             sampled_agents.append(agent)
@@ -422,7 +404,7 @@ def _ddsic_impl(ctx: _Context) -> VerificationReport:
 
 def _ic_impl(ctx: _Context) -> VerificationReport:
     """Joint value/forwarding deviations against the truthful full report."""
-    for agent in ctx.agents():
+    for agent in ctx.net.sorted_agents():
         t_full = ctx.table(agent, ctx.reports.neighbors(agent))
         for subset in ctx.subsets(agent)[0]:
             witness = _value_deviation(t_full, ctx.table(agent, subset), ctx.tol,
@@ -435,7 +417,7 @@ def _ic_impl(ctx: _Context) -> VerificationReport:
 def _ir_impl(ctx: _Context) -> VerificationReport:
     details = {}
     compiled = ctx.mech.compile(ctx.net, ctx.reports)
-    for agent in ctx.agents():
+    for agent in ctx.net.sorted_agents():
         [(g, p)] = compiled.curve(agent, [ctx.reports.value(agent)])
         utility = ctx.reports.value(agent) * g - p
         details[agent] = utility
@@ -451,7 +433,7 @@ def _ir_impl(ctx: _Context) -> VerificationReport:
 def _misreport_impl(ctx: _Context) -> VerificationReport:
     """Strict neighbor under-reports; on general networks these re-route
     the referral tree."""
-    for agent in ctx.agents():
+    for agent in ctx.net.sorted_agents():
         full = ctx.reports.neighbors(agent)
         if not full:
             continue
@@ -544,16 +526,17 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
         table = ctx.table(w.agent, frozenset(w.subset))
         table.ensure([w.value])
         table.refine_jumps()
+        if cond == "diffusion-constraint":
+            t_full = ctx.table(w.agent, reports.neighbors(w.agent))
+            _common_points(table, t_full)   # the table already holds w.value
+        x, g, p = table.arrays()
+        k = np.searchsorted(x, w.value)
         if cond == "payment-identity":
-            expected = (table.p_at(0.0) + w.value * table.g_at(w.value)
-                        - table.integral_to(w.value))
+            expected = float(p[0] + w.value * g[k] - table.prefix()[k])
             tol = INTEGRAL_ATOL + INTEGRAL_RTOL * max(1.0, abs(expected))
-            return abs(table.p_at(w.value) - expected) > tol
-        t_full = ctx.table(w.agent, reports.neighbors(w.agent))
-        _common_points(table, t_full)   # the table already holds w.value
-        lhs = table.p_at(0.0) - t_full.p_at(0.0)
-        rhs = table.integral_to(w.value) - t_full.integral_to(w.value)
-        return rhs > lhs
+            return abs(float(p[k]) - expected) > tol
+        lhs = float(p[0] - t_full.arrays()[2][0])
+        return float(table.prefix()[k] - t_full.prefix()[k]) > lhs
     return False
 
 

@@ -20,6 +20,7 @@ from diffusion_auctions.experiments import (
     ExperimentConfig,
     assign_class_means,
     draw_valuations,
+    runner_up_exponents,
 )
 from diffusion_auctions.network import Outcome
 
@@ -37,6 +38,14 @@ class ArgminRule(LevelRule):
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
         return min(values, key=lambda i: (values[i], i), default=None)
+
+
+def exponent_schedule(base: ReferralTree, means: Mapping[int, float],
+                      lam: float) -> dict[int, float]:
+    """Every agent's exponent at ``lam``: the :func:`runner_up_exponents`
+    node's, and one for everyone else."""
+    node, (t,) = runner_up_exponents(base, means, (lam,))
+    return {i: t if i == node else 1.0 for i in sorted(base.agents())}
 
 
 def sample_valuations(n: int, sigma: float, rng: np.random.Generator) -> dict[int, float]:

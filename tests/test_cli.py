@@ -265,6 +265,33 @@ class TestVerify:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("grid, code", [("30000", 2), ("1000000000000", 2), ("19999", 3)])
+    def test_unpriceable_grid_is_an_error_not_a_failed_check(self, capsys, grid, code):
+        # above the curve budget the grid is rejected before it is built;
+        # 19999 points fit, but bisecting the jumps runs out of budget
+        start = time.perf_counter()
+        got, out, err = run_cli(capsys, "verify", "--mechanism", "idm", "--trials", "1",
+                                "--grid", grid)
+        assert time.perf_counter() - start < 0.5
+        assert got == code and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_grid_64_as_before(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--mechanism", "idm", "--trials", "1",
+                                 "--grid", "64")
+        assert code == 0 and err == "verify: 6/6 checks passed\n"
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["condition"] for r in records] == ["monotonicity", "payment-identity",
+                                                       "diffusion-constraint", "ddsic",
+                                                       "ir", "ic"]
+
+    @pytest.mark.parametrize("n", ["-3", "301"])
+    def test_agent_count_outside_the_cap_exit_2(self, capsys, n):
+        code, out, err = run_cli(capsys, "verify", "--mechanism", "idm", "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: --n must lie in [1, 300], got {n}\n"
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--mechanism", "idm",
                              "--trials", "3", "--seed", "5", "--grid", "24")
@@ -282,6 +309,13 @@ class TestGen:
         inst = load_instance(out_path)
         assert len(inst.net.agents) == 6
         assert "wrote instance" in err
+
+    @pytest.mark.parametrize("n", ["0", "100001"])
+    def test_agent_count_outside_the_cap_exit_2(self, tmp_path, capsys, n):
+        out_path = tmp_path / "random.json"
+        code, _, err = run_cli(capsys, "gen", "--n", n, "--out", str(out_path))
+        assert code == 2 and not out_path.exists()
+        assert err == f"error: --n must lie in [1, 100000], got {n}\n"
 
     def test_fixture_gen_matches_module(self, tmp_path, capsys):
         out_path = tmp_path / "fig.json"

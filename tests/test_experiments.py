@@ -9,7 +9,6 @@ from diffusion_auctions import (
     LblevAuction,
     activate_edges,
     build_referral_tree,
-    exponent_schedule,
     exponent_table,
     fixtures,
     generate_base_tree,
@@ -33,7 +32,7 @@ from diffusion_auctions.experiments import (
 )
 from diffusion_auctions.network import SELLER, InstanceError, ReferralTree, subtree_values
 
-from helpers import grid_search_lambda_star, sample_valuations
+from helpers import exponent_schedule, grid_search_lambda_star, sample_valuations
 
 
 def small_config(**overrides):
@@ -263,13 +262,10 @@ class TestExponentSchedule:
                 else:
                     assert node in base.child_tuple(SELLER) and exponents[0] == 1.0
 
-    def test_single_first_level_subtree_warns_unit(self, caplog):
+    def test_single_first_level_subtree_is_unit(self):
         base = ReferralTree(root=SELLER, parent={1: SELLER, 2: 1},
                             children={SELLER: (1,), 1: (2,)})
-        with caplog.at_level("WARNING"):
-            sched = exponent_schedule(base, {1: 70.0, 2: 100.0}, 0.8)
-        assert all(t == 1.0 for t in sched.values())
-        assert "fewer than two first-level subtrees" in caplog.text
+        assert runner_up_exponents(base, {1: 70.0, 2: 100.0}, (0.8,)) == (None, [1.0])
 
 
 class TestSweep:

@@ -749,7 +749,7 @@ def curve_points(compiled, agent, subset, profile, grid, ties):
     table.ensure(grid.points)
     table.ensure([0.0, profile.value(agent)])
     table.refine_jumps()
-    return table.xs() + list(ties)
+    return table.arrays()[0].tolist() + list(ties)
 
 
 class TestCompiledCurve:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,9 @@ class TestMutantsFail:
         reports = run_all(mech, inst, conditions=CORE_CONDITIONS)
         rep = reports[condition]
         assert replay_witness(mech, inst.net, inst.reports, rep)
+        if condition in ("payment-identity", "diffusion-constraint"):
+            # negative control: the same witness shows no violation under IDM
+            assert not replay_witness(LblevAuction(None), inst.net, inst.reports, rep)
 
     def test_mff_checks_have_dedicated_breakers(self):
         # no vacuous passes: each structural check fails on some mutant
@@ -336,6 +340,72 @@ class TestNeighborMisreport:
         assert replay_witness(BranchBiasedBonus(), net, profile, rep)
 
 
+def moved(report, value):
+    """``report`` with its witness moved to own value ``value``."""
+    return replace(report, witness=replace(report.witness, value=value))
+
+
+class TestReplayReadsTheWitnessPoint:
+    """``replay_witness`` looks the witness value up in the table columns:
+    moved to a point where the condition holds, a witness must not replay."""
+
+    def test_payment_identity_broken_at_one_value(self):
+        class Spike(Compiled):
+            def curve(self, agent, xs):
+                # threshold 5, but the payment at own value 7 alone is one too high
+                return [(1.0, 5.0 + (x == 7.0)) if x >= 5.0 else (0.0, 0.0) for x in xs]
+
+        class SpikeMechanism(Mechanism):
+            name = "test:spike"
+
+            def compile(self, net, reports):
+                return Spike(self, net, reports)
+
+        net = network_from_edges([(0, 1)])
+        profile = truthful_profile(net, {1: 7.0})
+        mech = SpikeMechanism()
+        [rep] = verify_mechanism(mech, net, profile, None, ("payment-identity",))
+        assert rep.witness.value == 7.0
+        assert [replay_witness(mech, net, profile, moved(rep, x))
+                for x in (0.0, 5.0, 7.0, 14.0)] == [False, False, True, False]
+
+    def test_diffusion_constraint_at_own_value_zero(self):
+        name, factory = DESIGNATED["diffusion-constraint"]
+        inst, mech = factory(), make_mutant(name)
+        rep = run_all(mech, inst, conditions=("diffusion-constraint",))["diffusion-constraint"]
+        assert replay_witness(mech, inst.net, inst.reports, rep)
+        # no allocation is integrated at own value 0, so nothing funds withholding
+        assert not replay_witness(mech, inst.net, inst.reports, moved(rep, 0.0))
+
+
+class TestFirstInviteFinding:
+    def test_idm_dag_fingerprint(self):
+        """IDM on the first-invite-first-served tree of a general network
+        is not forwarding-truthful.  On 200 random DAGs one instance fails:
+        in instance 4 agent 3 gains by not inviting agent 7, whom agent 5
+        also invites.  The failing set is a fixed fingerprint, as
+        ``test_c03_per_agent_exponent_withholding`` pins for per-agent
+        exponents, and every witness replays."""
+        rng = np.random.default_rng(5)
+        mech, failed = LblevAuction(None), {}
+        for k in range(200):
+            n = int(rng.integers(3, 9))
+            edges = random_dag_edges(rng, n)
+            net = network_from_edges(edges, agents=range(1, n + 1))
+            profile = truthful_profile(net, {i: float(rng.uniform(0, 100))
+                                             for i in range(1, n + 1)})
+            for rep in verify_mechanism(mech, net, profile, make_grid(profile, 16, seed=k),
+                                        ALL_CONDITIONS):
+                if not rep.passed:
+                    failed[k, rep.condition] = (rep.witness.agent, rep.witness.subset)
+                    assert replay_witness(mech, net, profile, rep), (k, rep.condition)
+            if k == 4:
+                assert sorted(edges) == [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5),
+                                         (3, 7), (4, 6), (5, 6), (5, 7)]
+        assert failed == {(4, c): (3, ()) for c in
+                          ("diffusion-constraint", "ddsic", "ic", "misreport")}
+
+
 class TestTaEquivalence:
     def test_worked_example(self):
         inst = fixtures.fig_lblev_instance()
@@ -431,10 +501,10 @@ class TestFirstWitnesses:
 
 def sequential_prefix(table):
     """The trapezoid prefix summed point by point in Python."""
-    xs = table.xs()
+    xs, g = (col.tolist() for col in table.arrays()[:2])
     prefix = [0.0]
-    for a, b in zip(xs[:-1], xs[1:]):
-        seg = 0.5 * (table.g_at(a) + table.g_at(b)) * (b - a)
+    for k in range(1, len(xs)):
+        seg = 0.5 * (g[k - 1] + g[k]) * (xs[k] - xs[k - 1])
         prefix.append(prefix[-1] + seg)
     return prefix
 
@@ -459,20 +529,22 @@ class TestCurveTablePrefix:
             inst = random_tree_instance(int(rng.integers(3, 9)), rng)
             ctx = _Context(LblevAuction(random_exponents(inst.net.agents, rng)),
                            inst.net, inst.reports, make_grid(inst.reports, size=32, seed=k))
-            for agent in ctx.agents():
+            for agent in ctx.net.sorted_agents():
                 for subset in ctx.subsets(agent)[0]:
                     yield ctx.table(agent, subset)
 
     def test_prefix_equals_the_sequential_sum(self):
         flat, jump, *rest = self.tables()
-        assert len({flat.g_at(x) for x in flat.xs()}) == 1
-        assert len({jump.g_at(x) for x in jump.xs()}) == 2
+        assert len(set(flat.arrays()[1].tolist())) == 1
+        assert len(set(jump.arrays()[1].tolist())) == 2
         for table in (flat, jump, *rest):
             expected = sequential_prefix(table)
             assert [repr(float(x)) for x in table.prefix()] == [repr(x) for x in expected]
-            for x, integral in zip(table.xs(), expected):
-                got = table.integral_to(x)
-                assert type(got) is float and repr(got) == repr(integral)
+            # each sampled point is found where replay_witness looks it up
+            xs = table.arrays()[0]
+            for x, integral in zip(xs.tolist(), expected):
+                got = float(table.prefix()[np.searchsorted(xs, x)])
+                assert repr(got) == repr(integral)
 
 
 class TestIrOverflow:
