@@ -167,20 +167,14 @@ def _virtual(dist: ValuationDistribution, x: ArrayLike) -> ArrayLike:
     return float(w) if np.ndim(w) == 0 else w
 
 
-def _finite_upper(dist: ValuationDistribution, mass: float = 0.999) -> float:
-    if math.isfinite(dist.upper):
-        return dist.upper
-    hi = 1.0
-    while float(dist.cdf(hi)) < mass:
+def check_mhr(dist: ValuationDistribution, grid_size: int = 256) -> bool:
+    """True when the hazard f/(1-F) is non-decreasing on a grid up to the
+    support's upper end, or an unbounded support's 0.999 quantile."""
+    hi = dist.upper if math.isfinite(dist.upper) else 1.0
+    while not math.isfinite(dist.upper) and float(dist.cdf(hi)) < 0.999:
         hi *= 2.0
         if hi > 1e12:
-            raise ValueError(f"{dist.name}: cannot locate the {mass} quantile")
-    return hi
-
-
-def check_mhr(dist: ValuationDistribution, grid_size: int = 256) -> bool:
-    """True when the hazard f/(1-F) is non-decreasing on a support grid."""
-    hi = _finite_upper(dist)
+            raise ValueError(f"{dist.name}: cannot locate the 0.999 quantile")
     xs = np.linspace(hi * 1e-6, hi, grid_size)
     F = np.asarray(dist.cdf(xs), dtype=float)
     f = np.asarray(dist.pdf(xs), dtype=float)

@@ -134,10 +134,12 @@ def _verify_instances(args):
 def _cmd_verify(args) -> int:
     # --trials needs no cap: each trial is printed before the next is drawn
     for flag, count, cap in (("--trials", args.trials, math.inf),
-                             ("--grid", args.grid, CURVE_BUDGET),   # one table prices them all
+                             ("--grid", args.grid, CURVE_BUDGET - 1),   # plus the true value
                              ("--n", args.n or 1, MAX_VERIFY_AGENTS)):   # 0 draws 3..10
         if not 1 <= count <= cap:
             raise InstanceError(f"{flag} must lie in [1, {cap}], got {count}")
+    if args.seed < 0:
+        raise InstanceError(f"--seed must be non-negative, got {args.seed}")
     failures = 0
     total = 0
     for label, inst, exponents in _verify_instances(args):
@@ -194,6 +196,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise InstanceError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     if args.fixture == "fig-lblev":
         inst = fixtures.fig_lblev_instance()

@@ -17,7 +17,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .mechanisms import lblev_first_level_revenues
 from .network import SELLER, InstanceError, ReferralTree, subtree_values
 
 CLASS_MEANS = (100.0, 70.0, 50.0)
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+# SeedSequence.generate_state's hash multipliers, 0x8b51f9dd * 0x58f38ded**k
+_STATE_HASH = np.array([0x8B51F9DD * 0x58F38DED**k & _M32 for k in range(9)], np.uint32)[:, None]
 
 
 @dataclass(frozen=True)
@@ -62,46 +65,38 @@ def generate_base_tree(n: int, rng: np.random.Generator) -> ReferralTree:
     parent absorbs any shortfall."""
     if n < 1:
         raise ValueError("need at least one agent")
-    pool = [int(a) for a in rng.permutation(np.arange(1, n + 1))]
+    pool = rng.permutation(np.arange(1, n + 1)).tolist()
     cap = max(1, n // 3)
     queue = [SELLER]
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    head = 0
-    while pool:
-        node = queue[head]
-        head += 1
+    children: dict[int, tuple[int, ...]] = {}
+    for node in queue:
+        if not pool:
+            break
         size = int(rng.integers(1, cap + 1))
-        kids = pool[:size]
+        children[node] = kids = tuple(pool[:size])
         pool = pool[size:]
-        children[node] = kids
-        for k in kids:
-            parent[k] = node
-            queue.append(k)
-    return ReferralTree(root=SELLER, parent=parent,
-                        children={k: tuple(v) for k, v in children.items()})
+        queue += kids
+    parent = {k: node for node, kids in children.items() for k in kids}
+    return ReferralTree(root=SELLER, parent=parent, children=children)
 
 
-def activate_edges(base: ReferralTree, rng: np.random.Generator) -> ReferralTree:
+def activate_edges(base: ReferralTree, rng: np.random.Generator) -> dict[int, int]:
     """Keep each child edge independently with its node's Beta(5,1) draw
     (inverse-cdf form u**(1/5)), a parent's keep uniform and child
-    uniforms in one call; return the seller-reachable subtree, whose
-    ``parent`` map lists every agent after its parent."""
-    parent: dict[int, int] = {}
-    children: dict[int, tuple[int, ...]] = {}
+    uniforms in one call; map each seller-reachable agent to its
+    first-level head (itself on the first level), every agent after its
+    parent."""
+    heads: dict[int, int] = {}
     frontier = [SELLER]
     for node in frontier:
         kids = base.children.get(node)
         if kids:
             keep, *draws = rng.random(len(kids) + 1).tolist()
             keep_prob = keep ** 0.2
-            kept = tuple([k for k, u in zip(kids, draws) if u < keep_prob])
-            if kept:
-                children[node] = kept
-                for k in kept:
-                    parent[k] = node
-                frontier += kept
-    return ReferralTree(root=SELLER, parent=parent, children=children)
+            kept = [k for k, u in zip(kids, draws) if u < keep_prob]
+            heads.update({k: heads.get(node, k) for k in kept})
+            frontier += kept
+    return heads
 
 
 def assign_class_means(n: int, rng: np.random.Generator) -> dict[int, float]:
@@ -144,15 +139,12 @@ def runner_up_exponents(base: ReferralTree, means: Mapping[int, float],
     return None, [1.0] * len(lambdas)
 
 
-def first_level_maxima(tree: ReferralTree,
+def first_level_maxima(heads: Mapping[int, int],
                        values: Mapping[int, float]) -> list[tuple[int, float]]:
-    """Each first-level node of an :func:`activate_edges` tree with the
-    largest value in its subtree, in tree order: one pass over
-    ``tree.parent``, which lists every agent after its parent."""
-    top: dict[int, int] = {}   # each agent's first-level ancestor
+    """Each first-level node of an :func:`activate_edges` head map with the
+    largest value in its subtree, in tree order, from one pass."""
     best: dict[int, float] = {}
-    for agent, parent in tree.parent.items():
-        head = top[agent] = agent if parent == SELLER else top[parent]
+    for agent, head in heads.items():
         if head == agent or values[agent] > best[head]:
             best[head] = values[agent]
     return list(best.items())
@@ -172,13 +164,35 @@ def outer_sample(config: ExperimentConfig, outer: int) -> tuple[ReferralTree, di
     return generate_base_tree(config.n, rng), assign_class_means(config.n, rng)
 
 
-def _inner_draw(config: ExperimentConfig, base: ReferralTree, means: Mapping[int, float],
-                outer: int, inner: int) -> tuple[ReferralTree, dict[int, float]]:
-    """The activated tree and valuations of draw (outer, inner) on a given
-    stage-one tree and class means.  Independent of lambda, so every
-    lambda sees identical draws."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, outer, inner]))
-    return activate_edges(base, rng), draw_valuations(means, config.sigma, rng)
+def draw_generators(seed: int, outer: int, inner: int) -> Iterator[np.random.Generator]:
+    """``default_rng(SeedSequence([seed, 1, outer, i]))`` for each ``i <
+    inner`` in turn, as one reused generator: numpy's ``SeedSequence`` hash
+    of every ``i`` at once in ``uint32`` columns (the words before ``i`` are
+    Python ints), then PCG64's seeding, two 128-bit LCG steps from 0."""
+    words = [key >> s & _M32 for key in (seed, 1, outer)
+             for s in range(0, max(key.bit_length(), 1), 32)] + [np.arange(inner, dtype=np.uint32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ const, const * 0x931E8875 & _M32
+        return (value := value * const & _M32) ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src, word in enumerate(words):   # the pool words mix pairwise, then each later word
+        for dst in range(4):
+            if src != dst:
+                y = hashmix(pool[src] if src < 4 else word) * 0x4973F715 & _M32
+                pool[dst] = (x := (pool[dst] * 0xCA01F9DD & _M32) - y & _M32) ^ x >> 16
+    state = (np.array(pool * 2) ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    state = (state ^ state >> 16).T.astype("<u4", order="C").view("<u8")   # [inner, 4]
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_hi, s_lo, i_hi, i_lo in state.tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _M128
+        pcg = ((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc & _M128
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": pcg, "inc": inc}}
+        yield rng
 
 
 def _sweep_outer(config: ExperimentConfig, outer: int) -> tuple[list[list[float]], int]:
@@ -189,9 +203,10 @@ def _sweep_outer(config: ExperimentConfig, outer: int) -> tuple[list[list[float]
     exponents = [1.0] + scheduled   # the unit-exponent baseline first
     pcts: list[list[float]] = []
     excluded = 0
-    for inner in range(config.inner):
-        tree, values = _inner_draw(config, base, means, outer, inner)
-        r0, *revenues = lblev_first_level_revenues(first_level_maxima(tree, values),
+    for rng in draw_generators(config.seed, outer, config.inner):
+        heads = activate_edges(base, rng)
+        values = draw_valuations(means, config.sigma, rng)
+        r0, *revenues = lblev_first_level_revenues(first_level_maxima(heads, values),
                                                    node, exponents)
         if r0 > 0:
             pcts.append([100.0 * (r - r0) / r0 for r in revenues])

@@ -30,37 +30,30 @@ FIG_LBLEV_PAY_E = 729.0 + math.sqrt(6.0)
 FIG_LBLEV_PAY_K = 729.0 + math.sqrt(6.0) + math.sqrt(16.0 - math.sqrt(6.0))
 
 
+def _truthful(edges, values, exponents=None) -> Instance:
+    """The instance on ``edges`` where every agent reports ``values`` truthfully."""
+    net = network_from_edges(edges)
+    return Instance(net=net, reports=truthful_profile(net, values), exponents=exponents)
+
+
 def fig_lblev_instance() -> Instance:
-    net = network_from_edges(
-        [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (5, 7), (5, 8)])
-    return Instance(net=net,
-                    reports=truthful_profile(net, FIG_LBLEV_VALUES),
-                    exponents=FIG_LBLEV_EXPONENTS)
+    return _truthful([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (5, 7), (5, 8)],
+                     FIG_LBLEV_VALUES, FIG_LBLEV_EXPONENTS)
 
 
 def depth1_instance(values=(10.0, 7.0)) -> Instance:
     """Star network: the seller connected to one agent per value."""
-    n = len(values)
-    net = network_from_edges([(0, i) for i in range(1, n + 1)],
-                             agents=range(1, n + 1))
-    vals = {i + 1: float(v) for i, v in enumerate(values)}
-    return Instance(net=net, reports=truthful_profile(net, vals))
+    return _truthful([(0, i) for i in range(1, len(values) + 1)], dict(enumerate(values, 1)))
 
 
 def chain_instance(values=(5.0, 10.0)) -> Instance:
     """Path network seller -> 1 -> 2 -> ...; forwarders earn nothing in
     the greedy mutant, which is the point of this fixture."""
-    n = len(values)
-    edges = [(i, i + 1) for i in range(n)]
-    net = network_from_edges(edges, agents=range(1, n + 1))
-    vals = {i + 1: float(v) for i, v in enumerate(values)}
-    return Instance(net=net, reports=truthful_profile(net, vals))
+    return _truthful([(i, i + 1) for i in range(len(values))], dict(enumerate(values, 1)))
 
 
 def offset_trap_instance() -> Instance:
     """Two first-level subtrees where the forwarding agent's level price
     exceeds what its children would pay it under a no-offset rule:
     seller -> {1, 2}, 1 -> {3, 4}, values 1, 80, 100, 5."""
-    net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4)])
-    values = {1: 1.0, 2: 80.0, 3: 100.0, 4: 5.0}
-    return Instance(net=net, reports=truthful_profile(net, values))
+    return _truthful([(0, 1), (0, 2), (1, 3), (1, 4)], {1: 1.0, 2: 80.0, 3: 100.0, 4: 5.0})

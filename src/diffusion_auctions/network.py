@@ -132,9 +132,7 @@ def bfs_timestamps(net: DiffusionNetwork) -> dict[int, int]:
     frontier = sorted(net.neighbors(net.seller))
     while frontier:
         nxt: set[int] = set()
-        for node in frontier:
-            if node in seen:
-                continue
+        for node in frontier:   # distinct, and none seen yet
             seen.add(node)
             order[node] = stamp
             stamp += 1

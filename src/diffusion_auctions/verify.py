@@ -137,11 +137,10 @@ class _CurveTable:
                 where = f"pricing {len(xs)} points in [{min(xs)!r}, {max(xs)!r}]"
             else:
                 lo, _, hi, _ = splits[self._budget]
-                where = f"splitting [{lo!r}, {hi!r}]"
+                where = f"splitting [{lo!r}, {hi!r}] (allocation appears pathological)"
             raise VerificationError(
                 f"curve evaluation budget of {CURVE_BUDGET} exhausted for agent "
-                f"{self.agent} forwarding to {self.subset} while {where} "
-                "(allocation appears pathological)")
+                f"{self.agent} forwarding to {self.subset} while {where}")
         self._budget -= len(xs)
         return self._compiled.curve(self.agent, xs)
 
@@ -212,26 +211,22 @@ class _Context:
 
     def subsets(self, agent: int) -> tuple[list[frozenset[int]], bool]:
         """Tested forwarded subsets for ``agent`` and a sampled? flag."""
-        if agent in self.subset_cache:
-            return self.subset_cache[agent]
-        full = self.reports.neighbors(agent)
-        members = sorted(full)
-        if len(members) <= SUBSET_CAP:
-            subsets = [frozenset(c)
-                       for r in range(len(members) + 1)
-                       for c in itertools.combinations(members, r)]
-            sampled = False
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.grid.seed, agent]))
-            chosen = {frozenset(), frozenset(members)}
-            while len(chosen) < SUBSET_SAMPLES:
-                mask = rng.integers(0, 2, size=len(members)).astype(bool)
-                chosen.add(frozenset(m for m, keep in zip(members, mask) if keep))
-            subsets = sorted(chosen, key=lambda s: (len(s), sorted(s)))
-            sampled = True
-        self.subset_cache[agent] = (subsets, sampled)
-        return subsets, sampled
+        if agent not in self.subset_cache:
+            members = sorted(self.reports.neighbors(agent))
+            if len(members) <= SUBSET_CAP:
+                subsets = [frozenset(c)
+                           for r in range(len(members) + 1)
+                           for c in itertools.combinations(members, r)]
+            else:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence([self.grid.seed, agent]))
+                chosen = {frozenset(), frozenset(members)}
+                while len(chosen) < SUBSET_SAMPLES:
+                    mask = rng.integers(0, 2, size=len(members)).astype(bool)
+                    chosen.add(frozenset(m for m, keep in zip(members, mask) if keep))
+                subsets = sorted(chosen, key=lambda s: (len(s), sorted(s)))
+            self.subset_cache[agent] = (subsets, len(members) > SUBSET_CAP)
+        return self.subset_cache[agent]
 
     def table(self, agent: int, subset: frozenset[int]) -> _CurveTable:
         key = (agent, tuple(sorted(subset)))

@@ -10,6 +10,7 @@ import numpy as np
 from scipy import integrate
 
 from diffusion_auctions import (
+    SELLER,
     LevelRule,
     ReferralTree,
     ValuationDistribution,
@@ -46,6 +47,36 @@ def exponent_schedule(base: ReferralTree, means: Mapping[int, float],
     node's, and one for everyone else."""
     node, (t,) = runner_up_exponents(base, means, (lam,))
     return {i: t if i == node else 1.0 for i in sorted(base.agents())}
+
+
+def activate_tree(base: ReferralTree, rng: np.random.Generator) -> ReferralTree:
+    """The realized tree of ``experiments.activate_edges``' draws: each
+    reached parent's keep uniform and child uniforms from one
+    ``rng.random(k + 1)``, parents in breadth-first order, kept as the
+    seller-reachable subtree instead of first-level heads."""
+    parent: dict[int, int] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    frontier = [SELLER]
+    for node in frontier:
+        kids = base.children.get(node)
+        if kids:
+            keep, *draws = rng.random(len(kids) + 1).tolist()
+            keep_prob = keep ** 0.2
+            kept = tuple([k for k, u in zip(kids, draws) if u < keep_prob])
+            if kept:
+                children[node] = kept
+                for k in kept:
+                    parent[k] = node
+                frontier += kept
+    return ReferralTree(root=SELLER, parent=parent, children=children)
+
+
+def inner_draw(config: ExperimentConfig, base: ReferralTree, means: Mapping[int, float],
+               outer: int, inner: int) -> tuple[ReferralTree, dict[int, float]]:
+    """The realized tree and valuations of sweep draw (outer, inner), from
+    numpy's own ``default_rng(SeedSequence([seed, 1, outer, inner]))``."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, outer, inner]))
+    return activate_tree(base, rng), draw_valuations(means, config.sigma, rng)
 
 
 def sample_valuations(n: int, sigma: float, rng: np.random.Generator) -> dict[int, float]:

@@ -277,6 +277,28 @@ class TestVerify:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_grid_at_the_budget_exit_2(self, capsys):
+        # the grid plus the true value would be one point over the curve budget
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--mechanism", "idm", "--trials", "1",
+                                 "--grid", "20000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == "error: --grid must lie in [1, 19999], got 20000\n"
+
+    def test_only_a_bisection_split_is_called_pathological(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--mechanism", "idm", "--trials", "1",
+                               "--grid", "19999")
+        assert code == 3
+        assert "while splitting [" in err
+        assert err.endswith(" (allocation appears pathological)\n")
+
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--mechanism", "idm", "--trials", "1",
+                                 "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be non-negative, got -1\n"
+
     def test_grid_64_as_before(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--mechanism", "idm", "--trials", "1",
                                  "--grid", "64")
@@ -316,6 +338,14 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "--n", n, "--out", str(out_path))
         assert code == 2 and not out_path.exists()
         assert err == f"error: --n must lie in [1, 100000], got {n}\n"
+
+    @pytest.mark.parametrize("fixture", ["random", "fig-lblev"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, fixture):
+        out_path = tmp_path / "random.json"
+        code, out, err = run_cli(capsys, "gen", "--fixture", fixture, "--seed", "-1",
+                                 "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert err == "error: --seed must be non-negative, got -1\n"
 
     def test_fixture_gen_matches_module(self, tmp_path, capsys):
         out_path = tmp_path / "fig.json"

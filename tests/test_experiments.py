@@ -23,7 +23,7 @@ from diffusion_auctions import experiments
 from diffusion_auctions.experiments import (
     SweepRow,
     assign_class_means,
-    _inner_draw,
+    draw_generators,
     draw_valuations,
     first_level_maxima,
     outer_sample,
@@ -32,7 +32,7 @@ from diffusion_auctions.experiments import (
 )
 from diffusion_auctions.network import SELLER, InstanceError, ReferralTree, subtree_values
 
-from helpers import exponent_schedule, grid_search_lambda_star, sample_valuations
+from helpers import exponent_schedule, grid_search_lambda_star, inner_draw, sample_valuations
 
 
 def small_config(**overrides):
@@ -93,22 +93,27 @@ class TestActivation:
         # is drawn as u**(1/5), whose mean is 5/6
         base = ReferralTree(root=SELLER, parent={1: SELLER}, children={SELLER: (1,)})
         rng = np.random.default_rng(123)
-        kept = sum(1 in activate_edges(base, rng).agents() for _ in range(100000))
+        kept = sum(1 in activate_edges(base, rng) for _ in range(100000))
         assert kept / 100000 == pytest.approx(5.0 / 6.0, abs=0.01)
 
     def test_full_tree_possible_and_subtree_always(self):
         rng = np.random.default_rng(2)
         base = generate_base_tree(12, rng)
         for _ in range(50):
-            tree = activate_edges(base, rng)
-            for agent in tree.agents():
-                assert tree.parent[agent] == base.parent[agent]
+            heads = activate_edges(base, rng)
+            placed = {SELLER}
+            for agent, head in heads.items():
+                # every agent follows its base parent and shares its head
+                parent = base.parent[agent]
+                assert parent in placed
+                assert head == (agent if parent == SELLER else heads[parent])
+                placed.add(agent)
 
     def test_deterministic_under_seed(self):
         base = generate_base_tree(10, np.random.default_rng(4))
         t1 = activate_edges(base, np.random.default_rng(9))
         t2 = activate_edges(base, np.random.default_rng(9))
-        assert t1 == t2
+        assert list(t1.items()) == list(t2.items())
 
 
 class TestValuations:
@@ -136,9 +141,30 @@ class TestValuations:
         assert all(v >= 0.0 for v in values.values())
 
 
+class TestDrawGenerators:
+    """``draw_generators`` re-derives numpy's seeding (the ``SeedSequence``
+    hash and PCG64's seeding step), so a numpy change to either fails here
+    instead of silently moving the sweep's rows."""
+
+    @pytest.mark.parametrize("outer", [0, 49, 2**32 + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_states_and_streams_equal_numpy_seeding(self, seed, outer):
+        inner = -1
+        for inner, rng in enumerate(draw_generators(seed, outer, 40)):
+            ref = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence([seed, 1, outer, inner])))
+            assert rng.bit_generator.state == ref.bit_generator.state, inner
+            assert rng.random(8).tolist() == ref.random(8).tolist(), inner
+            assert rng.standard_normal(8).tolist() == ref.standard_normal(8).tolist(), inner
+        assert inner == 39
+
+    def test_no_inner_draws(self):
+        assert list(draw_generators(42, 0, 0)) == []
+
+
 def scalar_activate_edges(base, rng):
     """``activate_edges`` in its scalar draw form: one ``rng.uniform()``
-    per reached parent and one per child."""
+    per reached parent and one per child, building the realized tree."""
     parent, children = {}, {}
     frontier = [SELLER]
     while frontier:
@@ -156,60 +182,73 @@ def scalar_activate_edges(base, rng):
     return ReferralTree(root=SELLER, parent=parent, children=children)
 
 
+def heads_of(tree):
+    """Each agent of a realized tree with its first-level ancestor (itself
+    on the first level), in the order of ``tree.parent``."""
+    heads = {}
+    for agent, parent in tree.parent.items():
+        heads[agent] = agent if parent == SELLER else heads[parent]
+    return heads
+
+
 def scalar_draw_valuations(means, sigma, rng):
     """``draw_valuations`` in its scalar draw form: one ``rng.normal`` per agent."""
     return {i: max(0.0, float(rng.normal(mu, sigma))) for i, mu in sorted(means.items())}
 
 
+def paired_draws():
+    """Per base tree, the sweep's generator for one draw (outer 0 of seed
+    ``n``) and numpy's own generator for the same key."""
+    for n in (3, 4, 10, 25, 40):
+        for inner, fast in enumerate(draw_generators(n, 0, 300)):
+            stage_one = np.random.default_rng([inner, n])
+            base = generate_base_tree(n, stage_one)
+            means = assign_class_means(n, stage_one)
+            slow = np.random.default_rng(np.random.SeedSequence([n, 1, 0, inner]))
+            yield (n, inner), base, means, fast, slow
+
+
 class TestDrawForms:
-    """The batched draws give the doubles of the scalar forms the sweep's
-    rows were recorded with, and leave the stream at the same state."""
+    """The sweep's draws give the doubles of the scalar forms on numpy's
+    own generator, which the sweep's rows were recorded with, and leave
+    the stream at the same state."""
 
     def test_same_trees_values_and_stream_state(self):
         clamped = kept_edges = 0
-        for n in (3, 4, 10, 25, 40):
-            for seed in range(300):
-                stage_one = np.random.default_rng([seed, n])
-                base = generate_base_tree(n, stage_one)
-                means = assign_class_means(n, stage_one)
-                fast = np.random.default_rng([seed, n, 1])
-                slow = np.random.default_rng([seed, n, 1])
-                tree = activate_edges(base, fast)
-                assert tree == scalar_activate_edges(base, slow), (n, seed)
-                assert fast.bit_generator.state == slow.bit_generator.state
-                kept_edges += len(tree.agents())
-                for sigma in (5.0, 1e6):
-                    values = draw_valuations(means, sigma, fast)
-                    assert values == scalar_draw_valuations(means, sigma, slow), (n, seed)
-                    assert fast.bit_generator.state == slow.bit_generator.state
-                    assert all(type(v) is float for v in values.values())
-                    clamped += sum(v == 0.0 for v in values.values())
+        for key, base, means, fast, slow in paired_draws():
+            heads = activate_edges(base, fast)
+            tree = scalar_activate_edges(base, slow)
+            assert list(heads.items()) == list(heads_of(tree).items()), key
+            assert fast.bit_generator.state == slow.bit_generator.state, key
+            kept_edges += len(heads)
+            for sigma in (5.0, 1e6):
+                values = draw_valuations(means, sigma, fast)
+                assert values == scalar_draw_valuations(means, sigma, slow), key
+                assert fast.bit_generator.state == slow.bit_generator.state, key
+                assert all(type(v) is float for v in values.values())
+                clamped += sum(v == 0.0 for v in values.values())
         # both forms are exercised well away from their trivial cases
         assert kept_edges > 10000 and clamped > 10000
 
 
 class TestDrawPath:
     """What the sweep's first-level pass reads off a draw, over the
-    ``TestDrawForms`` stream."""
+    ``TestDrawForms`` streams."""
 
     def test_parents_first_and_first_level_maxima(self):
         multi = 0
-        for n in (3, 4, 10, 25, 40):
-            for seed in range(300):
-                stage_one = np.random.default_rng([seed, n])
-                base = generate_base_tree(n, stage_one)
-                means = assign_class_means(n, stage_one)
-                rng = np.random.default_rng([seed, n, 1])
-                tree = activate_edges(base, rng)
-                placed = {SELLER}
-                for agent, parent in tree.parent.items():
-                    assert parent in placed, (n, seed, agent)
-                    placed.add(agent)
-                for sigma in (5.0, 1e6):
-                    values = draw_valuations(means, sigma, rng)
-                    first = first_level_maxima(tree, values)
-                    assert first == reference_first_level(tree, values), (n, seed)
-                    multi += len(first) >= 2
+        for key, base, means, fast, slow in paired_draws():
+            heads = activate_edges(base, fast)
+            tree = scalar_activate_edges(base, slow)
+            placed = {SELLER}
+            for agent in heads:
+                assert base.parent[agent] in placed, (key, agent)
+                placed.add(agent)
+            for sigma in (5.0, 1e6):
+                values = draw_valuations(means, sigma, fast)
+                first = first_level_maxima(heads, values)
+                assert first == reference_first_level(tree, values), key
+                multi += len(first) >= 2
         assert multi > 1000
 
     def test_overflowing_draw_rejected(self):
@@ -325,7 +364,7 @@ class TestSweep:
             for inner in range(config.inner):
                 if rng.random() > 0.2:
                     continue
-                tree, values = _inner_draw(config, base, means, outer, inner)
+                tree, values = inner_draw(config, base, means, outer, inner)
                 if not tree.agents():
                     continue
                 edges = [(tree.parent[a], a) for a in tree.agents()]
@@ -346,7 +385,7 @@ class TestSweep:
                 if len(base.child_tuple(SELLER)) >= 2 \
                 else {i: 1.0 for i in range(1, config.n + 1)}
             for inner in range(config.inner):
-                tree, values = _inner_draw(config, base, means, outer, inner)
+                tree, values = inner_draw(config, base, means, outer, inner)
                 base_out, _ = run_lblev(tree, values, {})
                 if base_out.seller_revenue <= 0:
                     continue
@@ -373,7 +412,7 @@ def reference_rows(config):
         base, means = outer_sample(config, outer)
         node, scheduled = runner_up_exponents(base, means, config.lambdas)
         for inner in range(config.inner):
-            tree, values = _inner_draw(config, base, means, outer, inner)
+            tree, values = inner_draw(config, base, means, outer, inner)
             r0, *revenues = lblev_first_level_revenues(
                 reference_first_level(tree, values), node, [1.0] + scheduled)
             if r0 > 0:
@@ -434,7 +473,7 @@ class TestSellerRevenues:
             node, scheduled = runner_up_exponents(base, means, config.lambdas)
             exponents = [1.0] + scheduled
             for inner in range(config.inner):
-                tree, values = _inner_draw(config, base, means, outer, inner)
+                tree, values = inner_draw(config, base, means, outer, inner)
                 first = reference_first_level(tree, values)
                 fast = lblev_first_level_revenues(first, node, exponents)
                 slow = [run_lblev(tree, values, {} if node is None else {node: t})[0]

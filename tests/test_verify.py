@@ -27,8 +27,9 @@ from diffusion_auctions.mutants import DESIGNATED, MUTANTS, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.mechanisms import Compiled, Mechanism
 from diffusion_auctions.network import Outcome
-from diffusion_auctions.verify import (ALL_CONDITIONS, CORE_CONDITIONS, VerificationError,
-                                       _best_response, _Context, random_exponents)
+from diffusion_auctions.verify import (ALL_CONDITIONS, CORE_CONDITIONS, CURVE_BUDGET,
+                                       DeviationGrid, VerificationError, _best_response,
+                                       _Context, random_exponents)
 
 from oracles import naive_forwarding_utility, random_dag_edges
 
@@ -473,6 +474,18 @@ class TestCurveBudget:
         assert 0.0 <= lo < hi <= 20.0
         # the bracket straddles a step that is still to be pinned down
         assert math.floor(lo * steps / 20.0) < math.floor(hi * steps / 20.0)
+
+
+    def test_too_many_points_are_not_called_pathological(self):
+        # pricing more points than the budget holds says so, and blames no split
+        net = network_from_edges([(0, 1), (1, 2)])
+        profile = truthful_profile(net, {1: 10.0, 2: 3.0})
+        grid = DeviationGrid(points=tuple(np.linspace(0.0, 20.0, CURVE_BUDGET + 1).tolist()))
+        with pytest.raises(VerificationError) as err:
+            verify_mechanism(LblevAuction(None), net, profile, grid, ("monotonicity",))
+        assert re.search(r"agent 1 forwarding to \(\) while pricing \d+ points in "
+                         r"\[0\.0, 20\.0\]$", str(err.value)), str(err.value)
+        assert "pathological" not in str(err.value)
 
 
 class TestFirstWitnesses:
