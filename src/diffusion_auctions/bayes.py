@@ -33,7 +33,6 @@ from .mechanisms import (
     _draw_matrix,
     _myerson_level,
     _run_levels,
-    _settle,
     exponent_table,
     run_lblev,
     run_referral_auction,
@@ -280,13 +279,11 @@ def _run_maxviva(tree: ReferralTree, values: Mapping[int, float],
     win, price = _maxviva_prices(first_level_dists, first, np.array([[submax[i] for i in first]]))
     if win[0] < 0:
         return Outcome({}, {}, 0.0)
-    winner1, price1 = first[win[0]], float(price[0])
     # Levels below the first are revenue-neutral; descend with the plain
-    # highest-value rule starting from the decided winner and price.
-    winner, pay_rest, _ = _run_levels(tree, values, submax,
-                                      partial(_myerson_level, ArgmaxRule()),
-                                      start_parent=winner1, start_offset=price1)
-    return _settle(winner, {winner1: price1, **pay_rest})
+    # highest-value rule below the decided winner and price.
+    return _run_levels(tree, values, submax,
+                       partial(_myerson_level, ArgmaxRule()),
+                       {first[win[0]]: float(price[0])})[0]
 
 
 class MaxVivaAuction(Mechanism):
@@ -325,6 +322,8 @@ def _rival_matrix(ids: Sequence[int], dists: Mapping[int, ValuationDistribution]
     """Per-agent valuation columns from one seeded stream.  The stream
     never depends on which agent is pinned or at what value, so repeated
     calls share draws (common random numbers)."""
+    if missing := [i for i in ids if i not in dists]:
+        raise ValueError(f"missing valuation distribution for agents {missing}")
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     cols = [dists[i].sample(rng, samples) for i in ids]
     return np.column_stack(cols)

@@ -56,24 +56,24 @@ def _run_levels(
     values: Mapping[int, float],
     submax: Mapping[int, float],
     select: Callable[[list[tuple[int, float]]], Optional[tuple[int, float]]],
-    start_parent: Optional[int] = None,
-    start_offset: float = 0.0,
-) -> tuple[Optional[int], dict[int, float], list[LevelTrace]]:
-    """Shared descent loop.
+    pay: Optional[Mapping[int, float]] = None,
+) -> tuple[Outcome, list[LevelTrace]]:
+    """Shared descent loop and its settlement.
 
     ``select`` receives the surviving (node, rho) pairs of a level with
     at least two entries and returns the tentative winner and its
     effective payment, or ``None`` to decline the level entirely.
-    ``start_parent``/``start_offset`` resume the descent below a level
-    that was decided by other means.  Returns (winner, {path node:
-    payment to its parent}, traces); the start node's own payment is not
-    included.
+    ``pay``, the payment chain {node: payment to its parent} of levels
+    decided by other means, resumes the descent below its last node.
+    When every first-level subtree maximum is 0, or there is no first
+    level, the item is unsold and there are no traces.
     """
+    if all(submax[c] == 0.0 for c in tree.child_tuple(tree.root)):
+        return Outcome({}, {}, 0.0), []
     children = tree.children
-    parent = tree.root if start_parent is None else start_parent
-    offset = start_offset
-    pay: dict[int, float] = {}
-    tentative: Optional[int] = None if parent == tree.root else parent
+    pay = dict(pay or {})
+    parent = next(reversed(pay), tree.root)
+    offset = pay.get(parent, 0.0)
     traces: list[LevelTrace] = []
 
     while True:
@@ -96,24 +96,24 @@ def _run_levels(
         actual = offset + z
         pay[i_star] = actual
         traces.append(LevelTrace(parent, offset, tuple(survivors), i_star, z, actual))
-        tentative = i_star
         parent, offset = i_star, actual
         if not children.get(i_star):
             break   # reached a leaf
 
-    return tentative, pay, traces
+    return _settle(pay), traces
 
 
-def _settle(winner: Optional[int], pay: Mapping[int, float]) -> Outcome:
-    """The outcome of a descent: the winner gets the item, and each node
-    of the payment chain pays its parent and receives the next node's
-    payment (``pay`` is in descent order).  The seller gets the first."""
-    if winner is None:
+def _settle(pay: Mapping[int, float]) -> Outcome:
+    """The outcome of a descent's payment chain ``pay``, {node: payment to
+    its parent} in descent order: its last node gets the item, each node
+    pays its parent and receives the next node's payment, and the seller
+    gets the first.  An empty chain leaves the item unsold."""
+    if not pay:
         return Outcome({}, {}, 0.0)
     path = list(pay)
     payments = {node: pay[node] - (pay[path[k + 1]] if k + 1 < len(path) else 0.0)
                 for k, node in enumerate(path)}
-    return Outcome({winner: 1.0}, payments, pay[path[0]], winner)
+    return Outcome({path[-1]: 1.0}, payments, pay[path[0]], path[-1])
 
 
 def _check_power_range(texp: Mapping[int, float], top: float) -> None:
@@ -193,10 +193,7 @@ def run_lblev(tree: ReferralTree, values: Mapping[int, float],
     submax = subtree_values(tree, values)
     top = max((submax[c] for c in tree.child_tuple(tree.root)), default=0.0)
     _check_power_range(texp, top)
-    if top == 0.0:
-        return Outcome({}, {}, 0.0), []
-    winner, pay, traces = _run_levels(tree, values, submax, partial(_rank_level, texp))
-    return _settle(winner, pay), traces
+    return _run_levels(tree, values, submax, partial(_rank_level, texp))
 
 
 def lblev_first_level_revenues(first: Sequence[tuple[int, float]], node: Optional[int],
@@ -340,11 +337,8 @@ def run_referral_auction(net: DiffusionNetwork, reports: ReportProfile,
     """
     tree = build_referral_tree(net, reports)
     values = reports.values()
-    if all(values[i] == 0.0 for i in tree.agents()):
-        return Outcome({}, {}, 0.0), []
-    winner, pay, traces = _run_levels(tree, values, subtree_values(tree, values),
-                                      partial(_myerson_level, rule))
-    return _settle(winner, pay), traces
+    return _run_levels(tree, values, subtree_values(tree, values),
+                       partial(_myerson_level, rule))
 
 
 def transformed_auction_revenue(net: DiffusionNetwork, reports: ReportProfile,
@@ -433,8 +427,9 @@ class Compiled:
 class LblevCurves(Compiled):
     """:class:`LblevAuction` compiled for one report profile.
 
-    The referral tree, the checked exponent table and the subtree maxima
-    are built once, and the profile must pass :func:`_check_power_range`.
+    The referral tree and the checked exponent table are built once, and
+    the profile must pass :func:`_check_power_range`; the subtree maxima
+    come only from each plan's pass that leaves the agent out.
     While the path child wins, each level of an agent's root path is
     reached at one offset, so all of it but its ``rho`` is constant: the
     first :meth:`curve` call for the agent plans the path, and a point
@@ -449,7 +444,6 @@ class LblevCurves(Compiled):
         self._values = {i: reports.value(i) for i in tree.agents()}
         self._top = max(self._values.values(), default=0.0)   # the largest checked value
         _check_power_range(self._texp, self._top)
-        self._submax = subtree_values(tree, self._values)
         self._plans: dict[int, tuple] = {}
 
     def _plan(self, agent: int) -> tuple:
@@ -460,8 +454,9 @@ class LblevCurves(Compiled):
         rho) or None, the child's payment when it wins or None when the
         parent keeps the item); the plan ends at the first kept level, and
         then no point reaches the own level, which is None."""
-        tree, texp, submax, values = self.tree, self._texp, self._submax, self._values
-        best = subtree_values(tree, {**values, agent: -math.inf})   # leaving out the agent
+        tree, texp, values = self.tree, self._texp, self._values
+        # leaving out the agent, which changes no subtree maximum off its root path
+        best = subtree_values(tree, {**values, agent: -math.inf})
         path = [agent]
         while (parent := tree.parent[path[-1]]) != tree.root:
             path.append(parent)
@@ -469,7 +464,7 @@ class LblevCurves(Compiled):
         for node in reversed(path):   # top-down, at each offset
             parent = tree.parent[node]
             rivals = [(s, r if r >= 0.0 else 0.0) for s in tree.child_tuple(parent)
-                      if s != node and (r := submax[s] - pay) >= -EQ_TOL]
+                      if s != node and (r := best[s] - pay) >= -EQ_TOL]
             rival = min(((r ** texp[s], s, r) for s, r in rivals),
                         key=lambda e: (-e[0], e[1]), default=None)
             z = rival[2] ** (texp[rival[1]] / texp[node]) if rival else 0.0
@@ -479,7 +474,7 @@ class LblevCurves(Compiled):
                 break   # the parent keeps the item: no point gets below it
         else:
             survivors = [(c, rho if rho >= 0.0 else 0.0) for c in tree.child_tuple(agent)
-                         if (rho := submax[c] - pay) >= -EQ_TOL]
+                         if (rho := best[c] - pay) >= -EQ_TOL]
             z = _rank_level(texp, survivors)[1] if len(survivors) >= 2 else 0.0
             own = (pay + z - EQ_TOL, pay - (pay + z)) if survivors else (-math.inf, 0.0)
         others_zero = all(v == 0.0 for i, v in values.items() if i != agent)

@@ -16,6 +16,7 @@ from . import fixtures
 from .mechanisms import Mechanism, _settle, run_lblev
 from .network import (
     DiffusionNetwork,
+    InstanceError,
     Outcome,
     ReportProfile,
     build_referral_tree,
@@ -100,7 +101,7 @@ class NoOffsetLevelMechanism(Mechanism):
                 break
             pay[best] = submax[ranked[1]] if len(ranked) > 1 else 0.0
             node = best
-        return _settle(node if node != tree.root else None, pay)
+        return _settle(pay)
 
 
 class LoserFeeMechanism(Mechanism):
@@ -145,4 +146,4 @@ def make_mutant(name: str) -> Mechanism:
     try:
         return MUTANTS[name]()
     except KeyError:
-        raise ValueError(f"unknown mutant {name!r}") from None
+        raise InstanceError(f"unknown mutant {name!r}") from None

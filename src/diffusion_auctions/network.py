@@ -188,11 +188,7 @@ class ReferralTree:
     children: Mapping[int, tuple[int, ...]]
 
     def agents(self) -> frozenset[int]:
-        cached = getattr(self, "_agents", None)
-        if cached is None:
-            cached = frozenset(self.parent.keys())
-            object.__setattr__(self, "_agents", cached)
-        return cached
+        return frozenset(self.parent)
 
     def subtree(self, node: int) -> Iterator[int]:
         """Iterate over the subtree rooted at ``node`` (inclusive)."""

@@ -20,9 +20,7 @@ Conditions:
 * ``ic``                  - joint value/forwarding deviations;
 * ``ir``                  - truthful utility is non-negative;
 * ``misreport``           - strict neighbor under-reports (referral
-  family: deviations re-route the tree);
-* ``ta-equivalence``      - seller revenue matches the first-level
-  transformed auction.
+  family: deviations re-route the tree).
 """
 
 from __future__ import annotations
@@ -459,7 +457,10 @@ def verify_mechanism(mech: Mechanism, net: DiffusionNetwork,
                      conditions: Sequence[str] = CORE_CONDITIONS) -> list[VerificationReport]:
     """The one entry point of the grid checks: one report per condition,
     in order, with curve tables shared across the conditions.  ``grid``
-    defaults to :func:`make_grid` of ``reports``."""
+    defaults to :func:`make_grid` of ``reports``.  An unknown condition
+    raises ``ValueError`` before any check runs."""
+    if unknown := [c for c in conditions if c not in _IMPLS]:
+        raise ValueError(f"unknown conditions {unknown}; known: {list(ALL_CONDITIONS)}")
     grid = grid or make_grid(reports)
     ctx = _Context(mech, net, reports, grid)
     return [_IMPLS[c](ctx) for c in conditions]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -270,6 +271,32 @@ class TestRunMaxViva:
         with pytest.raises(ValueError):
             run_maxviva(inst.net, inst.reports, {1: UNIT})
 
+    # sha256 over repr(run_maxviva) and repr(MaxVivaAuction(UNIT).run) on
+    # the 40 deep trees below, recorded before the descent below the first
+    # level was resumed from the payment chain instead of a start node and
+    # offset
+    RESUMED_DESCENT_DIGEST = "a6039e46bd8cbf16295d61253dfc8d7edaa0cff530af5b9ac6ba414352595c72"
+
+    def test_resumed_descent_digest(self):
+        wide = uniform_distribution(0.0, 2.0)
+        rng = np.random.default_rng(2323)
+        digest = hashlib.sha256()
+        deep = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 16))
+            # each agent hangs below one of the three before it, so the trees run deep
+            parents = {k: int(rng.integers(max(0, k - 3), k)) for k in range(1, n + 1)}
+            net = network_from_edges([(p, k) for k, p in parents.items()])
+            values = {k: float(rng.uniform(0, 1)) if rng.random() > 0.2 else 0.0
+                      for k in parents}
+            profile = truthful_profile(net, values)
+            dists = {k: (UNIT, wide)[k % 2] for k, p in parents.items() if p == 0}
+            for out in (run_maxviva(net, profile, dists), MaxVivaAuction(UNIT).run(net, profile)):
+                digest.update(repr(out).encode())
+                deep += len(out.payments) > 1   # the winner sits below the first level
+        assert deep == 27
+        assert digest.hexdigest() == self.RESUMED_DESCENT_DIGEST, digest.hexdigest()
+
     def test_run_keeps_one_prior_per_subtree_size(self, monkeypatch):
         made = []
         monkeypatch.setattr(bayes, "max_of_iid", lambda *args: made.append(args) or max_of_iid(*args))
@@ -364,6 +391,27 @@ class TestInterimEstimates:
             batch = estimate_interim(lblev, net, dists, agent, value, samples, seed)
             assert batch.allocation == expect.allocation
             assert batch.payment == pytest.approx(expect.payment, abs=1e-12)
+
+
+class TestMissingPriors:
+    # agent 3 of this network has no distribution
+    NET = network_from_edges([(0, 1), (0, 2), (1, 3)])
+    DISTS = {1: UNIT, 2: UNIT}
+    MISSING = r"missing valuation distribution for agents \[{}\]"
+
+    def test_expected_revenue(self):
+        with pytest.raises(ValueError, match=self.MISSING.format(3)):
+            expected_revenue(LblevAuction(), self.NET, self.DISTS, trials=10, seed=0)
+
+    def test_estimate_interim(self):
+        with pytest.raises(ValueError, match=self.MISSING.format(3)):
+            estimate_interim(LblevAuction(), self.NET, self.DISTS, agent=1, value=0.5,
+                             samples=10, seed=0)
+
+    def test_paired_revenue_gap(self):
+        with pytest.raises(ValueError, match=self.MISSING.format("2, 3")):
+            paired_revenue_gap(LblevAuction(), SecondPriceTA(), self.NET, {1: UNIT},
+                               trials=10, seed=0)
 
 
 class TestExpectedRevenue:

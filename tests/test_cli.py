@@ -104,12 +104,14 @@ class TestRun:
         inst = fixtures.depth1_instance((0.0, 0.0))
         path = tmp_path / "zeros.json"
         save_instance(inst, path)
-        code, out, _ = run_cli(capsys, "run", "--instance", str(path),
-                               "--mechanism", "idm")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["winner"] is None
-        assert all(v == 0.0 for v in payload["payments"].values())
+        for mechanism in ("idm", "lblev", "ra:argmax"):
+            code, out, _ = run_cli(capsys, "run", "--instance", str(path),
+                                   "--mechanism", mechanism)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["winner"] is None
+            assert all(v == 0.0 for v in payload["payments"].values())
+            assert payload["traces"] == []   # the descent never starts
 
     def test_rc3(self, tmp_path, capsys):
         path = tmp_path / "rc.json"
@@ -138,6 +140,12 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", "--instance", fig_path,
                              "--mechanism", "nope")
         assert code == 2
+
+    def test_unknown_mutant_exit_2(self, fig_path, capsys):
+        code, out, err = run_cli(capsys, "run", "--instance", fig_path,
+                                 "--mechanism", "mutant:nope")
+        assert code == 2
+        assert out == "" and err == "error: unknown mutant 'nope'\n"
 
     @pytest.mark.parametrize("verb", ["run", "verify"])
     def test_bare_ra_exit_2(self, fig_path, capsys, verb):

@@ -31,7 +31,7 @@ from diffusion_auctions import (
 from diffusion_auctions import fixtures, mechanisms
 from diffusion_auctions.mechanisms import Compiled
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
-from diffusion_auctions.network import EQ_TOL, Instance, Report, ReportProfile
+from diffusion_auctions.network import EQ_TOL, Instance, Outcome, Report, ReportProfile
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import _CurveTable, make_grid
 
@@ -603,9 +603,21 @@ class TestReferralAuction:
                     == pytest.approx(idm.payments.get(agent, 0.0), abs=1e-9))
 
     def test_all_zero_unsold(self):
-        inst = fixtures.depth1_instance((0.0, 0.0, 0.0))
-        out, _ = run_referral_auction(inst.net, inst.reports, ArgmaxRule())
-        assert out.winner is None
+        # all-zero profiles, and agents the seller does not reach (an empty
+        # tree): no level is descended, so there are no traces either
+        fig = fixtures.fig_lblev_instance().net
+        cases = [(fixtures.depth1_instance((0.0, 0.0, 0.0)).net, {1: 0.0, 2: 0.0, 3: 0.0}),
+                 (fig, {i: 0.0 for i in fig.agents}),
+                 (network_from_edges([(1, 2)], agents=(1, 2)), {1: 5.0, 2: 7.0})]
+        rules = [ArgmaxRule(), PowerRule({1: 2.0, 2: 0.5}), SecondPriceReserveRule(0.5)]
+        unsold = repr((Outcome({}, {}, 0.0), []))
+        for net, values in cases:
+            profile = truthful_profile(net, values)
+            tree = build_referral_tree(net, profile)
+            for exponents in ({}, fixtures.FIG_LBLEV_EXPONENTS):
+                assert repr(run_lblev(tree, profile.values(), exponents)) == unsold
+            for rule in rules:
+                assert repr(run_referral_auction(net, profile, rule)) == unsold
 
     def test_single_surviving_child_lets_parent_keep(self):
         # one remaining subtree prices the level at zero, so the parent's

@@ -288,6 +288,25 @@ class TestIndividualChecks:
         assert not rep.passed
 
 
+class TestUnknownConditions:
+    @pytest.mark.parametrize("conditions", [("monotonicty",), ("ta-equivalence",),
+                                            ("ir", "bogus", "ddsic", "nope")])
+    def test_rejected_before_any_check_runs(self, conditions):
+        inst = fixtures.depth1_instance((10.0, 7.0))
+        compiled = []
+
+        class Counting(LblevAuction):
+            def compile(self, net, reports):
+                compiled.append(reports)
+                return super().compile(net, reports)
+
+        with pytest.raises(ValueError) as exc:
+            verify_mechanism(Counting(None), inst.net, inst.reports, None, conditions)
+        unknown = [c for c in conditions if c not in ALL_CONDITIONS]
+        assert str(exc.value) == f"unknown conditions {unknown}; known: {list(ALL_CONDITIONS)}"
+        assert compiled == []
+
+
 class TestNeighborMisreport:
     def test_referral_family_on_diamond_networks(self):
         rng = np.random.default_rng(23)
