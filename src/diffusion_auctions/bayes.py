@@ -26,16 +26,14 @@ from scipy.special import ndtr
 from .mechanisms import (
     ArgmaxRule,
     Compiled,
+    LblevAuction,
     Mechanism,
+    ReferralAuction,
     SecondPriceReserveRule,
-    _check_power_range,
     _columns,
     _draw_matrix,
     _myerson_level,
     _run_levels,
-    exponent_table,
-    run_lblev,
-    run_referral_auction,
 )
 from .network import (
     DiffusionNetwork,
@@ -392,8 +390,8 @@ def paired_revenue_gap(mech_a: Mechanism, mech_b: Mechanism,
 
 class _FirstLevelCompiled(Compiled):
     """A transformed auction compiled for one profile: :meth:`revenues`
-    prices one round on the first-level subtree maxima of the referral
-    tree, one column per first-level node in id order."""
+    is its ``price_first_level`` on the first-level subtree maxima of the
+    referral tree, one column per first-level node in id order."""
 
     def revenues(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
         matrix = _draw_matrix(ids, matrix)
@@ -406,65 +404,44 @@ class _FirstLevelCompiled(Compiled):
         return self.mech.price_first_level(tree, submax)
 
 
-class _TransformedAuction(Mechanism):
-    """Depth-one transformed auction.  Subclasses give ``run`` and the
-    vectorised ``price_first_level(tree, submax)``: the seller revenue of
-    one round on each row of ``submax``, one column per first-level node."""
-
-    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> _FirstLevelCompiled:
-        return _FirstLevelCompiled(self, net, reports)
-
-
-class SecondPriceTA(_TransformedAuction):
+class SecondPriceTA(ReferralAuction):
     """Depth-one transformed auction: highest value wins above a reserve
     and pays the larger of the reserve and the runner-up value.  A lone
     first-level subtree pays nothing, reserve or not: as in
     :func:`run_referral_auction`, a lone survivor pays only the offset."""
 
     def __init__(self, reserve: float = 0.0):
-        self.reserve = float(reserve)
-        self.name = f"ta:second-price-r{reserve:g}"
+        super().__init__(SecondPriceReserveRule(reserve))
+        self.name = f"ta:{self.rule.name}"
+
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> _FirstLevelCompiled:
+        return _FirstLevelCompiled(self, net, reports)
 
     def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
         if submax.shape[1] < 2:
             return np.zeros(len(submax))
         second, best = np.partition(submax, -2, axis=1)[:, -2:].T
-        return np.where(best >= self.reserve, np.maximum(second, self.reserve), 0.0)
-
-    def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        return run_referral_auction(net, reports, SecondPriceReserveRule(self.reserve))[0]
+        return np.where(best >= self.rule.reserve, np.maximum(second, self.rule.reserve), 0.0)
 
 
-class PowerTA(_TransformedAuction):
-    """Depth-one transformed auction scoring by value**t.  Its revenues
-    check the whole tree's exponents and values as :func:`run_lblev` does."""
+class PowerTA(LblevAuction):
+    """Depth-one transformed auction scoring by value**t: the lblev
+    auction, whose seller revenue is its first-level round."""
 
     def __init__(self, exponents: Mapping[int, float]):
-        self.exponents = dict(exponents)
+        super().__init__(dict(exponents))   # a non-mapping raises, not IDM
         self.name = "ta:argmax-pow"
 
-    def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
-        texp = exponent_table(self.exponents, tree.agents())
-        _check_power_range(texp, float(submax.max(initial=0.0)))
-        t = np.array([texp[i] for i in tree.child_tuple(tree.root)])
-        scores = submax ** t[None, :]
-        win = scores.argmax(axis=1)
-        masked = scores.copy()
-        masked[np.arange(len(win)), win] = -np.inf
-        rival_score = masked.max(axis=1)
-        pay = np.maximum(rival_score, 0.0) ** (1.0 / t[win])
-        return np.where(submax.max(axis=1) > 0, pay, 0.0)
 
-    def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        return run_lblev(build_referral_tree(net, reports), reports.values(), self.exponents)[0]
-
-
-class MaxVivaTA(_TransformedAuction):
+class MaxVivaTA(Mechanism):
     """Depth-one revenue-optimal transformed auction for given priors."""
 
     def __init__(self, dists: Mapping[int, ValuationDistribution]):
         self.dists = dict(dists)
         self.name = "ta:maxviva"
+
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> _FirstLevelCompiled:
+        return _FirstLevelCompiled(self, net, reports)
 
     def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
         return _maxviva_prices(self.dists, tree.child_tuple(tree.root), submax)[1]

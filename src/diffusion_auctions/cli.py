@@ -262,7 +262,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InstanceError, FileNotFoundError, json.JSONDecodeError, VerificationError) as exc:
+    except (InstanceError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+            VerificationError) as exc:
         _log(f"error: {exc}")
         return EXIT_CHECK_ERROR if isinstance(exc, VerificationError) else EXIT_BAD_INPUT
 

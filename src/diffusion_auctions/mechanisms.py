@@ -633,7 +633,7 @@ class Mechanism:
 
     def evaluate(self, net: DiffusionNetwork, reports: ReportProfile,
                  agent: int) -> tuple[float, float]:
-        """One :meth:`compile` curve point at ``agent``'s report; perfbench traces it."""
+        """One :meth:`compile` curve point at ``agent``'s report."""
         return self.compile(net, reports).curve(agent, [reports.value(agent)])[0]
 
     def run_on_values(self, net: DiffusionNetwork,

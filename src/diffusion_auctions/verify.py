@@ -496,7 +496,7 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
             prof = prof.replace(agent, neighbors=subset)
         if value is not None:
             prof = prof.replace(agent, value=value)
-        return mech.compile(net, prof).curve(agent, [prof.value(agent)])[0]
+        return mech.evaluate(net, prof, agent)
 
     if cond == "monotonicity":
         g_lo, _ = point(w.agent, w.subset, w.data["value_lo"])

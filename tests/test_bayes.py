@@ -503,6 +503,8 @@ class TestRevenueComparisons:
         ids = sorted(inst.net.agents)
         matrix = rng.uniform(size=(50, 3))
         batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
+        lblev = truthful_compile(LblevAuction(exps), inst.net).revenues(ids, matrix)
+        assert batch.tolist() == lblev.tolist()
         for row, expect in zip(matrix, batch):
             values = dict(zip(ids, row))
             out = ta.run_on_values(inst.net, values)
@@ -549,6 +551,16 @@ class TestTransformedAuctionRun:
                 build_referral_tree(net, truthful_profile(net, v)), v, self.EXPS)[0]),
             (mv, lambda net, v: run_maxviva(net, truthful_profile(net, v), dists)),
         ]
+
+    def test_each_is_its_tree_mechanism(self):
+        # the names stay those of the former standalone classes, and a
+        # PowerTA without exponents is an error rather than IDM
+        assert issubclass(PowerTA, LblevAuction) and issubclass(SecondPriceTA, ReferralAuction)
+        assert SecondPriceTA(0.25).rule.reserve == 0.25
+        names = [mech.name for mech, _ in self.cases({1: UNIT})]
+        assert names == ["ta:second-price-r0.25", "ta:argmax-pow", "ta:maxviva"]
+        with pytest.raises(TypeError):
+            PowerTA(None)
 
     def test_run_on_truthful_profile_matches_run_on_values(self):
         # compiled revenues price the first-level subtree maxima, so they

@@ -123,11 +123,24 @@ class TestRun:
         payload = json.loads(out)
         assert payload["payments"] == {"1": -2.0, "2": 0.0, "3": 2.0}
 
-    def test_missing_file_exit_2(self, capsys):
+    def test_missing_file_exit_2(self, fig_path, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--instance", "/no/such.json",
                                "--mechanism", "idm")
         assert code == 2
         assert "error" in err
+        # a file that cannot be read is bad input too, not a failed check
+        binary = tmp_path / "latin1.json"
+        binary.write_bytes(b'{"agents": [1], "name": "caf\xe9"}')
+        folder = str(tmp_path)
+        for argv in (["run", "--instance", folder, "--mechanism", "idm"],
+                     ["run", "--instance", str(binary), "--mechanism", "idm"],
+                     ["verify", "--instance", str(binary), "--mechanism", "idm"],
+                     ["run", "--instance", fig_path, "--mechanism", "lblev",
+                      "--exponents", folder],
+                     ["gen", "--out", folder]):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
