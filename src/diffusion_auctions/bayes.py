@@ -47,6 +47,7 @@ from .network import (
 )
 
 ArrayLike = Union[float, np.ndarray]
+INVERSE_TOL = 1e-10   # the bracket width at which _inverse_virtual's bisection stops
 
 
 @dataclass(frozen=True)
@@ -184,12 +185,11 @@ def check_mhr(dist: ValuationDistribution, grid_size: int = 256) -> bool:
     return bool(np.all(diffs >= -slack))
 
 
-def _inverse_virtual(dist: ValuationDistribution, targets: np.ndarray,
-                     tol: float = 1e-10) -> np.ndarray:
+def _inverse_virtual(dist: ValuationDistribution, targets: np.ndarray) -> np.ndarray:
     """Smallest ``x >= 0`` with ``_virtual(dist, x) >= t`` for each target
     ``t``: 0 where ``w(0)`` already reaches ``t``, ``t`` itself above a
     bounded support's ``w(upper)``, else the prior's closed-form
-    ``inverse`` or, without one, one array bisection to within ``tol``.
+    ``inverse`` or, without one, one array bisection to within ``INVERSE_TOL``.
     Requires a hazard-monotone (hence virtual-monotone) prior."""
     if not dist.mhr:
         raise ValueError(f"{dist.name} is not declared hazard-monotone")
@@ -205,11 +205,11 @@ def _inverse_virtual(dist: ValuationDistribution, targets: np.ndarray,
                 if hi0 > 1e12:
                     raise ValueError(f"target {tmax} not reachable for {dist.name}")
         lo, x = np.zeros_like(targets), np.full_like(targets, hi0)
-        for _ in range(max(64, math.ceil(math.log2(max(hi0 / tol, 2.0))))):
+        for _ in range(max(64, math.ceil(math.log2(max(hi0 / INVERSE_TOL, 2.0))))):
             mid = 0.5 * (lo + x)
             ok = _virtual(dist, mid) >= targets
             x, lo = np.where(ok, mid, x), np.where(ok, lo, mid)
-            if np.all(x - lo <= tol):
+            if np.all(x - lo <= INVERSE_TOL):
                 break
     beyond = targets > _virtual(dist, dist.upper) if math.isfinite(dist.upper) else False
     return np.where(_virtual(dist, 0.0) >= targets, 0.0, np.where(beyond, targets, x))

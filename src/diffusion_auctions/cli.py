@@ -2,15 +2,18 @@
 
 Verbs: ``run`` executes a mechanism on an instance file and prints the
 outcome as JSON; ``verify`` runs the incentive checks and exits nonzero
-on any failure; ``experiment`` writes the lambda-sweep CSV; ``gen``
-writes a random instance file.  Machine output goes to stdout, logs to
-stderr.  Exit codes: 0 ok, 1 verification failure, 2 malformed input,
-3 a check that could not complete (its curve budget ran out).
+on any failure; ``experiment`` writes the lambda-sweep CSV, opening
+``--out`` before the sweep runs and starting no more worker processes
+than the CPU count; ``gen`` writes a random instance file.  Machine
+output goes to stdout, logs to stderr.  Exit codes: 0 ok, 1
+verification failure, 2 malformed input, 3 a check that could not
+complete (its curve budget ran out).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -182,16 +185,16 @@ def _cmd_experiment(args) -> int:
         n=args.n, sigma=args.sigma, lambdas=_parse_lambdas(args.lambdas),
         outer=args.trials_outer, inner=args.trials_inner, seed=args.seed,
         jobs=args.jobs)
-    rows = sweep_lambda(config)
-    # the draw counts per lambda, which the CSV columns leave out
-    _log(json.dumps({"sweep_draws": [
-        {"lambda": row.lam, "used": row.used, "excluded": row.excluded} for row in rows]}))
+    # opened before the sweep, so an unwritable --out fails before any work
+    with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        rows = sweep_lambda(config)
+        # the draw counts per lambda, which the CSV columns leave out
+        _log(json.dumps({"sweep_draws": [
+            {"lambda": row.lam, "used": row.used, "excluded": row.excluded} for row in rows]}))
+        write_sweep_csv(rows, config, fh)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_sweep_csv(rows, config, fh)
         _log(f"experiment: wrote {len(rows)} rows to {args.out}")
-    else:
-        write_sweep_csv(rows, config, sys.stdout)
     return EXIT_OK
 
 

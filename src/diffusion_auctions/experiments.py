@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
@@ -222,10 +223,10 @@ def sweep_lambda(config: ExperimentConfig) -> list[SweepRow]:
     realized tree and valuations feed both mechanisms and every lambda;
     at lambda zero the schedule is exactly unit and the improvement is
     exactly zero.  Draws with zero baseline revenue are excluded for
-    every lambda alike and counted.  At most ``config.outer`` worker
-    processes are started, since each prices one outer draw.
+    every lambda alike and counted.  Workers, each pricing one outer draw,
+    all start at once: no more than ``config.outer`` or the CPU count.
     """
-    workers = min(config.jobs, config.outer)
+    workers = min(config.jobs, config.outer, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_outer, [config] * config.outer,

@@ -6,7 +6,9 @@ the agent's reported value, and every allocation-jump threshold located
 by recursive bisection; neighbor subsets run over the full powerset up
 to a cap, beyond which they are sampled (always keeping the empty and
 full sets).  Each check produces a :class:`VerificationReport` whose
-witness, on failure, carries a concrete reproducing deviation.
+witness, on failure, carries a concrete reproducing deviation.  Every
+check but ``ir`` reads one walk over the (agent, tested subset) pairs,
+:func:`_pairs`, and the checks of one call share each pair's curve table.
 
 Conditions:
 
@@ -19,15 +21,15 @@ Conditions:
   weakly dominate, for every true value on the grid;
 * ``ic``                  - joint value/forwarding deviations;
 * ``ir``                  - truthful utility is non-negative;
-* ``misreport``           - strict neighbor under-reports (referral
-  family: deviations re-route the tree).
+* ``misreport``           - ddsic point 2 reported on its own: strict
+  neighbor under-reports (referral family: deviations re-route the tree).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -204,17 +206,17 @@ class _Context:
         # 1e-9 tolerances the worked-example checks are held to
         self.xtol = 1e-12 * self.vmax
         self.tol = INEQ_TOL * self.vmax
-        self._tables: dict[tuple[int, tuple[int, ...]], _CurveTable] = {}
-        self.subset_cache: dict[int, tuple[list[frozenset[int]], bool]] = {}
+        self._tables: dict[tuple[int, frozenset[int]], _CurveTable] = {}
+        self._subsets: dict[int, list[frozenset[int]]] = {}
 
-    def subsets(self, agent: int) -> tuple[list[frozenset[int]], bool]:
-        """Tested forwarded subsets for ``agent`` and a sampled? flag."""
-        if agent not in self.subset_cache:
+    def subsets(self, agent: int) -> list[frozenset[int]]:
+        """Tested forwarded subsets for ``agent``, sampled beyond ``SUBSET_CAP``."""
+        if agent not in self._subsets:
             members = sorted(self.reports.neighbors(agent))
             if len(members) <= SUBSET_CAP:
-                subsets = [frozenset(c)
-                           for r in range(len(members) + 1)
-                           for c in itertools.combinations(members, r)]
+                self._subsets[agent] = [frozenset(c)
+                                        for r in range(len(members) + 1)
+                                        for c in itertools.combinations(members, r)]
             else:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([self.grid.seed, agent]))
@@ -222,20 +224,34 @@ class _Context:
                 while len(chosen) < SUBSET_SAMPLES:
                     mask = rng.integers(0, 2, size=len(members)).astype(bool)
                     chosen.add(frozenset(m for m, keep in zip(members, mask) if keep))
-                subsets = sorted(chosen, key=lambda s: (len(s), sorted(s)))
-            self.subset_cache[agent] = (subsets, len(members) > SUBSET_CAP)
-        return self.subset_cache[agent]
+                self._subsets[agent] = sorted(chosen, key=lambda s: (len(s), sorted(s)))
+        return self._subsets[agent]
 
     def table(self, agent: int, subset: frozenset[int]) -> _CurveTable:
-        key = (agent, tuple(sorted(subset)))
-        table = self._tables.get(key)
+        table = self._tables.get((agent, subset))
         if table is None:
             compiled = self.mech.compile(self.net, self.reports.replace(agent, neighbors=subset))
-            table = _CurveTable(compiled, agent, key[1], self.xtol)
+            table = _CurveTable(compiled, agent, tuple(sorted(subset)), self.xtol)
             table.ensure([*self.grid.points, 0.0, self.reports.value(agent)])
             table.refine_jumps()
-            self._tables[key] = table
+            self._tables[agent, subset] = table
         return table
+
+
+def _pairs(ctx: _Context, *, full: bool = False, withholding: bool = False
+           ) -> Iterator[tuple[_CurveTable, Optional[_CurveTable]]]:
+    """Each tested (agent, subset) pair's table, agents in id order and
+    subsets in ``ctx.subsets`` order, with the agent's full-forwarding
+    table (priced at its first pair) if ``full``, else None.
+    ``withholding`` skips each agent's full subset."""
+    for agent in ctx.net.sorted_agents():
+        neighbors, t_full = ctx.reports.neighbors(agent), None
+        for subset in ctx.subsets(agent):
+            if withholding and subset == neighbors:
+                continue
+            if full and t_full is None:
+                t_full = ctx.table(agent, neighbors)
+            yield ctx.table(agent, subset), t_full
 
 
 def _report(condition: str, witness: Optional[Witness],
@@ -303,37 +319,33 @@ def _best_response(xs: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _monotonicity_impl(ctx: _Context) -> VerificationReport:
-    for agent in ctx.net.sorted_agents():
-        for subset in ctx.subsets(agent)[0]:
-            table = ctx.table(agent, subset)
-            xs, g, _ = table.arrays()
-            drop = np.nonzero(g[1:] < g[:-1] - INEQ_TOL)[0]
-            if drop.size:
-                k = int(drop[0])
-                return _report("monotonicity", Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=float(xs[k + 1]),
-                    lhs=float(g[k]), rhs=float(g[k + 1]),
-                    note="allocation decreases in the own value",
-                    data={"value_lo": float(xs[k])}))
+    for table, _ in _pairs(ctx):
+        xs, g, _ = table.arrays()
+        drop = np.nonzero(g[1:] < g[:-1] - INEQ_TOL)[0]
+        if drop.size:
+            k = int(drop[0])
+            return _report("monotonicity", Witness(
+                agent=table.agent, subset=table.subset, value=float(xs[k + 1]),
+                lhs=float(g[k]), rhs=float(g[k + 1]),
+                note="allocation decreases in the own value",
+                data={"value_lo": float(xs[k])}))
     return _report("monotonicity", None)
 
 
 def _identity_impl(ctx: _Context) -> VerificationReport:
-    for agent in ctx.net.sorted_agents():
-        for subset in ctx.subsets(agent)[0]:
-            table = ctx.table(agent, subset)
-            xs, g, p = table.arrays()
-            payment_at_zero = float(p[0])   # xs[0] is 0.0: grids start there, table() adds it
-            expected = payment_at_zero + xs * g - table.prefix()
-            scale = np.maximum(np.maximum(1.0, np.abs(expected)), np.abs(p))
-            bad = np.flatnonzero(np.abs(p - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale)
-            if bad.size:
-                k = bad[0]
-                return _report("payment-identity", Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=float(xs[k]),
-                    lhs=float(p[k]), rhs=float(expected[k]),
-                    note="payment differs from the threshold integral form",
-                    data={"payment_at_zero": payment_at_zero}))
+    for table, _ in _pairs(ctx):
+        xs, g, p = table.arrays()
+        payment_at_zero = float(p[0])   # xs[0] is 0.0: grids start there, table() adds it
+        expected = payment_at_zero + xs * g - table.prefix()
+        scale = np.maximum(np.maximum(1.0, np.abs(expected)), np.abs(p))
+        bad = np.flatnonzero(np.abs(p - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale)
+        if bad.size:
+            k = bad[0]
+            return _report("payment-identity", Witness(
+                agent=table.agent, subset=table.subset, value=float(xs[k]),
+                lhs=float(p[k]), rhs=float(expected[k]),
+                note="payment differs from the threshold integral form",
+                data={"payment_at_zero": payment_at_zero}))
     return _report("payment-identity", None)
 
 
@@ -342,68 +354,55 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
     largest and final ``rhs``, and ``rhs_by_value`` at the grid points."""
     grid = np.asarray(ctx.grid.points)
     details, witness = {}, None
-    for agent in ctx.net.sorted_agents():
-        full = ctx.reports.neighbors(agent)
-        t_full = ctx.table(agent, full)
-        for subset in ctx.subsets(agent)[0]:
-            if subset == full:
-                continue
-            t_sub = ctx.table(agent, subset)
-            _common_points(t_sub, t_full)
-            lhs = float(t_sub.arrays()[2][0] - t_full.arrays()[2][0])
-            rhs = t_sub.prefix() - t_full.prefix()
-            xs = t_sub.arrays()[0]
-            over = np.flatnonzero(rhs > lhs + ctx.tol)
-            if over.size and witness is None:
-                witness = Witness(
-                    agent=agent, subset=tuple(sorted(subset)), value=float(xs[over[0]]),
-                    lhs=lhs, rhs=float(rhs[over[0]]),
-                    note="withholding is funded beyond the allocation gap")
-            # every table holds the grid, so each grid point has an index
-            on_grid = np.searchsorted(xs, grid)
-            details[(agent, tuple(sorted(subset)))] = {
-                "lhs": lhs, "rhs_max": float(rhs.max()), "rhs_final": float(rhs[-1]),
-                "rhs_by_value": dict(zip(xs[on_grid].tolist(), rhs[on_grid].tolist()))}
+    for t_sub, t_full in _pairs(ctx, full=True, withholding=True):
+        _common_points(t_sub, t_full)
+        lhs = float(t_sub.arrays()[2][0] - t_full.arrays()[2][0])
+        rhs = t_sub.prefix() - t_full.prefix()
+        xs = t_sub.arrays()[0]
+        over = np.flatnonzero(rhs > lhs + ctx.tol)
+        if over.size and witness is None:
+            witness = Witness(
+                agent=t_sub.agent, subset=t_sub.subset, value=float(xs[over[0]]),
+                lhs=lhs, rhs=float(rhs[over[0]]),
+                note="withholding is funded beyond the allocation gap")
+        # every table holds the grid, so each grid point has an index
+        on_grid = np.searchsorted(xs, grid)
+        details[(t_sub.agent, t_sub.subset)] = {
+            "lhs": lhs, "rhs_max": float(rhs.max()), "rhs_final": float(rhs[-1]),
+            "rhs_by_value": dict(zip(xs[on_grid].tolist(), rhs[on_grid].tolist()))}
     return _report("diffusion-constraint", witness, details)
 
 
+def _ddsic_points(ctx: _Context, point1: bool = True) -> Iterator[tuple[int, Optional[Witness]]]:
+    """(point, witness) of each ddsic test in order.  Point 1: at every true
+    value, reporting it beats any other report under the same forwarding
+    choice.  Point 2: at every true value, full forwarding beats each
+    withholding subset; without ``point1`` it runs alone."""
+    for table, t_full in _pairs(ctx, full=True, withholding=not point1):
+        if point1:
+            yield 1, _value_deviation(table, table, ctx.tol,
+                                      "value misreport beats the truthful report")
+        if table is not t_full:
+            yield 2, _forwarding_gain(table, t_full, ctx.tol,
+                                      "withholding neighbors beats full forwarding")
+
+
 def _ddsic_impl(ctx: _Context) -> VerificationReport:
-    sampled_agents = []
-    for agent in ctx.net.sorted_agents():
-        subsets, sampled = ctx.subsets(agent)
-        if sampled:
-            sampled_agents.append(agent)
-        full = ctx.reports.neighbors(agent)
-        t_full = ctx.table(agent, full)
-        for subset in subsets:
-            table = ctx.table(agent, subset)
-            # Point 1: at every true value, reporting it beats any other
-            # report under the same forwarding choice.
-            witness = _value_deviation(table, table, ctx.tol,
-                                       "value misreport beats the truthful report")
-            if witness is not None:
-                witness.data["point"] = 1
-                return _report("ddsic", witness)
-            if subset == full:
-                continue
-            # Point 2: at every true value, full forwarding beats this subset.
-            witness = _forwarding_gain(table, t_full, ctx.tol,
-                                       "withholding neighbors beats full forwarding")
-            if witness is not None:
-                witness.data["point"] = 2
-                return _report("ddsic", witness)
-    return _report("ddsic", None, {"sampled_agents": sampled_agents} if sampled_agents else {})
+    for point, witness in _ddsic_points(ctx):
+        if witness is not None:
+            witness.data["point"] = point
+            return _report("ddsic", witness)
+    sampled = [a for a in ctx.net.sorted_agents() if len(ctx.reports.neighbors(a)) > SUBSET_CAP]
+    return _report("ddsic", None, {"sampled_agents": sampled} if sampled else {})
 
 
 def _ic_impl(ctx: _Context) -> VerificationReport:
     """Joint value/forwarding deviations against the truthful full report."""
-    for agent in ctx.net.sorted_agents():
-        t_full = ctx.table(agent, ctx.reports.neighbors(agent))
-        for subset in ctx.subsets(agent)[0]:
-            witness = _value_deviation(t_full, ctx.table(agent, subset), ctx.tol,
-                                       "joint deviation beats the truthful full report")
-            if witness is not None:
-                return _report("ic", witness)
+    for table, t_full in _pairs(ctx, full=True):
+        witness = _value_deviation(t_full, table, ctx.tol,
+                                   "joint deviation beats the truthful full report")
+        if witness is not None:
+            return _report("ic", witness)
     return _report("ic", None)
 
 
@@ -424,21 +423,12 @@ def _ir_impl(ctx: _Context) -> VerificationReport:
 
 
 def _misreport_impl(ctx: _Context) -> VerificationReport:
-    """Strict neighbor under-reports; on general networks these re-route
-    the referral tree."""
-    for agent in ctx.net.sorted_agents():
-        full = ctx.reports.neighbors(agent)
-        if not full:
-            continue
-        t_full = ctx.table(agent, full)
-        for subset in ctx.subsets(agent)[0]:
-            if subset == full:
-                continue
-            witness = _forwarding_gain(ctx.table(agent, subset), t_full, ctx.tol,
-                                       "strict neighbor under-report raises utility")
-            if witness is not None:
-                return _report("misreport", witness)
-    return _report("misreport", None)
+    """ddsic point 2 reported on its own: strict neighbor under-reports,
+    which on general networks re-route the referral tree."""
+    witness = next((w for _, w in _ddsic_points(ctx, point1=False) if w is not None), None)
+    if witness is not None:
+        witness.note = "strict neighbor under-report raises utility"
+    return _report("misreport", witness)
 
 
 _IMPLS = {
@@ -490,13 +480,8 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
         return False
     cond = report.condition
 
-    def point(agent, subset, value):
-        prof = reports
-        if subset is not None:
-            prof = prof.replace(agent, neighbors=subset)
-        if value is not None:
-            prof = prof.replace(agent, value=value)
-        return mech.evaluate(net, prof, agent)
+    def point(agent, subset, value):   # None keeps the reported subset or value
+        return mech.evaluate(net, reports.replace(agent, value=value, neighbors=subset), agent)
 
     if cond == "monotonicity":
         g_lo, _ = point(w.agent, w.subset, w.data["value_lo"])
@@ -506,15 +491,12 @@ def replay_witness(mech: Mechanism, net: DiffusionNetwork,
         g, p = point(w.agent, None, None)
         return reports.value(w.agent) * g - p < 0
     if cond in ("ddsic", "ic", "misreport"):
+        # at true value x, reporting (w.subset, w.value) beats the truthful
+        # report, which forwards to every neighbor except under ddsic point
+        # 1; a point-2 (or misreport) witness's value is x itself
         x = w.data["true_value"]
-        if cond == "misreport" or w.data.get("point") == 2:
-            # forwarding only the subset beats full forwarding at x
-            g_full, p_full = point(w.agent, tuple(sorted(reports.neighbors(w.agent))), x)
-            g_sub, p_sub = point(w.agent, w.subset, x)
-            return x * g_sub - p_sub > x * g_full - p_full
-        base_subset = (tuple(sorted(reports.neighbors(w.agent)))
-                       if cond == "ic" else w.subset)
-        g_t, p_t = point(w.agent, base_subset, x)
+        truthful = w.subset if w.data.get("point") == 1 else reports.neighbors(w.agent)
+        g_t, p_t = point(w.agent, truthful, x)
         g_d, p_d = point(w.agent, w.subset, w.value)
         return x * g_d - p_d > x * g_t - p_t
     if cond in ("payment-identity", "diffusion-constraint"):

@@ -48,6 +48,7 @@ from diffusion_auctions import (
     paired_revenue_gap,
     random_tree_instance,
     rc_example_mechanism,
+    replay_witness,
     run_lblev,
     run_referral_auction,
     sweep_lambda,
@@ -303,6 +304,31 @@ def test_c03_per_agent_exponent_withholding():
     assert oracle_flagged == flagged == WITHHOLDING_INSTANCES
     assert digest.hexdigest() == C03_PER_AGENT_DIGEST, digest.hexdigest()
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
+
+
+def test_c03_misreport_is_ddsic_point_2():
+    """``misreport`` is ddsic point 2 reported on its own: on the per-agent
+    stream it fails exactly on the withholding instances, each witness is
+    ddsic's point-2 witness but for its note and replays, and under
+    sibling-shared exponents it passes on every tree."""
+    def fields(w):
+        return w.agent, w.subset, w.value, w.lhs, w.rhs, w.data["true_value"]
+
+    flagged = set()
+    for k, inst, draws, grid in c03_instances(200):
+        shared = sibling_shared_exponents(tree_children(inst.net), draws)
+        [rep] = verify_mechanism(LblevAuction(shared), inst.net, inst.reports, grid,
+                                 ("misreport",))
+        assert rep.passed, k
+        mech = LblevAuction(draws)
+        ddsic, rep = verify_mechanism(mech, inst.net, inst.reports, grid,
+                                      ("ddsic", "misreport"))
+        if not rep.passed:
+            flagged.add(k)
+            assert ddsic.witness.data["point"] == 2, k
+            assert fields(rep.witness) == fields(ddsic.witness), k
+            assert replay_witness(mech, inst.net, inst.reports, rep), k
+    assert flagged == WITHHOLDING_INSTANCES
 
 
 # sha256 over every report of the seven conditions on the first ten c03

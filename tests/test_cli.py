@@ -14,6 +14,7 @@ from diffusion_auctions import (
     truthful_profile,
 )
 from diffusion_auctions.network import instance_to_dict
+from diffusion_auctions import cli
 from diffusion_auctions.cli import main
 from diffusion_auctions.rc_example import fig_rc_instance
 
@@ -466,3 +467,13 @@ class TestExperiment:
             assert d["used"] + d["excluded"] == 3 * 4
         # every lambda sees the same paired draws
         assert len({(d["used"], d["excluded"]) for d in draws}) == 1
+
+    def test_out_directory_exit_2_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sweep_lambda", lambda config: calls.append(config))
+        code, out, err = run_cli(capsys, "experiment", "--n", "10", "--sigma", "5",
+                                 "--trials-outer", "20", "--trials-inner", "50",
+                                 "--out", str(tmp_path))
+        assert code == 2 and out == "" and calls == []
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "sweep_draws" not in err

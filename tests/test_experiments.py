@@ -328,14 +328,14 @@ class TestSweep:
         par = sweep_lambda(small_config(jobs=2))
         assert seq == par
 
-    @pytest.mark.parametrize("outer, jobs, workers", [
-        (1, 4, None), (1, 1, None), (2, 2, 2), (3, 8, 3), (6, 2, 2), (6, 4, 4)])
-    def test_workers_capped_at_outer_draws(self, monkeypatch, outer, jobs, workers):
+    @staticmethod
+    def serial_pool(monkeypatch, cpus):
+        """Report ``cpus`` CPUs and swap the process pool for one that
+        records its worker count and maps in this process; no process is
+        started."""
         made = []
 
         class SerialPool:
-            """Records the worker count and maps in this process."""
-
             def __init__(self, max_workers):
                 made.append(max_workers)
 
@@ -348,10 +348,26 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        return made
+
+    # four CPUs: the worker count is capped by the outer draws and the CPUs
+    @pytest.mark.parametrize("outer, jobs, workers", [
+        (1, 4, None), (1, 1, None), (2, 2, 2), (3, 8, 3), (6, 2, 2), (6, 4, 4),
+        (6, 5, 4), (8, 6, 4), (9, 64, 4)])
+    def test_workers_capped_at_outer_draws(self, monkeypatch, outer, jobs, workers):
+        made = self.serial_pool(monkeypatch, 4)
         rows = sweep_lambda(small_config(outer=outer, jobs=jobs))
         assert made == ([] if workers is None else [workers])
         assert repr(rows) == repr(sweep_lambda(small_config(outer=outer)))
+
+    @pytest.mark.parametrize("cpus", [None, 1])
+    def test_one_or_unknown_cpu_runs_in_process(self, monkeypatch, cpus):
+        made = self.serial_pool(monkeypatch, cpus)
+        rows = sweep_lambda(small_config(jobs=8))
+        assert made == []
+        assert repr(rows) == repr(sweep_lambda(small_config()))
 
     def test_ir_spot_check_on_draws(self):
         # replay ~a fifth of the sweep's draws and assert participation

@@ -562,7 +562,7 @@ class TestCurveTablePrefix:
             ctx = _Context(LblevAuction(random_exponents(inst.net.agents, rng)),
                            inst.net, inst.reports, make_grid(inst.reports, size=32, seed=k))
             for agent in ctx.net.sorted_agents():
-                for subset in ctx.subsets(agent)[0]:
+                for subset in ctx.subsets(agent):
                     yield ctx.table(agent, subset)
 
     def test_prefix_equals_the_sequential_sum(self):
