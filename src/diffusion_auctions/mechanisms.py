@@ -243,24 +243,27 @@ class ArgmaxRule(LevelRule):
     """Highest effective valuation wins; ties break to the smaller id."""
 
     name = "argmax"
+    exponents: Optional[Mapping[int, float]] = None
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        return min(values, key=lambda i: (-values[i], i), default=None)
+        exps, best, top = self.exponents, None, None
+        for i, v in values.items():
+            if exps is not None:
+                v **= exps.get(i, 1.0)
+            if best is None or v > top or v == top and i < best:
+                best, top = i, v
+        return best
 
 
-class PowerRule(LevelRule):
+class PowerRule(ArgmaxRule):
     """Highest ``value**t_i`` wins; ties break to the smaller id."""
 
     def __init__(self, exponents: Mapping[int, float]):
         self.exponents = exponent_table(exponents, exponents)
         self.name = "argmax-pow"
 
-    def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        return min(values, key=lambda i: (-(values[i] ** self.exponents.get(i, 1.0)), i),
-                   default=None)
 
-
-class SecondPriceReserveRule(LevelRule):
+class SecondPriceReserveRule(ArgmaxRule):
     """Highest value wins if it clears the reserve; otherwise no winner."""
 
     def __init__(self, reserve: float = 0.0):
@@ -268,7 +271,7 @@ class SecondPriceReserveRule(LevelRule):
         self.name = f"second-price-r{reserve:g}"
 
     def winner(self, values: Mapping[int, float]) -> Optional[int]:
-        best = min(values, key=lambda i: (-values[i], i), default=None)
+        best = super().winner(values)
         return best if best is not None and values[best] >= self.reserve else None
 
 
@@ -280,20 +283,20 @@ def myerson_level_payment(rule: LevelRule, winner: int,
     else fixed, until the bracket is two adjacent floats.  Equals ``rho_w -
     integral of the win indicator`` for a deterministic monotone rule.
     Probes that detect a non-monotone rule raise :class:`NonMonotoneRuleError`.
+    Every probe hands ``rule.winner`` the same mapping with only the
+    winner's entry rewritten, so a rule must not keep it.
     """
-    rhos = dict(rhos)
-    if any(v < 0 for v in rhos.values()):
+    trial = dict(rhos)
+    if any(v < 0 for v in trial.values()):
         raise ValueError("effective valuations must be non-negative")
-    if rule.winner(rhos) != winner:
+    if rule.winner(trial) != winner:
         raise ValueError(f"{winner} is not the rule's winner at these values")
-    rho_w = rhos[winner]
+    rho_w, hi_probe = trial[winner], 2.0 * max(trial.values(), default=0.0)
 
     def wins(y: float) -> bool:
-        trial = dict(rhos)
         trial[winner] = y
         return rule.winner(trial) == winner
 
-    hi_probe = 2.0 * max(rhos.values(), default=0.0)
     if hi_probe > rho_w and not wins(hi_probe):
         raise NonMonotoneRuleError(f"{rule.name}: winner loses when raised to {hi_probe}")
     if wins(0.0):
@@ -304,8 +307,7 @@ def myerson_level_payment(rule: LevelRule, winner: int,
             hi = mid
         else:
             lo = mid
-    for frac in (0.25, 0.5, 0.75):
-        y = frac * lo
+    for y in (0.25 * lo, 0.5 * lo, 0.75 * lo):
         if y < lo and wins(y):
             raise NonMonotoneRuleError(f"{rule.name}: wins below its own threshold at {y}")
     return hi

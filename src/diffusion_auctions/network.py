@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -64,11 +64,10 @@ class DiffusionNetwork:
         for src, dsts in self.out_edges.items():
             if src not in known:
                 raise InstanceError(f"edge source {src} is not a known node")
-            for dst in dsts:
-                if dst == self.seller:
-                    raise InstanceError(f"edge {src}->{dst} targets the seller")
-                if dst not in self.agents:
-                    raise InstanceError(f"edge {src}->{dst} targets unknown node")
+            if not self.agents.issuperset(dsts):
+                dst = next(d for d in dsts if d not in self.agents)
+                raise InstanceError(f"edge {src}->{dst} targets " + (
+                    "the seller" if dst == self.seller else "unknown node"))
 
     def neighbors(self, node: int) -> frozenset[int]:
         return self.out_edges.get(node, frozenset())
@@ -161,15 +160,13 @@ def _live_walk(net: DiffusionNetwork, reports: ReportProfile) -> dict[int, froze
     out-neighbor.  Each reached agent is expanded once, so the walk costs
     O(n + E).
     """
+    rep, out, empty = reports.reports, net.out_edges, frozenset()
     live_of: dict[int, frozenset[int]] = {}
-    queue = deque(net.neighbors(net.seller))
-    while queue:
-        node = queue.popleft()
-        if node in live_of:
-            continue
-        live = reports.neighbors(node) & net.neighbors(node)
-        live_of[node] = live
-        queue.extend(live)
+    queue = list(out.get(net.seller, empty))
+    for node in queue:   # a FIFO queue: the loop reaches what extend appends
+        if node not in live_of:
+            live_of[node] = live = rep[node].neighbors & out.get(node, empty)
+            queue.extend(live)
     return live_of
 
 
@@ -226,28 +223,20 @@ def build_referral_tree(net: DiffusionNetwork, reports: ReportProfile) -> Referr
     agent "invited" only by its own descendants) are rejected: such
     stamps cannot arise from a real arrival process.
 
-    One walk over the live edges keeps, for every target, the best
-    ``(timestamp, id)`` inviter key seen so far, so the build costs
-    O(n + E) plus one sort of the reached ids.
+    One walk over the live edges, then the reached inviters in
+    ``(timestamp, id)`` order, the first inviter of a target winning:
+    O(n + E) plus sorts of the reached ids.  ``parent`` lists the seller's
+    children, then the rest, each in id order, and so does every child tuple.
     """
-    live_of = _live_walk(net, reports)
-    best: dict[int, tuple[int, int]] = {}
-    for k, live in live_of.items():
-        key = (reports.timestamp(k), k)
-        for j in live:
-            if j not in best or key < best[j]:
-                best[j] = key
-    parent: dict[int, int] = {i: net.seller for i in sorted(net.neighbors(net.seller))}
-    for node in sorted(live_of):
-        if node not in parent:
-            parent[node] = best[node][1]
-
+    live_of, rep = _live_walk(net, reports), reports.reports
+    # inviters latest first: the earliest inviter of a target writes last
+    first = {j: k for _, k in sorted([(rep[k].timestamp, k) for k in live_of], reverse=True)
+             for j in live_of[k]}
+    parent = dict.fromkeys(sorted(net.neighbors(net.seller)), net.seller)
+    parent.update({j: first[j] for j in sorted(first) if j not in parent})
     children: dict[int, list[int]] = {}
     for node, par in parent.items():
         children.setdefault(par, []).append(node)
-    for lst in children.values():
-        lst.sort()
-
     tree = ReferralTree(root=net.seller, parent=parent,
                         children={k: tuple(v) for k, v in children.items()})
     # an agent on a parent cycle is never reached from the seller
@@ -338,28 +327,37 @@ def exponents_from_dict(raw) -> dict[int, float]:
     return exponent_table(table, table)
 
 
+def _whole(x, field: str) -> int:
+    """An integral JSON number (not a bool) as an int, else :class:`InstanceError`."""
+    if type(x) is int or type(x) is float and x.is_integer():
+        return int(x)
+    raise InstanceError(f"{field} {x!r} is not an integral number")
+
+
 def instance_from_dict(raw: Mapping) -> Instance:
+    """The instance of a JSON object, in one pass over its agents and edges."""
     try:
-        seller = int(raw.get("seller", SELLER))
-        ids = [int(a["id"]) for a in raw["agents"]]
-        agents = frozenset(ids)
-        if len(agents) != len(ids):
-            raise InstanceError(
-                f"duplicate agent ids {sorted(i for i in agents if ids.count(i) > 1)}")
-        edges = [(int(e[0]), int(e[1])) for e in raw["edges"]]
-        net = network_from_edges(edges, agents=agents, seller=seller)
-        reports = {}
+        seller, reports = _whole(raw.get("seller", SELLER), "seller"), {}
         for a in raw["agents"]:
-            reports[int(a["id"])] = Report(
-                value=float(a["valuation"]),
-                neighbors=frozenset(int(x) for x in a["neighbors"]),
-                timestamp=int(a.get("timestamp", 0)),
-            )
-        profile = ReportProfile(reports)
+            if type(nbrs := a["neighbors"]) is not list:
+                raise InstanceError(f"neighbors {nbrs!r} is not a list")
+            reports[_whole(a["id"], "agent id")] = Report(float(a["valuation"]), frozenset(
+                map(int, nbrs)), _whole(a.get("timestamp", 0), "timestamp"))
+        if len(reports) != len(raw["agents"]):
+            ids = [a["id"] for a in raw["agents"]]
+            dups = sorted(i for i in reports if ids.count(i) > 1)
+            raise InstanceError(f"duplicate agent ids {dups}")
+        adj: defaultdict[int, set[int]] = defaultdict(set)
+        for e in raw["edges"]:
+            if type(e) is not list or len(e) != 2:
+                raise InstanceError(f"edge {e!r} is not a [source, target] list")
+            adj[int(e[0])].add(int(e[1]))
+        net = DiffusionNetwork(seller, frozenset(reports),
+                               {k: frozenset(v) for k, v in adj.items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
     exps = raw.get("exponents")
-    return Instance(net=net, reports=profile,
+    return Instance(net=net, reports=ReportProfile(reports),
                     exponents=None if exps is None else exponents_from_dict(exps))
 
 

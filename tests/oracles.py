@@ -154,6 +154,58 @@ def threshold_by_scan(rule_winner, winner: int, rhos: dict[int, float],
     return hi
 
 
+def argmax_winner(values: dict[int, float]):
+    """``ArgmaxRule.winner`` as a one-liner: highest value, ties to the smaller id."""
+    return min(values, key=lambda i: (-values[i], i), default=None)
+
+
+def power_winner(exponents: dict[int, float]):
+    """``PowerRule(exponents).winner`` as a one-liner: highest ``value**t_i``."""
+    return lambda values: min(values, key=lambda i: (-(values[i] ** exponents.get(i, 1.0)), i),
+                              default=None)
+
+
+def reserve_winner(reserve: float):
+    """``SecondPriceReserveRule(reserve).winner`` as a one-liner."""
+    def winner(values):
+        best = min(values, key=lambda i: (-values[i], i), default=None)
+        return best if best is not None and values[best] >= reserve else None
+    return winner
+
+
+def copying_level_payment(rule_winner, winner: int, rhos: dict[int, float]) -> float:
+    """The Myerson threshold by the same bisection as
+    ``myerson_level_payment``, with a fresh copy of the level per probe:
+    the bracket is halved until it is two adjacent floats, after a probe
+    at twice the largest value and one at 0.  A non-monotone probe raises
+    ``ValueError``."""
+    rhos = dict(rhos)
+    if any(v < 0 for v in rhos.values()) or rule_winner(rhos) != winner:
+        raise ValueError("not the winner of a non-negative level")
+
+    def wins(y: float) -> bool:
+        trial = dict(rhos)
+        trial[winner] = y
+        return rule_winner(trial) == winner
+
+    hi_probe = 2.0 * max(rhos.values(), default=0.0)
+    if hi_probe > rhos[winner] and not wins(hi_probe):
+        raise ValueError("the winner loses when raised")
+    if wins(0.0):
+        return 0.0
+    lo, hi = 0.0, rhos[winner]
+    while (mid := 0.5 * lo + 0.5 * hi) not in (lo, hi):
+        if wins(mid):
+            hi = mid
+        else:
+            lo = mid
+    for frac in (0.25, 0.5, 0.75):
+        y = frac * lo
+        if y < lo and wins(y):
+            raise ValueError("the winner wins below its threshold")
+    return hi
+
+
 def naive_referral_parents(out_edges, forwards, stamps, seller: int = 0) -> dict[int, int]:
     """Parent map of the first-invite-first-served referral tree by the
     quadratic rule: for each reached node, scan every reached node for

@@ -37,10 +37,14 @@ from diffusion_auctions.verify import _CurveTable, make_grid
 
 from helpers import ArgminRule, run_idm_tree
 from oracles import (
+    argmax_winner,
+    copying_level_payment,
     naive_level_auction,
     naive_net_payments,
+    power_winner,
     random_dag_edges,
     random_tree_children,
+    reserve_winner,
     sorted_rank_level,
     threshold_by_scan,
 )
@@ -574,6 +578,43 @@ class TestMyersonLevelPayment:
         assert out == LblevAuction(None).run(net, profile)
         assert (out.winner, out.seller_revenue) == (4, 10.0)
         assert out.payments == {1: 0.0, 3: -90.0, 4: 100.0}
+
+
+# zeros, subnormals, ties (the sampled values repeat) and values whose
+# square or cube overflows, plus arbitrary floats
+LEVEL_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 7.0, 1e150, 1e200]),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
+RULE_EXPONENTS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.25, 4.0))
+
+
+def _result(fn):
+    """``fn()``'s float as its hex, so a sign of zero counts, or the
+    exception type it raises."""
+    try:
+        out = fn()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return out.hex() if isinstance(out, float) else out
+
+
+class TestRulesAgainstOneLiners:
+    """The one-loop rules and the reused-trial bisection against the
+    one-liner rules and a bisection that copies the level per probe."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(level=st.dictionaries(st.integers(1, 12), LEVEL_VALUES, min_size=1, max_size=8),
+           exponents=st.dictionaries(st.integers(1, 12), RULE_EXPONENTS, max_size=12),
+           reserve=st.sampled_from([0.0, 1.0, 7.0]))
+    def test_same_winner_and_threshold(self, level, exponents, reserve):
+        for rule, old in ((ArgmaxRule(), argmax_winner),
+                          (PowerRule(exponents), power_winner(exponents)),
+                          (SecondPriceReserveRule(reserve), reserve_winner(reserve))):
+            winner = _result(lambda: rule.winner(level))
+            assert winner == _result(lambda: old(level))
+            if isinstance(winner, int):
+                assert _result(lambda: myerson_level_payment(rule, winner, level)) == \
+                    _result(lambda: copying_level_payment(old, winner, level))
 
 
 class TestPowerRule:

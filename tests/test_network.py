@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffusion_auctions import (
+    SELLER,
     InstanceError,
     Report,
     ReportProfile,
@@ -175,6 +176,57 @@ class TestReferralTreeAgainstOracle:
         assert len(tree.parent) == n
 
 
+def run_large_case(rng: np.random.Generator, n: int):
+    """An instance shaped like the benchmark's run-large pool: every agent
+    has a first inviter among the earlier nodes plus about two more, and a
+    few arbitrary extra edges can point back.  Stamps are random with
+    ties, forwarded subsets random, and exponents non-unit."""
+    edges = []
+    for k in range(1, n + 1):
+        first = 0 if k == 1 else int(rng.integers(0, k))
+        edges.append((first, k))
+        edges.extend((j, k) for j in np.nonzero(rng.random(k) < 2.0 / k)[0].tolist() if j != first)
+    edges.extend(tuple(int(x) for x in rng.integers(1, n + 1, size=2)) for _ in range(3))
+    net = network_from_edges(edges, agents=range(1, n + 1))
+    stamps = {i: int(rng.integers(0, n)) for i in net.agents}
+    forwards = {i: frozenset(j for j in sorted(net.neighbors(i)) if rng.random() < 0.9)
+                for i in net.agents}
+    profile = ReportProfile({i: Report(float(rng.uniform(0.0, 100.0)), forwards[i], stamps[i])
+                             for i in net.agents})
+    exponents = {i: float(rng.uniform(0.5, 3.0)) for i in net.agents}
+    return Instance(net, profile, exponents), forwards, stamps
+
+
+class TestRunLargeSize:
+    @pytest.mark.parametrize("n", [100, 150, 200, 250, 300])
+    def test_reload_and_tree_match_the_oracle(self, n):
+        rng = np.random.default_rng(n)
+        built = 0
+        for _ in range(2):
+            inst, forwards, stamps = run_large_case(rng, n)
+            back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+            assert back.net == inst.net
+            assert back.reports.reports == inst.reports.reports
+            assert back.exponents == inst.exponents
+            try:
+                expect = naive_referral_parents(inst.net.out_edges, forwards, stamps)
+            except ValueError:   # an extra edge back closed a parent cycle
+                with pytest.raises(InstanceError, match="cyclic"):
+                    build_referral_tree(back.net, back.reports)
+                continue
+            built += 1
+            tree = build_referral_tree(back.net, back.reports)
+            assert tree.parent == expect
+            assert dict(tree.children) == children_of(expect)
+            # the seller's children, then the rest, each in id order; a
+            # parent's children appear where its first child does
+            first_level = sorted(inst.net.neighbors(SELLER))
+            order = first_level + sorted(set(expect) - set(first_level))
+            assert list(tree.parent) == order
+            assert list(tree.children) == list(dict.fromkeys(expect[i] for i in order))
+        assert built
+
+
 class TestSubtreeMax:
     def test_worked_example_values(self):
         inst = fixtures.fig_lblev_instance()
@@ -233,6 +285,59 @@ class TestInstanceIO:
                "edges": [[0, 1]]}
         with pytest.raises(InstanceError, match="duplicate agent ids"):
             instance_from_dict(raw)
+
+    @staticmethod
+    def fig_raw() -> dict:
+        return instance_to_dict(fixtures.fig_lblev_instance())
+
+    @pytest.mark.parametrize("bad", ["23", 23, {"2": 3}, None],
+                             ids=["string", "number", "object", "null"])
+    def test_neighbors_must_be_a_list(self, bad):
+        raw = self.fig_raw()
+        raw["agents"][0]["neighbors"] = bad
+        with pytest.raises(InstanceError, match="neighbors"):
+            instance_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", ["01", 1, {"0": 1}, [0, 1, 5], [0], []],
+                             ids=["string", "number", "object", "triple", "single", "empty"])
+    def test_edge_must_be_a_pair_list(self, bad):
+        raw = self.fig_raw()
+        raw["edges"][0] = bad
+        with pytest.raises(InstanceError, match="edge"):
+            instance_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "1", None, math.nan],
+                             ids=["fraction", "bool", "string", "null", "nan"])
+    def test_agent_id_must_be_integral(self, bad):
+        raw = self.fig_raw()
+        raw["agents"][0]["id"] = bad
+        with pytest.raises(InstanceError, match="agent id"):
+            instance_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [0.5, False, "0", None, math.inf],
+                             ids=["fraction", "bool", "string", "null", "inf"])
+    def test_seller_must_be_integral(self, bad):
+        raw = self.fig_raw()
+        raw["seller"] = bad
+        with pytest.raises(InstanceError, match="seller"):
+            instance_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [2.7, True, "2", None, -math.inf],
+                             ids=["fraction", "bool", "string", "null", "-inf"])
+    def test_timestamp_must_be_integral(self, bad):
+        raw = self.fig_raw()
+        raw["agents"][1]["timestamp"] = bad
+        with pytest.raises(InstanceError, match="timestamp"):
+            instance_from_dict(raw)
+
+    def test_integral_floats_are_read_as_ints(self):
+        raw = self.fig_raw()
+        raw["seller"] = 0.0
+        for a in raw["agents"]:
+            a["id"], a["timestamp"] = float(a["id"]), float(a["timestamp"])
+        inst, back = fixtures.fig_lblev_instance(), instance_from_dict(raw)
+        assert back.net == inst.net and back.reports.reports == inst.reports.reports
+        assert all(type(i) is int for i in back.net.agents)
 
     def test_timestamps_follow_bfs_layers(self):
         net = fan_net()
