@@ -21,7 +21,6 @@ from functools import cache, cached_property, partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .mechanisms import (
     ArgmaxRule,
@@ -73,8 +72,8 @@ class ValuationDistribution:
 
 
 def uniform_distribution(low: float = 0.0, high: float = 1.0) -> ValuationDistribution:
-    if not 0.0 <= low < high:
-        raise ValueError("need 0 <= low < high")
+    if not 0.0 <= low < high < math.inf:
+        raise ValueError("need 0 <= low < high < inf")
     width = high - low
 
     def cdf(x):
@@ -91,8 +90,8 @@ def uniform_distribution(low: float = 0.0, high: float = 1.0) -> ValuationDistri
 
 
 def exponential_distribution(rate: float = 1.0) -> ValuationDistribution:
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
@@ -111,11 +110,12 @@ def exponential_distribution(rate: float = 1.0) -> ValuationDistribution:
 def truncated_normal(mean: float, sd: float) -> ValuationDistribution:
     """Normal valuation clamped at zero.  The atom at zero is ignored by
     cdf/pdf, which is harmless for the means and deviations used here
-    (clamping probability is negligible)."""
-    if sd <= 0:
-        raise ValueError("sd must be positive")
+    (clamping probability is negligible).  The first cdf call imports scipy."""
+    if not (math.isfinite(mean) and 0 < sd < math.inf):
+        raise ValueError("need a finite mean and a positive finite sd")
 
     def cdf(x):
+        from scipy.special import ndtr
         x = np.asarray(x, dtype=float)
         return np.where(x >= 0, ndtr((x - mean) / sd), 0.0)
 
@@ -133,8 +133,8 @@ def truncated_normal(mean: float, sd: float) -> ValuationDistribution:
 def max_of_iid(dist: ValuationDistribution, n: int) -> ValuationDistribution:
     """Distribution of the maximum of ``n`` independent draws: cdf F**n,
     density n*F**(n-1)*f.  Preserves hazard monotonicity."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     if n == 1:
         return dist
 

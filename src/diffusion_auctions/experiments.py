@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -228,6 +227,7 @@ def sweep_lambda(config: ExperimentConfig) -> list[SweepRow]:
     """
     workers = min(config.jobs, config.outer, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_outer, [config] * config.outer,
                                     range(config.outer)))

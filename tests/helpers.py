@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Mapping, Optional
 
 import numpy as np
 from scipy import integrate
 
+import diffusion_auctions
 from diffusion_auctions import (
     SELLER,
     LevelRule,
@@ -24,6 +29,17 @@ from diffusion_auctions.experiments import (
     runner_up_exponents,
 )
 from diffusion_auctions.network import Outcome
+
+
+def fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this package from
+    the same place as the tests, and return what it prints."""
+    src = str(Path(diffusion_auctions.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def run_idm_tree(tree: ReferralTree, values: Mapping[int, float]) -> Outcome:

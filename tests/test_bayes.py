@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from diffusion_auctions import (
     ArgmaxRule,
@@ -45,7 +45,7 @@ from diffusion_auctions.bayes import (
 )
 from diffusion_auctions.verify import make_grid, verify_mechanism
 
-from helpers import interim_payment_second_price, revenue_identity_sides
+from helpers import fresh_python, interim_payment_second_price, revenue_identity_sides
 from test_mechanisms import truthful_compile
 
 UNIT = uniform_distribution(0.0, 1.0)
@@ -93,6 +93,19 @@ class TestHazardMonotonicity:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_max_transform_preserves_it(self, base, n):
         assert check_mhr(max_of_iid(base, n), grid_size=256)
+
+
+@pytest.mark.parametrize("make, args", [
+    (truncated_normal, (100.0, math.nan)), (truncated_normal, (math.inf, 5.0)),
+    (truncated_normal, (100.0, math.inf)), (truncated_normal, (math.nan, 5.0)),
+    (truncated_normal, (-math.inf, 5.0)), (truncated_normal, (100.0, 0.0)),
+    (exponential_distribution, (math.nan,)), (exponential_distribution, (math.inf,)),
+    (exponential_distribution, (0.0,)), (uniform_distribution, (0.0, math.inf)),
+    (uniform_distribution, (math.nan, 1.0)), (uniform_distribution, (0.0, math.nan)),
+    (max_of_iid, (UNIT, 2.5)), (max_of_iid, (UNIT, 2.0)), (max_of_iid, (UNIT, 0))])
+def test_prior_constructors_reject_unusable_parameters(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
 
 
 class TestMaxOfIid:
@@ -668,6 +681,24 @@ class TestRevenueIdentity:
 
 
 class TestTruncatedNormal:
+    @pytest.mark.parametrize("mean, sd", [(100.0, 5.0), (1.0, 5.0), (70.0, 0.3)])
+    def test_cdf_is_ndtr_bit_for_bit(self, mean, sd):
+        # negatives, both zeros, the mean and both tails beyond 8 sd
+        grid = np.concatenate([
+            [-1e300, -50.0, -1.0, -0.0, 0.0, 5e-324, mean],
+            mean + sd * np.array([-40.0, -9.0, -8.5, 8.5, 9.0, 40.0]),
+            np.linspace(-10.0, mean + 10.0 * sd, 61)])
+        expected = np.where(grid >= 0, special.ndtr((grid - mean) / sd), 0.0)
+        # first as the first scipy use of a fresh interpreter, then here
+        out = fresh_python(
+            "import sys\nimport numpy as np\n"
+            "from diffusion_auctions import truncated_normal\n"
+            "assert 'scipy' not in sys.modules\n"
+            f"cdf = truncated_normal({mean!r}, {sd!r}).cdf(np.array({grid.tolist()!r}))\n"
+            "print(cdf.tobytes().hex())")
+        assert np.array_equal(np.frombuffer(bytes.fromhex(out.strip())), expected)
+        assert np.array_equal(truncated_normal(mean, sd).cdf(grid), expected)
+
     def test_truncated_normal_clamps_sampler(self):
         rng = np.random.default_rng(1)
         tn = truncated_normal(1.0, 5.0)

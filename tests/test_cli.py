@@ -18,6 +18,8 @@ from diffusion_auctions import cli
 from diffusion_auctions.cli import main
 from diffusion_auctions.rc_example import fig_rc_instance
 
+from helpers import fresh_python
+
 
 @pytest.fixture
 def fig_path(tmp_path):
@@ -477,3 +479,14 @@ class TestExperiment:
         assert code == 2 and out == "" and calls == []
         [line] = err.splitlines()
         assert line.startswith("error: ") and "sweep_draws" not in err
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy_or_process_pool(self):
+        # scipy loads on the first truncated-normal cdf call, the process
+        # pool when a sweep starts workers
+        out = fresh_python(
+            "import sys, diffusion_auctions, diffusion_auctions.cli\n"
+            "print(*sorted(m for m in ('scipy', 'multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules))")
+        assert out.split() == []

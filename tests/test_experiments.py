@@ -349,7 +349,8 @@ class TestSweep:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # sweep_lambda imports the pool class when it starts workers
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         return made
 
     # four CPUs: the worker count is capped by the outer draws and the CPUs
