@@ -55,7 +55,6 @@ from .bayes import (
     max_of_iid,
     maxviva_level,
     paired_revenue_gap,
-    run_maxviva,
     truncated_normal,
     uniform_distribution,
 )

@@ -257,50 +257,6 @@ def maxviva_level(entries: Mapping[int, tuple[float, ValuationDistribution]]
     return (ids[win[0]], float(price[0])) if win[0] >= 0 else (None, 0.0)
 
 
-def run_maxviva(net: DiffusionNetwork, reports: ReportProfile,
-                first_level_dists: Mapping[int, ValuationDistribution]) -> Outcome:
-    """Revenue-optimal referral auction for supplied first-level priors.
-
-    The first level runs the :func:`maxviva_level` round on the subtree maxima;
-    the descent below the first level uses the plain highest-value rule
-    with threshold payments (lower levels cannot change the revenue).
-    """
-    return _run_maxviva(build_referral_tree(net, reports), reports.values(), first_level_dists)
-
-
-def _run_maxviva(tree: ReferralTree, values: Mapping[int, float],
-                 first_level_dists: Mapping[int, ValuationDistribution]) -> Outcome:
-    if all(values[i] == 0.0 for i in tree.agents()):
-        return Outcome({}, {}, 0.0)
-    submax = subtree_values(tree, values)
-    first = sorted(tree.child_tuple(tree.root))
-    win, price = _maxviva_prices(first_level_dists, first, np.array([[submax[i] for i in first]]))
-    if win[0] < 0:
-        return Outcome({}, {}, 0.0)
-    # Levels below the first are revenue-neutral; descend with the plain
-    # highest-value rule below the decided winner and price.
-    return _run_levels(tree, values, submax,
-                       partial(_myerson_level, ArgmaxRule()),
-                       {first[win[0]]: float(price[0])})[0]
-
-
-class MaxVivaAuction(Mechanism):
-    """Mechanism wrapper assuming i.i.d. base valuations: each first-level
-    node's transformed prior is the max-of-subtree-size transform."""
-
-    def __init__(self, base: ValuationDistribution):
-        self.base = base
-        self.name = "maxviva"
-        # one prior per subtree size, so each reserve is computed once
-        self._prior = cache(partial(max_of_iid, base))
-
-    def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        tree = build_referral_tree(net, reports)
-        dists = {i: self._prior(sum(1 for _ in tree.subtree(i)))
-                 for i in tree.child_tuple(tree.root)}
-        return _run_maxviva(tree, reports.values(), dists)
-
-
 @dataclass(frozen=True)
 class InterimEstimate:
     """Monte Carlo estimate of one agent's expected allocation and payment
@@ -420,7 +376,13 @@ class SecondPriceTA(ReferralAuction):
     def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
         if submax.shape[1] < 2:
             return np.zeros(len(submax))
-        second, best = np.partition(submax, -2, axis=1)[:, -2:].T
+        # the columns follow ids, so a stable rank breaks ties as ArgmaxRule does
+        rows = np.arange(len(submax))
+        win, runner = np.argsort(-submax, axis=1, kind="stable")[:, :2].T
+        best, second = submax[rows, win], submax[rows, runner]
+        # a winner ranked by id after the runner-up must beat it: its
+        # threshold is the next float up, as myerson_level_payment finds it
+        second = np.where(win > runner, np.nextafter(second, np.inf), second)
         return np.where(best >= self.rule.reserve, np.maximum(second, self.rule.reserve), 0.0)
 
 
@@ -434,17 +396,53 @@ class PowerTA(LblevAuction):
 
 
 class MaxVivaTA(Mechanism):
-    """Depth-one revenue-optimal transformed auction for given priors."""
+    """Revenue-optimal referral auction for given first-level priors.
+
+    The first level runs the :func:`maxviva_level` round on the subtree
+    maxima, each priced under its node's prior from :meth:`_priors`; the
+    descent below the first level uses the plain highest-value rule with
+    threshold payments (lower levels cannot change the revenue)."""
 
     def __init__(self, dists: Mapping[int, ValuationDistribution]):
         self.dists = dict(dists)
         self.name = "ta:maxviva"
 
+    def _priors(self, tree: ReferralTree) -> Mapping[int, ValuationDistribution]:
+        """The prior of each first-level node of ``tree``."""
+        return self.dists
+
     def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> _FirstLevelCompiled:
         return _FirstLevelCompiled(self, net, reports)
 
     def price_first_level(self, tree: ReferralTree, submax: np.ndarray) -> np.ndarray:
-        return _maxviva_prices(self.dists, tree.child_tuple(tree.root), submax)[1]
+        return _maxviva_prices(self._priors(tree), tree.child_tuple(tree.root), submax)[1]
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
-        return run_maxviva(net, reports, self.dists)
+        tree = build_referral_tree(net, reports)
+        values = reports.values()
+        if all(values[i] == 0.0 for i in tree.agents()):
+            return Outcome({}, {}, 0.0)
+        submax = subtree_values(tree, values)
+        first = tree.child_tuple(tree.root)
+        win, price = _maxviva_prices(self._priors(tree), first,
+                                     np.array([[submax[i] for i in first]]))
+        if win[0] < 0:
+            return Outcome({}, {}, 0.0)
+        # resume below the decided first-level winner and price
+        return _run_levels(tree, values, submax, partial(_myerson_level, ArgmaxRule()),
+                           {first[win[0]]: float(price[0])})[0]
+
+
+class MaxVivaAuction(MaxVivaTA):
+    """:class:`MaxVivaTA` under i.i.d. base valuations: each first-level
+    node's prior is the max-of-subtree-size transform of ``base``."""
+
+    def __init__(self, base: ValuationDistribution):
+        self.base = base
+        self.name = "maxviva"
+        # one prior per subtree size, so each reserve is computed once
+        self._prior = cache(partial(max_of_iid, base))
+
+    def _priors(self, tree: ReferralTree) -> Mapping[int, ValuationDistribution]:
+        return {i: self._prior(sum(1 for _ in tree.subtree(i)))
+                for i in tree.child_tuple(tree.root)}

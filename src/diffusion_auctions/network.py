@@ -374,8 +374,7 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def save_instance(inst: Instance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(instance_to_dict(inst), indent=2) + "\n")
 
 
 def random_tree_instance(n: int, rng: np.random.Generator) -> Instance:

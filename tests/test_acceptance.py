@@ -33,6 +33,7 @@ from scipy import integrate
 from diffusion_auctions import (
     ArgmaxRule,
     LblevAuction,
+    MaxVivaAuction,
     MaxVivaTA,
     PowerRule,
     PowerTA,
@@ -472,6 +473,42 @@ def test_c06_maxviva_desk_scale():
 
     ok = mc_ok and beats_ok and elapsed < 60.0
     report(6, ok, f"mc={mean:.6f}+-{se:.6f} oracle={oracle:.9f} "
+                  f"gaps={gaps} {elapsed:.1f}s")
+    assert ok
+
+
+def test_c06_maxviva_deep_tree():
+    """Criterion 6 beyond depth one.  On 0->{1,2}, 1->3, 2->{4,5,6} with
+    i.i.d. U(0,1) values the first-level subtree maxima follow x**2 and
+    x**4, so the optimal auction is Myerson's for these two non-identical
+    bidders, whose revenue is E[max(phi1(Y1), phi2(Y2), 0)]."""
+    start = time.perf_counter()
+    net = network_from_edges([(0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (2, 6)])
+    dists = {i: UNIT for i in net.agents}
+
+    def phi(n, y):   # virtual valuation of the maximum of n uniforms
+        return y - (1.0 - y ** n) / (n * y ** (n - 1))
+
+    oracle, _ = integrate.dblquad(
+        lambda y2, y1: max(phi(2, y1), phi(4, y2), 0.0) * 2 * y1 * 4 * y2 ** 3, 0, 1, 0, 1)
+    mv = MaxVivaAuction(UNIT)
+    mean, se = expected_revenue(mv, net, dists, trials=200000, seed=616)
+    mc_ok = abs(mean - oracle) <= 3.0 * se
+
+    draws = {1: 1.0, 2: 1.5, 3: 0.7, 4: 2.0, 5: 0.6, 6: 1.3}
+    shared = sibling_shared_exponents(tree_children(net), draws)
+    challengers = [LblevAuction(), LblevAuction(shared),
+                   SecondPriceTA(0.0), SecondPriceTA(0.5), SecondPriceTA(0.75)]
+    gaps = {}
+    beats_ok = True
+    for ch in challengers:
+        gap, gse = paired_revenue_gap(mv, ch, net, dists, trials=200000, seed=617)
+        gaps[ch.name] = round(gap, 5)
+        beats_ok &= gap >= -3.0 * gse
+    elapsed = time.perf_counter() - start
+
+    ok = mc_ok and beats_ok and elapsed < 60.0
+    report(6, ok, f"deep tree: mc={mean:.6f}+-{se:.6f} oracle={oracle:.6f} "
                   f"gaps={gaps} {elapsed:.1f}s")
     assert ok
 

@@ -28,7 +28,6 @@ from diffusion_auctions import (
     network_from_edges,
     paired_revenue_gap,
     run_lblev,
-    run_maxviva,
     run_referral_auction,
     subtree_values,
     truncated_normal,
@@ -39,6 +38,7 @@ from diffusion_auctions import bayes, fixtures
 from diffusion_auctions.bayes import (
     InterimEstimate,
     ValuationDistribution,
+    _FirstLevelCompiled,
     _inverse_virtual,
     _rival_matrix,
     _virtual,
@@ -239,13 +239,13 @@ class TestMaxVivaLevel:
 class TestRunMaxViva:
     def test_depth_one_reduces_to_level(self):
         inst = fixtures.depth1_instance((0.8, 0.6))
-        out = run_maxviva(inst.net, inst.reports, {1: UNIT, 2: UNIT})
+        out = MaxVivaTA({1: UNIT, 2: UNIT}).run(inst.net, inst.reports)
         assert out.winner == 1
         assert out.seller_revenue == pytest.approx(0.6, abs=1e-9)
 
     def test_unsold_when_below_reserve(self):
         inst = fixtures.depth1_instance((0.2, 0.1))
-        out = run_maxviva(inst.net, inst.reports, {1: UNIT, 2: UNIT})
+        out = MaxVivaTA({1: UNIT, 2: UNIT}).run(inst.net, inst.reports)
         assert out.winner is None
         assert all(p == 0.0 for p in out.payments.values())
 
@@ -274,7 +274,7 @@ class TestRunMaxViva:
         values = {1: 0.1, 2: 0.55, 3: 0.9, 4: 0.6}
         profile = truthful_profile(net, values)
         dists = {1: max_of_iid(UNIT, 3), 2: UNIT}
-        out = run_maxviva(net, profile, dists)
+        out = MaxVivaTA(dists).run(net, profile)
         assert out.winner == 3
         assert sum(out.payments.values()) == pytest.approx(out.seller_revenue, abs=1e-12)
         assert out.utility(3, values[3]) >= -1e-9
@@ -282,9 +282,9 @@ class TestRunMaxViva:
     def test_missing_first_level_dist_rejected(self):
         inst = fixtures.depth1_instance((0.8, 0.6))
         with pytest.raises(ValueError):
-            run_maxviva(inst.net, inst.reports, {1: UNIT})
+            MaxVivaTA({1: UNIT}).run(inst.net, inst.reports)
 
-    # sha256 over repr(run_maxviva) and repr(MaxVivaAuction(UNIT).run) on
+    # sha256 over repr(MaxVivaTA(dists).run) and repr(MaxVivaAuction(UNIT).run) on
     # the 40 deep trees below, recorded before the descent below the first
     # level was resumed from the payment chain instead of a start node and
     # offset
@@ -304,11 +304,32 @@ class TestRunMaxViva:
                       for k in parents}
             profile = truthful_profile(net, values)
             dists = {k: (UNIT, wide)[k % 2] for k, p in parents.items() if p == 0}
-            for out in (run_maxviva(net, profile, dists), MaxVivaAuction(UNIT).run(net, profile)):
+            for mech in (MaxVivaTA(dists), MaxVivaAuction(UNIT)):
+                out = mech.run(net, profile)
                 digest.update(repr(out).encode())
                 deep += len(out.payments) > 1   # the winner sits below the first level
         assert deep == 27
         assert digest.hexdigest() == self.RESUMED_DESCENT_DIGEST, digest.hexdigest()
+
+    def test_compiled_revenues_are_run_revenues(self):
+        # MaxVivaAuction prices a draw matrix on the first-level subtree
+        # maxima; each row's revenue is its run's, to the last bit
+        rng = np.random.default_rng(2828)
+        for base in (UNIT, exponential_distribution(2.0), truncated_normal(1.0, 0.5)):
+            mech = MaxVivaAuction(base)
+            for _ in range(8):
+                n = int(rng.integers(2, 11))
+                parents = {k: int(rng.integers(max(0, k - 3), k)) for k in range(1, n + 1)}
+                net = network_from_edges([(p, k) for k, p in parents.items()])
+                ids = sorted(net.agents)
+                matrix = base.sample(rng, 30 * n).reshape(30, n)
+                matrix[0] = 0.0                            # unsold
+                matrix[1] = matrix[1, 0]                   # every value tied
+                matrix[2] = np.round(matrix[2] * 4) / 4    # ties on a coarse grid
+                batch = truthful_compile(mech, net).revenues(ids, matrix)
+                for row, expect in zip(matrix, batch):
+                    out = mech.run_on_values(net, dict(zip(ids, row.tolist())))
+                    assert out.seller_revenue == expect
 
     def test_run_keeps_one_prior_per_subtree_size(self, monkeypatch):
         made = []
@@ -331,7 +352,7 @@ class TestRunMaxViva:
         tree = build(inst.net, inst.reports)
         dists = {i: max_of_iid(base, sum(1 for _ in tree.subtree(i)))
                  for i in tree.child_tuple(tree.root)}
-        assert repr(out) == repr(run_maxviva(inst.net, inst.reports, dists))
+        assert repr(out) == repr(MaxVivaTA(dists).run(inst.net, inst.reports))
         assert out.winner is not None
 
 
@@ -439,7 +460,7 @@ class TestExpectedRevenue:
             name = "scalar-maxviva"
 
             def run(self, net, reports):
-                return run_maxviva(net, reports, dists)
+                return MaxVivaTA(dists).run(net, reports)
 
         scalar_mean, _ = expected_revenue(Wrapper(), inst.net, dists,
                                           trials=4000, seed=2)
@@ -532,7 +553,7 @@ class TestRevenueComparisons:
         batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
         for row, expect in zip(matrix, batch):
             out = ta.run_on_values(inst.net, dict(zip(ids, row)))
-            assert out.seller_revenue == pytest.approx(expect, abs=1e-9)
+            assert out.seller_revenue == expect
 
     def test_maxviva_ta_batch_matches_tree_mechanism(self):
         rng = np.random.default_rng(15)
@@ -543,9 +564,8 @@ class TestRevenueComparisons:
         matrix = rng.uniform(size=(40, 2))
         batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
         for row, expect in zip(matrix, batch):
-            out = run_maxviva(inst.net,
-                              truthful_profile(inst.net, dict(zip(ids, row))), dists)
-            assert out.seller_revenue == pytest.approx(expect, abs=1e-7)
+            out = ta.run(inst.net, truthful_profile(inst.net, dict(zip(ids, row))))
+            assert out.seller_revenue == expect
 
 
 class TestTransformedAuctionRun:
@@ -562,13 +582,22 @@ class TestTransformedAuctionRun:
                 net, truthful_profile(net, v), SecondPriceReserveRule(0.25))[0]),
             (pw, lambda net, v: run_lblev(
                 build_referral_tree(net, truthful_profile(net, v)), v, self.EXPS)[0]),
-            (mv, lambda net, v: run_maxviva(net, truthful_profile(net, v), dists)),
+            (mv, lambda net, v: MaxVivaTA(dists).run(net, truthful_profile(net, v))),
         ]
+
+    @staticmethod
+    def priced(mech, expect):
+        # run's revenue equals the compiled one exactly, but PowerTA's
+        # kernel ** may round differently from libm's in the last ulp
+        return pytest.approx(expect, abs=1e-9) if isinstance(mech, PowerTA) else expect
 
     def test_each_is_its_tree_mechanism(self):
         # the names stay those of the former standalone classes, and a
         # PowerTA without exponents is an error rather than IDM
         assert issubclass(PowerTA, LblevAuction) and issubclass(SecondPriceTA, ReferralAuction)
+        assert issubclass(MaxVivaAuction, MaxVivaTA)
+        star = fixtures.depth1_instance((0.5, 0.5)).net
+        assert type(truthful_compile(MaxVivaAuction(UNIT), star)) is _FirstLevelCompiled
         assert SecondPriceTA(0.25).rule.reserve == 0.25
         names = [mech.name for mech, _ in self.cases({1: UNIT})]
         assert names == ["ta:second-price-r0.25", "ta:argmax-pow", "ta:maxviva"]
@@ -592,7 +621,7 @@ class TestTransformedAuctionRun:
                     values = dict(zip(ids, row.tolist()))
                     out = mech.run(net, truthful_profile(net, values))
                     assert out == former(net, values) == mech.run_on_values(net, values)
-                    assert out.seller_revenue == pytest.approx(expect, abs=1e-9)
+                    assert out.seller_revenue == self.priced(mech, expect)
 
     def test_lone_first_level_bidder_pays_nothing(self):
         # run_referral_auction's lone survivor pays only the offset, 0,
@@ -606,7 +635,7 @@ class TestTransformedAuctionRun:
                 batch = truthful_compile(mech, net).revenues(ids, matrix)
                 for row, expect in zip(matrix, batch):
                     out = mech.run_on_values(net, dict(zip(ids, row.tolist())))
-                    assert out.seller_revenue == pytest.approx(expect, abs=1e-9), mech.name
+                    assert out.seller_revenue == self.priced(mech, expect), mech.name
         reserve_ta = truthful_compile(SecondPriceTA(0.25), lone)
         assert reserve_ta.revenues([1], np.array([[0.6]])).tolist() == [0.0]
 

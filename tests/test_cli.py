@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -370,6 +371,18 @@ class TestGen:
                                  "--out", str(out_path))
         assert code == 2 and out == "" and not out_path.exists()
         assert err == "error: --seed must be non-negative, got -1\n"
+
+    # sha256 of gen's output, recorded while save_instance streamed json.dump
+    @pytest.mark.parametrize("argv, digest", [
+        (["--fixture", "fig-lblev"],
+         "abadd2b806b339db7a3bb4a832fc29adfcf81b34c9f09dbc2f7a03bbac580654"),
+        (["--n", "50", "--seed", "3"],
+         "978ca6a4629007d08f2d8fc073a6a4397efa5ae1a68c9b973a96e6720ed7ed53"),
+    ])
+    def test_output_bytes(self, tmp_path, capsys, argv, digest):
+        out_path = tmp_path / "gen.json"
+        assert run_cli(capsys, "gen", *argv, "--out", str(out_path))[0] == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_fixture_gen_matches_module(self, tmp_path, capsys):
         out_path = tmp_path / "fig.json"
