@@ -341,8 +341,12 @@ def instance_from_dict(raw: Mapping) -> Instance:
         for a in raw["agents"]:
             if type(nbrs := a["neighbors"]) is not list:
                 raise InstanceError(f"neighbors {nbrs!r} is not a list")
-            reports[_whole(a["id"], "agent id")] = Report(float(a["valuation"]), frozenset(
-                map(int, nbrs)), _whole(a.get("timestamp", 0), "timestamp"))
+            if type(value := a["valuation"]) is not float and type(value) is not int:
+                raise InstanceError(f"valuation {value!r} is not a number")
+            if not {int}.issuperset(map(type, nbrs)):
+                nbrs = [_whole(x, "neighbor id") for x in nbrs]
+            reports[_whole(a["id"], "agent id")] = Report(
+                float(value), frozenset(nbrs), _whole(a.get("timestamp", 0), "timestamp"))
         if len(reports) != len(raw["agents"]):
             ids = [a["id"] for a in raw["agents"]]
             dups = sorted(i for i in reports if ids.count(i) > 1)
@@ -351,7 +355,9 @@ def instance_from_dict(raw: Mapping) -> Instance:
         for e in raw["edges"]:
             if type(e) is not list or len(e) != 2:
                 raise InstanceError(f"edge {e!r} is not a [source, target] list")
-            adj[int(e[0])].add(int(e[1]))
+            src, dst = e
+            adj[src if type(src) is int else _whole(src, "edge source")].add(
+                dst if type(dst) is int else _whole(dst, "edge target"))
         net = DiffusionNetwork(seller, frozenset(reports),
                                {k: frozenset(v) for k, v in adj.items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

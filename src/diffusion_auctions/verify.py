@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -117,10 +118,12 @@ class VerificationReport:
 class _CurveTable:
     """Allocation/payment of one agent along its own-value axis, under a
     fixed forwarded subset, as the rows ``x``, ``g`` and ``p`` of one
-    array sorted by own value.  The mechanism is compiled once for the
-    subset and each batch of new points is priced by one ``curve`` call;
-    jump locations are pinned by bisection so step integrals are exact
-    to ``xtol``.  The trapezoid prefix is cached until the next merge."""
+    array sorted by own value.  The table is built from one compile of
+    the mechanism for the subset: :meth:`ensure` prices a batch of points
+    by one ``curve`` call, and :meth:`refine_jumps` pins each allocation
+    jump within ``xtol``, so that step integrals are exact to ``xtol``,
+    by a depth-first bisection of one ``curve`` point per midpoint.  The
+    trapezoid prefix is cached until the next merge."""
 
     def __init__(self, compiled: Compiled, agent: int,
                  subset: tuple[int, ...], xtol: float):
@@ -128,21 +131,10 @@ class _CurveTable:
         self._budget = CURVE_BUDGET
         self._cols, self._prefix = np.empty((3, 0)), None
 
-    def _price(self, xs: list[float], splits: Optional[list[tuple]]) -> list[tuple[float, float]]:
-        """``curve`` at the new points ``xs``; ``splits[k]`` is the bracket
-        ``(a, g_a, b, g_b)`` point ``k`` bisects, or None for non-midpoints.
-        The error names the first bracket the budget cannot pay for."""
-        if len(xs) > self._budget:
-            if splits is None:
-                where = f"pricing {len(xs)} points in [{min(xs)!r}, {max(xs)!r}]"
-            else:
-                lo, _, hi, _ = splits[self._budget]
-                where = f"splitting [{lo!r}, {hi!r}] (allocation appears pathological)"
-            raise VerificationError(
-                f"curve evaluation budget of {CURVE_BUDGET} exhausted for agent "
-                f"{self.agent} forwarding to {self.subset} while {where}")
-        self._budget -= len(xs)
-        return self._compiled.curve(self.agent, xs)
+    def _exhausted(self, where: str) -> VerificationError:
+        return VerificationError(
+            f"curve evaluation budget of {CURVE_BUDGET} exhausted for agent "
+            f"{self.agent} forwarding to {self.subset} while {where}")
 
     def _merge(self, xs: list[float], gp: list[tuple[float, float]]) -> None:
         """Merge priced points, none of them held yet, by one stable sort."""
@@ -156,28 +148,39 @@ class _CurveTable:
         if held.size:
             xs = xs[held[np.searchsorted(held, xs).clip(max=held.size - 1)] != xs]
         new = list(dict.fromkeys(xs.tolist()))
+        if len(new) > self._budget:
+            raise self._exhausted(f"pricing {len(new)} points in [{min(new)!r}, {max(new)!r}]")
         if new:
-            self._merge(new, self._price(new, None))
+            self._budget -= len(new)
+            self._merge(new, self._compiled.curve(self.agent, new))
 
     def refine_jumps(self) -> None:
         """Bisect every interval whose endpoint allocations differ until
-        each jump is bracketed within ``xtol``, one ``curve`` call per round
-        of midpoints.  A round's brackets ``(a, g_a, b, g_b)`` carry their
-        endpoints' allocations, and all midpoints are merged at the end.
-        Each split depends only on its two endpoints, so the points are
-        those of a depth-first bisection."""
+        each jump is bracketed within ``xtol``: depth-first, leftmost
+        bracket first, one ``curve`` call per midpoint.  A bracket
+        ``(a, g_a, b, g_b)`` carries its endpoints' allocations, and all
+        midpoints are merged at the end.  Each split depends only on its
+        two endpoints, so the points do not depend on the order."""
         x, g, _ = self._cols
-        xtol, mids, gps = self._xtol, [], []
+        xtol, curve, agent, budget = self._xtol, self._compiled.curve, self.agent, self._budget
         at = np.flatnonzero((x[1:] - x[:-1] > xtol) & (np.abs(g[1:] - g[:-1]) > 1e-12))
-        splits = list(zip(*(col[at + d].tolist() for d in (0, 1) for col in (x, g))))
-        while splits:
-            new = [0.5 * (a + b) for a, _, b, _ in splits]
-            gp = self._price(new, splits)
-            mids += new
-            gps += gp
-            splits = [half for (a, g_a, b, g_b), m, (g_m, _) in zip(splits, new, gp)
-                      for half in ((a, g_a, m, g_m), (m, g_m, b, g_b))
-                      if half[2] - half[0] > xtol and abs(half[3] - half[1]) > 1e-12]
+        stack = list(zip(*(col[at + d].tolist() for d in (0, 1) for col in (x, g))))[::-1]
+        mids, gps = [], []
+        while stack:
+            a, g_a, b, g_b = stack.pop()
+            if not budget:
+                raise self._exhausted(
+                    f"splitting [{a!r}, {b!r}] (allocation appears pathological)")
+            budget -= 1
+            m = 0.5 * (a + b)
+            [gp] = curve(agent, [m])
+            mids.append(m)
+            gps.append(gp)
+            if b - m > xtol and abs(g_b - gp[0]) > 1e-12:
+                stack.append((m, gp[0], b, g_b))
+            if m - a > xtol and abs(gp[0] - g_a) > 1e-12:
+                stack.append((a, g_a, m, gp[0]))
+        self._budget = budget
         if mids:
             self._merge(mids, gps)
 
@@ -196,7 +199,11 @@ class _CurveTable:
 
 
 class _Context:
-    """Shared evaluation cache across the checks of one instance."""
+    """Shared evaluation cache across the checks of one instance: one
+    curve table per (agent, forwarded subset), and one compile of the
+    reported profile, made when first needed, that every full-forwarding
+    table and the ``ir`` check read.  Only a withholding subset compiles
+    its own profile."""
 
     def __init__(self, mech: Mechanism, net: DiffusionNetwork,
                  reports: ReportProfile, grid: DeviationGrid):
@@ -227,10 +234,16 @@ class _Context:
                 self._subsets[agent] = sorted(chosen, key=lambda s: (len(s), sorted(s)))
         return self._subsets[agent]
 
+    @cached_property
+    def reported(self) -> Compiled:
+        """The mechanism compiled for the reported profile."""
+        return self.mech.compile(self.net, self.reports)
+
     def table(self, agent: int, subset: frozenset[int]) -> _CurveTable:
         table = self._tables.get((agent, subset))
         if table is None:
-            compiled = self.mech.compile(self.net, self.reports.replace(agent, neighbors=subset))
+            compiled = (self.reported if subset == self.reports.neighbors(agent) else
+                        self.mech.compile(self.net, self.reports.replace(agent, neighbors=subset)))
             table = _CurveTable(compiled, agent, tuple(sorted(subset)), self.xtol)
             table.ensure([*self.grid.points, 0.0, self.reports.value(agent)])
             table.refine_jumps()
@@ -408,7 +421,7 @@ def _ic_impl(ctx: _Context) -> VerificationReport:
 
 def _ir_impl(ctx: _Context) -> VerificationReport:
     details = {}
-    compiled = ctx.mech.compile(ctx.net, ctx.reports)
+    compiled = ctx.reported
     for agent in ctx.net.sorted_agents():
         [(g, p)] = compiled.curve(agent, [ctx.reports.value(agent)])
         utility = ctx.reports.value(agent) * g - p

@@ -261,3 +261,27 @@ def random_dag_edges(rng: np.random.Generator, n: int,
             if j != first and rng.random() < extra_edge_prob / max(k, 1):
                 edges.append((j, k))
     return edges
+
+
+def round_bisection_table(curve, points, xtol: float) -> np.ndarray:
+    """A verifier curve table built the way the verifier once built it:
+    the distinct ``points`` priced in one call, then rounds of bisection,
+    one ``curve`` call per round with the midpoint of every interval whose
+    endpoint allocations differ by more than 1e-12 and that is wider than
+    ``xtol``.  ``curve(xs)`` returns one (allocation, payment) per point;
+    the result is the rows x, g, p sorted by x."""
+    xs = list(dict.fromkeys(float(x) for x in points))
+    rows = dict(zip(xs, curve(xs)))
+
+    def splits(pairs):
+        return [(a, b) for a, b in pairs
+                if b - a > xtol and abs(rows[b][0] - rows[a][0]) > 1e-12]
+
+    xs.sort()
+    todo = splits(zip(xs, xs[1:]))
+    while todo:
+        mids = [0.5 * (a + b) for a, b in todo]
+        rows.update(zip(mids, curve(mids)))
+        todo = splits(half for (a, b), m in zip(todo, mids) for half in ((a, m), (m, b)))
+    order = sorted(rows)
+    return np.array([order, [rows[x][0] for x in order], [rows[x][1] for x in order]])

@@ -224,6 +224,28 @@ class TestRun:
         assert out == "" and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize("field, bad", [
+        ("neighbors", 2.7), ("neighbors", True), ("edge", ["0", 1.9]),
+        ("valuation", "12"), ("valuation", True)],
+        ids=["neighbor-fraction", "neighbor-bool", "edge-string-fraction",
+             "valuation-string", "valuation-bool"])
+    def test_non_integral_ids_and_non_numeric_values_exit_2(self, tmp_path, capsys,
+                                                             field, bad):
+        raw = instance_to_dict(fixtures.fig_lblev_instance())
+        if field == "neighbors":
+            raw["agents"][0]["neighbors"].append(bad)
+        elif field == "edge":
+            raw["edges"][0] = bad
+        else:
+            raw["agents"][0]["valuation"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run", "--instance", str(path),
+                                 "--mechanism", "idm")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestOverflowInstance:
     """An instance whose ``rho**t`` could overflow is bad input: both
     verbs exit 2 with one error line, not a traceback."""

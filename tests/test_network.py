@@ -330,14 +330,48 @@ class TestInstanceIO:
         with pytest.raises(InstanceError, match="timestamp"):
             instance_from_dict(raw)
 
+    @pytest.mark.parametrize("bad", [2.7, True, "2", None],
+                             ids=["fraction", "bool", "string", "null"])
+    def test_neighbor_ids_must_be_integral(self, bad):
+        # 2.7 and true used to read as agents 2 and 1
+        raw = self.fig_raw()
+        raw["agents"][0]["neighbors"].append(bad)
+        with pytest.raises(InstanceError, match="neighbor id"):
+            instance_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", [["0", 1.9], [0, 1.9], [True, 1], [0, None]],
+                             ids=["string-fraction", "fraction", "bool", "null"])
+    def test_edge_ends_must_be_integral(self, bad):
+        # ["0", 1.9] used to read as the edge 0->1
+        raw = self.fig_raw()
+        raw["edges"][0] = bad
+        with pytest.raises(InstanceError, match="edge (source|target)"):
+            instance_from_dict(raw)
+
+    @pytest.mark.parametrize("bad", ["12", True, None, [12.0]],
+                             ids=["string", "bool", "null", "list"])
+    def test_valuation_must_be_a_number(self, bad):
+        # "12" and true used to read as 12.0 and 1.0
+        raw = self.fig_raw()
+        raw["agents"][0]["valuation"] = bad
+        with pytest.raises(InstanceError, match="valuation"):
+            instance_from_dict(raw)
+
     def test_integral_floats_are_read_as_ints(self):
         raw = self.fig_raw()
         raw["seller"] = 0.0
         for a in raw["agents"]:
             a["id"], a["timestamp"] = float(a["id"]), float(a["timestamp"])
+            a["neighbors"] = [float(i) for i in a["neighbors"]]
+            a["valuation"] = int(a["valuation"]) if a["valuation"].is_integer() else a["valuation"]
+        raw["edges"] = [[float(src), float(dst)] for src, dst in raw["edges"]]
         inst, back = fixtures.fig_lblev_instance(), instance_from_dict(raw)
         assert back.net == inst.net and back.reports.reports == inst.reports.reports
         assert all(type(i) is int for i in back.net.agents)
+        assert all(type(i) is int for i in back.net.out_edges)
+        assert all(type(i) is int for s in back.net.out_edges.values() for i in s)
+        assert all(type(i) is int for a in back.net.agents for i in back.reports.neighbors(a))
+        assert all(type(back.reports.value(a)) is float for a in back.net.agents)
 
     def test_timestamps_follow_bfs_layers(self):
         net = fan_net()

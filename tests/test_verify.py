@@ -22,7 +22,7 @@ from diffusion_auctions import (
     truthful_profile,
     verify_mechanism,
 )
-from diffusion_auctions import fixtures
+from diffusion_auctions import fixtures, verify
 from diffusion_auctions.mutants import DESIGNATED, MUTANTS, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.mechanisms import Compiled, Mechanism
@@ -31,7 +31,7 @@ from diffusion_auctions.verify import (ALL_CONDITIONS, CORE_CONDITIONS, CURVE_BU
                                        DeviationGrid, VerificationError, _best_response,
                                        _Context, random_exponents)
 
-from oracles import naive_forwarding_utility, random_dag_edges
+from oracles import naive_forwarding_utility, random_dag_edges, round_bisection_table
 
 STRUCTURAL = ("monotonicity", "payment-identity", "diffusion-constraint")
 
@@ -464,36 +464,61 @@ class TestSubsetSampling:
         assert rep.details.get("sampled_agents") == [1]
 
 
+def staircase(steps: int) -> Mechanism:
+    """Agent allocations that climb in ``steps`` equal steps over [0, 20],
+    for nothing."""
+
+    class Staircase(Compiled):
+        def curve(self, agent, xs):
+            return [(min(math.floor(x * steps / 20.0), steps) / steps, 0.0) for x in xs]
+
+    class StaircaseMechanism(Mechanism):
+        name = f"test:staircase-{steps}"
+
+        def compile(self, net, reports):
+            return Staircase(self, net, reports)
+
+    return StaircaseMechanism()
+
+
 class TestCurveBudget:
-    def test_exhaustion_names_agent_subset_and_interval(self):
-        steps = 4096
-
-        class Staircase(Compiled):
-            def curve(self, agent, xs):
-                return [(min(math.floor(x * steps / 20.0), steps) / steps, 0.0) for x in xs]
-
-        class FineStaircase(Mechanism):
-            """Allocation climbs in ``steps`` equal steps over [0, 20]:
-            bracketing every step costs far more than the budget."""
-
-            name = "test:fine-staircase"
-
-            def compile(self, net, reports):
-                return Staircase(self, net, reports)
-
-        net = network_from_edges([(0, 1), (1, 2)])
-        profile = truthful_profile(net, {1: 10.0, 2: 3.0})
-        with pytest.raises(VerificationError) as err:
-            verify_mechanism(FineStaircase(), net, profile, None, ("monotonicity",))
-        # agent 1's table for the empty forwarded subset comes first
+    def assert_names_a_step(self, err, steps):
+        """The error names agent 1's first table and a bracket that
+        straddles a step still to be pinned down."""
         found = re.search(r"agent 1 forwarding to \(\) while splitting \[(\S+), (\S+)\]",
                           str(err.value))
         assert found, str(err.value)
         lo, hi = float(found[1]), float(found[2])
         assert 0.0 <= lo < hi <= 20.0
-        # the bracket straddles a step that is still to be pinned down
         assert math.floor(lo * steps / 20.0) < math.floor(hi * steps / 20.0)
 
+    def test_exhaustion_names_agent_subset_and_interval(self):
+        # bracketing every one of 4096 steps costs far more than the budget
+        net = network_from_edges([(0, 1), (1, 2)])
+        profile = truthful_profile(net, {1: 10.0, 2: 3.0})
+        with pytest.raises(VerificationError) as err:
+            verify_mechanism(staircase(4096), net, profile, None, ("monotonicity",))
+        # agent 1's table for the empty forwarded subset comes first
+        self.assert_names_a_step(err, 4096)
+
+    def test_budget_of_exactly_the_needed_points(self, monkeypatch):
+        steps = 8
+        net = network_from_edges([(0, 1), (1, 2)])
+        profile = truthful_profile(net, {1: 10.0, 2: 3.0})
+        grid = make_grid(profile)
+
+        def table():
+            return _Context(staircase(steps), net, profile, grid).table(1, frozenset())
+
+        needed = table().arrays()[0].size
+        assert needed > len(grid.points) + 8 * 30   # some 30-odd midpoints per step
+        monkeypatch.setattr(verify, "CURVE_BUDGET", needed)
+        assert table().arrays()[0].size == needed
+        monkeypatch.setattr(verify, "CURVE_BUDGET", needed - 1)
+        with pytest.raises(VerificationError) as err:
+            table()
+        assert f"budget of {needed - 1} exhausted" in str(err.value)
+        self.assert_names_a_step(err, steps)
 
     def test_too_many_points_are_not_called_pathological(self):
         # pricing more points than the budget holds says so, and blames no split
@@ -505,6 +530,97 @@ class TestCurveBudget:
         assert re.search(r"agent 1 forwarding to \(\) while pricing \d+ points in "
                          r"\[0\.0, 20\.0\]$", str(err.value)), str(err.value)
         assert "pathological" not in str(err.value)
+
+
+class TestDepthFirstBisection:
+    """Every curve table equals, bit for bit, the table of the round-based
+    bisection in ``oracles.round_bisection_table`` on the same points."""
+
+    @staticmethod
+    def tables_match(mech, net, reports, grid) -> list:
+        """Each (agent, subset) table's allocation levels, after checking it
+        against the oracle's table."""
+        ctx, levels = _Context(mech, net, reports, grid), []
+        for agent in net.sorted_agents():
+            for subset in ctx.subsets(agent):
+                compiled = mech.compile(net, reports.replace(agent, neighbors=subset))
+                expected = round_bisection_table(
+                    lambda xs: compiled.curve(agent, xs),
+                    [*grid.points, 0.0, reports.value(agent)], ctx.xtol)
+                got = np.array(ctx.table(agent, subset).arrays())
+                assert got.shape == expected.shape, (agent, subset)
+                assert got.tobytes() == expected.tobytes(), (agent, subset)
+                levels.append(len(set(got[1].tolist())))
+        return levels
+
+    def test_first_forty_c03_instances(self):
+        rng = np.random.default_rng(2024)
+        tables = 0
+        for k in range(40):
+            inst = random_tree_instance(int(rng.integers(3, 13)), rng)
+            draws = random_exponents(inst.net.agents, rng)
+            grid = make_grid(inst.reports, size=64, seed=k)
+            tables += len(self.tables_match(LblevAuction(draws), inst.net, inst.reports, grid))
+        assert tables == 468
+
+    def test_rc_fixture(self):
+        inst = fig_rc_instance()
+        levels = self.tables_match(RcExampleAuction(), inst.net, inst.reports,
+                                   make_grid(inst.reports))
+        assert max(levels) > 2   # several jumps in one table: the order differs
+
+    @pytest.mark.parametrize("condition", list(DESIGNATED))
+    def test_designated_mutants(self, condition):
+        name, factory = DESIGNATED[condition]
+        inst = factory()
+        self.tables_match(make_mutant(name), inst.net, inst.reports, make_grid(inst.reports))
+
+    def test_staircase(self):
+        # 8 steps in one table, bisected one after another
+        net = network_from_edges([(0, 1), (1, 2)])
+        profile = truthful_profile(net, {1: 10.0, 2: 3.0})
+        levels = self.tables_match(staircase(8), net, profile, make_grid(profile))
+        assert max(levels) == 9
+
+
+class TestSharedCompile:
+    """The reported profile is compiled once per verification, for every
+    full-forwarding table and the ir check; each withholding subset
+    compiles its own."""
+
+    @staticmethod
+    def counting(exponents):
+        compiled = []
+
+        class Counting(LblevAuction):
+            def compile(self, net, reports):
+                compiled.append(reports)
+                return super().compile(net, reports)
+
+        return Counting(exponents), compiled
+
+    def instances(self):
+        yield fixtures.fig_lblev_instance(), None
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            inst = random_tree_instance(int(rng.integers(3, 13)), rng)
+            yield inst, random_exponents(inst.net.agents, rng)
+
+    def test_compiles_once_plus_each_withholding_pair(self):
+        for inst, exponents in self.instances():
+            mech, compiled = self.counting(exponents)
+            verify_mechanism(mech, inst.net, inst.reports, None, CORE_CONDITIONS)
+            ctx = _Context(mech, inst.net, inst.reports, make_grid(inst.reports))
+            withholding = sum(len(ctx.subsets(a)) - 1 for a in inst.net.agents)
+            assert withholding > 0
+            assert len(compiled) == 1 + withholding
+            assert compiled.count(inst.reports) == 1
+
+    def test_ir_alone_compiles_once(self):
+        for inst, exponents in self.instances():
+            mech, compiled = self.counting(exponents)
+            verify_mechanism(mech, inst.net, inst.reports, None, ("ir",))
+            assert compiled == [inst.reports]
 
 
 class TestFirstWitnesses:
