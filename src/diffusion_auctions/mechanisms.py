@@ -382,6 +382,26 @@ def rc_example_mechanism(bids: Sequence[float],
     return Outcome(allocation, payments, 0.0, None)
 
 
+def _lblev_point(plan: tuple, x: float) -> tuple[float, float]:
+    """The agent's (allocation, payment) at own value ``x`` under its
+    :meth:`LblevCurves._plan`: while the path child wins, each level is
+    reached at its planned offset, and only the own level's keep test
+    reads ``x``."""
+    others_zero, levels, own = plan
+    pay = 0.0
+    for child, t, best, rival, price in levels:
+        # the child's subtree maximum less the offset; where x ties best,
+        # the two differ at most in the sign of a zero, which no price shows
+        rho = (best if best > x else x) - pay
+        if rho < -EQ_TOL or rival and ((key := (rho if rho >= 0.0 else 0.0) ** t)
+                                       < rival[0] or key == rival[0] and child > rival[1]):
+            return 0.0, 0.0   # the child is out of the level, or a sibling outranks it
+        pay = price   # None at a last level whose parent keeps the item
+    if pay is None or others_zero and x == 0.0:   # all values 0: unsold
+        return 0.0, 0.0
+    return (1.0, pay) if x >= own[0] else (0.0, own[1])
+
+
 class Compiled:
     """A mechanism fixed to one network and report profile, as
     :meth:`Mechanism.compile` returns it.  This default makes one
@@ -398,6 +418,10 @@ class Compiled:
         every other report held fixed."""
         outs = (self.mech.run(self.net, self.reports.replace(agent, value=x)) for x in xs)
         return [(out.allocation.get(agent, 0.0), out.payments.get(agent, 0.0)) for out in outs]
+
+    def point(self, agent: int, x: float) -> tuple[float, float]:
+        """``curve(agent, [x])[0]``: one own value's (allocation, payment)."""
+        return self.curve(agent, [x])[0]
 
     def outcomes(self, ids: Sequence[int], matrix: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -434,9 +458,9 @@ class LblevCurves(Compiled):
     come only from each plan's pass that leaves the agent out.
     While the path child wins, each level of an agent's root path is
     reached at one offset, so all of it but its ``rho`` is constant: the
-    first :meth:`curve` call for the agent plans the path, and a point
-    then costs one ``rho``, one ``rho**t`` and one comparison per level,
-    with :func:`_run_levels`' float operations.
+    first :meth:`curve` or :meth:`point` call for the agent plans the
+    path, and a point then costs one ``rho``, one ``rho**t`` and one
+    comparison per level, with :func:`_run_levels`' float operations.
     """
 
     def __init__(self, mech: "LblevAuction", net: DiffusionNetwork, reports: ReportProfile):
@@ -496,24 +520,21 @@ class LblevCurves(Compiled):
         if (top := max(xs, default=0.0)) > self._top:   # the bound grows with it
             _check_power_range(self._texp, top)
             self._top = top
-        others_zero, levels, own = self._plans.get(agent) or self._plan(agent)
-        out = []
-        for x in xs:
-            pay = 0.0
-            for child, t, best, rival, price in levels:
-                # the child's subtree maximum less the offset; where x ties best,
-                # the two differ at most in the sign of a zero, which no price shows
-                rho = (best if best > x else x) - pay
-                if rho < -EQ_TOL or rival and ((key := (rho if rho >= 0.0 else 0.0) ** t)
-                                               < rival[0] or key == rival[0] and child > rival[1]):
-                    pay = None   # the child is out of the level, or a sibling outranks it
-                    break
-                pay = price   # None at a last level whose parent keeps the item
-            if pay is None or others_zero and x == 0.0:   # all values 0: unsold
-                out.append((0.0, 0.0))
-            else:   # only its own level's keep test reads x
-                out.append((1.0, pay) if x >= own[0] else (0.0, own[1]))
-        return out
+        plan = self._plans.get(agent) or self._plan(agent)
+        return [_lblev_point(plan, x) for x in xs]
+
+    def point(self, agent: int, x: float) -> tuple[float, float]:
+        """``curve(agent, [x])[0]``, with the same checks in the same order,
+        without a batch's list set-up."""
+        x = float(x)
+        if not 0 <= x < math.inf:
+            raise InstanceError(f"reported valuation {x} is not a finite non-negative number")
+        if agent not in self._values:
+            return 0.0, 0.0
+        if x > self._top:
+            _check_power_range(self._texp, x)
+            self._top = x
+        return _lblev_point(self._plans.get(agent) or self._plan(agent), x)
 
     @cached_property
     def _flat(self) -> tuple:
@@ -635,8 +656,8 @@ class Mechanism:
 
     def evaluate(self, net: DiffusionNetwork, reports: ReportProfile,
                  agent: int) -> tuple[float, float]:
-        """One :meth:`compile` curve point at ``agent``'s report."""
-        return self.compile(net, reports).curve(agent, [reports.value(agent)])[0]
+        """One :meth:`compile` point at ``agent``'s report."""
+        return self.compile(net, reports).point(agent, reports.value(agent))
 
     def run_on_values(self, net: DiffusionNetwork,
                       values: Mapping[int, float]) -> Outcome:

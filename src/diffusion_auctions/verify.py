@@ -72,6 +72,8 @@ class DeviationGrid:
     def __post_init__(self) -> None:
         if not self.points or self.points[0] != 0.0:
             raise ValueError("grid must start at 0")
+        if not np.isfinite(self.points).all():
+            raise ValueError("grid points must be finite")
         if list(self.points) != sorted(self.points):
             raise ValueError("grid must be sorted ascending")
 
@@ -122,29 +124,31 @@ class _CurveTable:
     the mechanism for the subset: :meth:`ensure` prices a batch of points
     by one ``curve`` call, and :meth:`refine_jumps` pins each allocation
     jump within ``xtol``, so that step integrals are exact to ``xtol``,
-    by a depth-first bisection of one ``curve`` point per midpoint.  The
-    trapezoid prefix is cached until the next merge."""
+    by a depth-first bisection of one ``point`` call per midpoint.  The
+    row views are taken at each merge, and the trapezoid prefix is cached
+    until the next one."""
 
     def __init__(self, compiled: Compiled, agent: int,
                  subset: tuple[int, ...], xtol: float):
         self._compiled, self.agent, self.subset, self._xtol = compiled, agent, subset, xtol
         self._budget = CURVE_BUDGET
         self._cols, self._prefix = np.empty((3, 0)), None
+        self._rows = tuple(self._cols)
 
     def _exhausted(self, where: str) -> VerificationError:
         return VerificationError(
             f"curve evaluation budget of {CURVE_BUDGET} exhausted for agent "
             f"{self.agent} forwarding to {self.subset} while {where}")
 
-    def _merge(self, xs: list[float], gp: list[tuple[float, float]]) -> None:
+    def _merge(self, xs: Sequence[float], g: Sequence[float], p: Sequence[float]) -> None:
         """Merge priced points, none of them held yet, by one stable sort."""
-        cols = np.concatenate((self._cols, [xs, *zip(*gp)]), axis=1)
-        self._cols = cols[:, np.argsort(cols[0], kind="stable")]
-        self._prefix = None
+        cols = np.concatenate((self._cols, np.array((xs, g, p), dtype=float)), axis=1)
+        self._cols = cols = cols[:, np.argsort(cols[0], kind="stable")]
+        self._rows, self._prefix = tuple(cols), None
 
     def ensure(self, points: Sequence[float]) -> None:
         """Price the points not held yet, in their first-seen order."""
-        xs, held = np.asarray(points, dtype=float), self._cols[0]
+        xs, held = np.asarray(points, dtype=float), self._rows[0]
         if held.size:
             xs = xs[held[np.searchsorted(held, xs).clip(max=held.size - 1)] != xs]
         new = list(dict.fromkeys(xs.tolist()))
@@ -152,20 +156,20 @@ class _CurveTable:
             raise self._exhausted(f"pricing {len(new)} points in [{min(new)!r}, {max(new)!r}]")
         if new:
             self._budget -= len(new)
-            self._merge(new, self._compiled.curve(self.agent, new))
+            self._merge(new, *zip(*self._compiled.curve(self.agent, new)))
 
     def refine_jumps(self) -> None:
         """Bisect every interval whose endpoint allocations differ until
         each jump is bracketed within ``xtol``: depth-first, leftmost
-        bracket first, one ``curve`` call per midpoint.  A bracket
+        bracket first, one ``point`` call per midpoint.  A bracket
         ``(a, g_a, b, g_b)`` carries its endpoints' allocations, and all
         midpoints are merged at the end.  Each split depends only on its
         two endpoints, so the points do not depend on the order."""
-        x, g, _ = self._cols
-        xtol, curve, agent, budget = self._xtol, self._compiled.curve, self.agent, self._budget
-        at = np.flatnonzero((x[1:] - x[:-1] > xtol) & (np.abs(g[1:] - g[:-1]) > 1e-12))
+        x, g, _ = self._rows
+        xtol, point, agent, budget = self._xtol, self._compiled.point, self.agent, self._budget
+        at = ((x[1:] - x[:-1] > xtol) & (np.abs(g[1:] - g[:-1]) > 1e-12)).nonzero()[0]
         stack = list(zip(*(col[at + d].tolist() for d in (0, 1) for col in (x, g))))[::-1]
-        mids, gps = [], []
+        priced = []
         while stack:
             a, g_a, b, g_b = stack.pop()
             if not budget:
@@ -173,26 +177,25 @@ class _CurveTable:
                     f"splitting [{a!r}, {b!r}] (allocation appears pathological)")
             budget -= 1
             m = 0.5 * (a + b)
-            [gp] = curve(agent, [m])
-            mids.append(m)
-            gps.append(gp)
-            if b - m > xtol and abs(g_b - gp[0]) > 1e-12:
-                stack.append((m, gp[0], b, g_b))
-            if m - a > xtol and abs(gp[0] - g_a) > 1e-12:
-                stack.append((a, g_a, m, gp[0]))
+            g_m, p_m = point(agent, m)
+            priced.append((m, g_m, p_m))
+            if b - m > xtol and abs(g_b - g_m) > 1e-12:
+                stack.append((m, g_m, b, g_b))
+            if m - a > xtol and abs(g_m - g_a) > 1e-12:
+                stack.append((a, g_a, m, g_m))
         self._budget = budget
-        if mids:
-            self._merge(mids, gps)
+        if priced:
+            self._merge(*zip(*priced))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sampled own values in order, with ``g`` and ``p`` at each."""
-        return tuple(self._cols)
+        return self._rows
 
     def prefix(self) -> np.ndarray:
         """``prefix()[k]`` integrates ``g`` by trapezoids up to the ``k``-th
         sampled point, summed left to right as a sequential loop would."""
         if self._prefix is None:
-            xs, g, _ = self._cols
+            xs, g, _ = self._rows
             seg = 0.5 * (g[:-1] + g[1:]) * (xs[1:] - xs[:-1])
             self._prefix = np.add.accumulate(np.concatenate(([0.0], seg)))
         return self._prefix
@@ -292,7 +295,7 @@ def _forwarding_gain(t_sub: _CurveTable, t_full: _CurveTable, tol: float,
     xs, g_sub, p_sub = t_sub.arrays()
     _, g_full, p_full = t_full.arrays()
     u_full, u_sub = xs * g_full - p_full, xs * g_sub - p_sub
-    gains = np.flatnonzero(u_sub > u_full + tol)
+    gains = (u_sub > u_full + tol).nonzero()[0]
     if not gains.size:
         return None
     k, x = gains[0], float(xs[gains[0]])
@@ -326,7 +329,7 @@ def _best_response(xs: np.ndarray, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     are exact."""
     order = np.argsort(g, kind="stable")
     levels = g[order]
-    starts = np.flatnonzero(np.concatenate(([True], levels[1:] != levels[:-1])))
+    starts = np.concatenate(([True], levels[1:] != levels[:-1])).nonzero()[0]
     least = np.minimum.reduceat(p[order], starts)
     return (xs[:, None] * levels[starts] - least).max(axis=1)
 
@@ -351,7 +354,7 @@ def _identity_impl(ctx: _Context) -> VerificationReport:
         payment_at_zero = float(p[0])   # xs[0] is 0.0: grids start there, table() adds it
         expected = payment_at_zero + xs * g - table.prefix()
         scale = np.maximum(np.maximum(1.0, np.abs(expected)), np.abs(p))
-        bad = np.flatnonzero(np.abs(p - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale)
+        bad = (np.abs(p - expected) > INTEGRAL_ATOL + INTEGRAL_RTOL * scale).nonzero()[0]
         if bad.size:
             k = bad[0]
             return _report("payment-identity", Witness(
@@ -372,7 +375,7 @@ def _diffusion_impl(ctx: _Context) -> VerificationReport:
         lhs = float(t_sub.arrays()[2][0] - t_full.arrays()[2][0])
         rhs = t_sub.prefix() - t_full.prefix()
         xs = t_sub.arrays()[0]
-        over = np.flatnonzero(rhs > lhs + ctx.tol)
+        over = (rhs > lhs + ctx.tol).nonzero()[0]
         if over.size and witness is None:
             witness = Witness(
                 agent=t_sub.agent, subset=t_sub.subset, value=float(xs[over[0]]),
@@ -423,7 +426,7 @@ def _ir_impl(ctx: _Context) -> VerificationReport:
     details = {}
     compiled = ctx.reported
     for agent in ctx.net.sorted_agents():
-        [(g, p)] = compiled.curve(agent, [ctx.reports.value(agent)])
+        g, p = compiled.point(agent, ctx.reports.value(agent))
         utility = ctx.reports.value(agent) * g - p
         details[agent] = utility
         if utility < -ctx.tol:

@@ -307,6 +307,21 @@ class TestUnknownConditions:
         assert compiled == []
 
 
+class TestDeviationGrid:
+    @pytest.mark.parametrize("points", [(0.0, math.nan, 1.0), (0.0, 1.0, math.inf),
+                                        (0.0, 1.0, math.nan), (0.0, -math.inf)])
+    def test_non_finite_points_rejected(self, points):
+        """A non-finite point fails at construction, not later as an invalid
+        valuation that the mechanism blames on the instance."""
+        with pytest.raises(ValueError, match="grid points must be finite"):
+            DeviationGrid(points)
+
+    def test_finite_grids_still_construct(self):
+        assert DeviationGrid((0.0, 0.5, 1e300)).points == (0.0, 0.5, 1e300)
+        with pytest.raises(ValueError, match="sorted"):
+            DeviationGrid((0.0, 2.0, 1.0))
+
+
 class TestNeighborMisreport:
     def test_referral_family_on_diamond_networks(self):
         rng = np.random.default_rng(23)
