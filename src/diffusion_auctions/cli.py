@@ -129,7 +129,7 @@ def _verify_instances(args):
         n = args.n if args.n else int(rng.integers(3, 11))
         inst = random_tree_instance(n, rng)
         exponents = None
-        if args.mechanism == "lblev":
+        if args.mechanism in ("lblev", "ra:argmax-pow"):
             exponents = random_exponents(inst.net.agents, rng)
         yield f"random:{k}", inst, exponents
 

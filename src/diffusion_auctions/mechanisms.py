@@ -1,18 +1,19 @@
 """Executable diffusion auctions on referral trees.
 
 The level-by-level engine runs an auction at every level of the tree,
-rooted at the seller.  Each level computes *effective valuations* (the
-best report in each child's subtree minus the running offset), picks a
-tentative winner, charges it the level's threshold price plus the
-offset, and descends into its subtree.  The exponential-valuation
-auction scores subtrees by ``rho**t_i`` with per-agent exponents; the
-referral-auction family plugs in an arbitrary monotone level rule and
-prices by the Myerson threshold of that rule.
+rooted at the seller.  Each level takes *effective valuations* (the best
+report in each child's subtree less the running offset), picks a winner,
+charges it the level's threshold price plus the offset, and descends.
+The exponential-valuation auction scores subtrees by ``rho**t_i`` with
+per-agent exponents; the referral family plugs in a monotone level rule
+priced by its Myerson threshold.  Both compile to :class:`LevelCurves`,
+whose step-table curves are planned through the same level rule.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -77,12 +78,7 @@ def _run_levels(
     traces: list[LevelTrace] = []
 
     while True:
-        # rho clipped at 0 as max(rho, 0.0) clips it, a -0.0 kept
-        survivors = [(child, rho if rho >= 0.0 else 0.0) for child in children.get(parent, ())
-                     if (rho := submax[child] - offset) >= -EQ_TOL]
-        chosen = (select(survivors) if len(survivors) >= 2
-                  else (survivors[0][0], 0.0) if survivors else None)
-
+        survivors, chosen = _choose(select, children.get(parent, ()), submax, offset)
         if chosen is None:
             # No child stays in the game: the current tentative winner
             # keeps the item (or the item is unsold at the root).
@@ -101,6 +97,16 @@ def _run_levels(
             break   # reached a leaf
 
     return _settle(pay), traces
+
+
+def _choose(select: Callable, kids: Iterable[int], submax: Mapping[int, float],
+            offset: float) -> tuple[list[tuple[int, float]], Optional[tuple[int, float]]]:
+    """A level's survivors at ``offset``, (node, rho clipped at 0, a -0.0
+    kept), and its winner and payment: ``select``'s of two, (node, 0) of one."""
+    survivors = [(child, rho if rho >= 0.0 else 0.0) for child in kids
+                 if (rho := submax[child] - offset) >= -EQ_TOL]
+    return survivors, (select(survivors) if len(survivors) >= 2
+                       else (survivors[0][0], 0.0) if survivors else None)
 
 
 def _settle(pay: Mapping[int, float]) -> Outcome:
@@ -382,24 +388,30 @@ def rc_example_mechanism(bids: Sequence[float],
     return Outcome(allocation, payments, 0.0, None)
 
 
-def _lblev_point(plan: tuple, x: float) -> tuple[float, float]:
-    """The agent's (allocation, payment) at own value ``x`` under its
-    :meth:`LblevCurves._plan`: while the path child wins, each level is
-    reached at its planned offset, and only the own level's keep test
-    reads ``x``."""
-    others_zero, levels, own = plan
-    pay = 0.0
-    for child, t, best, rival, price in levels:
-        # the child's subtree maximum less the offset; where x ties best,
-        # the two differ at most in the sign of a zero, which no price shows
-        rho = (best if best > x else x) - pay
-        if rho < -EQ_TOL or rival and ((key := (rho if rho >= 0.0 else 0.0) ** t)
-                                       < rival[0] or key == rival[0] and child > rival[1]):
-            return 0.0, 0.0   # the child is out of the level, or a sibling outranks it
-        pay = price   # None at a last level whose parent keeps the item
-    if pay is None or others_zero and x == 0.0:   # all values 0: unsold
-        return 0.0, 0.0
-    return (1.0, pay) if x >= own[0] else (0.0, own[1])
+_F64, _I64 = struct.Struct("<d"), struct.Struct("<q")   # a double, and its bit pattern
+
+
+def _least_win(price: Callable[[float], Optional[float]], offset: float,
+               x: float) -> tuple[float, Optional[float]]:
+    """The least x from which ``price``, None at 0, is not None, and the
+    price z there, or (inf, None).  z is the price at inf, or, if that is
+    a threshold bisected from an infinite bid, at ``x`` doubled until it
+    wins.  A gallop from ``offset + z`` (less EQ_TOL if z is 0, as for a
+    lone survivor), then a bisection, search the doubles' bit patterns."""
+    if (z := price(math.inf)) is None:
+        return math.inf, None
+    if z == math.inf:
+        while (z := price(x)) is None:
+            x += x
+    lo, hi, step, seen = 0, _I64.unpack(_F64.pack(math.inf))[0], 1, set()
+    k = min(max(_I64.unpack(_F64.pack(offset + z if z else offset - EQ_TOL))[0], 1), hi)
+    while hi - lo > 1:   # non-negative doubles order as their bit patterns do
+        won = (p := price(_F64.unpack(_I64.pack(k))[0])) is not None
+        lo, hi, z = (lo, k, p) if won else (k, hi, z)
+        seen.add(won)   # gallop away from the start until a probe turns, then bisect
+        k = (lo + hi) // 2 if len(seen) == 2 else hi - step if won else lo + step
+        k, step = min(max(k, lo + 1), hi - 1), 2 * step
+    return _F64.unpack(_I64.pack(hi))[0], z
 
 
 class Compiled:
@@ -450,91 +462,94 @@ class Compiled:
         return self.outcomes(ids, matrix)[2]
 
 
-class LblevCurves(Compiled):
-    """:class:`LblevAuction` compiled for one report profile.
+class LevelCurves(Compiled):
+    """A level-by-level auction compiled for one report profile, on its
+    referral tree and the level rule ``select`` of :func:`_run_levels`;
+    ``check`` vets a largest value (lblev's: :func:`_check_power_range`).
+    While the path child wins, each level of an agent's root path is met at
+    a fixed offset, and a monotone rule's win is a step in the own value x.
+    So a curve is a step table: (0, 0) below the least x that wins every
+    level, a sale's net payment up to the keep threshold, then (1, payment)."""
 
-    The referral tree and the checked exponent table are built once, and
-    the profile must pass :func:`_check_power_range`; the subtree maxima
-    come only from each plan's pass that leaves the agent out.
-    While the path child wins, each level of an agent's root path is
-    reached at one offset, so all of it but its ``rho`` is constant: the
-    first :meth:`curve` or :meth:`point` call for the agent plans the
-    path, and a point then costs one ``rho``, one ``rho**t`` and one
-    comparison per level, with :func:`_run_levels`' float operations.
-    """
+    _NEVER = (math.inf, math.inf, None, None)   # (0, 0) at every own value
 
-    def __init__(self, mech: "LblevAuction", net: DiffusionNetwork, reports: ReportProfile):
+    def __init__(self, mech: "Mechanism", net: DiffusionNetwork, reports: ReportProfile,
+                 tree: ReferralTree, select: Callable, check: Callable = lambda top: None):
         super().__init__(mech, net, reports)
-        self.tree = tree = build_referral_tree(net, reports)
-        self._texp = exponent_table(mech.exponents, tree.agents())
+        self.tree, self._select, self._check = tree, select, check
         self._values = {i: reports.value(i) for i in tree.agents()}
         self._top = max(self._values.values(), default=0.0)   # the largest checked value
-        _check_power_range(self._texp, self._top)
-        self._plans: dict[int, tuple] = {}
+        check(self._top)
+        self._steps: dict[int, tuple] = {}
 
     def _plan(self, agent: int) -> tuple:
-        """(are all other values 0, the path levels top-down, the agent's
-        own level: its least value that keeps the item, and its net payment
-        when it sells).  A level is (child, t, the child's subtree maximum
-        leaving out the agent, the best surviving sibling's (rho**t, id,
-        rho) or None, the child's payment when it wins or None when the
-        parent keeps the item); the plan ends at the first kept level, and
-        then no point reaches the own level, which is None."""
-        tree, texp, values = self.tree, self._texp, self._values
+        """(least winning x, keep threshold, (1, payment), (0, net payment
+        of a sale)).  A path child's rho is ``max(best, x) - offset``, with
+        ``best`` its subtree maximum leaving out the agent, so ``select``
+        prices each level alike at any winning x.  What ``select`` raises at
+        a probe (:class:`NonMonotoneRuleError`, say), it raises here."""
+        tree, values, select = self.tree, self._values, self._select
         # leaving out the agent, which changes no subtree maximum off its root path
-        best = subtree_values(tree, {**values, agent: -math.inf})
+        sub = subtree_values(tree, {**values, agent: -math.inf})
         path = [agent]
         while (parent := tree.parent[path[-1]]) != tree.root:
             path.append(parent)
-        levels, pay, own = [], 0.0, None
+        # when all other values are 0, the item is unsold at x = 0
+        least, offset = 0.0 if any(v for i, v in values.items() if i != agent) else 5e-324, 0.0
         for node in reversed(path):   # top-down, at each offset
-            parent = tree.parent[node]
-            rivals = [(s, r if r >= 0.0 else 0.0) for s in tree.child_tuple(parent)
-                      if s != node and (r := best[s] - pay) >= -EQ_TOL]
-            rival = min(((r ** texp[s], s, r) for s, r in rivals),
-                        key=lambda e: (-e[0], e[1]), default=None)
-            z = rival[2] ** (texp[rival[1]] / texp[node]) if rival else 0.0
-            pay = None if parent != tree.root and values[parent] >= pay + z - EQ_TOL else pay + z
-            levels.append((node, texp[node], best[node], rival, pay))
-            if pay is None:
-                break   # the parent keeps the item: no point gets below it
-        else:
-            survivors = [(c, rho if rho >= 0.0 else 0.0) for c in tree.child_tuple(agent)
-                         if (rho := best[c] - pay) >= -EQ_TOL]
-            z = _rank_level(texp, survivors)[1] if len(survivors) >= 2 else 0.0
-            own = (pay + z - EQ_TOL, pay - (pay + z)) if survivors else (-math.inf, 0.0)
-        others_zero = all(v == 0.0 for i, v in values.items() if i != agent)
-        self._plans[agent] = (others_zero, levels, own)
-        return self._plans[agent]
+            parent, kids, best = tree.parent[node], tree.child_tuple(tree.parent[node]), sub[node]
+
+            def price(x: float) -> Optional[float]:   # the child's payment if it wins at x
+                sub[node] = best if best > x else x
+                try:
+                    chosen = _choose(select, kids, sub, offset)[1]
+                except OverflowError:   # the child's rho**t, past every checked value
+                    return math.inf
+                return chosen[1] if chosen and chosen[0] == node else None
+
+            if (z := price(0.0)) is None:
+                x, z = _least_win(price, offset, offset + max(1.0, *values.values()))
+                least = max(least, x)
+            if z is None or parent != tree.root and values[parent] >= offset + z - EQ_TOL:
+                # the child wins at no x, or its parent keeps the item
+                return self._steps.setdefault(agent, self._NEVER)
+            offset += z
+        # a z of -inf when no child stays: the agent keeps the item at any x
+        z = (_choose(select, tree.child_tuple(agent), sub, offset)[1] or (None, -math.inf))[1]
+        return self._steps.setdefault(agent, (least, offset + z - EQ_TOL, (1.0, offset),
+                                              (0.0, offset - (offset + z))))
 
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
-        """As :meth:`Compiled.curve`; an agent outside the reached tree
-        gets (0, 0).  Each value is checked as :class:`Report` checks it,
-        and the largest against :func:`_check_power_range`."""
+        """As :meth:`Compiled.curve`; a batch with one rejected value raises."""
         xs = [float(x) for x in xs]
-        for x in xs:
-            if not 0 <= x < math.inf:
-                raise InstanceError(f"reported valuation {x} is not a finite non-negative number")
-        if agent not in self._values:
-            return [(0.0, 0.0)] * len(xs)
-        if (top := max(xs, default=0.0)) > self._top:   # the bound grows with it
-            _check_power_range(self._texp, top)
-            self._top = top
-        plan = self._plans.get(agent) or self._plan(agent)
-        return [_lblev_point(plan, x) for x in xs]
+        bad = [x for x in xs if not 0 <= x < math.inf]
+        self.point(agent, (bad or [max(xs, default=0.0)])[0])   # checks, and plans the agent
+        least, keep, won, sold = self._steps.get(agent, self._NEVER)
+        return [(0.0, 0.0) if x < least else won if x >= keep else sold for x in xs]
 
     def point(self, agent: int, x: float) -> tuple[float, float]:
-        """``curve(agent, [x])[0]``, with the same checks in the same order,
-        without a batch's list set-up."""
-        x = float(x)
-        if not 0 <= x < math.inf:
+        """``curve(agent, [x])[0]``: ``x`` checked as :class:`Report` checks it,
+        and by ``check`` above the largest value checked yet."""
+        if not 0 <= (x := float(x)) < math.inf:
             raise InstanceError(f"reported valuation {x} is not a finite non-negative number")
         if agent not in self._values:
             return 0.0, 0.0
-        if x > self._top:
-            _check_power_range(self._texp, x)
+        if x > self._top:   # the bound grows with it
+            self._check(x)
             self._top = x
-        return _lblev_point(self._plans.get(agent) or self._plan(agent), x)
+        least, keep, won, sold = self._steps.get(agent) or self._plan(agent)
+        return (0.0, 0.0) if x < least else won if x >= keep else sold
+
+
+class LblevCurves(LevelCurves):
+    """:class:`LblevAuction` compiled: :func:`_rank_level` on the checked
+    exponent table, and :meth:`outcomes` on numpy columns."""
+
+    def __init__(self, mech: "LblevAuction", net: DiffusionNetwork, reports: ReportProfile):
+        tree = build_referral_tree(net, reports)
+        self._texp = texp = exponent_table(mech.exponents, tree.agents())
+        super().__init__(mech, net, reports, tree, partial(_rank_level, texp),
+                         partial(_check_power_range, texp))
 
     @cached_property
     def _flat(self) -> tuple:
@@ -694,6 +709,10 @@ class ReferralAuction(Mechanism):
 
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return self.run_with_traces(net, reports)[0]
+
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> LevelCurves:
+        return LevelCurves(self, net, reports, build_referral_tree(net, reports),
+                           partial(_myerson_level, self.rule))
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:

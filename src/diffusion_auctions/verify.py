@@ -36,7 +36,7 @@ import numpy as np
 
 from .mechanisms import (Compiled, LevelRule, Mechanism, run_referral_auction,
                          transformed_auction_revenue)
-from .network import DiffusionNetwork, ReportProfile
+from .network import DiffusionNetwork, InstanceError, ReportProfile
 
 CORE_CONDITIONS = ("monotonicity", "payment-identity", "diffusion-constraint",
                    "ddsic", "ir")
@@ -80,11 +80,11 @@ class DeviationGrid:
 
 def make_grid(reports: ReportProfile, size: int = 64, *, seed: int = 0) -> DeviationGrid:
     """Uniform grid of ``size`` points on [0, 2*vmax], ``vmax`` the
-    largest reported value."""
-    vmax = max((reports.value(i) for i in reports.agents()), default=1.0)
-    vmax = max(vmax, 1e-9)
-    pts = tuple(np.linspace(0.0, 2.0 * vmax, size))
-    return DeviationGrid(points=pts, seed=seed)
+    largest reported value; a ``2*vmax`` that overflows is InstanceError."""
+    vmax = max(max((reports.value(i) for i in reports.agents()), default=1.0), 1e-9)
+    if not 2.0 * vmax < np.inf:
+        raise InstanceError(f"values up to {vmax!r} overflow the deviation grid on [0, 2*vmax]")
+    return DeviationGrid(points=tuple(np.linspace(0.0, 2.0 * vmax, size)), seed=seed)
 
 
 @dataclass

@@ -361,6 +361,38 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: --n must lie in [1, 300], got {n}\n"
 
+    def test_value_whose_double_overflows_exit_2(self, tmp_path, capsys):
+        # the deviation grid spans [0, 2*vmax]: at 1e308 it would overflow,
+        # so verify rejects the instance that run accepts
+        inst = fixtures.fig_lblev_instance()
+        path = tmp_path / "big.json"
+        save_instance(Instance(inst.net, inst.reports.replace(1, value=1e308), inst.exponents),
+                      path)
+        assert run_cli(capsys, "run", "--instance", str(path), "--mechanism", "idm")[0] == 0
+        code, out, err = run_cli(capsys, "verify", "--instance", str(path),
+                                 "--mechanism", "idm")
+        assert code == 2 and out == ""
+        assert err == ("error: values up to 1e+308 overflow the deviation grid "
+                       "on [0, 2*vmax]\n")
+
+    def test_power_rule_trials_verify_the_drawn_exponents(self, capsys, monkeypatch):
+        """Random ``ra:argmax-pow`` trials verify ``PowerRule`` on the
+        exponents that ``lblev`` trials draw from the same seed, not
+        ``PowerRule({})``, which is ``ra:argmax`` under another name."""
+        drawn = {}
+
+        def recording(mech, net, reports, grid, conditions):
+            exponents = mech.exponents if mech.name == "lblev" else mech.rule.exponents
+            drawn.setdefault(mech.name, []).append(exponents)
+            return []
+
+        monkeypatch.setattr(cli, "verify_mechanism", recording)
+        for name in ("lblev", "ra:argmax-pow"):
+            assert run_cli(capsys, "verify", "--mechanism", name, "--trials", "4")[0] == 0
+        assert len(drawn["ra:argmax-pow"]) == 4
+        assert drawn["ra:argmax-pow"] == drawn["lblev"]
+        assert all(set(t.values()) != {1.0} for t in drawn["lblev"])
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--mechanism", "idm",
                              "--trials", "3", "--seed", "5", "--grid", "24")

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from diffusion_auctions.mechanisms import Compiled
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.network import EQ_TOL, Instance, Outcome, Report, ReportProfile
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
-from diffusion_auctions.verify import _CurveTable, make_grid
+from diffusion_auctions.verify import _CurveTable, make_grid, verify_mechanism
 
 from helpers import ArgminRule, run_idm_tree
 from oracles import (
@@ -814,6 +815,31 @@ def curve_points(compiled, agent, subset, profile, grid, ties):
     return table.arrays()[0].tolist() + list(ties)
 
 
+def step_edges(compiled, agent):
+    """Each finite non-negative edge of ``agent``'s step table (its least
+    winning value and keep threshold) and the double just below it."""
+    compiled.point(agent, 0.0)   # plans the agent
+    least, keep, _, _ = compiled._steps.get(agent, compiled._NEVER)
+    return [y for t in (least, keep) if 0 <= t < math.inf
+            for y in (t, math.nextafter(t, -math.inf)) if y >= 0]
+
+
+def verify_trees_pool(count: int, seed: int = 2024):
+    """The first ``count`` instances of perfbench's verify-trees pool as
+    (network, truthful profile, exponent draws, grid): c03 shapes and
+    draws, and values uniform on [0, 100) from ``default_rng([seed, k])``."""
+    for k, inst, draws, _ in c03_instances(count):
+        rng = np.random.default_rng([seed, k])
+        values = {i: float(rng.uniform(0.0, 100.0)) for i in sorted(inst.net.agents)}
+        reports = truthful_profile(inst.net, values)
+        yield inst.net, reports, draws, make_grid(reports, size=64, seed=k)
+
+
+# sized so that each referral rule's c03 and digraph tests take about 1 s
+REFERRAL_C03_PREFIX = 40
+REFERRAL_DIGRAPH_CASES = 10
+
+
 class TestCompiledCurve:
     """``compile(net, reports).curve`` against one ``run`` per point, bit
     for bit: compared by ``repr``, so a ``-0.0`` counts."""
@@ -902,6 +928,160 @@ class TestCompiledCurve:
                         seen["others_zero"] += vals is alone and agent in tree.agents()
         assert min(seen.values()) >= 40, seen
 
+    # The referral family: each rule, built from an instance's per-agent
+    # exponent draws, which only PowerRule reads.
+    REFERRAL_RULES = {"argmax": lambda draws: ArgmaxRule(), "argmax-pow": PowerRule}
+
+    @pytest.mark.parametrize("rule", sorted(REFERRAL_RULES))
+    def test_referral_c03_trees_every_agent_and_subset(self, rule):
+        """``ReferralAuction`` step tables against one ``run`` per point on
+        a c03 prefix: every agent and forwarded subset of its children, at
+        the table points, sibling ties and each step's edges."""
+        for k, inst, draws, _ in c03_instances(REFERRAL_C03_PREFIX):
+            net, reports = inst.net, inst.reports
+            mech = ReferralAuction(self.REFERRAL_RULES[rule](draws))
+            children = tree_children(net)
+            grid = make_grid(reports, size=16, seed=k)
+            for agent in sorted(net.agents):
+                parent = next(p for p, kids in children.items() if agent in kids)
+                ties = [reports.value(s) for s in children[parent] if s != agent]
+                kids = children.get(agent, [])
+                for r in range(len(kids) + 1):
+                    for subset in itertools.combinations(kids, r):
+                        profile = reports.replace(agent, neighbors=subset)
+                        compiled = mech.compile(net, profile)
+                        xs = curve_points(compiled, agent, subset, profile, grid, ties)
+                        xs += step_edges(compiled, agent)
+                        assert (repr(compiled.curve(agent, xs))
+                                == repr(per_point(mech, net, profile, agent, xs))), (k, agent)
+                        assert_point_is_one_point_curve(mech.compile(net, profile), compiled,
+                                                        agent, xs, (k, agent))
+
+    # sha256 over verify_mechanism's reports (to_dict() and details) for
+    # each referral rule on the first 40 verify-trees pool instances,
+    # recorded at commit cb5c7e1, where every point was one run
+    REFERRAL_POOL_DIGESTS = {
+        "argmax": "305cc822d5976af0398150c9703be4b94823c88e230aa6a0a07bbf59ec5574cc",
+        "argmax-pow": "bd4934f56f3a7b0dcae242f4dd3b8bc9ff91d94c541ce484b684cc6493da091d"}
+
+    @pytest.mark.parametrize("rule", sorted(REFERRAL_RULES))
+    def test_referral_pool_reports_digest(self, rule):
+        digest = hashlib.sha256()
+        for net, reports, draws, grid in verify_trees_pool(40):
+            mech = ReferralAuction(self.REFERRAL_RULES[rule](draws))
+            for r in verify_mechanism(mech, net, reports, grid):
+                digest.update(repr((r.to_dict(), r.details)).encode())
+        assert digest.hexdigest() == self.REFERRAL_POOL_DIGESTS[rule], digest.hexdigest()
+
+    @pytest.mark.parametrize("rule", sorted(REFERRAL_RULES))
+    def test_referral_general_digraphs_every_agent(self, rule):
+        """The multi-inviter digraphs of the lblev test above, a prefix of
+        them, under the referral family."""
+        rng = np.random.default_rng(31)
+        seen = {"deep": 0, "cut": 0, "others_zero": 0}
+        for case in range(REFERRAL_DIGRAPH_CASES):
+            net, forwards, stamps, _ = random_referral_case(rng, int(rng.integers(2, 10)))
+            values = {i: float(rng.choice([0.0, 5.0, 5.0, rng.uniform(0.0, 10.0)]))
+                      for i in net.agents}
+            draws = {i: float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.5, 3.0)]))
+                     for i in net.agents}
+            mech = ReferralAuction(self.REFERRAL_RULES[rule](draws))
+            for agent in sorted(net.agents):
+                alone = {i: 0.0 for i in net.agents}
+                alone[agent] = values[agent]
+                for vals in (values, alone):
+                    for sent in (forwards[agent], frozenset()):
+                        sends = dict(forwards)
+                        sends[agent] = sent
+                        profile = ReportProfile({i: Report(vals[i], sends[i], stamps[i])
+                                                 for i in net.agents})
+                        try:
+                            tree = build_referral_tree(net, profile)
+                        except InstanceError:    # stamps that make the parent map cyclic
+                            continue
+                        compiled = mech.compile(net, profile)
+                        ties = [vals[i] for i in sorted(net.agents) if i != agent]
+                        grid = make_grid(profile, size=16, seed=case)
+                        xs = curve_points(compiled, agent, tuple(sorted(sent)), profile,
+                                          grid, ties) + step_edges(compiled, agent)
+                        assert (repr(compiled.curve(agent, xs))
+                                == repr(per_point(mech, net, profile, agent, xs))), (
+                                    case, agent)
+                        assert_point_is_one_point_curve(mech.compile(net, profile), compiled,
+                                                        agent, xs, (case, agent))
+                        seen["deep"] += tree.parent.get(tree.parent.get(agent, 0), 0) != 0
+                        seen["cut"] += agent not in tree.agents()
+                        seen["others_zero"] += vals is alone and agent in tree.agents()
+        assert min(seen.values()) >= 10, seen
+
+    # 0 -> {1, 2}, agent 1 at 0 and agent 2 scored by x**2: agent 2 wins the
+    # id tie with agent 1's 0 only once x**2 rounds above 0, about 2**61
+    # doubles above 0, so the threshold search must gallop, not step
+    TINY_THRESHOLD = 1.5717277847026288e-162
+
+    @pytest.mark.parametrize("mech", [LblevAuction({2: 2.0}), ReferralAuction(PowerRule({2: 2.0}))],
+                             ids=["lblev", "ra:argmax-pow"])
+    def test_threshold_far_above_zero(self, mech):
+        net = network_from_edges([(0, 1), (0, 2)])
+        profile = truthful_profile(net, {1: 0.0, 2: 1.0})
+        t = self.TINY_THRESHOLD
+        xs = [0.0, 5e-324, 1e-170, math.nextafter(t, 0.0), t, math.nextafter(t, 1.0), 1.0]
+        compiled = mech.compile(net, profile)
+        assert repr(compiled.curve(2, xs)) == repr(per_point(mech, net, profile, 2, xs))
+        assert_point_is_one_point_curve(mech.compile(net, profile), compiled, 2, xs)
+        assert compiled._steps[2][0] == t
+        # at its threshold the lblev winner pays agent 1's 0**(1/2), the
+        # referral winner its Myerson threshold, x itself
+        assert compiled.point(2, t) == (1.0, 0.0 if isinstance(mech, LblevAuction) else t)
+
+    def test_non_monotone_rule_raises_when_the_agent_is_planned(self):
+        """``ArgminRule`` fails :func:`myerson_level_payment`'s probe at the
+        root level.  ``curve`` and ``point`` raise it when they plan the
+        agent, before any own value is priced.  The message names twice the
+        level's largest value, which agents 2 and 3 share, so a plan that
+        probes with either left out raises the message ``run`` raises."""
+        net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4)])
+        profile = truthful_profile(net, {1: 5.0, 2: 50.0, 3: 50.0, 4: 20.0})
+        mech = ReferralAuction(ArgminRule())
+        for agent in sorted(net.agents):
+            x = profile.value(agent)
+            with pytest.raises(NonMonotoneRuleError) as by_run:
+                mech.run(net, profile)
+            with pytest.raises(NonMonotoneRuleError) as by_curve:
+                mech.compile(net, profile).curve(agent, [x])
+            with pytest.raises(NonMonotoneRuleError) as by_point:
+                mech.compile(net, profile).point(agent, x)
+            assert str(by_run.value) == str(by_curve.value) == str(by_point.value), agent
+            assert str(by_run.value) == "argmin: winner loses when raised to 100.0"
+
+    def test_threshold_at_the_power_bound(self):
+        """0 -> {1, 2}, both scored by x**2, agent 1 at or just below the
+        largest value whose square is finite: agent 2's threshold sits at
+        :func:`_check_power_range`'s bound, or one double past it.  Every
+        path either matches ``run`` or raises its ``InstanceError``, and
+        none raises where ``run`` does not."""
+        net = network_from_edges([(0, 1), (0, 2)])
+        mech = LblevAuction({1: 2.0, 2: 2.0})
+        top = math.sqrt(sys.float_info.max)
+        while not math.isfinite(top * top):
+            top = math.nextafter(top, 0.0)
+        for v in (top, math.nextafter(top, 0.0), math.nextafter(math.nextafter(top, 0.0), 0.0)):
+            profile = truthful_profile(net, {1: v, 2: 1.0})
+            compiled = mech.compile(net, profile)
+            xs = [0.0, v / 2, v]
+            for _ in range(3):
+                xs = [math.nextafter(xs[0], 0.0)] + xs + [math.nextafter(xs[-1], math.inf)]
+            for x in sorted(xs):
+                try:
+                    expected = repr(per_point(mech, net, profile, 2, [x]))
+                except InstanceError as exc:
+                    for call in (lambda: compiled.curve(2, [x]), lambda: compiled.point(2, x)):
+                        with pytest.raises(InstanceError, match=re.escape(str(exc))):
+                            call()
+                    continue
+                assert repr(compiled.curve(2, [x])) == expected, (v, x)
+                assert repr([compiled.point(2, x)]) == expected, (v, x)
+
     def test_invalid_own_values_raise(self):
         """On the planned compile and the default one, and inside and outside
         the reached tree; ``point`` raises a one-point ``curve``'s text."""
@@ -953,23 +1133,27 @@ class TestCompiledCurve:
     def test_scale_instance_every_path_agrees(self, s):
         """``point``, ``curve``, ``evaluate`` and ``run`` agree bit for bit
         at every agent and probe value, the known ``EQ_TOL`` outcome at
-        small scales included."""
+        small scales included, for IDM and both referral rules (squaring
+        every value keeps each ranking and threshold)."""
         net = network_from_edges([(0, 1), (0, 2), (1, 3), (1, 4)])
         profile = truthful_profile(net, {1: 0.0, 2: s, 3: 5.0 * s, 4: 3.0 * s})
-        mech = LblevAuction(None)
-        out = mech.run(net, profile)
-        winner, payments = self.SCALE_OUTCOMES[s]
-        assert (out.winner, out.payments, out.seller_revenue) == (
-            winner, {i: k * s for i, k in payments.items()}, s)
-        compiled = mech.compile(net, profile)
-        xs = [0.0, s, 3.0 * s, 5.0 * s, 6.0 * s]
-        for agent in sorted(net.agents):
-            assert repr(compiled.curve(agent, xs)) == repr(per_point(mech, net, profile,
-                                                                     agent, xs)), agent
-            assert_point_is_one_point_curve(mech.compile(net, profile), compiled, agent,
-                                            xs, agent)
-            assert repr(mech.evaluate(net, profile, agent)) == repr(
-                (out.allocation.get(agent, 0.0), out.payments.get(agent, 0.0))), agent
+        for mech in (LblevAuction(None), ReferralAuction(ArgmaxRule()),
+                     ReferralAuction(PowerRule({i: 2.0 for i in net.agents}))):
+            out = mech.run(net, profile)
+            winner, payments = self.SCALE_OUTCOMES[s]
+            assert (out.winner, out.payments, out.seller_revenue) == (
+                winner, {i: k * s for i, k in payments.items()}, s), mech.name
+            compiled = mech.compile(net, profile)
+            xs = [0.0, s, 3.0 * s, 5.0 * s, 6.0 * s]
+            for agent in sorted(net.agents):
+                label = (mech.name, agent)
+                xs_agent = xs + step_edges(compiled, agent)
+                assert repr(compiled.curve(agent, xs_agent)) == repr(
+                    per_point(mech, net, profile, agent, xs_agent)), label
+                assert_point_is_one_point_curve(mech.compile(net, profile), compiled, agent,
+                                                xs_agent, label)
+                assert repr(mech.evaluate(net, profile, agent)) == repr(
+                    (out.allocation.get(agent, 0.0), out.payments.get(agent, 0.0))), label
 
     # sha256 over repr(curve) of every agent of both RcExampleAuction cases
     # below, recorded at commit 4377bb9, where the fixture overrode evaluate

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +321,24 @@ class TestDeviationGrid:
         assert DeviationGrid((0.0, 0.5, 1e300)).points == (0.0, 0.5, 1e300)
         with pytest.raises(ValueError, match="sorted"):
             DeviationGrid((0.0, 2.0, 1.0))
+
+    def test_value_whose_double_overflows_is_bad_input(self):
+        """``make_grid`` spans [0, 2*vmax]; a largest value above half the
+        largest double would put inf and NaN points in it, so it raises
+        :class:`InstanceError` naming the value, as ``verify_mechanism``
+        does when it builds the default grid."""
+        inst = fixtures.fig_lblev_instance()
+        big = inst.reports.replace(1, value=1e308)
+        message = r"values up to 1e\+308 overflow the deviation grid on \[0, 2\*vmax\]"
+        with pytest.raises(InstanceError, match=message):
+            make_grid(big)
+        with pytest.raises(InstanceError, match=message):
+            verify_mechanism(LblevAuction(None), inst.net, big, None)
+        edge = sys.float_info.max / 2   # the largest value whose double is finite
+        points = make_grid(inst.reports.replace(1, value=edge), size=5).points
+        assert points[-1] == sys.float_info.max and all(map(math.isfinite, points))
+        with pytest.raises(InstanceError, match="overflow the deviation grid"):
+            make_grid(inst.reports.replace(1, value=math.nextafter(edge, math.inf)))
 
 
 class TestNeighborMisreport:
