@@ -334,6 +334,16 @@ def _myerson_level(rule: LevelRule, survivors: list[tuple[int, float]]
                             f"up to {max(level.values())!r}") from exc
 
 
+def _rule_overflows(rule: LevelRule, agents: Iterable[int], top: float) -> bool:
+    """Whether ``rule`` may overflow on a level of values up to ``top``: a
+    Myerson probe reaches twice that, so it scores every agent there."""
+    try:
+        rule.winner(dict.fromkeys(agents, min(2.0 * top, math.nextafter(math.inf, 0.0))))
+    except OverflowError:
+        return True
+    return False
+
+
 def run_referral_auction(net: DiffusionNetwork, reports: ReportProfile,
                          rule: LevelRule) -> tuple[Outcome, list[LevelTrace]]:
     """Referral auction: first-invite-first-served tree, then the level
@@ -393,24 +403,26 @@ _F64, _I64 = struct.Struct("<d"), struct.Struct("<q")   # a double, and its bit 
 
 def _least_win(price: Callable[[float], Optional[float]], offset: float,
                x: float) -> tuple[float, Optional[float]]:
-    """The least x from which ``price``, None at 0, is not None, and the
-    price z there, or (inf, None).  z is the price at inf, or, if that is
-    a threshold bisected from an infinite bid, at ``x`` doubled until it
+    """The least x from which ``price`` is not None, and the price z there,
+    or (inf, None).  Above 0, z is the price at inf, or, if that is a
+    threshold bisected from an infinite bid, at ``x`` doubled until it
     wins.  A gallop from ``offset + z`` (less EQ_TOL if z is 0, as for a
     lone survivor), then a bisection, search the doubles' bit patterns."""
+    if (z := price(0.0)) is not None:
+        return 0.0, z
     if (z := price(math.inf)) is None:
         return math.inf, None
     if z == math.inf:
         while (z := price(x)) is None:
             x += x
-    lo, hi, step, seen = 0, _I64.unpack(_F64.pack(math.inf))[0], 1, set()
+    lo, hi, step, seen = 0, 0x7FF0000000000000, 1, set()   # hi: inf's bit pattern
     k = min(max(_I64.unpack(_F64.pack(offset + z if z else offset - EQ_TOL))[0], 1), hi)
     while hi - lo > 1:   # non-negative doubles order as their bit patterns do
         won = (p := price(_F64.unpack(_I64.pack(k))[0])) is not None
         lo, hi, z = (lo, k, p) if won else (k, hi, z)
         seen.add(won)   # gallop away from the start until a probe turns, then bisect
         k = (lo + hi) // 2 if len(seen) == 2 else hi - step if won else lo + step
-        k, step = min(max(k, lo + 1), hi - 1), 2 * step
+        k, step = lo + 1 if k <= lo else hi - 1 if k >= hi else k, 2 * step
     return _F64.unpack(_I64.pack(hi))[0], z
 
 
@@ -464,14 +476,17 @@ class Compiled:
 
 class LevelCurves(Compiled):
     """A level-by-level auction compiled for one report profile, on its
-    referral tree and the level rule ``select`` of :func:`_run_levels`;
-    ``check`` vets a largest value (lblev's: :func:`_check_power_range`).
+    referral tree and the level rule ``select`` of :func:`_run_levels`.
     While the path child wins, each level of an agent's root path is met at
     a fixed offset, and a monotone rule's win is a step in the own value x.
     So a curve is a step table: (0, 0) below the least x that wins every
-    level, a sale's net payment up to the keep threshold, then (1, payment)."""
+    level, a sale's net payment up to the keep threshold, then (1, payment).
+    ``check(top)`` raises where :meth:`run` rejects values up to ``top``, and
+    is true where they may overflow the rule; there, and for an agent whose
+    plan overflows it, one :meth:`run` prices each point."""
 
     _NEVER = (math.inf, math.inf, None, None)   # (0, 0) at every own value
+    _RUN = ("priced by run",)
 
     def __init__(self, mech: "Mechanism", net: DiffusionNetwork, reports: ReportProfile,
                  tree: ReferralTree, select: Callable, check: Callable = lambda top: None):
@@ -479,8 +494,10 @@ class LevelCurves(Compiled):
         self.tree, self._select, self._check = tree, select, check
         self._values = {i: reports.value(i) for i in tree.agents()}
         self._top = max(self._values.values(), default=0.0)   # the largest checked value
-        check(self._top)
-        self._steps: dict[int, tuple] = {}
+        self._steps = dict.fromkeys(self._values, self._RUN) if check(self._top) else {}
+        # (node, offset, best) -> the level's least winning x and price, which
+        # every agent below the node whose plan meets it at that offset shares
+        self._levels: dict[tuple, tuple] = {}
 
     def _plan(self, agent: int) -> tuple:
         """(least winning x, keep threshold, (1, payment), (0, net payment
@@ -497,48 +514,61 @@ class LevelCurves(Compiled):
         # when all other values are 0, the item is unsold at x = 0
         least, offset = 0.0 if any(v for i, v in values.items() if i != agent) else 5e-324, 0.0
         for node in reversed(path):   # top-down, at each offset
-            parent, kids, best = tree.parent[node], tree.child_tuple(tree.parent[node]), sub[node]
+            parent, best = tree.parent[node], sub[node]
+            if (level := self._levels.get((node, offset, best))) is None:
+                kids = tree.child_tuple(parent)
 
-            def price(x: float) -> Optional[float]:   # the child's payment if it wins at x
-                sub[node] = best if best > x else x
-                try:
-                    chosen = _choose(select, kids, sub, offset)[1]
-                except OverflowError:   # the child's rho**t, past every checked value
-                    return math.inf
-                return chosen[1] if chosen and chosen[0] == node else None
+                def price(x: float) -> Optional[float]:   # the child's payment if it wins at x
+                    sub[node] = best if best > x else x
+                    try:
+                        chosen = _choose(select, kids, sub, offset)[1]
+                    except OverflowError:   # the child's rho**t, past every checked value
+                        return math.inf
+                    return chosen[1] if chosen and chosen[0] == node else None
 
-            if (z := price(0.0)) is None:
-                x, z = _least_win(price, offset, offset + max(1.0, *values.values()))
-                least = max(least, x)
+                level = _least_win(price, offset, offset + max(1.0, *values.values()))
+                self._levels[node, offset, best], sub[node] = level, best   # sub as it was
+            least, z = max(least, level[0]), level[1]
             if z is None or parent != tree.root and values[parent] >= offset + z - EQ_TOL:
-                # the child wins at no x, or its parent keeps the item
-                return self._steps.setdefault(agent, self._NEVER)
+                return self._NEVER   # the child wins at no x, or its parent keeps the item
             offset += z
         # a z of -inf when no child stays: the agent keeps the item at any x
         z = (_choose(select, tree.child_tuple(agent), sub, offset)[1] or (None, -math.inf))[1]
-        return self._steps.setdefault(agent, (least, offset + z - EQ_TOL, (1.0, offset),
-                                              (0.0, offset - (offset + z))))
+        return least, offset + z - EQ_TOL, (1.0, offset), (0.0, offset - (offset + z))
+
+    def _table(self, agent: int, x: float) -> tuple:
+        """``agent``'s step table or :attr:`_RUN`, ``x`` checked as
+        :class:`Report` checks it, and by ``check`` past the checked values."""
+        if not 0 <= x < math.inf:
+            raise InstanceError(f"reported valuation {x} is not a finite non-negative number")
+        if agent not in self._values:
+            return self._NEVER
+        if x > self._top and self._check(x):
+            return self._RUN
+        self._top = max(self._top, x)   # the bound grows with x
+        if agent not in self._steps:
+            try:
+                self._steps[agent] = self._plan(agent)
+            except InstanceError:   # the rule overflowed at a probe that run need not meet
+                self._steps[agent] = self._RUN
+        return self._steps[agent]
 
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
         """As :meth:`Compiled.curve`; a batch with one rejected value raises."""
         xs = [float(x) for x in xs]
         bad = [x for x in xs if not 0 <= x < math.inf]
-        self.point(agent, (bad or [max(xs, default=0.0)])[0])   # checks, and plans the agent
-        least, keep, won, sold = self._steps.get(agent, self._NEVER)
+        if not xs or (steps := self._table(agent, (bad or [max(xs)])[0])) is self._RUN:
+            return Compiled.curve(self, agent, xs)
+        least, keep, won, sold = steps
         return [(0.0, 0.0) if x < least else won if x >= keep else sold for x in xs]
 
     def point(self, agent: int, x: float) -> tuple[float, float]:
-        """``curve(agent, [x])[0]``: ``x`` checked as :class:`Report` checks it,
-        and by ``check`` above the largest value checked yet."""
-        if not 0 <= (x := float(x)) < math.inf:
-            raise InstanceError(f"reported valuation {x} is not a finite non-negative number")
-        if agent not in self._values:
-            return 0.0, 0.0
-        if x > self._top:   # the bound grows with it
-            self._check(x)
-            self._top = x
-        least, keep, won, sold = self._steps.get(agent) or self._plan(agent)
-        return (0.0, 0.0) if x < least else won if x >= keep else sold
+        """``curve(agent, [x])[0]``, without a batch's set-up once planned."""
+        if 0 <= (x := float(x)) <= self._top and (
+                steps := self._steps.get(agent, self._RUN)) is not self._RUN:
+            least, keep, won, sold = steps
+            return (0.0, 0.0) if x < least else won if x >= keep else sold
+        return self.curve(agent, [x])[0]
 
 
 class LblevCurves(LevelCurves):
@@ -711,8 +741,9 @@ class ReferralAuction(Mechanism):
         return self.run_with_traces(net, reports)[0]
 
     def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> LevelCurves:
-        return LevelCurves(self, net, reports, build_referral_tree(net, reports),
-                           partial(_myerson_level, self.rule))
+        tree = build_referral_tree(net, reports)
+        return LevelCurves(self, net, reports, tree, partial(_myerson_level, self.rule),
+                           partial(_rule_overflows, self.rule, tree.agents()))
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:

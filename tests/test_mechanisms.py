@@ -819,7 +819,9 @@ def step_edges(compiled, agent):
     """Each finite non-negative edge of ``agent``'s step table (its least
     winning value and keep threshold) and the double just below it."""
     compiled.point(agent, 0.0)   # plans the agent
-    least, keep, _, _ = compiled._steps.get(agent, compiled._NEVER)
+    if (steps := compiled._steps.get(agent, compiled._NEVER)) is compiled._RUN:
+        return []   # priced by run: no table
+    least, keep, _, _ = steps
     return [y for t in (least, keep) if 0 <= t < math.inf
             for y in (t, math.nextafter(t, -math.inf)) if y >= 0]
 
@@ -1081,6 +1083,61 @@ class TestCompiledCurve:
                     continue
                 assert repr(compiled.curve(2, [x])) == expected, (v, x)
                 assert repr([compiled.point(2, x)]) == expected, (v, x)
+
+    # Referral compiles on which PowerRule may overflow, as (edges, values,
+    # exponents, whether the rule check or the plan falls back to run):
+    # agent 1's x**4 at 2e307, whose Myerson probe at twice its value
+    # overflows wherever agent 1 wins, though agent 2 wins without overflow
+    # from about 4.47e153 up; a descent that below agent 3's value enters
+    # agent 1's subtree, whose probe overflows; and a rule that scores every
+    # agent at twice the largest value, while agent 2's plan, searching up
+    # to agent 1's key 2.25e307, probes past it
+    RULE_OVERFLOW_CASES = [
+        ([(0, 1), (0, 2)], {1: 2e307 ** 0.25, 2: 1.0000001 * math.sqrt(2e307)},
+         {1: 4.0, 2: 2.0}, "check"),
+        ([(0, 1), (0, 2), (1, 3), (1, 4)],
+         {1: 0.0, 2: 1e100, 3: 2e307 ** 0.25, 4: 0.9 * 2e307 ** 0.25}, {3: 4.0, 4: 4.0}, "check"),
+        ([(0, 1), (0, 2)], {1: math.sqrt(2.25e307), 2: 1.0}, {1: 2.0, 2: 1.5}, "plan"),
+    ]
+
+    @pytest.mark.parametrize("edges, values, exponents, by", RULE_OVERFLOW_CASES,
+                             ids=["probe-at-2v", "sibling-subtree", "plan-probe"])
+    def test_rule_overflow_prices_as_run(self, edges, values, exponents, by):
+        """Where the rule may overflow, a referral compile prices each point
+        by ``run``: ``curve``, ``point`` and ``evaluate`` match ``run`` by
+        ``repr`` or raise its :class:`InstanceError`, the ``ir`` check
+        passes as ``run`` does on the reported profile, and an empty
+        ``curve`` is empty."""
+        net = network_from_edges(edges)
+        profile = truthful_profile(net, values)
+        mech = ReferralAuction(PowerRule(exponents))
+        assert verify_mechanism(mech, net, profile, None, ("ir",))[0].passed
+        for agent in sorted(net.agents):
+            compiled = mech.compile(net, profile)
+            assert compiled.curve(agent, []) == []
+            xs = [0.0, 1.0, profile.value(agent), 2.0 * profile.value(agent),
+                  math.sqrt(2e307), 1.0000001 * math.sqrt(2e307), 1e154, 2e307 ** 0.25]
+            for x in xs:
+                try:
+                    expected = repr(per_point(mech, net, profile, agent, [x]))
+                except InstanceError as exc:
+                    for call in (lambda: compiled.curve(agent, [x]),
+                                 lambda: compiled.point(agent, x),
+                                 lambda: mech.evaluate(net, profile.replace(agent, value=x),
+                                                       agent)):
+                        with pytest.raises(InstanceError, match=re.escape(str(exc))):
+                            call()
+                    continue
+                assert repr(compiled.curve(agent, [x])) == expected, (agent, x)
+                assert repr([compiled.point(agent, x)]) == expected, (agent, x)
+                assert repr([mech.evaluate(net, profile.replace(agent, value=x), agent)]
+                            ) == expected, (agent, x)
+        compiled = mech.compile(net, profile)
+        if by == "check":   # every agent, from the compile on
+            assert compiled._steps == dict.fromkeys(net.agents, compiled._RUN)
+        else:
+            assert not compiled._steps and compiled.point(2, 1.0) == (0.0, 0.0)
+            assert compiled._steps[2] is compiled._RUN
 
     def test_invalid_own_values_raise(self):
         """On the planned compile and the default one, and inside and outside
