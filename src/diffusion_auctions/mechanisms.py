@@ -482,29 +482,26 @@ class LevelCurves(Compiled):
     So a curve is a step table: (0, 0) below the least x that wins every
     level, a sale's net payment up to the keep threshold, then (1, payment).
     ``check(top)`` raises where :meth:`run` rejects values up to ``top``, and
-    is true where they may overflow the rule; there, and for an agent whose
-    plan overflows it, one :meth:`run` prices each point."""
+    is true where they may overflow the rule; there, past every checked
+    value, one :meth:`run` prices each point of a batch."""
 
     _NEVER = (math.inf, math.inf, None, None)   # (0, 0) at every own value
-    _RUN = ("priced by run",)
 
     def __init__(self, mech: "Mechanism", net: DiffusionNetwork, reports: ReportProfile,
-                 tree: ReferralTree, select: Callable, check: Callable = lambda top: None):
+                 tree: ReferralTree, select: Callable, check: Callable):
         super().__init__(mech, net, reports)
         self.tree, self._select, self._check = tree, select, check
         self._values = {i: reports.value(i) for i in tree.agents()}
         self._top = max(self._values.values(), default=0.0)   # the largest checked value
-        self._steps = dict.fromkeys(self._values, self._RUN) if check(self._top) else {}
-        # (node, offset, best) -> the level's least winning x and price, which
-        # every agent below the node whose plan meets it at that offset shares
-        self._levels: dict[tuple, tuple] = {}
+        self._steps: dict[int, tuple] = {}
 
     def _plan(self, agent: int) -> tuple:
         """(least winning x, keep threshold, (1, payment), (0, net payment
         of a sale)).  A path child's rho is ``max(best, x) - offset``, with
         ``best`` its subtree maximum leaving out the agent, so ``select``
-        prices each level alike at any winning x.  What ``select`` raises at
-        a probe (:class:`NonMonotoneRuleError`, say), it raises here."""
+        prices each level alike at any winning x.  A probe that overflows
+        scores a value ``check`` rejects, so it wins at an infinite price no
+        point reaches; what else ``select`` raises, it raises here."""
         tree, values, select = self.tree, self._values, self._select
         # leaving out the agent, which changes no subtree maximum off its root path
         sub = subtree_values(tree, {**values, agent: -math.inf})
@@ -514,21 +511,18 @@ class LevelCurves(Compiled):
         # when all other values are 0, the item is unsold at x = 0
         least, offset = 0.0 if any(v for i, v in values.items() if i != agent) else 5e-324, 0.0
         for node in reversed(path):   # top-down, at each offset
-            parent, best = tree.parent[node], sub[node]
-            if (level := self._levels.get((node, offset, best))) is None:
-                kids = tree.child_tuple(parent)
+            best, kids = sub[node], tree.child_tuple(parent := tree.parent[node])
 
-                def price(x: float) -> Optional[float]:   # the child's payment if it wins at x
-                    sub[node] = best if best > x else x
-                    try:
-                        chosen = _choose(select, kids, sub, offset)[1]
-                    except OverflowError:   # the child's rho**t, past every checked value
-                        return math.inf
-                    return chosen[1] if chosen and chosen[0] == node else None
+            def price(x: float) -> Optional[float]:   # the child's payment if it wins at x
+                sub[node] = best if best > x else x
+                try:
+                    chosen = _choose(select, kids, sub, offset)[1]
+                except (OverflowError, InstanceError):   # lblev's rho**t or the rule's
+                    return math.inf
+                return chosen[1] if chosen and chosen[0] == node else None
 
-                level = _least_win(price, offset, offset + max(1.0, *values.values()))
-                self._levels[node, offset, best], sub[node] = level, best   # sub as it was
-            least, z = max(least, level[0]), level[1]
+            x_node, z = _least_win(price, offset, offset + max(1.0, *values.values()))
+            least, sub[node] = max(least, x_node), best   # sub as it was
             if z is None or parent != tree.root and values[parent] >= offset + z - EQ_TOL:
                 return self._NEVER   # the child wins at no x, or its parent keeps the item
             offset += z
@@ -536,36 +530,26 @@ class LevelCurves(Compiled):
         z = (_choose(select, tree.child_tuple(agent), sub, offset)[1] or (None, -math.inf))[1]
         return least, offset + z - EQ_TOL, (1.0, offset), (0.0, offset - (offset + z))
 
-    def _table(self, agent: int, x: float) -> tuple:
-        """``agent``'s step table or :attr:`_RUN`, ``x`` checked as
-        :class:`Report` checks it, and by ``check`` past the checked values."""
-        if not 0 <= x < math.inf:
-            raise InstanceError(f"reported valuation {x} is not a finite non-negative number")
-        if agent not in self._values:
-            return self._NEVER
-        if x > self._top and self._check(x):
-            return self._RUN
-        self._top = max(self._top, x)   # the bound grows with x
-        if agent not in self._steps:
-            try:
-                self._steps[agent] = self._plan(agent)
-            except InstanceError:   # the rule overflowed at a probe that run need not meet
-                self._steps[agent] = self._RUN
-        return self._steps[agent]
-
     def curve(self, agent: int, xs: Iterable[float]) -> list[tuple[float, float]]:
-        """As :meth:`Compiled.curve`; a batch with one rejected value raises."""
+        """As :meth:`Compiled.curve`; a batch with one rejected value raises.
+        In order: the values, the tree, ``check`` past ``_top``, the plan."""
         xs = [float(x) for x in xs]
-        bad = [x for x in xs if not 0 <= x < math.inf]
-        if not xs or (steps := self._table(agent, (bad or [max(xs)])[0])) is self._RUN:
-            return Compiled.curve(self, agent, xs)
+        if bad := [x for x in xs if not 0 <= x < math.inf]:
+            raise InstanceError(f"reported valuation {bad[0]} is not a finite non-negative number")
+        if agent not in self._values or not xs:
+            return [(0.0, 0.0)] * len(xs)
+        if (top := max(xs)) > self._top:
+            if self._check(top):
+                return Compiled.curve(self, agent, xs)
+            self._top = top   # the bound grows with x
+        if (steps := self._steps.get(agent)) is None:
+            steps = self._steps[agent] = self._plan(agent)
         least, keep, won, sold = steps
         return [(0.0, 0.0) if x < least else won if x >= keep else sold for x in xs]
 
     def point(self, agent: int, x: float) -> tuple[float, float]:
         """``curve(agent, [x])[0]``, without a batch's set-up once planned."""
-        if 0 <= (x := float(x)) <= self._top and (
-                steps := self._steps.get(agent, self._RUN)) is not self._RUN:
+        if 0 <= (x := float(x)) <= self._top and (steps := self._steps.get(agent)):
             least, keep, won, sold = steps
             return (0.0, 0.0) if x < least else won if x >= keep else sold
         return self.curve(agent, [x])[0]
@@ -580,6 +564,7 @@ class LblevCurves(LevelCurves):
         self._texp = texp = exponent_table(mech.exponents, tree.agents())
         super().__init__(mech, net, reports, tree, partial(_rank_level, texp),
                          partial(_check_power_range, texp))
+        self._check(self._top)
 
     @cached_property
     def _flat(self) -> tuple:
@@ -740,10 +725,12 @@ class ReferralAuction(Mechanism):
     def run(self, net: DiffusionNetwork, reports: ReportProfile) -> Outcome:
         return self.run_with_traces(net, reports)[0]
 
-    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> LevelCurves:
+    def compile(self, net: DiffusionNetwork, reports: ReportProfile) -> Compiled:
         tree = build_referral_tree(net, reports)
-        return LevelCurves(self, net, reports, tree, partial(_myerson_level, self.rule),
-                           partial(_rule_overflows, self.rule, tree.agents()))
+        check = partial(_rule_overflows, self.rule, tree.agents())
+        if check(max((reports.value(i) for i in tree.agents()), default=0.0)):
+            return Compiled(self, net, reports)   # the rule may overflow: one run per point
+        return LevelCurves(self, net, reports, tree, partial(_myerson_level, self.rule), check)
 
     def run_with_traces(self, net: DiffusionNetwork,
                         reports: ReportProfile) -> tuple[Outcome, list[LevelTrace]]:

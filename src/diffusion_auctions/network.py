@@ -77,17 +77,16 @@ class DiffusionNetwork:
 
 
 def network_from_edges(edges: Iterable[tuple[int, int]],
-                       agents: Optional[Iterable[int]] = None,
-                       seller: int = SELLER) -> DiffusionNetwork:
-    """Build a :class:`DiffusionNetwork` from an edge list."""
+                       agents: Optional[Iterable[int]] = None) -> DiffusionNetwork:
+    """Build a :class:`DiffusionNetwork` from an edge list, sold by :data:`SELLER`."""
     adj: dict[int, set[int]] = {}
     seen: set[int] = set()
     for src, dst in edges:
         adj.setdefault(src, set()).add(dst)
         seen.add(dst)
-        if src != seller:
+        if src != SELLER:
             seen.add(src)
-    return DiffusionNetwork(seller, frozenset(seen if agents is None else agents),
+    return DiffusionNetwork(SELLER, frozenset(seen if agents is None else agents),
                             {k: frozenset(v) for k, v in adj.items()})
 
 
@@ -319,8 +318,12 @@ def exponent_table(exponents: Mapping[int, float], nodes: Iterable[int]) -> dict
 
 
 def exponents_from_dict(raw) -> dict[int, float]:
-    """A JSON ``{node id: exponent}`` table, each exponent positive and finite."""
+    """A JSON ``{node id: exponent}`` table, each exponent a positive finite
+    JSON number: a string or a bool raises :class:`InstanceError`."""
     try:
+        if not {int, float}.issuperset(map(type, raw.values())):
+            bad = [v for v in raw.values() if type(v) is not int and type(v) is not float]
+            raise TypeError(f"exponent {bad[0]!r} is not a number")
         table = {int(k): float(v) for k, v in raw.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed exponent table: {exc}") from exc

@@ -57,6 +57,26 @@ class ArgminRule(LevelRule):
         return min(values, key=lambda i: (values[i], i), default=None)
 
 
+class BandRule(LevelRule):
+    """Non-monotone only where no probe of the bisection looks: agent 1
+    wins from 2 up and again on [0.4, 0.6], agent 2 everywhere else."""
+
+    name = "band"
+
+    def winner(self, values: Mapping[int, float]) -> Optional[int]:
+        return 1 if values[1] >= 2.0 or 0.4 <= values[1] <= 0.6 else 2
+
+
+class PassOverRule(LevelRule):
+    """Monotone and never picks agent 2 while another node survives: the
+    largest value among the others wins, ties to the smaller id."""
+
+    name = "pass-over-2"
+
+    def winner(self, values: Mapping[int, float]) -> Optional[int]:
+        return min((i for i in values if i != 2), key=lambda i: (-values[i], i), default=None)
+
+
 def exponent_schedule(base: ReferralTree, means: Mapping[int, float],
                       lam: float) -> dict[int, float]:
     """Every agent's exponent at ``lam``: the :func:`runner_up_exponents`

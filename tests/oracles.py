@@ -7,6 +7,7 @@ package's level engine, no traces, no outcome objects.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +56,40 @@ def naive_level_auction(children: dict[int, list[int]], values: dict[int, float]
 
     winner = descend(root, 0.0, 0.0)
     return winner, pays
+
+
+def exact_level_auction(children: dict[int, list[int]], values: dict[int, float],
+                        root: int = 0):
+    """The unit-exponent descent in exact rationals, with no tolerance
+    anywhere: a child survives a level when its subtree maximum is at
+    least the offset, the largest ``rho`` wins with ties to the smaller id
+    and pays the runner-up's ``rho`` (0 when alone), and a parent keeps the
+    item when its value is at least that price.  All-zero values leave the
+    item unsold.  Returns (winner or None, {path node: gross payment to its
+    parent}), every payment a :class:`fractions.Fraction`."""
+    vals = {i: Fraction(v) for i, v in values.items()}
+    if not any(vals.values()):
+        return None, {}
+    best: dict[int, Fraction] = {}
+
+    def fill(node):
+        best[node] = max([vals[node]] + [fill(c) for c in children.get(node, [])])
+        return best[node]
+
+    for c in children.get(root, []):
+        fill(c)
+    pays: dict[int, Fraction] = {}
+    parent, offset = root, Fraction(0)
+    while True:
+        ranked = sorted((offset - best[c], c) for c in children.get(parent, [])
+                        if best[c] >= offset)
+        if not ranked:   # the tentative winner keeps the item
+            return (None if parent == root else parent), pays
+        z = -ranked[1][0] if len(ranked) > 1 else Fraction(0)
+        if parent != root and vals[parent] >= offset + z:
+            return parent, pays
+        parent = ranked[0][1]
+        offset = pays[parent] = offset + z
 
 
 def sorted_rank_level(texp: dict[int, float], survivors: list[tuple[int, float]]):

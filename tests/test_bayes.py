@@ -448,6 +448,45 @@ class TestMissingPriors:
                                trials=10, seed=0)
 
 
+class TestArgumentChecks:
+    NET = network_from_edges([(0, 1), (0, 2)])
+    DISTS = {1: UNIT, 2: UNIT}
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda net, dists: estimate_interim(LblevAuction(), net, dists, agent=1, value=0.5,
+                                             samples=0, seed=0), "samples must be >= 1"),
+        (lambda net, dists: estimate_interim(LblevAuction(), net, dists, agent=9, value=0.5,
+                                             samples=10, seed=0), "agent 9 not in the network"),
+        (lambda net, dists: expected_revenue(LblevAuction(), net, dists, trials=0, seed=0),
+         "trials must be >= 1"),
+    ], ids=["no-samples", "unknown-agent", "no-trials"])
+    def test_estimators_reject(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(self.NET, self.DISTS)
+
+    def test_maxviva_level_of_no_entries_is_unsold(self):
+        assert maxviva_level({}) == (None, 0.0)
+
+    def test_no_first_level_earns_nothing(self):
+        # the seller reaches no one, so every draw leaves the item unsold
+        net = network_from_edges([(1, 2)])
+        compiled = SecondPriceTA().compile(net, truthful_profile(net, {1: 0.0, 2: 0.0}))
+        assert compiled.revenues([1, 2], [[1.0, 2.0], [3.0, 0.5]]).tolist() == [0.0, 0.0]
+
+    def test_check_mhr_without_a_0999_quantile(self):
+        half = dataclasses.replace(EXP1, cdf=lambda x: 0.5 * EXP1.cdf(x))
+        with pytest.raises(ValueError, match="cannot locate the 0.999 quantile"):
+            check_mhr(half)
+
+    def test_check_mhr_with_under_two_hazard_points(self):
+        flat = dataclasses.replace(UNIT, pdf=lambda x: np.zeros(np.shape(x)))
+        assert check_mhr(flat)
+
+    def test_unreachable_virtual_target(self):
+        with pytest.raises(ValueError, match="not reachable"):
+            _inverse_virtual(bisected(EXP1), np.array([1e13]))
+
+
 class TestExpectedRevenue:
     def test_batch_and_scalar_paths_agree(self):
         inst = fixtures.depth1_instance((0.5, 0.5))

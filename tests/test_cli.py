@@ -127,6 +127,17 @@ class TestRun:
         payload = json.loads(out)
         assert payload["payments"] == {"1": -2.0, "2": 0.0, "3": 2.0}
 
+    @pytest.mark.parametrize("argv, message", [
+        (("run", "--mechanism", "ra:nope"), "unknown level rule 'nope'"),
+        (("run", "--mechanism", "rc3"), "rc3 needs exactly three agents"),
+        (("verify", "--mechanism", "mutant:nope"), "unknown mutant 'nope'"),
+    ], ids=["unknown-rule", "rc3-on-eight-agents", "verify-unknown-mutant"])
+    def test_rejected_argument_exit_2(self, fig_path, capsys, argv, message):
+        if argv[0] == "run":
+            argv += ("--instance", fig_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_missing_file_exit_2(self, fig_path, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--instance", "/no/such.json",
                                "--mechanism", "idm")
@@ -201,8 +212,8 @@ class TestRun:
                                "--mechanism", "lblev", "--exponents", str(table))
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize("table", [{"x": 2.0}, [1, 2], {"1": "abc"}],
-                             ids=["bad-id", "list", "bad-exponent"])
+    @pytest.mark.parametrize("table", [{"x": 2.0}, [1, 2], {"1": "abc"}, {"1": "2.5"}],
+                             ids=["bad-id", "list", "bad-exponent", "numeric-string"])
     def test_malformed_exponent_table_exit_2(self, tmp_path, fig_path, capsys, table):
         path = tmp_path / "exps.json"
         path.write_text(json.dumps(table))
@@ -475,7 +486,7 @@ class TestExperiment:
         ("--n", "2"), ("--sigma", "-1"), ("--sigma", "0"), ("--sigma", "nan"),
         ("--sigma", "inf"), ("--lambdas", "0:2:0.5"), ("--lambdas", "0:nan:0.5"),
         ("--lambdas", "0:1:nan"), ("--lambdas", "0:inf:0.5"), ("--lambdas", "nan:1:0.5"),
-        ("--lambdas", "1:0:0.5"), ("--trials-outer", "0"),
+        ("--lambdas", "1:0:0.5"), ("--lambdas", "0:1:0"), ("--trials-outer", "0"),
         # 31 grid points rounded to 12 places, so lambdas repeat
         ("--lambdas", "0:3e-12:1e-13"), ("--seed", "-1"), ("--jobs", "0"), ("--jobs", "-4"),
     ], ids=" ".join)
@@ -487,7 +498,7 @@ class TestExperiment:
         argv = [x for kv in defaults.items() for x in kv]
         code, out, err = run_cli(capsys, "experiment", *argv, "--out", str(out_path))
         assert code == 2
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert out == "" and not out_path.exists()
 
     def test_error_names_the_rejected_input(self, capsys):

@@ -30,16 +30,17 @@ from diffusion_auctions import (
     truthful_profile,
 )
 from diffusion_auctions import fixtures, mechanisms
-from diffusion_auctions.mechanisms import Compiled
+from diffusion_auctions.mechanisms import Compiled, LevelCurves, lblev_first_level_revenues
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.network import EQ_TOL, Instance, Outcome, Report, ReportProfile
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import _CurveTable, make_grid, verify_mechanism
 
-from helpers import ArgminRule, run_idm_tree
+from helpers import ArgminRule, BandRule, PassOverRule, run_idm_tree
 from oracles import (
     argmax_winner,
     copying_level_payment,
+    exact_level_auction,
     naive_level_auction,
     naive_net_payments,
     power_winner,
@@ -479,6 +480,60 @@ class TestAgainstNaiveReference:
         for agent in values:
             assert out.payments.get(agent, 0.0) == pytest.approx(net_pay[agent], abs=1e-9)
 
+    # How many of the exact-oracle test's instances disagree with the oracle
+    # at each scale 2**k below -29, on each of run, compiled points and
+    # outcomes rows alike: the absolute EQ_TOL margin turns decisions that
+    # the exact descent makes the other way (the scale instance's known
+    # defect).  23 at every k <= -34.
+    EXACT_TREES, EXACT_MISSES = 100, {-30: 0, -31: 2, -32: 7, -33: 16}
+
+    def test_every_path_matches_the_exact_descent(self):
+        """IDM's ``run``, its compiled ``point`` and ``curve`` at each
+        agent's value, one ``outcomes`` row per instance and
+        :func:`lblev_first_level_revenues` at t = 1 against
+        :func:`oracles.exact_level_auction`, on values ``v * 2**k`` (v an
+        integer in 0..20) at every k in -60..60.  Every difference of such
+        values is exact in doubles, so from k = -29 up, where 2**k >
+        EQ_TOL, no tolerance test can turn a decision and every path
+        matches exactly; below, the misses are pinned per k."""
+        rng = np.random.default_rng(5)
+        mech, scales = LblevAuction(None), range(-60, 61)
+        misses = {k: [0, 0, 0] for k in scales}
+        for _ in range(self.EXACT_TREES):
+            n = int(rng.integers(2, 9))
+            children = random_tree_children(rng, n)
+            ints = {i: int(rng.integers(0, 21)) for i in range(1, n + 1)}
+            net = network_from_edges([(p, c) for p, kids in children.items() for c in kids])
+            ids, rows = sorted(ints), []
+
+            def top(node):   # the subtree maximum of the integer values
+                return max([ints[node]] + [top(c) for c in children.get(node, [])])
+
+            first_ints = [(c, top(c)) for c in children[0]]
+            for k in scales:
+                values = {i: math.ldexp(v, k) for i, v in ints.items()}
+                winner, pays = exact_level_auction(children, values)
+                net_pay, revenue = naive_net_payments(winner, pays, ids)
+                want = [(float(i == winner), net_pay[i]) for i in ids]
+                rows.append(([-1 if winner is None else winner], [net_pay[i] for i in ids],
+                             revenue))
+                profile = truthful_profile(net, values)
+                out = mech.run(net, profile)
+                misses[k][0] += [(out.allocation.get(i, 0.0), out.payments.get(i, 0.0))
+                                 for i in ids] + [out.seller_revenue] != want + [revenue]
+                compiled = mech.compile(net, profile)
+                misses[k][1] += ([compiled.point(i, values[i]) for i in ids] != want
+                                 or [compiled.curve(i, [values[i]])[0] for i in ids] != want)
+                first = [(c, math.ldexp(m, k)) for c, m in first_ints]
+                assert lblev_first_level_revenues(first, None, [1.0]) == [revenue], k
+            winner, payments, revenue = mech.compile(net, profile).outcomes(
+                ids, [[math.ldexp(ints[i], k) for i in ids] for k in scales])
+            for k, w, p, r, want in zip(scales, winner, payments, revenue, rows):
+                misses[k][2] += ([w], p.tolist(), r) != want
+        expected = {k: 0 if k >= -29 else self.EXACT_MISSES.get(k, 23) for k in scales}
+        assert {k: tuple(m) for k, m in misses.items()} == {
+            k: (n, n, n) for k, n in expected.items()}
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**9), n=st.integers(1, 10))
     def test_ir_and_conservation_properties(self, seed, n):
@@ -563,6 +618,17 @@ class TestMyersonLevelPayment:
     def test_non_monotone_rule_rejected(self):
         with pytest.raises(NonMonotoneRuleError):
             myerson_level_payment(ArgminRule(), 2, {1: 10.0, 2: 3.0})
+
+    @pytest.mark.parametrize("rule, winner, rhos, error, message", [
+        (ArgmaxRule(), 1, {1: 1.0, 2: -0.5}, ValueError, "must be non-negative"),
+        (ArgmaxRule(), 2, {1: 5.0, 2: 1.0}, ValueError, "2 is not the rule's winner"),
+        # the bisection converges on 2; the low probe at a quarter of it wins
+        (BandRule(), 1, {1: 4.0, 2: 1.0}, NonMonotoneRuleError,
+         "band: wins below its own threshold"),
+    ], ids=["negative", "not-the-winner", "wins-below-threshold"])
+    def test_rejected_inputs(self, rule, winner, rhos, error, message):
+        with pytest.raises(error, match=message):
+            myerson_level_payment(rule, winner, rhos)
 
     def test_bisects_to_adjacent_floats(self):
         # a threshold far below the winner's value comes out exactly
@@ -744,6 +810,10 @@ class TestRcExampleMechanism:
         with pytest.raises(ValueError):
             rc_example_mechanism([1.0, 2.0])
 
+    def test_negative_bid_rejected(self):
+        with pytest.raises(ValueError, match="bids must be non-negative"):
+            rc_example_mechanism([1.0, -2.0, 3.0])
+
 
 class TestEquivalences:
     def test_unit_exponents_equal_idm_everywhere(self):
@@ -817,11 +887,12 @@ def curve_points(compiled, agent, subset, profile, grid, ties):
 
 def step_edges(compiled, agent):
     """Each finite non-negative edge of ``agent``'s step table (its least
-    winning value and keep threshold) and the double just below it."""
+    winning value and keep threshold) and the double just below it; none
+    on a default compile, which prices by run."""
+    if type(compiled) is Compiled:
+        return []
     compiled.point(agent, 0.0)   # plans the agent
-    if (steps := compiled._steps.get(agent, compiled._NEVER)) is compiled._RUN:
-        return []   # priced by run: no table
-    least, keep, _, _ = steps
+    least, keep, _, _ = compiled._steps.get(agent, compiled._NEVER)
     return [y for t in (least, keep) if 0 <= t < math.inf
             for y in (t, math.nextafter(t, -math.inf)) if y >= 0]
 
@@ -1085,13 +1156,14 @@ class TestCompiledCurve:
                 assert repr([compiled.point(2, x)]) == expected, (v, x)
 
     # Referral compiles on which PowerRule may overflow, as (edges, values,
-    # exponents, whether the rule check or the plan falls back to run):
+    # exponents, whether the check on the reported profile makes the compile
+    # the default one, or only the plan probes past the checked values):
     # agent 1's x**4 at 2e307, whose Myerson probe at twice its value
     # overflows wherever agent 1 wins, though agent 2 wins without overflow
     # from about 4.47e153 up; a descent that below agent 3's value enters
-    # agent 1's subtree, whose probe overflows; and a rule that scores every
-    # agent at twice the largest value, while agent 2's plan, searching up
-    # to agent 1's key 2.25e307, probes past it
+    # agent 1's subtree, whose probe overflows; and a profile on which the
+    # rule scores every agent at twice the largest value, while agent 2's
+    # plan, searching up to agent 1's key 2.25e307, probes past it
     RULE_OVERFLOW_CASES = [
         ([(0, 1), (0, 2)], {1: 2e307 ** 0.25, 2: 1.0000001 * math.sqrt(2e307)},
          {1: 4.0, 2: 2.0}, "check"),
@@ -1134,10 +1206,50 @@ class TestCompiledCurve:
                             ) == expected, (agent, x)
         compiled = mech.compile(net, profile)
         if by == "check":   # every agent, from the compile on
-            assert compiled._steps == dict.fromkeys(net.agents, compiled._RUN)
-        else:
-            assert not compiled._steps and compiled.point(2, 1.0) == (0.0, 0.0)
-            assert compiled._steps[2] is compiled._RUN
+            assert type(compiled) is Compiled
+        else:   # agent 2's plan counts the overflowing probes as wins, past every checked value
+            assert isinstance(compiled, LevelCurves) and compiled.point(2, 1.0) == (0.0, 0.0)
+            assert compiled._check(compiled._steps[2][0]) and not compiled._check(compiled._top)
+
+    def test_a_child_the_rule_never_picks(self):
+        """A monotone rule that passes over agent 2 whenever another child
+        survives: agent 2 wins at no own value, so its curve is (0, 0)
+        everywhere, as ``run`` says."""
+        net = network_from_edges([(0, 1), (0, 2)])
+        profile = truthful_profile(net, {1: 1.0, 2: 5.0})
+        mech = ReferralAuction(PassOverRule())
+        xs = [0.0, 1.0, 5.0, 1e300]
+        assert (mech.compile(net, profile).curve(2, xs) == per_point(mech, net, profile, 2, xs)
+                == [(0.0, 0.0)] * len(xs))
+
+    def test_overflowing_profile_raises_as_run(self):
+        """Where the rule may overflow on the reported profile, the compile
+        is the default one, so every path raises ``run``'s error: for an
+        agent outside the reached tree too, and at the first point of a
+        batch before a later point's own error."""
+        net = network_from_edges([(0, 1), (0, 2), (3, 1)], agents=[1, 2, 3])
+        profile = truthful_profile(net, {1: 1e160, 2: 5.0, 3: 1.0})
+        mech = ReferralAuction(PowerRule({1: 2.0, 2: 2.0}))
+        with pytest.raises(InstanceError, match="overflows") as by_run:
+            mech.run(net, profile)
+        compiled = mech.compile(net, profile)
+        for call in (lambda: compiled.curve(3, [0.0]), lambda: compiled.point(3, 0.0),
+                     lambda: mech.evaluate(net, profile, 3),
+                     lambda: compiled.curve(2, [0.0, math.nan])):
+            with pytest.raises(InstanceError, match=re.escape(str(by_run.value))):
+                call()
+
+    def test_outside_the_tree_before_the_bound(self):
+        """An agent outside the reached tree is (0, 0) at every valid own
+        value, as ``run`` says, even at one whose power the bound rejects
+        inside the tree: its value never reaches a level."""
+        net = network_from_edges([(0, 1), (0, 2), (3, 1)], agents=[1, 2, 3])
+        profile = truthful_profile(net, {1: 5.0, 2: 1.0, 3: 1.0})
+        xs = [0.0, 1e160]
+        for mech in (LblevAuction({1: 2.0, 3: 2.0}), ReferralAuction(PowerRule({1: 2.0}))):
+            compiled = mech.compile(net, profile)
+            assert (compiled.curve(3, xs) == [compiled.point(3, x) for x in xs]
+                    == per_point(mech, net, profile, 3, xs) == [(0.0, 0.0)] * 2), mech.name
 
     def test_invalid_own_values_raise(self):
         """On the planned compile and the default one, and inside and outside

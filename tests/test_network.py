@@ -22,7 +22,9 @@ from diffusion_auctions import (
     truthful_profile,
 )
 from diffusion_auctions import fixtures
+from diffusion_auctions.experiments import generate_base_tree
 from diffusion_auctions.network import (
+    DiffusionNetwork,
     Instance,
     Outcome,
     bfs_timestamps,
@@ -255,6 +257,28 @@ class TestOutcomeValidation:
                     seller_revenue=0.0)
 
 
+class TestMalformedInputs:
+    @pytest.mark.parametrize("agents, edges, message", [
+        ({0, 1}, {}, "seller id listed in the agent set"),
+        ({1}, {7: {1}}, "edge source 7 is not a known node"),
+        ({1}, {1: {0}}, "edge 1->0 targets the seller"),
+        ({1}, {0: {1, 7}}, "edge 0->7 targets unknown node"),
+    ], ids=["seller-agent", "unknown-source", "edge-to-seller", "edge-to-unknown"])
+    def test_network_rejected(self, agents, edges, message):
+        with pytest.raises(InstanceError, match=message):
+            DiffusionNetwork(SELLER, frozenset(agents),
+                             {k: frozenset(v) for k, v in edges.items()})
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(InstanceError, match="negative timestamp -1"):
+            Report(value=1.0, neighbors=frozenset(), timestamp=-1)
+
+    @pytest.mark.parametrize("generate", [random_tree_instance, generate_base_tree])
+    def test_no_agents_rejected(self, generate):
+        with pytest.raises(ValueError, match="need at least one agent"):
+            generate(0, np.random.default_rng(0))
+
+
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):
         inst = fixtures.fig_lblev_instance()
@@ -403,7 +427,9 @@ class TestInstanceIO:
     @pytest.mark.parametrize("field, bad", [("valuation", math.nan),
                                             ("valuation", math.inf),
                                             ("exponent", math.nan),
-                                            ("exponent", math.inf)])
+                                            ("exponent", math.inf),
+                                            ("exponent", "2.5"),
+                                            ("exponent", True)])
     def test_non_finite_instance_file_rejected(self, tmp_path, field, bad):
         raw = instance_to_dict(fixtures.fig_lblev_instance())
         if field == "valuation":

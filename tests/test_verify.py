@@ -163,6 +163,12 @@ class TestRcExampleFixture:
                                   - ((6.0 - 4.0) / 3.0 + 2.0 * (9.0 - 6.0) / 3.0))
         assert p == pytest.approx(2.0)
 
+    def test_defined_only_for_single_agent_deviations(self):
+        inst = fig_rc_instance()
+        compiled = RcExampleAuction().compile(inst.net, inst.reports.replace(2, value=1.0))
+        with pytest.raises(ValueError, match="only for single-agent deviations"):
+            compiled.curve(3, [1.0])
+
     def test_diffusion_constraint_saturation(self):
         inst = fig_rc_instance()
         grid = make_grid(inst.reports, size=64)
@@ -201,6 +207,16 @@ class TestMutantsFail:
         if condition in ("payment-identity", "diffusion-constraint"):
             # negative control: the same witness shows no violation under IDM
             assert not replay_witness(LblevAuction(None), inst.net, inst.reports, rep)
+
+    @pytest.mark.parametrize("edit", [dict(passed=True, witness=None), dict(condition="nope")],
+                             ids=["passing-report", "unknown-condition"])
+    def test_nothing_to_replay(self, edit):
+        """A report without a witness, or of a condition that replay does
+        not know, replays as no violation."""
+        name, factory = DESIGNATED["ddsic"]
+        inst, mech = factory(), make_mutant(name)
+        rep = run_all(mech, inst, conditions=("ddsic",))["ddsic"]
+        assert not replay_witness(mech, inst.net, inst.reports, replace(rep, **edit))
 
     def test_mff_checks_have_dedicated_breakers(self):
         # no vacuous passes: each structural check fails on some mutant
@@ -315,6 +331,11 @@ class TestDeviationGrid:
         """A non-finite point fails at construction, not later as an invalid
         valuation that the mechanism blames on the instance."""
         with pytest.raises(ValueError, match="grid points must be finite"):
+            DeviationGrid(points)
+
+    @pytest.mark.parametrize("points", [(), (1.0, 2.0)])
+    def test_grid_must_start_at_zero(self, points):
+        with pytest.raises(ValueError, match="grid must start at 0"):
             DeviationGrid(points)
 
     def test_finite_grids_still_construct(self):
