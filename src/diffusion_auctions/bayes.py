@@ -29,7 +29,6 @@ from .mechanisms import (
     Mechanism,
     ReferralAuction,
     SecondPriceReserveRule,
-    _columns,
     _draw_matrix,
     _myerson_level,
     _run_levels,
@@ -309,7 +308,7 @@ def estimate_interim(mech: Mechanism, net: DiffusionNetwork,
     matrix = _rival_matrix(ids, dists, samples, seed)
     col = ids.index(agent)
     matrix[:, col] = value
-    winner, payments, _ = _compile_truthful(mech, net).outcomes(ids, matrix)
+    winner, payments, _ = _compile_truthful(mech, net).outcomes(matrix)
     alloc = (winner == agent).astype(float)
     pay = payments[:, col]
     return InterimEstimate(agent=agent, value=value,
@@ -326,7 +325,7 @@ def expected_revenue(mech: Mechanism, net: DiffusionNetwork,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ids = sorted(net.agents)
-    revenue = _compile_truthful(mech, net).revenues(ids, _rival_matrix(ids, dists, trials, seed))
+    revenue = _compile_truthful(mech, net).revenues(_rival_matrix(ids, dists, trials, seed))
     return float(revenue.mean()), _se(revenue)
 
 
@@ -339,8 +338,8 @@ def paired_revenue_gap(mech_a: Mechanism, mech_b: Mechanism,
         raise ValueError("trials must be >= 1")
     ids = sorted(net.agents)
     matrix = _rival_matrix(ids, dists, trials, seed)
-    diff = (_compile_truthful(mech_a, net).revenues(ids, matrix)
-            - _compile_truthful(mech_b, net).revenues(ids, matrix))
+    diff = (_compile_truthful(mech_a, net).revenues(matrix)
+            - _compile_truthful(mech_b, net).revenues(matrix))
     return float(diff.mean()), _se(diff)
 
 
@@ -349,14 +348,16 @@ class _FirstLevelCompiled(Compiled):
     is its ``price_first_level`` on the first-level subtree maxima of the
     referral tree, one column per first-level node in id order."""
 
-    def revenues(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
-        matrix = _draw_matrix(ids, matrix)
+    def revenues(self, matrix: np.ndarray) -> np.ndarray:
+        ids = sorted(self.reports.agents())
+        matrix = _draw_matrix(matrix, len(ids))
         tree = build_referral_tree(self.net, self.reports)
         first = tree.child_tuple(tree.root)
         if not first:
             return np.zeros(len(matrix))
-        submax = np.column_stack([matrix[:, _columns(ids, tree.subtree(i))].max(axis=1)
-                                  for i in first])
+        # the tree's agents are among the profile's, whose sorted ids give the columns
+        submax = np.column_stack([matrix[:, np.searchsorted(ids, list(tree.subtree(i)))]
+                                  .max(axis=1) for i in first])
         return self.mech.price_first_level(tree, submax)
 
 

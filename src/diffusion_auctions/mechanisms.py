@@ -158,27 +158,17 @@ def _rank_level(texp: Mapping[int, float],
     return w, r_rho ** (texp[r] / texp[w])
 
 
-def _draw_matrix(ids: Sequence[int], matrix) -> np.ndarray:
-    """``matrix`` as a float array of draws, one row per draw and one
-    column per id in ``ids``.  A shape that does not fit, a repeated id
-    or a negative or non-finite value raises :class:`InstanceError`."""
+def _draw_matrix(matrix, n: int) -> np.ndarray:
+    """``matrix`` as a float array of draws, one row per draw and ``n``
+    columns.  Any other shape, or a negative or non-finite value, raises
+    :class:`InstanceError`."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] != len(ids) or len(set(ids)) != len(ids):
-        raise InstanceError(f"a draw matrix of shape {matrix.shape} does not give "
-                            f"one column to each of the distinct ids {list(ids)}")
+    if matrix.ndim != 2 or matrix.shape[1] != n:
+        raise InstanceError(f"a draw matrix of shape {matrix.shape} does not give one "
+                            f"column to each of the {n} agents of the compiled profile")
     if not np.all(np.isfinite(matrix) & (matrix >= 0)):
         raise InstanceError("valuations must be finite non-negative numbers")
     return matrix
-
-
-def _columns(ids: Sequence[int], agents: Iterable[int]) -> list[int]:
-    """The column of each of ``agents`` in a draw matrix whose columns
-    follow ``ids``; an agent without one raises :class:`InstanceError`."""
-    where = {a: j for j, a in enumerate(ids)}
-    try:
-        return [where[a] for a in agents]
-    except KeyError as exc:
-        raise InstanceError(f"no value column for agent {exc}") from exc
 
 
 def run_lblev(tree: ReferralTree, values: Mapping[int, float],
@@ -361,17 +351,14 @@ def run_referral_auction(net: DiffusionNetwork, reports: ReportProfile,
 
 def transformed_auction_revenue(net: DiffusionNetwork, reports: ReportProfile,
                                 rule: LevelRule) -> float:
-    """Seller revenue of the transformed auction: replace each first-level
-    subtree by a single node holding its best report, then run one round
-    of the rule with its Myerson threshold payment."""
+    """Seller revenue of the transformed auction: :func:`run_referral_auction`
+    on the depth-one network of the referral tree's first-level nodes, each
+    holding the best report of its subtree."""
     tree = build_referral_tree(net, reports)
-    first = tree.child_tuple(tree.root)
-    values = reports.values()
-    if len(first) < 2 or all(values[i] == 0.0 for i in tree.agents()):
-        return 0.0   # a lone survivor pays the offset, 0
-    submax = subtree_values(tree, values)
-    chosen = _myerson_level(rule, [(i, submax[i]) for i in first])
-    return 0.0 if chosen is None else chosen[1]
+    first = frozenset(tree.child_tuple(tree.root))
+    star = DiffusionNetwork(net.seller, first, {net.seller: first})
+    best = {i: max(reports.value(j) for j in tree.subtree(i)) for i in first}
+    return run_referral_auction(star, truthful_profile(star, best), rule)[0].seller_revenue
 
 
 def rc_example_mechanism(bids: Sequence[float],
@@ -447,15 +434,12 @@ class Compiled:
         """``curve(agent, [x])[0]``: one own value's (allocation, payment)."""
         return self.curve(agent, [x])[0]
 
-    def outcomes(self, ids: Sequence[int], matrix: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Price every row of ``matrix`` as the values of the agents in
-        ``ids``, every other report held fixed.  Returns (winner id, -1
-        when unsold [S]; net payments [S, len(ids)]; seller revenue [S])."""
-        matrix = _draw_matrix(ids, matrix)
-        unknown = set(ids) - self.reports.agents()
-        if unknown:
-            raise InstanceError(f"agents {sorted(unknown)} are not in the compiled profile")
+    def outcomes(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Price every row of ``matrix`` as the values of the compiled
+        profile's n agents, one column each in id order.  Returns (winner
+        id, -1 when unsold [S]; net payments [S, n]; seller revenue [S])."""
+        ids = sorted(self.reports.agents())
+        matrix = _draw_matrix(matrix, len(ids))
         winner = np.full(len(matrix), -1)
         payments = np.zeros(matrix.shape)
         revenue = np.zeros(len(matrix))
@@ -469,9 +453,9 @@ class Compiled:
             revenue[s] = out.seller_revenue
         return winner, payments, revenue
 
-    def revenues(self, ids: Sequence[int], matrix: np.ndarray) -> np.ndarray:
+    def revenues(self, matrix: np.ndarray) -> np.ndarray:
         """Seller revenue of every row of ``matrix``, as :meth:`outcomes`."""
-        return self.outcomes(ids, matrix)[2]
+        return self.outcomes(matrix)[2]
 
 
 class LevelCurves(Compiled):
@@ -568,11 +552,12 @@ class LblevCurves(LevelCurves):
 
     @cached_property
     def _flat(self) -> tuple:
-        """The tree as columns, its agents in id order: (agents, exponent
-        vector, (node column, child columns sorted by id) of each internal
-        node, children first, the root's child columns, and the descent
-        levels, parents first, as (node column or None for the root, child
-        columns, internal child columns))."""
+        """The tree as columns, its agents in id order: (agents, their
+        columns in a draw matrix, exponent vector, (node column, child
+        columns sorted by id) of each internal node, children first, the
+        root's child columns, and the descent levels, parents first, as
+        (node column or None for the root, child columns, internal child
+        columns))."""
         tree, agents = self.tree, sorted(self._texp)
         col = {a: k for k, a in enumerate(agents)}
 
@@ -585,14 +570,13 @@ class LblevCurves(LevelCurves):
         levels = [(node, kids_in_order, [c for c in kids_in_order if c in internal])
                   for node, kid_cols in [(None, first)] + post[::-1]
                   if (kids_in_order := kid_cols.tolist())]
-        return agents, np.array([self._texp[a] for a in agents]), post, first, levels
+        # the tree's agents are among the profile's, whose sorted ids give the columns
+        cols = np.searchsorted(sorted(self.reports.agents()), agents)
+        return agents, cols, np.array([self._texp[a] for a in agents]), post, first, levels
 
-    def outcomes(self, ids: Sequence[int], matrix: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`run_lblev` on every row of ``matrix``, whose columns
-        follow ``ids``; every tree agent needs a column.  Returns (winner
-        id, -1 when unsold [S]; net payments [S, len(ids)], zero for agents
-        outside the tree; seller revenue [S]).
+    def outcomes(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`run_lblev` on every row of ``matrix``, as
+        :meth:`Compiled.outcomes`; agents outside the tree pay nothing.
 
         All rows are priced on the columns of :attr:`_flat`, with one numpy
         step per tree node instead of one Python descent per row.  It works
@@ -610,9 +594,8 @@ class LblevCurves(LevelCurves):
         differently from its ``power`` loop.  A matrix that fails
         :func:`_check_power_range` raises as a whole.
         """
-        agents, texp, post, first, levels = self._flat
-        matrix = _draw_matrix(ids, matrix)
-        cols = _columns(ids, agents)
+        agents, cols, texp, post, first, levels = self._flat
+        matrix = _draw_matrix(matrix, len(self.reports.reports))
         values = matrix.T[cols]     # [n, S]: one contiguous row of draws per agent
         _check_power_range(self._texp, float(values.max(initial=0.0)))
         submax = values.copy()

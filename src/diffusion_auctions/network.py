@@ -318,12 +318,16 @@ def exponent_table(exponents: Mapping[int, float], nodes: Iterable[int]) -> dict
 
 
 def exponents_from_dict(raw) -> dict[int, float]:
-    """A JSON ``{node id: exponent}`` table, each exponent a positive finite
-    JSON number: a string or a bool raises :class:`InstanceError`."""
+    """A JSON ``{node id: exponent}`` table: each key a positive id in ASCII
+    digits without a leading zero, each exponent a positive finite JSON
+    number.  Any other key, or a string or bool exponent, raises :class:`InstanceError`."""
     try:
         if not {int, float}.issuperset(map(type, raw.values())):
             bad = [v for v in raw.values() if type(v) is not int and type(v) is not float]
             raise TypeError(f"exponent {bad[0]!r} is not a number")
+        if bad := [k for k in raw if not (type(k) is str and k.isascii() and k.isdigit())
+                   or k[0] == "0"]:
+            raise ValueError(f"key {bad[0]!r} is not the decimal form of a positive id")
         table = {int(k): float(v) for k, v in raw.items()}
     except (AttributeError, TypeError, ValueError) as exc:
         raise InstanceError(f"malformed exponent table: {exc}") from exc

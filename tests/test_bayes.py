@@ -326,7 +326,7 @@ class TestRunMaxViva:
                 matrix[0] = 0.0                            # unsold
                 matrix[1] = matrix[1, 0]                   # every value tied
                 matrix[2] = np.round(matrix[2] * 4) / 4    # ties on a coarse grid
-                batch = truthful_compile(mech, net).revenues(ids, matrix)
+                batch = truthful_compile(mech, net).revenues(matrix)
                 for row, expect in zip(matrix, batch):
                     out = mech.run_on_values(net, dict(zip(ids, row.tolist())))
                     assert out.seller_revenue == expect
@@ -471,7 +471,7 @@ class TestArgumentChecks:
         # the seller reaches no one, so every draw leaves the item unsold
         net = network_from_edges([(1, 2)])
         compiled = SecondPriceTA().compile(net, truthful_profile(net, {1: 0.0, 2: 0.0}))
-        assert compiled.revenues([1, 2], [[1.0, 2.0], [3.0, 0.5]]).tolist() == [0.0, 0.0]
+        assert compiled.revenues([[1.0, 2.0], [3.0, 0.5]]).tolist() == [0.0, 0.0]
 
     def test_check_mhr_without_a_0999_quantile(self):
         half = dataclasses.replace(EXP1, cdf=lambda x: 0.5 * EXP1.cdf(x))
@@ -575,8 +575,8 @@ class TestRevenueComparisons:
         ta = PowerTA(exps)
         ids = sorted(inst.net.agents)
         matrix = rng.uniform(size=(50, 3))
-        batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
-        lblev = truthful_compile(LblevAuction(exps), inst.net).revenues(ids, matrix)
+        batch = truthful_compile(ta, inst.net).revenues(matrix)
+        lblev = truthful_compile(LblevAuction(exps), inst.net).revenues(matrix)
         assert batch.tolist() == lblev.tolist()
         for row, expect in zip(matrix, batch):
             values = dict(zip(ids, row))
@@ -589,7 +589,7 @@ class TestRevenueComparisons:
         ta = SecondPriceTA(0.25)
         ids = sorted(inst.net.agents)
         matrix = rng.uniform(size=(50, 2))
-        batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
+        batch = truthful_compile(ta, inst.net).revenues(matrix)
         for row, expect in zip(matrix, batch):
             out = ta.run_on_values(inst.net, dict(zip(ids, row)))
             assert out.seller_revenue == expect
@@ -601,7 +601,7 @@ class TestRevenueComparisons:
         ta = MaxVivaTA(dists)
         ids = sorted(inst.net.agents)
         matrix = rng.uniform(size=(40, 2))
-        batch = truthful_compile(ta, inst.net).revenues(ids, matrix)
+        batch = truthful_compile(ta, inst.net).revenues(matrix)
         for row, expect in zip(matrix, batch):
             out = ta.run(inst.net, truthful_profile(inst.net, dict(zip(ids, row))))
             assert out.seller_revenue == expect
@@ -655,7 +655,7 @@ class TestTransformedAuctionRun:
             for net in (star, deep, cut):
                 ids = sorted(net.agents)
                 matrix = rng.uniform(size=(20, len(ids)))
-                batch = truthful_compile(mech, net).revenues(ids, matrix)
+                batch = truthful_compile(mech, net).revenues(matrix)
                 for row, expect in zip(matrix, batch):
                     values = dict(zip(ids, row.tolist()))
                     out = mech.run(net, truthful_profile(net, values))
@@ -671,12 +671,12 @@ class TestTransformedAuctionRun:
             for net in (lone, chain):
                 ids = sorted(net.agents)
                 matrix = np.array([[0.6] * len(ids), [0.9] * len(ids)])
-                batch = truthful_compile(mech, net).revenues(ids, matrix)
+                batch = truthful_compile(mech, net).revenues(matrix)
                 for row, expect in zip(matrix, batch):
                     out = mech.run_on_values(net, dict(zip(ids, row.tolist())))
                     assert out.seller_revenue == self.priced(mech, expect), mech.name
         reserve_ta = truthful_compile(SecondPriceTA(0.25), lone)
-        assert reserve_ta.revenues([1], np.array([[0.6]])).tolist() == [0.0]
+        assert reserve_ta.revenues(np.array([[0.6]])).tolist() == [0.0]
 
     def test_verify_mechanism_runs_on_each(self):
         inst = fixtures.depth1_instance((0.5, 0.3, 0.8))
@@ -697,7 +697,7 @@ class TestTransformedAuctionRun:
         with pytest.raises(ValueError, match=match):
             mech.run(inst.net, inst.reports)
         with pytest.raises(ValueError, match=match):
-            truthful_compile(mech, inst.net).revenues([1, 2], [[0.5, 0.3], [0.2, 0.9]])
+            truthful_compile(mech, inst.net).revenues([[0.5, 0.3], [0.2, 0.9]])
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
     def test_power_ta_checks_exponents_on_both_paths(self, bad):
@@ -706,7 +706,7 @@ class TestTransformedAuctionRun:
         with pytest.raises(InstanceError, match=r"exponent t\[1\]=.* must be positive"):
             mech.run(inst.net, inst.reports)
         with pytest.raises(InstanceError, match=r"exponent t\[1\]=.* must be positive"):
-            truthful_compile(mech, inst.net).revenues([1, 2], [[0.5, 0.3], [0.2, 0.9]])
+            truthful_compile(mech, inst.net).revenues([[0.5, 0.3], [0.2, 0.9]])
 
     def test_power_ta_checks_the_power_bound_on_both_paths(self):
         # 1e200**3 is not finite: run_lblev rejects the profile, and the
@@ -719,7 +719,7 @@ class TestTransformedAuctionRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InstanceError, match=match):
-                truthful_compile(mech, inst.net).revenues([1, 2], [[1.0, 2.0], [1e120, 1e200]])
+                truthful_compile(mech, inst.net).revenues([[1.0, 2.0], [1e120, 1e200]])
 
     def test_maxviva_ta_passes_above_a_bounded_support(self):
         # grid points above U[0,1]'s support used to get virtual value -inf

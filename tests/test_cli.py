@@ -212,8 +212,10 @@ class TestRun:
                                "--mechanism", "lblev", "--exponents", str(table))
         assert code == 2 and "error" in err
 
-    @pytest.mark.parametrize("table", [{"x": 2.0}, [1, 2], {"1": "abc"}, {"1": "2.5"}],
-                             ids=["bad-id", "list", "bad-exponent", "numeric-string"])
+    @pytest.mark.parametrize("table", [{"x": 2.0}, [1, 2], {"1": "abc"}, {"1": "2.5"},
+                                       {"1_0": 2.0}, {"0": 2.0}],
+                             ids=["bad-id", "list", "bad-exponent", "numeric-string",
+                                  "underscore-id", "seller-id"])
     def test_malformed_exponent_table_exit_2(self, tmp_path, fig_path, capsys, table):
         path = tmp_path / "exps.json"
         path.write_text(json.dumps(table))

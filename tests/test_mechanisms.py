@@ -30,6 +30,7 @@ from diffusion_auctions import (
     truthful_profile,
 )
 from diffusion_auctions import fixtures, mechanisms
+from diffusion_auctions.bayes import MaxVivaAuction, uniform_distribution
 from diffusion_auctions.mechanisms import Compiled, LevelCurves, lblev_first_level_revenues
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.network import EQ_TOL, Instance, Outcome, Report, ReportProfile
@@ -197,7 +198,7 @@ class TestTreeReuse:
         row = [inst.reports.value(i) for i in ids]
         matrix = np.array([[scale * v for v in row] for scale in (1.0, 0.5, 2.0, 0.0)])
         winner, _, revenue = truthful_compile(LblevAuction(inst.exponents),
-                                              inst.net).outcomes(ids, matrix)
+                                              inst.net).outcomes(matrix)
         assert builds == [inst.net]
         assert (winner[0], revenue[0]) == (8, 729.0) and winner[3] == -1
 
@@ -218,11 +219,11 @@ def assert_batch_matches_scalar_and_oracle(mech, net, matrix):
     the naive oracle: identical winners, payments and revenue within 1e-12."""
     ids = sorted(net.agents)
     compiled = truthful_compile(mech, net)
-    winner, payments, revenue = compiled.outcomes(ids, matrix)
+    winner, payments, revenue = compiled.outcomes(matrix)
     assert winner.shape == revenue.shape == (len(matrix),)
     assert payments.shape == matrix.shape
     loop_winner, loop_payments, loop_revenue = Compiled(
-        mech, net, compiled.reports).outcomes(ids, matrix)
+        mech, net, compiled.reports).outcomes(matrix)
     assert winner.tolist() == loop_winner.tolist()
     assert np.abs(payments - loop_payments).max(initial=0.0) <= 1e-12
     assert np.abs(revenue - loop_revenue).max(initial=0.0) <= 1e-12
@@ -284,7 +285,7 @@ class TestLevelKernel:
         row = np.array([[inst.reports.value(i) for i in ids]])
         mech = LblevAuction(inst.exponents)
         assert_batch_matches_scalar_and_oracle(mech, inst.net, row)
-        winner, _, revenue = truthful_compile(mech, inst.net).outcomes(ids, row)
+        winner, _, revenue = truthful_compile(mech, inst.net).outcomes(row)
         assert (winner[0], revenue[0]) == (8, 729.0)
 
     def test_random_multi_inviter_digraphs(self):
@@ -308,8 +309,7 @@ class TestLevelKernel:
         net = network_from_edges([(0, 1), (0, 2), (1, 3)], agents=range(1, 5))
         matrix = np.array([[1.0, 2.0, 3.0, 99.0], [0.0, 0.0, 0.0, 5.0]])
         assert_batch_matches_scalar_and_oracle(LblevAuction(), net, matrix)
-        winner, payments, _ = truthful_compile(LblevAuction(), net).outcomes([1, 2, 3, 4],
-                                                                             matrix)
+        winner, payments, _ = truthful_compile(LblevAuction(), net).outcomes(matrix)
         assert winner.tolist() == [3, -1]
         assert payments[:, 3].tolist() == [0.0, 0.0]
 
@@ -318,13 +318,13 @@ class TestLevelKernel:
         net = network_from_edges([(0, 1), (0, 2), (1, 3)])
         matrix = np.array([[1.0, 2.0, 10.0], [1.0, bad, 10.0]])
         with pytest.raises(InstanceError):
-            truthful_compile(LblevAuction(), net).outcomes([1, 2, 3], matrix)
+            truthful_compile(LblevAuction(), net).outcomes(matrix)
 
     @pytest.mark.parametrize("path", ["kernel", "default-loop", "first-level"])
-    @pytest.mark.parametrize("ids, matrix", [
-        ([1, 1, 2, 3], [[5.0, 1.0, 7.0, 2.0]]),       # a repeated id
-        ([1, 2, 3], [[5.0, 1.0, 7.0, 2.0]]),          # a column without an id
-        ([1, 2, 3, 4], [[5.0, 1.0, 7.0]]),            # an id without a column
+    @pytest.mark.parametrize("ids, matrix", [   # the compiled agents, and the draws
+        ([1, 2, 3, 4], [[5.0, 1.0, 7.0, 2.0, 0.0]]),  # a column too many, 4 outside the tree
+        ([1, 2, 3], [[5.0, 1.0, 7.0, 2.0]]),          # a column too many
+        ([1, 2, 3, 4], [[5.0, 1.0, 7.0]]),            # no column for 4, outside the tree
         ([1, 2, 3], [5.0, 1.0, 7.0]),                 # 1-D
         ([1, 2, 3], [[[5.0, 1.0, 7.0]]]),             # 3-D
         ([1, 2, 3], [[5.0, -1.0, 7.0]]),              # a negative value
@@ -332,24 +332,13 @@ class TestLevelKernel:
     ])
     def test_malformed_draw_matrix_is_rejected(self, path, ids, matrix):
         with pytest.raises(InstanceError):
-            self.pricing_paths()[path](ids, np.array(matrix))
-
-    @pytest.mark.parametrize("path, ids", [
-        ("kernel", [1, 2]),              # agent 3 of the tree has no column
-        ("kernel", [4, 2, 1]),
-        ("default-loop", [1, 2, 4]),     # agent 4 is not in the compiled profile
-        ("default-loop", [4]),
-        ("first-level", [1, 2]),         # agent 3, in node 1's subtree, has no column
-        ("first-level", [2, 1, 4]),
-    ])
-    def test_missing_column_is_rejected(self, path, ids):
-        with pytest.raises(InstanceError, match="agent"):
-            self.pricing_paths()[path](ids, np.full((2, len(ids)), 5.0))
+            self.pricing_paths(ids)[path](np.array(matrix))
 
     @staticmethod
-    def pricing_paths():
-        """The three ways to price a draw matrix, on 0->1, 0->2, 1->3."""
-        net = network_from_edges([(0, 1), (0, 2), (1, 3)])
+    def pricing_paths(agents):
+        """The three ways to price a draw matrix, on 0->1, 0->2, 1->3
+        with ``agents``, one column each."""
+        net = network_from_edges([(0, 1), (0, 2), (1, 3)], agents=agents)
         lblev = truthful_compile(LblevAuction(), net)
         return {"kernel": lblev.outcomes,
                 "default-loop": Compiled(lblev.mech, net, lblev.reports).outcomes,
@@ -395,7 +384,7 @@ class TestLevelKernel:
         mech = LblevAuction(self.SCAN_EXPONENTS)
         matrix = np.array([values for values, _ in cases])
         assert_batch_matches_scalar_and_oracle(mech, net, matrix)
-        winner, payments, revenue = truthful_compile(mech, net).outcomes(range(1, 9), matrix)
+        winner, payments, revenue = truthful_compile(mech, net).outcomes(matrix)
         assert winner.tolist() == [w for _, w in cases]
         assert revenue[:2].tolist() == [4.0, (x * x) ** 2]
         assert payments[2, 4] == x ** 4                  # agent 5
@@ -411,23 +400,68 @@ class TestLevelKernel:
             net = network_from_edges(edges + [(n + 1, n + 2)], agents=range(1, n + 3))
             exps = {i: float(rng.choice([0.5, 0.8, 1.0, 2.0])) for i in net.agents}
             compiled = truthful_compile(LblevAuction(exps), net)
-            ids = sorted(net.agents)
             matrix = rng.integers(0, 4, size=(40, n + 2)) * 25.0
             matrix[20:] = rng.uniform(0.0, 100.0, size=(20, n + 2))
-            expect = compiled.outcomes(ids, matrix)
-            # shuffled ids, plus two columns for ids the network lacks
-            order = rng.permutation(n + 4)
-            back = np.argsort(order)
-            shuffled = [(ids + [n + 3, n + 4])[j] for j in order]
-            wide = np.hstack([matrix, rng.uniform(0.0, 100.0, size=(40, 2))])[:, order]
-            strided = np.zeros((80, 2 * (n + 4)))
-            strided[::2, ::2] = wide
-            for view in (wide, np.asfortranarray(wide), strided[::2, ::2]):
-                winner, payments, revenue = compiled.outcomes(shuffled, view)
+            expect = compiled.outcomes(matrix)
+            strided = np.zeros((80, 2 * (n + 2)))
+            strided[::2, ::2] = matrix
+            for view in (np.asfortranarray(matrix), strided[::2, ::2]):
+                winner, payments, revenue = compiled.outcomes(view)
                 assert winner.tobytes() == expect[0].tobytes()
-                assert payments[:, back[:n + 2]].tobytes() == expect[1].tobytes()
-                assert not payments[:, back[n + 2:]].any()
+                assert payments.tobytes() == expect[1].tobytes()
                 assert revenue.tobytes() == expect[2].tobytes()
+
+
+@st.composite
+def digraph_draws(draw):
+    """A general digraph over agents 1..n+1 and a draw matrix for it:
+    one agent is never reached, and the others, in a random topological
+    order, are each invited by one to three earlier nodes (the seller among
+    them), so edges run both ways between ids.  Stamps tie, exponents keep
+    ``_check_power_range`` finite, and the values hold zeros and ties, plus
+    an all-zero row and a row with every value tied."""
+    n = draw(st.integers(1, 7))
+    outside = draw(st.integers(1, n + 1))
+    order = draw(st.permutations([i for i in range(1, n + 2) if i != outside]))
+    edges = [(src, node) for k, node in enumerate(order)
+             for src in draw(st.sets(st.sampled_from((0,) + tuple(order[:k])),
+                                     min_size=1, max_size=3))]
+    net = network_from_edges(edges + [(outside, order[-1])], agents=range(1, n + 2))
+    stamps = {i: draw(st.integers(0, 2)) for i in net.agents}
+    exps = {i: draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 3.0)) for i in net.agents}
+    value = st.sampled_from([0.0, 2.5, 40.0]) | st.floats(0.0, 100.0)
+    rows = draw(st.lists(st.lists(value, min_size=n + 1, max_size=n + 1),
+                         min_size=1, max_size=6))
+    matrix = np.array(rows + [[0.0] * (n + 1), [2.5] * (n + 1)])
+    return net, stamps, exps, matrix
+
+
+class TestDrawMatrixContract:
+    """Every compiled path prices a draw matrix, one column per agent of
+    the compiled profile in id order, as one ``run`` per row."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=digraph_draws(), reserve=st.sampled_from([0.0, 2.5, 30.0]))
+    def test_compiled_paths_match_run_per_row(self, case, reserve):
+        net, stamps, exps, matrix = case
+        ids = sorted(net.agents)
+        profiles = [truthful_profile(net, dict(zip(ids, row)), stamps) for row in matrix.tolist()]
+        compiled_on = profiles[-1]   # the compiled values are overwritten by every row
+        lblev = LblevAuction(exps)
+        winner, payments, revenue = lblev.compile(net, compiled_on).outcomes(matrix)
+        loop = Compiled(lblev, net, compiled_on).outcomes(matrix)
+        outs = [lblev.run(net, profile) for profile in profiles]
+        assert winner.tolist() == loop[0].tolist() == [
+            -1 if out.winner is None else out.winner for out in outs]
+        runs = np.array([[out.payments.get(i, 0.0) for i in ids] for out in outs])
+        assert np.abs(payments - runs).max() <= 1e-12
+        assert np.abs(loop[1] - runs).max() <= 1e-12
+        runs = np.array([out.seller_revenue for out in outs])
+        assert np.abs(revenue - runs).max() <= 1e-12
+        assert np.abs(loop[2] - runs).max() <= 1e-12
+        for mech in (SecondPriceTA(reserve), MaxVivaAuction(uniform_distribution(0.0, 100.0))):
+            runs = np.array([mech.run(net, profile).seller_revenue for profile in profiles])
+            assert mech.compile(net, compiled_on).revenues(matrix).tobytes() == runs.tobytes()
 
 
 class TestIdmTree:
@@ -527,7 +561,7 @@ class TestAgainstNaiveReference:
                 first = [(c, math.ldexp(m, k)) for c, m in first_ints]
                 assert lblev_first_level_revenues(first, None, [1.0]) == [revenue], k
             winner, payments, revenue = mech.compile(net, profile).outcomes(
-                ids, [[math.ldexp(ints[i], k) for i in ids] for k in scales])
+                [[math.ldexp(ints[i], k) for i in ids] for k in scales])
             for k, w, p, r, want in zip(scales, winner, payments, revenue, rows):
                 misses[k][2] += ([w], p.tolist(), r) != want
         expected = {k: 0 if k >= -29 else self.EXACT_MISSES.get(k, 23) for k in scales}
@@ -1460,9 +1494,9 @@ class TestPowerBound:
         calls = {"run": lambda: mech.run(net, profile),
                  "run_lblev": lambda: run_lblev(build_referral_tree(net, profile),
                                                 profile.values(), {4: 2.0}),
-                 "outcomes": lambda: tame.outcomes(ids, rows),
+                 "outcomes": lambda: tame.outcomes(rows),
                  "PowerTA.run": lambda: ta.run(net, profile),
-                 "PowerTA revenues": lambda: tame_ta.revenues(ids, rows)}
+                 "PowerTA revenues": lambda: tame_ta.revenues(rows)}
         for a in ids:
             calls[f"compile for {a}"] = lambda a=a: mech.compile(net, profile).curve(a, [5.0])
             calls[f"curve {a}"] = lambda a=a: tame.curve(a, [5.0, 1e160])
@@ -1488,7 +1522,7 @@ class TestPowerBound:
         profile = truthful_profile(net, {**self.VALUES, 4: top})
         out = mech.run(net, profile)
         compiled = mech.compile(net, profile)
-        winner, payments, _ = compiled.outcomes(ids, [[profile.value(i) for i in ids]])
+        winner, payments, _ = compiled.outcomes([[profile.value(i) for i in ids]])
         assert winner[0] == out.winner
         assert payments[0].tolist() == pytest.approx(
             [out.payments.get(i, 0.0) for i in ids], rel=1e-12)
@@ -1499,6 +1533,6 @@ class TestPowerBound:
         row = [[over.value(i) for i in ids]]
         for call in (lambda: mech.run(net, over), lambda: mech.compile(net, over),
                      lambda: compiled.curve(4, [10.0 * top]),
-                     lambda: truthful_compile(mech, net).outcomes(ids, row)):
+                     lambda: truthful_compile(mech, net).outcomes(row)):
             with pytest.raises(InstanceError, match=rf"agents {re.escape(named)}"):
                 call()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ from diffusion_auctions.network import (
     Instance,
     Outcome,
     bfs_timestamps,
+    exponents_from_dict,
     instance_from_dict,
     instance_to_dict,
 )
@@ -277,6 +279,16 @@ class TestMalformedInputs:
     def test_no_agents_rejected(self, generate):
         with pytest.raises(ValueError, match="need at least one agent"):
             generate(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("key", ["1_0", " 3 ", "+4", "-2", "0", "01", "\u0663", "x",
+                                     "\u00b2", ""],
+                             ids=["underscore", "spaces", "plus", "negative", "seller",
+                                  "leading-zero", "arabic-indic-digit", "letter",
+                                  "superscript-digit", "empty"])
+    def test_exponent_key_must_be_a_positive_id(self, key):
+        # int() reads all but the last three as ids: "1_0" as 10, "\u0663" as 3
+        with pytest.raises(InstanceError, match=re.escape(f"key {key!r} is not")):
+            exponents_from_dict({"1": 2.0, key: 1.5})
 
 
 class TestInstanceIO:

@@ -23,7 +23,7 @@ from diffusion_auctions import (
     truthful_profile,
     verify_mechanism,
 )
-from diffusion_auctions import fixtures, verify
+from diffusion_auctions import fixtures, mechanisms, verify
 from diffusion_auctions.mutants import DESIGNATED, MUTANTS, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.mechanisms import Compiled, Mechanism
@@ -504,6 +504,16 @@ class TestTaEquivalence:
             profile = truthful_profile(net, values)
             rule = PowerRule({i: float(rng.uniform(0.5, 3)) for i in net.agents})
             assert check_ta_equivalence(net, profile, rule).passed
+
+    def test_fails_when_the_descent_misreads_a_subtree(self, monkeypatch):
+        # subtree maxima without the children: the referral run sees node 1
+        # at its own value 1, while the transform reads 100 in its subtree
+        monkeypatch.setattr(mechanisms, "subtree_values",
+                            lambda tree, values: {i: values[i] for i in tree.agents()})
+        inst = fixtures.offset_trap_instance()
+        rep = check_ta_equivalence(inst.net, inst.reports, ArgmaxRule())
+        assert not rep.passed
+        assert (rep.witness.lhs, rep.witness.rhs) == (1.0000000000000002, 80.0)
 
 
 class TestSubsetSampling:
