@@ -50,7 +50,8 @@ class DiffusionNetwork:
     """Directed graph over agents plus the seller.
 
     ``out_edges[i]`` lists the nodes that *i* can inform.  No edge may
-    target the seller, and the seller never appears in the agent set.
+    target the seller, the seller never appears in the agent set, and each
+    agent id is a positive ``int``: not a bool, nor the -1 of an unsold row.
     """
 
     seller: int
@@ -60,6 +61,8 @@ class DiffusionNetwork:
     def __post_init__(self) -> None:
         if self.seller in self.agents:
             raise InstanceError("seller id listed in the agent set")
+        if bad := [i for i in self.agents if type(i) is not int or i < 1]:
+            raise InstanceError(f"agent id {bad[0]!r} is not a positive integer")
         known = self.agents | {self.seller}
         for src, dsts in self.out_edges.items():
             if src not in known:

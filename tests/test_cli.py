@@ -236,6 +236,18 @@ class TestRun:
         assert code == 2
         assert out == "" and err.startswith("error: ")
 
+    def test_non_positive_agent_id_exit_2(self, tmp_path, capsys):
+        # -1 is also the winner of an unsold row: it used to print "winner": -1
+        raw = {"agents": [{"id": -1, "valuation": 10.0, "neighbors": [2]},
+                          {"id": 2, "valuation": 50.0, "neighbors": []}],
+               "edges": [[0, -1], [-1, 2]]}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "run", "--instance", str(path),
+                                 "--mechanism", "idm")
+        assert code == 2
+        assert out == "" and "agent id -1 is not a positive integer" in err
+
 
     @pytest.mark.parametrize("field, bad", [
         ("neighbors", 2.7), ("neighbors", True), ("edge", ["0", 1.9]),

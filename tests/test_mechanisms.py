@@ -245,6 +245,25 @@ def assert_batch_matches_scalar_and_oracle(mech, net, matrix):
         assert abs(revenue[s] - oracle_rev) <= 1e-12
 
 
+def random_trees():
+    """(rng, network, rows of its draw matrix) on 200 random trees; the test
+    draws each tree's exponents and matrix from the same rng."""
+    rng = np.random.default_rng(404)
+    for _ in range(200):
+        yield rng, random_tree_instance(int(rng.integers(3, 31)), rng).net, 12
+
+
+def random_multi_inviter_digraphs():
+    """As :func:`random_trees` on 60 general networks: several inviters per
+    agent, and two unreachable agents."""
+    rng = np.random.default_rng(4040)
+    for _ in range(60):
+        n = int(rng.integers(2, 13))
+        base, _, _, _ = random_referral_case(rng, n)
+        edges = [(src, dst) for src, dsts in base.out_edges.items() for dst in dsts]
+        yield rng, network_from_edges(edges + [(n + 1, n + 2)], agents=range(1, n + 3)), 10
+
+
 class TestLevelKernel:
     def test_c10_tree_on_its_grid(self):
         net = network_from_edges(C10_EDGES)
@@ -258,23 +277,21 @@ class TestLevelKernel:
         assert_batch_matches_scalar_and_oracle(LblevAuction(C10_EXPONENTS), net,
                                                np.vstack(blocks))
 
-    def test_random_trees_with_zeros_ties_and_empty_rows(self):
-        rng = np.random.default_rng(404)
-        for k in range(200):
-            n = int(rng.integers(3, 31))
-            inst = random_tree_instance(n, rng)
-            # every other tree draws from three exponents, so tied values
+    @pytest.mark.parametrize("instances", [random_trees, random_multi_inviter_digraphs],
+                             ids=["trees", "digraphs"])
+    def test_random_instances_with_zeros_ties_and_empty_rows(self, instances):
+        for k, (rng, net, rows) in enumerate(instances()):
+            # every other instance draws from three exponents, so tied values
             # also tie in rho**t and the id tie-break decides
-            if k % 2:
-                exps = {i: float(rng.choice([0.5, 1.0, 2.0])) for i in inst.net.agents}
-            else:
-                exps = {i: float(rng.uniform(0.5, 3.0)) for i in inst.net.agents}
-            matrix = rng.uniform(0.0, 100.0, size=(12, n))
+            exps = {i: float(rng.choice([0.5, 1.0, 2.0]) if k % 2 else rng.uniform(0.5, 3.0))
+                    for i in net.agents}
+            n = len(net.agents)
+            matrix = rng.uniform(0.0, 100.0, size=(rows, n))
             matrix[rng.random(matrix.shape) < 0.1] = 0.0
             matrix[0] = 0.0                                  # all-zero row
             matrix[1] = 50.0                                 # every value tied
             matrix[2] = rng.integers(0, 3, size=n) * 25.0    # ties and zeros
-            assert_batch_matches_scalar_and_oracle(LblevAuction(exps), inst.net, matrix)
+            assert_batch_matches_scalar_and_oracle(LblevAuction(exps), net, matrix)
 
     def test_one_agent_tree_and_worked_example(self):
         one = network_from_edges([(0, 1)])
@@ -287,23 +304,6 @@ class TestLevelKernel:
         assert_batch_matches_scalar_and_oracle(mech, inst.net, row)
         winner, _, revenue = truthful_compile(mech, inst.net).outcomes(row)
         assert (winner[0], revenue[0]) == (8, 729.0)
-
-    def test_random_multi_inviter_digraphs(self):
-        # general networks: several inviters per agent, two unreachable agents
-        rng = np.random.default_rng(4040)
-        for k in range(60):
-            n = int(rng.integers(2, 13))
-            base, _, _, _ = random_referral_case(rng, n)
-            edges = [(src, dst) for src, dsts in base.out_edges.items() for dst in dsts]
-            net = network_from_edges(edges + [(n + 1, n + 2)], agents=range(1, n + 3))
-            exps = {i: float(rng.choice([0.5, 1.0, 2.0]) if k % 2 else rng.uniform(0.5, 3.0))
-                    for i in net.agents}
-            matrix = rng.uniform(0.0, 100.0, size=(10, n + 2))
-            matrix[rng.random(matrix.shape) < 0.1] = 0.0
-            matrix[0] = 0.0                                      # all-zero row
-            matrix[1] = 50.0                                     # every value tied
-            matrix[2] = rng.integers(0, 3, size=n + 2) * 25.0    # ties and zeros
-            assert_batch_matches_scalar_and_oracle(LblevAuction(exps), net, matrix)
 
     def test_agents_outside_the_tree_pay_nothing(self):
         net = network_from_edges([(0, 1), (0, 2), (1, 3)], agents=range(1, 5))
@@ -850,15 +850,6 @@ class TestRcExampleMechanism:
 
 
 class TestEquivalences:
-    def test_unit_exponents_equal_idm_everywhere(self):
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            inst = random_tree_instance(int(rng.integers(1, 12)), rng)
-            tree = build_referral_tree(inst.net, inst.reports)
-            a, _ = run_lblev(tree, inst.reports.values(), {})
-            b = run_idm_tree(tree, inst.reports.values())
-            assert a == b
-
     def test_referral_power_rule_equals_lblev_everywhere(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
@@ -931,6 +922,17 @@ def step_edges(compiled, agent):
             for y in (t, math.nextafter(t, -math.inf)) if y >= 0]
 
 
+def assert_curve_is_run(compiled, agent, xs, label):
+    """``compiled.curve(agent, ...)`` against one ``run`` per point, and
+    ``point`` against a one-point ``curve``, at ``xs`` and each step's edges,
+    each once."""
+    mech, net, profile = compiled.mech, compiled.net, compiled.reports
+    xs = list(dict.fromkeys([*xs, *step_edges(compiled, agent)]))
+    assert (repr(compiled.curve(agent, xs))
+            == repr(per_point(mech, net, profile, agent, xs))), label
+    assert_point_is_one_point_curve(mech.compile(net, profile), compiled, agent, xs, label)
+
+
 def verify_trees_pool(count: int, seed: int = 2024):
     """The first ``count`` instances of perfbench's verify-trees pool as
     (network, truthful profile, exponent draws, grid): c03 shapes and
@@ -942,70 +944,76 @@ def verify_trees_pool(count: int, seed: int = 2024):
         yield inst.net, reports, draws, make_grid(reports, size=64, seed=k)
 
 
-# sized so that each referral rule's c03 and digraph tests take about 1 s
-REFERRAL_C03_PREFIX = 40
-REFERRAL_DIGRAPH_CASES = 10
+# The step-table compiles, each built from an instance's per-agent exponent
+# draws and, on a tree, its children: lblev on the draws and on their
+# sibling-shared form, and the referral family, whose ArgmaxRule reads no draw.
+STEP_TABLE_COMPILES = {
+    "lblev": lambda draws, children: LblevAuction(draws),
+    "lblev:sibling-shared": lambda draws, children: LblevAuction(
+        sibling_shared_exponents(children, draws)),
+    "ra:argmax": lambda draws, children: ReferralAuction(ArgmaxRule()),
+    "ra:argmax-pow": lambda draws, children: ReferralAuction(PowerRule(draws)),
+}
+# (digraph cases, floor on each kind of agent seen) of the compiles that run
+# on general digraphs; sized so that each referral rule takes about 1 s
+DIGRAPH_CASES = {"lblev": (60, 40), "ra:argmax": (10, 10), "ra:argmax-pow": (10, 10)}
 
 
 class TestCompiledCurve:
     """``compile(net, reports).curve`` against one ``run`` per point, bit
     for bit: compared by ``repr``, so a ``-0.0`` counts."""
 
-    def test_c03_trees_every_agent_and_subset(self):
+    @pytest.mark.parametrize("name", sorted(STEP_TABLE_COMPILES))
+    def test_c03_step_tables_every_agent_and_subset(self, name):
+        """Every agent and forwarded subset of its children on 40 c03
+        instances, at the table points, sibling-value and subtree-best
+        ties and each step's edges; the agents below a withheld child, and
+        the all-zero profile."""
         for k, inst, draws, _ in c03_instances(40):
             net, reports = inst.net, inst.reports
             children = tree_children(net)
+            mech = STEP_TABLE_COMPILES[name](draws, children)
             grid = make_grid(reports, size=16, seed=k)
             zero = truthful_profile(net, {i: 0.0 for i in net.agents})
             tree = build_referral_tree(net, reports)
             best = {i: max(reports.value(j) for j in tree.subtree(i)) for i in tree.agents()}
-            for exponents in (draws, sibling_shared_exponents(children, draws)):
-                mech = LblevAuction(exponents)
-                for agent in sorted(net.agents):
-                    parent = next(p for p, kids in children.items() if agent in kids)
-                    # values tied with a sibling's own and subtree-best value
-                    ties = [x for s in children[parent] if s != agent
-                            for x in (reports.value(s), best[s])]
-                    kids = children.get(agent, [])
-                    for r in range(len(kids) + 1):
-                        for subset in itertools.combinations(kids, r):
-                            profile = reports.replace(agent, neighbors=subset)
-                            compiled = mech.compile(net, profile)
-                            xs = curve_points(compiled, agent, subset, profile,
-                                              grid, ties)
-                            assert (repr(compiled.curve(agent, xs))
-                                    == repr(per_point(mech, net, profile, agent, xs))), (
-                                        k, agent)
-                            assert_point_is_one_point_curve(mech.compile(net, profile),
-                                                            compiled, agent, xs, (k, agent))
-                            # agents below a withheld child are cut off
-                            for cut in set(kids) - set(subset):
-                                for i in tree.subtree(cut):
-                                    probe = [0.0, reports.value(i), grid.points[-1]]
-                                    assert repr(compiled.curve(i, probe)) == UNSOLD3
-                                    assert repr(per_point(mech, net, profile, i,
-                                                          probe)) == UNSOLD3
-                                    assert repr([compiled.point(i, x) for x in probe]) == UNSOLD3
-                    probe = [0.0, 1.0, grid.points[7]]
-                    zero_compiled = mech.compile(net, zero)
-                    assert (repr(zero_compiled.curve(agent, probe))
-                            == repr(per_point(mech, net, zero, agent, probe)))
-                    assert_point_is_one_point_curve(mech.compile(net, zero), zero_compiled,
-                                                    agent, probe, (k, agent))
+            for agent in sorted(net.agents):
+                parent = next(p for p, kids in children.items() if agent in kids)
+                # values tied with a sibling's own and subtree-best value
+                ties = [x for s in children[parent] if s != agent
+                        for x in (reports.value(s), best[s])]
+                kids = children.get(agent, [])
+                for r in range(len(kids) + 1):
+                    for subset in itertools.combinations(kids, r):
+                        profile = reports.replace(agent, neighbors=subset)
+                        compiled = mech.compile(net, profile)
+                        assert_curve_is_run(compiled, agent, curve_points(
+                            compiled, agent, subset, profile, grid, ties), (k, agent))
+                        # agents below a withheld child are cut off
+                        for cut in set(kids) - set(subset):
+                            for i in tree.subtree(cut):
+                                probe = [0.0, reports.value(i), grid.points[-1]]
+                                assert repr(compiled.curve(i, probe)) == UNSOLD3
+                                assert repr(per_point(mech, net, profile, i, probe)) == UNSOLD3
+                                assert repr([compiled.point(i, x) for x in probe]) == UNSOLD3
+                assert_curve_is_run(mech.compile(net, zero), agent,
+                                    [0.0, 1.0, grid.points[7]], (k, agent))
 
-    def test_general_digraphs_every_agent(self):
+    @pytest.mark.parametrize("name", sorted(DIGRAPH_CASES))
+    def test_digraph_step_tables_every_agent(self, name):
         """Multi-inviter digraphs with timestamp ties, where the agent's own
         forwarding re-routes the tree: deep agents, cut-off agents, and
         agents whose other values are all 0."""
+        cases, floor = DIGRAPH_CASES[name]
         rng = np.random.default_rng(31)
         seen = {"deep": 0, "cut": 0, "others_zero": 0}
-        for case in range(60):
+        for case in range(cases):
             net, forwards, stamps, _ = random_referral_case(rng, int(rng.integers(2, 10)))
             values = {i: float(rng.choice([0.0, 5.0, 5.0, rng.uniform(0.0, 10.0)]))
                       for i in net.agents}
-            exponents = {i: float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.5, 3.0)]))
-                         for i in net.agents}
-            mech = LblevAuction(exponents)
+            draws = {i: float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.5, 3.0)]))
+                     for i in net.agents}
+            mech = STEP_TABLE_COMPILES[name](draws, None)
             for agent in sorted(net.agents):
                 alone = {i: 0.0 for i in net.agents}
                 alone[agent] = values[agent]
@@ -1022,47 +1030,14 @@ class TestCompiledCurve:
                         compiled = mech.compile(net, profile)
                         ties = [vals[i] for i in sorted(net.agents) if i != agent]
                         grid = make_grid(profile, size=16, seed=case)
-                        xs = curve_points(compiled, agent, tuple(sorted(sent)), profile,
-                                          grid, ties)
-                        assert (repr(compiled.curve(agent, xs))
-                                == repr(per_point(mech, net, profile, agent, xs))), (
-                                    case, agent)
-                        assert_point_is_one_point_curve(mech.compile(net, profile), compiled,
-                                                        agent, xs, (case, agent))
+                        assert_curve_is_run(compiled, agent, curve_points(
+                            compiled, agent, tuple(sorted(sent)), profile, grid, ties),
+                            (case, agent))
                         # depth 3 or more: the agent's grandparent is not the seller
                         seen["deep"] += tree.parent.get(tree.parent.get(agent, 0), 0) != 0
                         seen["cut"] += agent not in tree.agents()
                         seen["others_zero"] += vals is alone and agent in tree.agents()
-        assert min(seen.values()) >= 40, seen
-
-    # The referral family: each rule, built from an instance's per-agent
-    # exponent draws, which only PowerRule reads.
-    REFERRAL_RULES = {"argmax": lambda draws: ArgmaxRule(), "argmax-pow": PowerRule}
-
-    @pytest.mark.parametrize("rule", sorted(REFERRAL_RULES))
-    def test_referral_c03_trees_every_agent_and_subset(self, rule):
-        """``ReferralAuction`` step tables against one ``run`` per point on
-        a c03 prefix: every agent and forwarded subset of its children, at
-        the table points, sibling ties and each step's edges."""
-        for k, inst, draws, _ in c03_instances(REFERRAL_C03_PREFIX):
-            net, reports = inst.net, inst.reports
-            mech = ReferralAuction(self.REFERRAL_RULES[rule](draws))
-            children = tree_children(net)
-            grid = make_grid(reports, size=16, seed=k)
-            for agent in sorted(net.agents):
-                parent = next(p for p, kids in children.items() if agent in kids)
-                ties = [reports.value(s) for s in children[parent] if s != agent]
-                kids = children.get(agent, [])
-                for r in range(len(kids) + 1):
-                    for subset in itertools.combinations(kids, r):
-                        profile = reports.replace(agent, neighbors=subset)
-                        compiled = mech.compile(net, profile)
-                        xs = curve_points(compiled, agent, subset, profile, grid, ties)
-                        xs += step_edges(compiled, agent)
-                        assert (repr(compiled.curve(agent, xs))
-                                == repr(per_point(mech, net, profile, agent, xs))), (k, agent)
-                        assert_point_is_one_point_curve(mech.compile(net, profile), compiled,
-                                                        agent, xs, (k, agent))
+        assert min(seen.values()) >= floor, seen
 
     # sha256 over verify_mechanism's reports (to_dict() and details) for
     # each referral rule on the first 40 verify-trees pool instances,
@@ -1071,55 +1046,14 @@ class TestCompiledCurve:
         "argmax": "305cc822d5976af0398150c9703be4b94823c88e230aa6a0a07bbf59ec5574cc",
         "argmax-pow": "bd4934f56f3a7b0dcae242f4dd3b8bc9ff91d94c541ce484b684cc6493da091d"}
 
-    @pytest.mark.parametrize("rule", sorted(REFERRAL_RULES))
+    @pytest.mark.parametrize("rule", sorted(REFERRAL_POOL_DIGESTS))
     def test_referral_pool_reports_digest(self, rule):
         digest = hashlib.sha256()
         for net, reports, draws, grid in verify_trees_pool(40):
-            mech = ReferralAuction(self.REFERRAL_RULES[rule](draws))
+            mech = STEP_TABLE_COMPILES["ra:" + rule](draws, None)
             for r in verify_mechanism(mech, net, reports, grid):
                 digest.update(repr((r.to_dict(), r.details)).encode())
         assert digest.hexdigest() == self.REFERRAL_POOL_DIGESTS[rule], digest.hexdigest()
-
-    @pytest.mark.parametrize("rule", sorted(REFERRAL_RULES))
-    def test_referral_general_digraphs_every_agent(self, rule):
-        """The multi-inviter digraphs of the lblev test above, a prefix of
-        them, under the referral family."""
-        rng = np.random.default_rng(31)
-        seen = {"deep": 0, "cut": 0, "others_zero": 0}
-        for case in range(REFERRAL_DIGRAPH_CASES):
-            net, forwards, stamps, _ = random_referral_case(rng, int(rng.integers(2, 10)))
-            values = {i: float(rng.choice([0.0, 5.0, 5.0, rng.uniform(0.0, 10.0)]))
-                      for i in net.agents}
-            draws = {i: float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.5, 3.0)]))
-                     for i in net.agents}
-            mech = ReferralAuction(self.REFERRAL_RULES[rule](draws))
-            for agent in sorted(net.agents):
-                alone = {i: 0.0 for i in net.agents}
-                alone[agent] = values[agent]
-                for vals in (values, alone):
-                    for sent in (forwards[agent], frozenset()):
-                        sends = dict(forwards)
-                        sends[agent] = sent
-                        profile = ReportProfile({i: Report(vals[i], sends[i], stamps[i])
-                                                 for i in net.agents})
-                        try:
-                            tree = build_referral_tree(net, profile)
-                        except InstanceError:    # stamps that make the parent map cyclic
-                            continue
-                        compiled = mech.compile(net, profile)
-                        ties = [vals[i] for i in sorted(net.agents) if i != agent]
-                        grid = make_grid(profile, size=16, seed=case)
-                        xs = curve_points(compiled, agent, tuple(sorted(sent)), profile,
-                                          grid, ties) + step_edges(compiled, agent)
-                        assert (repr(compiled.curve(agent, xs))
-                                == repr(per_point(mech, net, profile, agent, xs))), (
-                                    case, agent)
-                        assert_point_is_one_point_curve(mech.compile(net, profile), compiled,
-                                                        agent, xs, (case, agent))
-                        seen["deep"] += tree.parent.get(tree.parent.get(agent, 0), 0) != 0
-                        seen["cut"] += agent not in tree.agents()
-                        seen["others_zero"] += vals is alone and agent in tree.agents()
-        assert min(seen.values()) >= 10, seen
 
     # 0 -> {1, 2}, agent 1 at 0 and agent 2 scored by x**2: agent 2 wins the
     # id tie with agent 1's 0 only once x**2 rounds above 0, about 2**61

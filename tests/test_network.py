@@ -271,6 +271,30 @@ class TestMalformedInputs:
             DiffusionNetwork(SELLER, frozenset(agents),
                              {k: frozenset(v) for k, v in edges.items()})
 
+    # an agent id is a positive int: -1 is an unsold row's winner in a draw
+    # matrix; a JSON true is already not an integral number, and
+    # network_from_edges always sells from 0
+    @pytest.mark.parametrize("path, bad, seller", [
+        ("network", -1, SELLER), ("network", 0, 5), ("network", True, SELLER),
+        ("edges", -1, SELLER), ("edges", True, SELLER),
+        ("file", -1, SELLER), ("file", 0, 5),
+    ], ids=["network-negative", "network-zero", "network-bool", "edges-negative",
+            "edges-bool", "file-negative", "file-zero"])
+    def test_agent_id_must_be_a_positive_integer(self, path, bad, seller, tmp_path):
+        edges = [(seller, bad), (bad, 2)]
+        raw = {"seller": seller, "edges": edges,
+               "agents": [{"id": bad, "valuation": 1.0, "neighbors": [2]},
+                          {"id": 2, "valuation": 3.0, "neighbors": []}]}
+        (tmp_path / "bad.json").write_text(json.dumps(raw))
+        with pytest.raises(InstanceError, match=f"agent id {bad!r} is not a positive integer"):
+            if path == "network":
+                DiffusionNetwork(seller, frozenset({bad, 2}),
+                                 {src: frozenset({dst}) for src, dst in edges})
+            elif path == "edges":
+                network_from_edges(edges)
+            else:
+                load_instance(tmp_path / "bad.json")
+
     def test_negative_timestamp_rejected(self):
         with pytest.raises(InstanceError, match="negative timestamp -1"):
             Report(value=1.0, neighbors=frozenset(), timestamp=-1)
