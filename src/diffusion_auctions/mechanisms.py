@@ -373,8 +373,8 @@ def rc_example_mechanism(bids: Sequence[float],
     """
     if len(bids) != 3 or len(ids) != 3:
         raise ValueError("exactly three bids are required")
-    if any(b < 0 for b in bids):
-        raise ValueError("bids must be non-negative")
+    if not all(0 <= b < math.inf for b in bids):
+        raise ValueError("bids must be non-negative and finite")
     if all(b == 0 for b in bids):
         return Outcome({}, {}, 0.0)
     order = sorted(zip(ids, bids), key=lambda ib: (-ib[1], ib[0]))

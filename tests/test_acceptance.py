@@ -64,9 +64,11 @@ from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import ALL_CONDITIONS, INEQ_TOL, make_grid, random_exponents
 
-from helpers import revenue_identity_sides, run_idm_tree
+from helpers import revenue_identity_sides
 from oracles import (
     naive_forwarding_utility,
+    naive_level_auction,
+    naive_net_payments,
     naive_profitable_withholding,
     random_dag_edges,
 )
@@ -397,10 +399,14 @@ def test_c04_equivalences():
     for k in range(500):
         inst = random_tree_instance(int(rng.integers(1, 12)), rng)
         tree = build_referral_tree(inst.net, inst.reports)
-        a, _ = run_lblev(tree, inst.reports.values(), {})
-        b = run_idm_tree(tree, inst.reports.values())
-        assert a.winner == b.winner
-        assert a.payments == b.payments
+        values = inst.reports.values()
+        out, _ = run_lblev(tree, values, {})
+        children = {p: list(kids) for p, kids in tree.children.items()}
+        winner, pays = naive_level_auction(children, values, {}, root=tree.root)
+        net_pay, revenue = naive_net_payments(winner, pays, values)
+        assert out.winner == winner
+        assert {i: out.payments.get(i, 0.0) for i in values} == net_pay
+        assert out.seller_revenue == revenue
 
     for k in range(500):
         n = int(rng.integers(1, 11))
@@ -414,7 +420,7 @@ def test_c04_equivalences():
         assert ra.winner == lb.winner
         for agent in tree.agents():
             assert abs(ra.payments.get(agent, 0.0) - lb.payments.get(agent, 0.0)) <= 1e-9
-    report(4, True, "500 instances: unit-exponent==baseline exact; "
+    report(4, True, "500 instances: unit-exponent lblev == naive IDM oracle exactly; "
                     "referral power rule == level auction within 1e-9")
 
 

@@ -311,26 +311,6 @@ class TestRunMaxViva:
         assert deep == 27
         assert digest.hexdigest() == self.RESUMED_DESCENT_DIGEST, digest.hexdigest()
 
-    def test_compiled_revenues_are_run_revenues(self):
-        # MaxVivaAuction prices a draw matrix on the first-level subtree
-        # maxima; each row's revenue is its run's, to the last bit
-        rng = np.random.default_rng(2828)
-        for base in (UNIT, exponential_distribution(2.0), truncated_normal(1.0, 0.5)):
-            mech = MaxVivaAuction(base)
-            for _ in range(8):
-                n = int(rng.integers(2, 11))
-                parents = {k: int(rng.integers(max(0, k - 3), k)) for k in range(1, n + 1)}
-                net = network_from_edges([(p, k) for k, p in parents.items()])
-                ids = sorted(net.agents)
-                matrix = base.sample(rng, 30 * n).reshape(30, n)
-                matrix[0] = 0.0                            # unsold
-                matrix[1] = matrix[1, 0]                   # every value tied
-                matrix[2] = np.round(matrix[2] * 4) / 4    # ties on a coarse grid
-                batch = truthful_compile(mech, net).revenues(matrix)
-                for row, expect in zip(matrix, batch):
-                    out = mech.run_on_values(net, dict(zip(ids, row.tolist())))
-                    assert out.seller_revenue == expect
-
     def test_run_keeps_one_prior_per_subtree_size(self, monkeypatch):
         made = []
         monkeypatch.setattr(bayes, "max_of_iid", lambda *args: made.append(args) or max_of_iid(*args))
@@ -567,32 +547,6 @@ class TestRevenueComparisons:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             paired_revenue_gap(MaxVivaTA(dists), SecondPriceTA(0.0), inst.net, dists,
                                trials=trials, seed=6)
-
-    def test_power_ta_batch_matches_full_mechanism(self):
-        rng = np.random.default_rng(3)
-        inst = fixtures.depth1_instance((0.5, 0.5, 0.5))
-        exps = {1: 2.0, 2: 1.0, 3: 0.5}
-        ta = PowerTA(exps)
-        ids = sorted(inst.net.agents)
-        matrix = rng.uniform(size=(50, 3))
-        batch = truthful_compile(ta, inst.net).revenues(matrix)
-        lblev = truthful_compile(LblevAuction(exps), inst.net).revenues(matrix)
-        assert batch.tolist() == lblev.tolist()
-        for row, expect in zip(matrix, batch):
-            values = dict(zip(ids, row))
-            out = ta.run_on_values(inst.net, values)
-            assert out.seller_revenue == pytest.approx(expect, abs=1e-9)
-
-    def test_second_price_ta_batch_matches_rule_run(self):
-        rng = np.random.default_rng(14)
-        inst = fixtures.depth1_instance((0.5, 0.5))
-        ta = SecondPriceTA(0.25)
-        ids = sorted(inst.net.agents)
-        matrix = rng.uniform(size=(50, 2))
-        batch = truthful_compile(ta, inst.net).revenues(matrix)
-        for row, expect in zip(matrix, batch):
-            out = ta.run_on_values(inst.net, dict(zip(ids, row)))
-            assert out.seller_revenue == expect
 
     def test_maxviva_ta_batch_matches_tree_mechanism(self):
         rng = np.random.default_rng(15)

@@ -30,7 +30,8 @@ from diffusion_auctions import (
     truthful_profile,
 )
 from diffusion_auctions import fixtures, mechanisms
-from diffusion_auctions.bayes import MaxVivaAuction, uniform_distribution
+from diffusion_auctions.bayes import (MaxVivaAuction, MaxVivaTA, exponential_distribution,
+                                      max_of_iid, truncated_normal, uniform_distribution)
 from diffusion_auctions.mechanisms import Compiled, LevelCurves, lblev_first_level_revenues
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.network import EQ_TOL, Instance, Outcome, Report, ReportProfile
@@ -44,6 +45,7 @@ from oracles import (
     exact_level_auction,
     naive_level_auction,
     naive_net_payments,
+    naive_referral_parents,
     power_winner,
     random_dag_edges,
     random_tree_children,
@@ -213,36 +215,62 @@ def truthful_compile(mech, net):
     return mech.compile(net, truthful_profile(net, {i: 0.0 for i in net.agents}))
 
 
-def assert_batch_matches_scalar_and_oracle(mech, net, matrix):
-    """Every row of ``matrix`` through the compiled ``outcomes``, the
-    default one-``run``-per-row :class:`Compiled` loop, ``run_lblev`` and
-    the naive oracle: identical winners, payments and revenue within 1e-12."""
+def run_rows(mech, net, matrix, stamps=None):
+    """Each row of ``matrix`` as a truthful profile with ``stamps``, the
+    parent map of :func:`naive_referral_parents` on them, and ``run``'s
+    rows: (winner, -1 when unsold [S]; net payments [S, n]; revenue [S])."""
     ids = sorted(net.agents)
-    compiled = truthful_compile(mech, net)
-    winner, payments, revenue = compiled.outcomes(matrix)
-    assert winner.shape == revenue.shape == (len(matrix),)
-    assert payments.shape == matrix.shape
-    loop_winner, loop_payments, loop_revenue = Compiled(
-        mech, net, compiled.reports).outcomes(matrix)
-    assert winner.tolist() == loop_winner.tolist()
-    assert np.abs(payments - loop_payments).max(initial=0.0) <= 1e-12
-    assert np.abs(revenue - loop_revenue).max(initial=0.0) <= 1e-12
-    tree = compiled.tree
-    children = {k: list(v) for k, v in tree.children.items()}
-    in_tree = sorted(tree.agents())
-    for s, row in enumerate(matrix):
-        values = dict(zip(ids, row.tolist()))
-        out, _ = run_lblev(tree, values, mech.exponents)
-        w, pays = naive_level_auction(children, {i: values[i] for i in in_tree},
-                                      mech.exponents, root=net.seller)
-        oracle_pay, oracle_rev = naive_net_payments(w, pays, in_tree)
-        expect = -1 if out.winner is None else out.winner
-        assert winner[s] == expect == (-1 if w is None else w), (s, values)
-        for j, i in enumerate(ids):
-            assert abs(payments[s, j] - out.payments.get(i, 0.0)) <= 1e-12, (s, i)
-            assert abs(payments[s, j] - oracle_pay.get(i, 0.0)) <= 1e-12, (s, i)
-        assert abs(revenue[s] - out.seller_revenue) <= 1e-12
-        assert abs(revenue[s] - oracle_rev) <= 1e-12
+    profiles = [truthful_profile(net, dict(zip(ids, row)), stamps) for row in matrix.tolist()]
+    outs = [mech.run(net, profile) for profile in profiles]
+    stamps = {i: report.timestamp for i, report in profiles[0].reports.items()}
+    return profiles, naive_referral_parents(net.out_edges, net.out_edges, stamps), (
+        np.array([-1 if out.winner is None else out.winner for out in outs]),
+        np.array([[out.payments.get(i, 0.0) for i in ids] for out in outs]),
+        np.array([out.seller_revenue for out in outs]))
+
+
+def assert_rows_agree(got, want, label):
+    """Equal winners; net payments and revenues within 1e-12, in the same shapes."""
+    assert np.asarray(got[0]).tolist() == want[0].tolist(), label
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=label)
+
+
+def assert_level_family(mech, net, matrix, rows=None):
+    """``run`` on every row of ``matrix`` (``rows``, from :func:`run_rows`)
+    and, for an ``LblevAuction``, the compiled ``outcomes``, the default
+    loop's and ``point`` at every agent against the naive oracle on the
+    naive referral tree: equal winners, payments within 1e-12; for IDM also
+    the first-level revenues."""
+    profiles, parent, ran = rows or run_rows(mech, net, matrix)
+    ids, children = sorted(net.agents), {}
+    for node, par in parent.items():
+        children.setdefault(par, []).append(node)
+    exponents = mech.exponents if type(mech) is LblevAuction else mech.rule.exponents or {}
+    want = []
+    for row in matrix.tolist():
+        values = dict(zip(ids, row))
+        winner, pays = naive_level_auction(children, {i: values[i] for i in parent}, exponents)
+        net_pay, revenue = naive_net_payments(winner, pays, ids)
+        want.append((-1 if winner is None else winner, [net_pay[i] for i in ids], revenue))
+    want = [np.array(column) for column in zip(*want)]
+    assert_rows_agree(ran, want, "run")
+    if type(mech) is ReferralAuction:
+        return
+    compiled_on = profiles[-1]   # the compiled values are overwritten by every row
+    assert_rows_agree(mech.compile(net, compiled_on).outcomes(matrix), want, "outcomes")
+    assert_rows_agree(Compiled(mech, net, compiled_on).outcomes(matrix), want, "default loop")
+    points = np.array([[compiled.point(i, profile.value(i)) for i in ids] for profile in profiles
+                       for compiled in [mech.compile(net, profile)]])
+    assert (points[:, :, 0] == (want[0][:, None] == ids)).all(), "point"
+    np.testing.assert_allclose(points[:, :, 1], want[1], rtol=0, atol=1e-12, err_msg="point")
+    if mech.name == "idm":
+        def best(node, values):   # the subtree maximum on the naive tree
+            return max([values[node]] + [best(c, values) for c in children.get(node, [])])
+
+        for row, revenue in zip(matrix.tolist(), want[2]):
+            first = [(c, best(c, dict(zip(ids, row)))) for c in children[0]]
+            assert abs(lblev_first_level_revenues(first, None, [1.0])[0] - revenue) <= 1e-12
 
 
 def random_trees():
@@ -274,8 +302,7 @@ class TestLevelKernel:
             block = base.copy()
             block[:, 2] = v     # agent 3 pinned, as in estimate_interim
             blocks.append(block)
-        assert_batch_matches_scalar_and_oracle(LblevAuction(C10_EXPONENTS), net,
-                                               np.vstack(blocks))
+        assert_level_family(LblevAuction(C10_EXPONENTS), net, np.vstack(blocks))
 
     @pytest.mark.parametrize("instances", [random_trees, random_multi_inviter_digraphs],
                              ids=["trees", "digraphs"])
@@ -291,24 +318,23 @@ class TestLevelKernel:
             matrix[0] = 0.0                                  # all-zero row
             matrix[1] = 50.0                                 # every value tied
             matrix[2] = rng.integers(0, 3, size=n) * 25.0    # ties and zeros
-            assert_batch_matches_scalar_and_oracle(LblevAuction(exps), net, matrix)
+            assert_level_family(LblevAuction(exps), net, matrix)
 
     def test_one_agent_tree_and_worked_example(self):
         one = network_from_edges([(0, 1)])
-        assert_batch_matches_scalar_and_oracle(LblevAuction({1: 2.0}), one,
-                                               np.array([[0.0], [3.5], [100.0]]))
+        assert_level_family(LblevAuction({1: 2.0}), one, np.array([[0.0], [3.5], [100.0]]))
         inst = fixtures.fig_lblev_instance()
         ids = sorted(inst.net.agents)
         row = np.array([[inst.reports.value(i) for i in ids]])
         mech = LblevAuction(inst.exponents)
-        assert_batch_matches_scalar_and_oracle(mech, inst.net, row)
+        assert_level_family(mech, inst.net, row)
         winner, _, revenue = truthful_compile(mech, inst.net).outcomes(row)
         assert (winner[0], revenue[0]) == (8, 729.0)
 
     def test_agents_outside_the_tree_pay_nothing(self):
         net = network_from_edges([(0, 1), (0, 2), (1, 3)], agents=range(1, 5))
         matrix = np.array([[1.0, 2.0, 3.0, 99.0], [0.0, 0.0, 0.0, 5.0]])
-        assert_batch_matches_scalar_and_oracle(LblevAuction(), net, matrix)
+        assert_level_family(LblevAuction(), net, matrix)
         winner, payments, _ = truthful_compile(LblevAuction(), net).outcomes(matrix)
         assert winner.tolist() == [3, -1]
         assert payments[:, 3].tolist() == [0.0, 0.0]
@@ -383,7 +409,7 @@ class TestLevelKernel:
         net = network_from_edges(self.SCAN_EDGES)
         mech = LblevAuction(self.SCAN_EXPONENTS)
         matrix = np.array([values for values, _ in cases])
-        assert_batch_matches_scalar_and_oracle(mech, net, matrix)
+        assert_level_family(mech, net, matrix)
         winner, payments, revenue = truthful_compile(mech, net).outcomes(matrix)
         assert winner.tolist() == [w for _, w in cases]
         assert revenue[:2].tolist() == [4.0, (x * x) ** 2]
@@ -413,32 +439,71 @@ class TestLevelKernel:
 
 
 @st.composite
-def digraph_draws(draw):
-    """A general digraph over agents 1..n+1 and a draw matrix for it:
-    one agent is never reached, and the others, in a random topological
-    order, are each invited by one to three earlier nodes (the seller among
-    them), so edges run both ways between ids.  Stamps tie, exponents keep
-    ``_check_power_range`` finite, and the values hold zeros and ties, plus
-    an all-zero row and a row with every value tied."""
-    n = draw(st.integers(1, 7))
-    outside = draw(st.integers(1, n + 1))
-    order = draw(st.permutations([i for i in range(1, n + 2) if i != outside]))
-    edges = [(src, node) for k, node in enumerate(order)
-             for src in draw(st.sets(st.sampled_from((0,) + tuple(order[:k])),
-                                     min_size=1, max_size=3))]
-    net = network_from_edges(edges + [(outside, order[-1])], agents=range(1, n + 2))
-    stamps = {i: draw(st.integers(0, 2)) for i in net.agents}
-    exps = {i: draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 3.0)) for i in net.agents}
-    value = st.sampled_from([0.0, 2.5, 40.0]) | st.floats(0.0, 100.0)
-    rows = draw(st.lists(st.lists(value, min_size=n + 1, max_size=n + 1),
-                         min_size=1, max_size=6))
-    matrix = np.array(rows + [[0.0] * (n + 1), [2.5] * (n + 1)])
-    return net, stamps, exps, matrix
+def digraph_draws(draw, scale=1.0):
+    """A general digraph over agents 1..n+1 (2-8 or 20-30 agents), its
+    stamps, exponents and draw matrix.  One agent is never reached; the
+    others, in a random order, are each invited by one to three earlier
+    nodes (the seller among them), or in a deep network by one to three of
+    the three nodes just before.  Stamps tie, exponents keep
+    ``_check_power_range`` finite, and the values, ``scale`` times draws on
+    [0, 100], hold ties and zeros, rows with many zeros, an all-zero row, an
+    all-tied row and a row rising along the order below the unreached agent.
+    Hypothesis draws the shape and a seed; a generator on that seed draws
+    the rest, so that an example of 30 agents stays cheap."""
+    n = draw(st.integers(1, 7) | st.integers(19, 29))
+    deep, rows = draw(st.booleans()), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = [int(i) for i in rng.permutation(np.arange(1, n + 2))]
+    outside = order.pop()
+    edges = [(outside, order[-1])]
+    for k, node in enumerate(order):
+        earlier = (0, *order[:k])[-3 if deep else 0:]
+        picked = rng.choice(earlier, size=min(len(earlier), int(rng.integers(1, 4))), replace=False)
+        edges += [(int(src), node) for src in picked]
+    net = network_from_edges(edges, agents=range(1, n + 2))
+    stamps = dict(zip(range(1, n + 2), rng.integers(0, 3, n + 1).tolist()))
+
+    def mixed(shape, common, low, high):   # half from ``common``, half uniform
+        return np.where(rng.random(shape) < 0.5, rng.choice(common, shape),
+                        rng.uniform(low, high, shape))
+
+    exps = dict(zip(range(1, n + 2), mixed(n + 1, [0.5, 1.0, 2.0], 0.5, 3.0).tolist()))
+    rising = {outside: 100.0, **{node: 2.5 * k for k, node in enumerate(order, 1)}}
+    drawn = mixed((rows, n + 1), [0.0, 2.5, 40.0], 0.0, 100.0)
+    drawn[rng.random(drawn.shape) < rng.random((rows, 1))] = 0.0   # each row its share of zeros
+    matrix = np.vstack([drawn, np.zeros(n + 1), np.full(n + 1, 2.5),
+                        [rising[i] for i in range(1, n + 2)]])
+    return net, stamps, exps, scale * matrix
+
+
+UNIT = uniform_distribution(0.0, 1.0)
+MIXED_PRIORS = {i: (UNIT, max_of_iid(UNIT, 2))[i % 2] for i in range(1, 31)}
+# id: (the mechanism on a drawn case's exponents, the scale of its values,
+# hypothesis examples).  LblevAuction and ReferralAuction proper are held
+# to the naive oracle, every other compile's revenues to run.
+DRAW_MATRIX_COMPILES = {
+    "idm": (lambda exps: LblevAuction(None), 1.0, 60),
+    "lblev": (lambda exps: LblevAuction(exps), 1.0, 60),
+    "ra:argmax": (lambda exps: ReferralAuction(ArgmaxRule()), 1.0, 60),
+    "ra:argmax-pow": (lambda exps: ReferralAuction(PowerRule(exps)), 1.0, 60),
+    "ta:argmax-pow": (lambda exps: PowerTA(exps), 1.0, 60),
+    "ta:second-price-r0": (lambda exps: SecondPriceTA(0.0), 1.0, 60),
+    "ta:second-price-r2.5": (lambda exps: SecondPriceTA(2.5), 1.0, 60),
+    "ta:second-price-r30": (lambda exps: SecondPriceTA(30.0), 1.0, 60),
+    "ta:maxviva": (lambda exps: MaxVivaTA(MIXED_PRIORS), 0.01, 45),
+    "maxviva:uniform": (lambda exps: MaxVivaAuction(UNIT), 0.01, 45),
+    "maxviva:exponential": (lambda exps: MaxVivaAuction(exponential_distribution(2.0)), 0.02, 45),
+    "maxviva:truncated-normal": (lambda exps: MaxVivaAuction(truncated_normal(1.0, 0.5)), 0.02, 45),
+}
 
 
 class TestDrawMatrixContract:
     """Every compiled path prices a draw matrix, one column per agent of
-    the compiled profile in id order, as one ``run`` per row."""
+    the compiled profile in id order, as ``run`` prices each row, on the
+    general digraphs of :func:`digraph_draws`; the level family's ``run``
+    is held to the naive oracle on the tree of ``naive_referral_parents``."""
+
+    FLOOR = 10   # the least count of each kind of row, node or network in ``seen``
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(case=digraph_draws(), reserve=st.sampled_from([0.0, 2.5, 30.0]))
@@ -462,6 +527,46 @@ class TestDrawMatrixContract:
         for mech in (SecondPriceTA(reserve), MaxVivaAuction(uniform_distribution(0.0, 100.0))):
             runs = np.array([mech.run(net, profile).seller_revenue for profile in profiles])
             assert mech.compile(net, compiled_on).revenues(matrix).tobytes() == runs.tobytes()
+
+    @pytest.mark.parametrize("name", list(DRAW_MATRIX_COMPILES))
+    def test_every_compile_matches_run(self, name):
+        build, scale, examples = DRAW_MATRIX_COMPILES[name]
+        seen = dict.fromkeys(["deep winner", "unsold", "unreached top", "20+ agents",
+                              "stamp tie"], 0)
+
+        @settings(derandomize=True, max_examples=examples, deadline=None)
+        @given(case=digraph_draws(scale))
+        def check(case):
+            net, stamps, exps, matrix = case
+            mech, ids = build(exps), sorted(net.agents)
+            profiles, parent, ran = rows = run_rows(mech, net, matrix, stamps)
+            if type(mech) in (LblevAuction, ReferralAuction):
+                assert_level_family(mech, net, matrix, rows)
+            else:
+                revenues = mech.compile(net, profiles[-1]).revenues(matrix)
+                if isinstance(mech, PowerTA):   # numpy's ** may round apart from libm's
+                    kernel = LblevAuction(exps).compile(net, profiles[-1]).revenues(matrix)
+                    assert revenues.tobytes() == kernel.tobytes()
+                    assert np.abs(revenues - ran[2]).max() <= 1e-9
+                else:
+                    assert revenues.tobytes() == ran[2].tobytes()
+            # a deep winner's grandparent is not the seller; a stamp tie picks a
+            # parent by id among the inviters with the least stamp; a binding
+            # reserve changes the revenue
+            inside = np.isin(ids, list(parent))
+            seen["deep winner"] += sum(parent.get(parent.get(w, 0), 0) != 0 for w in ran[0])
+            seen["unsold"] += sum(ran[0] == -1)
+            seen["unreached top"] += sum(matrix[:, ~inside].max(1) > matrix[:, inside].max(1))
+            seen["20+ agents"] += len(ids) >= 20
+            seen["stamp tie"] += sum(sum(stamps[k] == stamps[p] for k in parent
+                                         if j in net.out_edges.get(k, ())) > 1
+                                     for j, p in parent.items() if p != 0)
+            if getattr(getattr(mech, "rule", None), "reserve", 0.0):
+                free = SecondPriceTA(0.0).compile(net, profiles[-1]).revenues(matrix)
+                seen["reserve binds"] = seen.get("reserve binds", 0) + sum(ran[2] != free)
+
+        check()
+        assert min(seen.values()) >= self.FLOOR, seen
 
 
 class TestIdmTree:
@@ -491,29 +596,6 @@ class TestIdmTree:
 
 
 class TestAgainstNaiveReference:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**9), n=st.integers(1, 10),
-           unit=st.booleans())
-    def test_matches_recursive_reference(self, seed, n, unit):
-        rng = np.random.default_rng(seed)
-        children = random_tree_children(rng, n)
-        values = {i: float(rng.choice([0.0, rng.uniform(0, 100)])) for i in range(1, n + 1)}
-        exponents = ({i: 1.0 for i in values} if unit
-                     else {i: float(rng.uniform(0.5, 3.0)) for i in values})
-        edges = [(p, c) for p, kids in children.items() for c in kids]
-        net = network_from_edges(edges, agents=range(1, n + 1))
-        profile = truthful_profile(net, values)
-        tree = build_referral_tree(net, profile)
-        out, _ = run_lblev(tree, profile.values(), exponents)
-
-        winner, pays = naive_level_auction(
-            {p: list(k) for p, k in children.items()}, values, exponents)
-        net_pay, revenue = naive_net_payments(winner, pays, values.keys())
-        assert out.winner == winner
-        assert out.seller_revenue == pytest.approx(revenue, abs=1e-9)
-        for agent in values:
-            assert out.payments.get(agent, 0.0) == pytest.approx(net_pay[agent], abs=1e-9)
-
     # How many of the exact-oracle test's instances disagree with the oracle
     # at each scale 2**k below -29, on each of run, compiled points and
     # outcomes rows alike: the absolute EQ_TOL margin turns decisions that
@@ -845,28 +927,13 @@ class TestRcExampleMechanism:
             rc_example_mechanism([1.0, 2.0])
 
     def test_negative_bid_rejected(self):
-        with pytest.raises(ValueError, match="bids must be non-negative"):
-            rc_example_mechanism([1.0, -2.0, 3.0])
+        # unchecked, a NaN bidder takes 2/3 of the item, and inf bids pay inf and -inf
+        for bad in (-2.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="bids must be non-negative"):
+                rc_example_mechanism([1.0, bad, 3.0])
 
 
 class TestEquivalences:
-    def test_referral_power_rule_equals_lblev_everywhere(self):
-        rng = np.random.default_rng(32)
-        for _ in range(100):
-            n = int(rng.integers(1, 11))
-            edges = random_dag_edges(rng, n)
-            net = network_from_edges(edges, agents=range(1, n + 1))
-            values = {i: float(rng.uniform(0, 100)) for i in net.agents}
-            profile = truthful_profile(net, values)
-            exps = {i: float(rng.uniform(0.5, 3)) for i in net.agents}
-            ra, _ = run_referral_auction(net, profile, PowerRule(exps))
-            tree = build_referral_tree(net, profile)
-            lb, _ = run_lblev(tree, profile.values(), exps)
-            assert ra.winner == lb.winner
-            for agent in tree.agents():
-                assert (ra.payments.get(agent, 0.0)
-                        == pytest.approx(lb.payments.get(agent, 0.0), abs=1e-9))
-
     def test_winner_monotone_under_own_raise(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
