@@ -434,6 +434,10 @@ class Compiled:
         """``curve(agent, [x])[0]``: one own value's (allocation, payment)."""
         return self.curve(agent, [x])[0]
 
+    def jumps(self, agent: int) -> tuple[float, ...]:
+        """Own values x > 0 where ``agent``'s curve may step; none by default."""
+        return ()
+
     def outcomes(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Price every row of ``matrix`` as the values of the compiled
         profile's n agents, one column each in id order.  Returns (winner
@@ -530,6 +534,18 @@ class LevelCurves(Compiled):
             steps = self._steps[agent] = self._plan(agent)
         least, keep, won, sold = steps
         return [(0.0, 0.0) if x < least else won if x >= keep else sold for x in xs]
+
+    def jumps(self, agent: int) -> tuple[float, ...]:
+        """The plan's least winning x and keep threshold, if positive and
+        finite; none outside the reached tree or where the plan raises (as
+        :meth:`curve` does after its own checks)."""
+        if agent not in self._values:
+            return ()
+        try:
+            steps = self._steps[agent] = self._steps.get(agent) or self._plan(agent)
+        except Exception:
+            return ()
+        return tuple(j for j in steps[:2] if 0 < j < math.inf)
 
     def point(self, agent: int, x: float) -> tuple[float, float]:
         """``curve(agent, [x])[0]``, without a batch's set-up once planned."""

@@ -2,8 +2,9 @@
 
 The checks discretize the quantifiers "for all valuations, for all
 forwarded subsets": valuations run over a grid that always contains 0,
-the agent's reported value, and every allocation-jump threshold located
-by recursive bisection; neighbor subsets run over the full powerset up
+the agent's reported value, each jump the compiled mechanism hints with
+the double below it, and every other allocation jump located by
+recursive bisection; neighbor subsets run over the full powerset up
 to a cap, beyond which they are sampled (always keeping the empty and
 full sets).  Each check produces a :class:`VerificationReport` whose
 witness, on failure, carries a concrete reproducing deviation.  Every
@@ -123,10 +124,10 @@ class _CurveTable:
     array sorted by own value.  The table is built from one compile of
     the mechanism for the subset: :meth:`ensure` prices a batch of points
     by one ``curve`` call, and :meth:`refine_jumps` pins each allocation
-    jump within ``xtol``, so that step integrals are exact to ``xtol``,
-    by a depth-first bisection of one ``point`` call per midpoint.  The
-    row views are taken at each merge, and the trapezoid prefix is cached
-    until the next one."""
+    jump within ``xtol``, so that step integrals are exact to ``xtol``, by
+    a depth-first bisection of one ``point`` call per midpoint (none for a
+    jump priced with the double below it).  The row views are taken at
+    each merge, and the trapezoid prefix is cached until the next one."""
 
     def __init__(self, compiled: Compiled, agent: int,
                  subset: tuple[int, ...], xtol: float):
@@ -243,12 +244,17 @@ class _Context:
         return self.mech.compile(self.net, self.reports)
 
     def table(self, agent: int, subset: frozenset[int]) -> _CurveTable:
+        """The pair's table: one batch of the grid, 0, the true value and
+        each hinted jump in the grid's range with the double below it, then
+        a bisection of every bracket where ``g`` changes (no hint is trusted)."""
         table = self._tables.get((agent, subset))
         if table is None:
             compiled = (self.reported if subset == self.reports.neighbors(agent) else
                         self.mech.compile(self.net, self.reports.replace(agent, neighbors=subset)))
             table = _CurveTable(compiled, agent, tuple(sorted(subset)), self.xtol)
-            table.ensure([*self.grid.points, 0.0, self.reports.value(agent)])
+            table.ensure([*self.grid.points, 0.0, self.reports.value(agent),
+                          *(h for j in compiled.jumps(agent) if 0 < j <= self.grid.points[-1]
+                            for h in (j, np.nextafter(j, 0.0)))])
             table.refine_jumps()
             self._tables[agent, subset] = table
         return table

@@ -59,7 +59,7 @@ from diffusion_auctions import (
 )
 from diffusion_auctions import fixtures
 from diffusion_auctions.experiments import ExperimentConfig
-from diffusion_auctions.mechanisms import Compiled
+from diffusion_auctions.mechanisms import Compiled, LevelCurves
 from diffusion_auctions.mutants import DESIGNATED, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
 from diffusion_auctions.verify import ALL_CONDITIONS, INEQ_TOL, make_grid, random_exponents
@@ -194,10 +194,12 @@ def five_checks(mech, inst, grid, digest=None):
     return {r.condition: r for r in reports}
 
 
-# sha256 over every c03 report (see five_checks), recorded at commit
-# d6957ed: a verifier change that keeps its outputs must reproduce them
-C03_SHARED_DIGEST = "8f4169fc7a3304094780d42c30f4a1c27f0fed36a973f090809887cf228e8183"
-C03_PER_AGENT_DIGEST = "93048c8b1d064345a52f3fc627f61b278e7bdd2ae92ab76f53f52e5602c41cde"
+# sha256 over every c03 report (see five_checks): a verifier change that
+# keeps its outputs must reproduce them.  Recorded at commit d6957ed and
+# re-recorded when each table began to price its compile's jump hints,
+# which moved diffusion details by under xtol and no to_dict()
+C03_SHARED_DIGEST = "1b0bf8844489baa8f3029009fe810bae25d4d096dba368aebb9aafd81b4582e4"
+C03_PER_AGENT_DIGEST = "db3c112acf011d352679c7cdef99f37d2b518aeabac9bc85fc3a03e707e646a9"
 
 
 def test_c03_characterization_suite():
@@ -336,12 +338,14 @@ def test_c03_misreport_is_ddsic_point_2():
 
 # sha256 over every report of the seven conditions on the first ten c03
 # trees, under both exponent classes, with the diffusion curves
-# (``rhs_by_value``) included; recorded at commit 4aab156, whose checks
-# scanned the points one by one
-C03_FIRST_TEN_DIGEST = "175a13d79a195c28dbb1a908ed507860dd0390bfac60ce1dc02baade9050f864"
+# (``rhs_by_value``) included.  Without jump hints every table is bisected
+# as at commit 4aab156, whose checks scanned the points one by one, and the
+# digest is the one recorded there
+C03_FIRST_TEN_DIGEST = "6f9327beb0b6888c2acb247b5278f37719aca52e4352fe4e406c19bc0e6db0ea"
+C03_FIRST_TEN_UNHINTED_DIGEST = "175a13d79a195c28dbb1a908ed507860dd0390bfac60ce1dc02baade9050f864"
 
 
-def test_c03_first_ten_with_diffusion_curves():
+def c03_first_ten_digest() -> str:
     digest = hashlib.sha256()
     for _, inst, draws, grid in c03_instances(10):
         shared = sibling_shared_exponents(tree_children(inst.net), draws)
@@ -349,7 +353,13 @@ def test_c03_first_ten_with_diffusion_curves():
             for r in verify_mechanism(LblevAuction(exponents), inst.net, inst.reports,
                                       grid, ALL_CONDITIONS):
                 digest.update(repr((r.to_dict(), r.details)).encode())
-    assert digest.hexdigest() == C03_FIRST_TEN_DIGEST, digest.hexdigest()
+    return digest.hexdigest()
+
+
+def test_c03_first_ten_with_diffusion_curves(monkeypatch):
+    assert (hinted := c03_first_ten_digest()) == C03_FIRST_TEN_DIGEST, hinted
+    monkeypatch.setattr(LevelCurves, "jumps", Compiled.jumps)
+    assert (bare := c03_first_ten_digest()) == C03_FIRST_TEN_UNHINTED_DIGEST, bare
 
 
 class RecordingCurves(Compiled):

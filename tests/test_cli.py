@@ -359,8 +359,15 @@ class TestVerify:
         assert err == "error: --grid must lie in [1, 19999], got 20000\n"
 
     def test_only_a_bisection_split_is_called_pathological(self, capsys):
+        # idm's hinted jumps take the first batch past the budget; the
+        # mutant hints none, so its grid fits and a bisection runs out
         code, _, err = run_cli(capsys, "verify", "--mechanism", "idm", "--trials", "1",
                                "--grid", "19999")
+        assert code == 3
+        assert "while pricing 20001 points in [" in err
+        assert "pathological" not in err
+        code, _, err = run_cli(capsys, "verify", "--mechanism", "mutant:greedy-no-commission",
+                               "--trials", "1", "--grid", "19999")
         assert code == 3
         assert "while splitting [" in err
         assert err.endswith(" (allocation appears pathological)\n")

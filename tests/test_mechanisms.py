@@ -545,8 +545,10 @@ class TestDrawMatrixContract:
             else:
                 revenues = mech.compile(net, profiles[-1]).revenues(matrix)
                 if isinstance(mech, PowerTA):   # numpy's ** may round apart from libm's
-                    kernel = LblevAuction(exps).compile(net, profiles[-1]).revenues(matrix)
-                    assert revenues.tobytes() == kernel.tobytes()
+                    # the referral run on the depth-one star: PowerRule's Myerson
+                    # threshold, not lblev's rho**(t_r/t_w)
+                    star = [transformed_auction_revenue(net, p, PowerRule(exps)) for p in profiles]
+                    assert np.abs(revenues - star).max() <= 1e-9
                     assert np.abs(revenues - ran[2]).max() <= 1e-9
                 else:
                     assert revenues.tobytes() == ran[2].tobytes()
@@ -1108,10 +1110,12 @@ class TestCompiledCurve:
 
     # sha256 over verify_mechanism's reports (to_dict() and details) for
     # each referral rule on the first 40 verify-trees pool instances,
-    # recorded at commit cb5c7e1, where every point was one run
+    # recorded at commit cb5c7e1, where every point was one run, and
+    # re-recorded when each table began to price its compile's jump hints,
+    # which moved diffusion details by under xtol and no to_dict()
     REFERRAL_POOL_DIGESTS = {
-        "argmax": "305cc822d5976af0398150c9703be4b94823c88e230aa6a0a07bbf59ec5574cc",
-        "argmax-pow": "bd4934f56f3a7b0dcae242f4dd3b8bc9ff91d94c541ce484b684cc6493da091d"}
+        "argmax": "6a1380564e9cb3d75086003d282e5c9fabea16efeeb829702a382e4cd89d1091",
+        "argmax-pow": "96af92e0afe0ce6f48b0d52ad322d19f7321b77ab11ed6e19e4e5f7d4d47f642"}
 
     @pytest.mark.parametrize("rule", sorted(REFERRAL_POOL_DIGESTS))
     def test_referral_pool_reports_digest(self, rule):

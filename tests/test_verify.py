@@ -26,13 +26,14 @@ from diffusion_auctions import (
 from diffusion_auctions import fixtures, mechanisms, verify
 from diffusion_auctions.mutants import DESIGNATED, MUTANTS, make_mutant
 from diffusion_auctions.rc_example import RcExampleAuction, fig_rc_instance
-from diffusion_auctions.mechanisms import Compiled, Mechanism
+from diffusion_auctions.mechanisms import Compiled, LevelCurves, Mechanism
 from diffusion_auctions.network import Outcome
 from diffusion_auctions.verify import (ALL_CONDITIONS, CORE_CONDITIONS, CURVE_BUDGET,
                                        DeviationGrid, VerificationError, _best_response,
                                        _Context, random_exponents)
 
 from oracles import naive_forwarding_utility, random_dag_edges, round_bisection_table
+from test_acceptance import c03_instances
 
 STRUCTURAL = ("monotonicity", "payment-identity", "diffusion-constraint")
 
@@ -599,7 +600,9 @@ class TestCurveBudget:
 
 class TestDepthFirstBisection:
     """Every curve table equals, bit for bit, the table of the round-based
-    bisection in ``oracles.round_bisection_table`` on the same points."""
+    bisection in ``oracles.round_bisection_table`` on the same points: the
+    grid, 0, the true value, and each hinted jump in the grid's range with
+    the double below it."""
 
     @staticmethod
     def tables_match(mech, net, reports, grid) -> list:
@@ -609,9 +612,11 @@ class TestDepthFirstBisection:
         for agent in net.sorted_agents():
             for subset in ctx.subsets(agent):
                 compiled = mech.compile(net, reports.replace(agent, neighbors=subset))
+                hints = [h for j in compiled.jumps(agent) if 0 < j <= grid.points[-1]
+                         for h in (j, np.nextafter(j, 0.0))]
                 expected = round_bisection_table(
                     lambda xs: compiled.curve(agent, xs),
-                    [*grid.points, 0.0, reports.value(agent)], ctx.xtol)
+                    [*grid.points, 0.0, reports.value(agent), *hints], ctx.xtol)
                 got = np.array(ctx.table(agent, subset).arrays())
                 assert got.shape == expected.shape, (agent, subset)
                 assert got.tobytes() == expected.tobytes(), (agent, subset)
@@ -646,6 +651,87 @@ class TestDepthFirstBisection:
         profile = truthful_profile(net, {1: 10.0, 2: 3.0})
         levels = self.tables_match(staircase(8), net, profile, make_grid(profile))
         assert max(levels) == 9
+
+
+def leaves(details: dict) -> list:
+    """The numbers of a diffusion-constraint ``details`` map, in key order."""
+    return [x for value in details.values()
+            for x in (leaves(value) if isinstance(value, dict) else [value])]
+
+
+class TestJumpHints:
+    """A step-table compile hints its jumps, and the verifier prices each
+    hint and the double below it in the table's first batch.  On the
+    first 40 c03 trees, for each step-table mechanism, the hints change
+    no report, move the diffusion integrals by less than ``xtol``, each
+    lie exactly on a jump, and hints moved off the jumps change no
+    report either: bisection still finds every jump the grid brackets."""
+
+    MECHANISMS = {
+        "idm": lambda draws: LblevAuction(None),
+        "lblev": LblevAuction,
+        "ra:argmax": lambda draws: ReferralAuction(ArgmaxRule()),
+        "ra:argmax-pow": lambda draws: ReferralAuction(PowerRule(draws)),
+    }
+
+    @staticmethod
+    def reports_with(monkeypatch, jumps, mech, inst, grid):
+        with monkeypatch.context() as patch:
+            patch.setattr(LevelCurves, "jumps", jumps)
+            return verify_mechanism(mech, inst.net, inst.reports, grid)
+
+    @pytest.mark.parametrize("name", list(MECHANISMS))
+    def test_hints_change_no_verdict(self, monkeypatch, name):
+        hinted, hints, moved_somewhere = LevelCurves.jumps, 0, 0
+        for k, inst, draws, grid in c03_instances(40):
+            mech = self.MECHANISMS[name](draws)
+            ctx = _Context(mech, inst.net, inst.reports, grid)
+            reports = verify_mechanism(mech, inst.net, inst.reports, grid)
+            bare = self.reports_with(monkeypatch, Compiled.jumps, mech, inst, grid)
+            assert [r.to_dict() for r in reports] == [r.to_dict() for r in bare], k
+            (moved, kept), = ((r.details, b.details) for r, b in zip(reports, bare)
+                              if r.condition == "diffusion-constraint")
+            assert moved.keys() == kept.keys(), k
+            assert np.allclose(leaves(moved), leaves(kept), rtol=0.0, atol=ctx.xtol), k
+            moved_somewhere += leaves(moved) != leaves(kept)
+            for agent in inst.net.sorted_agents():
+                for subset in ctx.subsets(agent):
+                    profile = inst.reports.replace(agent, neighbors=subset)
+                    compiled = mech.compile(inst.net, profile)
+                    for j in compiled.jumps(agent):
+                        hints += 1
+                        below = np.nextafter(j, 0.0)
+                        assert compiled.point(agent, j) != compiled.point(agent, below), (k, j)
+
+            step = grid.points[1]   # a grid bracket's width
+
+            def shifted(compiled, agent):
+                return tuple(j + (0.3 if k % 2 else -0.45) * step
+                             for j in hinted(compiled, agent))
+
+            wrong = self.reports_with(monkeypatch, shifted, mech, inst, grid)
+            assert [r.to_dict() for r in reports] == [r.to_dict() for r in wrong], k
+        assert hints > 100 and moved_somewhere > 10, (hints, moved_somewhere)
+
+    def test_a_plan_error_keeps_its_place(self, monkeypatch):
+        """The plan that ``jumps`` makes can raise where the first ``curve``
+        batch raises another error first.  Here the batch's overflow probe
+        scores twice the grid's top, 40, above the rule's ceiling of 30,
+        before a plan would probe inf.  The verification raises the
+        probe's error, with and without hints."""
+        class CeilingRule(ArgmaxRule):
+            def winner(self, values):
+                if (top := max(values.values())) > 30.0:
+                    raise ValueError(f"{top!r} is above the ceiling")
+                return super().winner(values)
+
+        net = network_from_edges([(0, 1), (0, 2)])
+        profile = truthful_profile(net, {1: 10.0, 2: 3.0})
+        for jumps in (LevelCurves.jumps, Compiled.jumps):
+            with monkeypatch.context() as patch:
+                patch.setattr(LevelCurves, "jumps", jumps)
+                with pytest.raises(ValueError, match=r"^40\.0 is above the ceiling$"):
+                    verify_mechanism(ReferralAuction(CeilingRule()), net, profile)
 
 
 class TestSharedCompile:
